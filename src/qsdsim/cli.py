@@ -20,7 +20,8 @@ from pathlib import Path
 from . import __version__
 from .config import ExperimentConfig, parse_config_text, resolve_config
 from .errors import ConfigError, NoSingletonMass, QsdsimError, WindowTooSmall
-from .oracle import build_mass_chain, eigenpair_report, principal_left_eigenpair
+from .oracle import (build_mass_chain, check_truncation, eigenpair_report,
+                     principal_left_eigenpair)
 from .qsd import (decay_rate_from_singletons, decay_rate_from_survival,
                   estimate_report, fleming_viot_estimate, tv_distance,
                   write_sample_csv, yaglom_estimate)
@@ -233,8 +234,13 @@ def _run_oracle(cfg: ExperimentConfig) -> int:
     model = cfg.build_model()
     chain = build_mass_chain(model, cfg.truncation)
     result = principal_left_eigenpair(chain, tol=cfg.eigen_tol)
+    check = check_truncation(model, chain, result, cfg.eigen_tol)
+    for warning in check.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     out = _out_dir(cfg)
     _write_json(out / "oracle.json", {**eigenpair_report(chain, result),
+                                      "tail_mass": check.tail_mass,
+                                      "theta_2N": check.theta_2N,
                                       "model": _model_block(cfg), **_meta(cfg)})
     if "csv" in cfg.formats:
         with (out / "oracle.csv").open("w") as fh:
@@ -244,7 +250,7 @@ def _run_oracle(cfg: ExperimentConfig) -> int:
             for k in range(1, chain.N + 1):
                 fh.write(f"{k},{result.nu[k]:.17g}\n")
     print(f"oracle N={chain.N}: theta = {result.theta:.10g}"
-          f" (residual {result.residual:.2g}, {result.iterations} sweeps)")
+          f" (residual {result.residual:.2g})")
     return 0
 
 

@@ -6,7 +6,8 @@ with 0 absorbing. Truncating at N and dropping births from the top
 state leaves a strict sub-generator whose principal left eigenpair
 gives the decay rate and the mass marginal of the limit law to any
 accuracy the truncation supports. This module builds that matrix,
-iterates for the eigenpair, solves the first-passage system for mean
+solves for the eigenpair directly through its symmetric tridiagonal
+form, checks the truncation, solves the first-passage system for mean
 absorption times, and integrates the comparison ODE used by the
 exponential-moment bound.
 """
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidRegime, NoConvergence, SingularSystem, UnsupportedModel
 from .rates import RateModel
@@ -38,14 +40,19 @@ class MassChainOracle:
     sub_generator: np.ndarray
 
 
-def build_mass_chain(model: RateModel, N: int) -> MassChainOracle:
-    """Assemble the truncated sub-generator from the model's mass rates."""
-    if N < 2:
-        raise UnsupportedModel(f"truncation must be at least 2, got {N!r}")
+def _mass_rates(model: RateModel, N: int) -> tuple[np.ndarray, np.ndarray]:
     births = np.zeros(N + 1)
     deaths = np.zeros(N + 1)
     for k in range(1, N + 1):
         births[k], deaths[k] = model.mass_birth_death_rates(k)
+    return births, deaths
+
+
+def build_mass_chain(model: RateModel, N: int) -> MassChainOracle:
+    """Assemble the truncated sub-generator from the model's mass rates."""
+    if N < 2:
+        raise UnsupportedModel(f"truncation must be at least 2, got {N!r}")
+    births, deaths = _mass_rates(model, N)
     q = np.zeros((N, N))
     for k in range(1, N + 1):
         q[k - 1, k - 1] = -(births[k] + deaths[k])
@@ -63,43 +70,83 @@ class EigenpairResult(NamedTuple):
     iterations: int
 
 
-def principal_left_eigenpair(oracle: MassChainOracle, tol: float = 1e-10,
-                             max_iters: int = 200_000,
-                             uniformization_rate: float | None = None) -> EigenpairResult:
+def _band_eigenpair(births: np.ndarray, deaths: np.ndarray) -> EigenpairResult:
+    """Principal left eigenpair of the chain with these rates; no residual bound.
+
+    Detailed balance pi_{k+1} = pi_k b_k / d_{k+1} makes the
+    sub-generator similar to the symmetric tridiagonal matrix with
+    diagonal -(b_k + d_k) and off-diagonal sqrt(b_k d_{k+1}), whose top
+    eigenvector u gives nu_k proportional to u_k sqrt(pi_k) (van Doorn
+    1991). Both pi and nu are formed in log space so neither overflows.
+    The Perron vector is positive, so entries that round to the wrong
+    sign far in the tail are taken in absolute value. theta comes from
+    the row sums, nu_1 d_1 + nu_N b_N, and is nonnegative by
+    construction.
+    """
+    b, d = births[1:], deaths[1:]
+    up, down = b[:-1], d[1:]
+    if not (np.all(up > 0.0) and np.all(down > 0.0)):
+        raise InvalidRegime(
+            "interior rates must be positive: b_k for k < N and d_k for k >= 2")
+    log_pi = np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
+    _, u = eigh_tridiagonal(-(b + d), np.sqrt(up * down), select="i",
+                            select_range=(len(b) - 1, len(b) - 1))
+    with np.errstate(divide="ignore"):
+        log_nu = np.log(np.abs(u[:, 0])) + 0.5 * log_pi
+    nu = np.exp(log_nu - log_nu.max())
+    nu /= nu.sum()
+    theta = float(nu[0] * d[0] + nu[-1] * b[-1])
+    # l1 residual of nu Q + theta nu, one band at a time
+    flow = (theta - b - d) * nu
+    flow[1:] += nu[:-1] * up
+    flow[:-1] += nu[1:] * down
+    full = np.zeros(len(b) + 1)
+    full[1:] = nu
+    return EigenpairResult(theta=theta, nu=full, residual=float(np.abs(flow).sum()),
+                           iterations=1)
+
+
+def principal_left_eigenpair(oracle: MassChainOracle,
+                             tol: float = 1e-10) -> EigenpairResult:
     """Decay rate and limit mass law of the truncated chain.
 
-    Power iteration on the uniformized kernel K = I + Q/L with L at
-    least the largest exit rate. Converged when the left eigenvector
-    residual in l1 norm is within tol; theta = L(1 - spectral radius).
-    ``nu`` is returned over masses 0..N with index 0 zero.
+    One direct symmetric tridiagonal eigensolve. The l1 residual of
+    nu Q = -theta nu is recomputed from the rates and must be within
+    tol. ``nu`` is returned over masses 0..N with index 0 zero.
     """
     if tol <= 0.0:
         raise InvalidRegime(f"tol must be positive, got {tol!r}")
-    q = oracle.sub_generator
-    exit_max = float(np.max(-np.diag(q)))
-    rate = exit_max if uniformization_rate is None else float(uniformization_rate)
-    if rate < exit_max:
-        raise InvalidRegime(
-            f"uniformization rate {rate!r} below the largest exit rate {exit_max!r}"
-        )
-    kernel = np.eye(oracle.N) + q / rate
-    nu = np.full(oracle.N, 1.0 / oracle.N)
-    for iteration in range(1, max_iters + 1):
-        nxt = nu @ kernel
-        radius = float(nxt.sum())
-        theta = rate * (1.0 - radius)
-        # residual of nu Q = -theta nu, reusing nxt since Q = rate (K - I)
-        residual = rate * float(np.abs(nxt - radius * nu).sum())
-        nu = nxt / radius
-        if residual <= tol:
-            full = np.zeros(oracle.N + 1)
-            full[1:] = nu
-            return EigenpairResult(theta=theta, nu=full, residual=residual,
-                                   iterations=iteration)
-    raise NoConvergence(
-        f"residual above {tol!r} after {max_iters} sweeps; raise the truncation or"
-        " loosen the tolerance"
-    )
+    result = _band_eigenpair(oracle.births, oracle.deaths)
+    if not result.residual <= tol:
+        raise NoConvergence(
+            f"eigenpair residual {result.residual!r} above {tol!r}; loosen the tolerance")
+    return result
+
+
+class TruncationCheck(NamedTuple):
+    tail_mass: float
+    theta_2N: float
+    warnings: tuple[str, ...]
+
+
+def check_truncation(model: RateModel, oracle: MassChainOracle,
+                     result: EigenpairResult, tol: float) -> TruncationCheck:
+    """Whether truncating at N distorts the eigenpair.
+
+    Flags a limit law with more than 1e-12 of its mass on the top state,
+    and a decay rate that moves by more than max(1e-6 theta, tol) when
+    the truncation is doubled. The doubled chain is solved from its
+    rates alone.
+    """
+    tail = float(result.nu[-1])
+    theta_2N = _band_eigenpair(*_mass_rates(model, 2 * oracle.N)).theta
+    warnings = []
+    if tail > 1e-12:
+        warnings.append(f"nu[N] = {tail:.3g} is above 1e-12; raise the truncation")
+    if abs(result.theta - theta_2N) > max(1e-6 * result.theta, tol):
+        warnings.append(f"theta = {result.theta:.10g} at N = {oracle.N} but"
+                        f" {theta_2N:.10g} at 2N; raise the truncation")
+    return TruncationCheck(tail_mass=tail, theta_2N=theta_2N, warnings=tuple(warnings))
 
 
 def mean_extinction_time(oracle: MassChainOracle, k0: int) -> float:

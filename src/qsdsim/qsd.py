@@ -12,6 +12,7 @@ oracle.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import IO, Iterable, Sequence
@@ -127,6 +128,60 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
     return _estimate_from_counts(counts, burn_in=0.0, particles=survivors)
 
 
+class SumTree:
+    """Nonnegative rates with O(log n) total, prefix search and point update.
+
+    A heap-ordered binary tree in one flat array of doubles: the leaves
+    sit at ``[size, size + n)`` with zeros padding them to a power of
+    two, and every inner node holds the sum of its two children. An
+    update recomputes the nodes above a leaf from their children rather
+    than adding a difference, so every node stays a function of the
+    current rates and no rounding error builds up over many updates.
+    Where all partial sums are exact, as with small dyadic rates,
+    ``total`` and ``find`` agree exactly with a cumulative sum.
+    """
+
+    __slots__ = ("_n", "_size", "_tree")
+
+    def __init__(self, rates: Sequence[float]) -> None:
+        n = len(rates)
+        size = 1 << (n - 1).bit_length()
+        tree = array("d", [0.0]) * (2 * size)
+        tree[size:size + n] = array("d", rates)
+        for k in range(size - 1, 0, -1):
+            tree[k] = tree[2 * k] + tree[2 * k + 1]
+        self._n, self._size, self._tree = n, size, tree
+
+    @property
+    def total(self) -> float:
+        return self._tree[1]
+
+    def update(self, i: int, rate: float) -> None:
+        tree = self._tree
+        k = i + self._size
+        tree[k] = rate
+        k >>= 1
+        while k:
+            tree[k] = tree[2 * k] + tree[2 * k + 1]
+            k >>= 1
+
+    def find(self, x: float) -> int:
+        """First index whose prefix sum exceeds x, clipped to the last.
+
+        The same as ``min(searchsorted(cumsum(rates), x, "right"), n - 1)``.
+        """
+        tree = self._tree
+        size = self._size
+        k = 1
+        while k < size:
+            k *= 2
+            left = tree[k]
+            if x >= left:
+                x -= left
+                k += 1
+        return min(k - size, self._n - 1)
+
+
 def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
                           horizon: float, rng: RandomStream,
                           snapshot_interval: float = 0.5) -> QsdEstimate:
@@ -147,13 +202,12 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         raise InvalidRegime(f"snapshot interval must be positive, got {snapshot_interval!r}")
     gen = rng.generator()
     configs = [Configuration.singleton(sample_base(gen)) for _ in range(particles)]
-    rates = np.array([model.total_jump_rate(c) for c in configs])
+    rates = SumTree([model.total_jump_rate(c) for c in configs])
     counts: dict[Configuration, int] = {}
     t = 0.0
     next_snap = burn_in
     while True:
-        cum = np.cumsum(rates)
-        total = float(cum[-1])
+        total = rates.total
         if total <= 0.0:
             raise Degenerate("all copies extinct at once")
         t_next = t + -math.log(1.0 - gen.random()) / total
@@ -164,8 +218,7 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         if t_next > horizon:
             break
         t = t_next
-        i = min(int(np.searchsorted(cum, gen.random() * total, side="right")),
-                particles - 1)
+        i = rates.find(gen.random() * total)
         kind, parent, child = _gillespie_branch(model, configs[i], gen)
         if kind is EventKind.DEATH:
             nxt = configs[i].remove(parent)
@@ -179,7 +232,7 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         else:
             nxt = configs[i].add(parent if kind is EventKind.CLONAL else child)
         configs[i] = nxt
-        rates[i] = model.total_jump_rate(nxt)
+        rates.update(i, model.total_jump_rate(nxt))
     if not counts:
         raise InvalidRegime("no snapshot fell inside [burn_in, horizon]")
     return _estimate_from_counts(counts, burn_in=burn_in, particles=particles)

@@ -54,6 +54,9 @@ def test_oracle_artifacts(tmp_path):
     assert abs(payload["theta"] - 1.0) <= 1e-6
     assert len(payload["nu"]) == 40
     assert payload["residual"] <= 1e-10
+    assert payload["iters"] == 1
+    assert payload["tail_mass"] == payload["nu"][-1]
+    assert abs(payload["theta_2N"] - payload["theta"]) <= 1e-6
     assert payload["model"]["kind"] == "uniform"
     assert payload["seed"] == 1
     assert payload["tool_version"] == __version__
@@ -63,6 +66,18 @@ def test_oracle_artifacts(tmp_path):
     assert any(line.startswith("# config_hash=") for line in meta)
     assert lines[len(meta)] == "mass,nu"
     assert len(lines) == len(meta) + 1 + 40
+
+
+def test_oracle_warns_on_a_truncation_that_is_too_low(tmp_path, capsys):
+    assert main(["oracle", *UNIFORM_FLAGS, "--truncation", "60",
+                 "--out", str(tmp_path / "ok")]) == 0
+    assert "warning" not in capsys.readouterr().err
+    # lambda = 0.5 < b is supercritical: the mass escapes to the truncation
+    assert main(["oracle", "--kind", "uniform", "--lambda", "0.5", "--b", "1.0",
+                 "--rho", "0.3", "--out", str(tmp_path / "low")]) == 0
+    err = capsys.readouterr().err
+    assert "warning: nu[N]" in err
+    assert _read_json(tmp_path / "low" / "oracle.json")["tail_mass"] > 1e-12
 
 
 @pytest.mark.parametrize("engine", ["gillespie", "thinning"])

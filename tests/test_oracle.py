@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from qsdsim.coupling import bd_qsd
 from qsdsim.errors import (InvalidRegime, NoConvergence, SingularSystem,
                            UnsupportedModel)
 from qsdsim.oracle import (MassChainOracle, build_mass_chain,
-                           eigenpair_report, mean_extinction_time,
-                           ode_trajectory, principal_left_eigenpair)
+                           check_truncation, eigenpair_report,
+                           mean_extinction_time, ode_trajectory,
+                           principal_left_eigenpair)
 from qsdsim.qsd import tv_distance
-from qsdsim.rates import LogisticModel
+from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.trait_space import UniformKernel
 
 
@@ -83,24 +85,72 @@ def test_theta_stable_under_deeper_truncation(uniform_model, oracle60):
     assert abs(result.theta - deeper.theta) <= 1e-6
 
 
-def test_uniformization_rate_is_immaterial(logistic_model):
+def test_direct_solve_matches_dense_eigensolve(logistic_model):
     chain = build_mass_chain(logistic_model, 40)
-    exit_max = float(np.max(-np.diag(chain.sub_generator)))
-    a = principal_left_eigenpair(chain, uniformization_rate=1.5 * exit_max)
-    b = principal_left_eigenpair(chain, uniformization_rate=3.0 * exit_max)
-    assert abs(a.theta - b.theta) <= 1e-9
-    assert float(np.abs(a.nu - b.nu).sum()) <= 1e-9
+    values, vectors = np.linalg.eig(chain.sub_generator.T)
+    top = int(np.argmax(values.real))
+    dense = np.abs(vectors[:, top].real)
+    dense /= dense.sum()
+    result = principal_left_eigenpair(chain)
+    assert abs(result.theta + values[top].real) <= 1e-9
+    assert tv_distance(result.nu, np.concatenate(([0.0], dense))) <= 1e-9
+    assert result.iterations == 1
+
+
+def test_direct_solve_meets_tight_residual_at_deep_truncation(logistic_model):
+    # power iteration needed about 185k sweeps here
+    chain = build_mass_chain(logistic_model, 200)
+    result = principal_left_eigenpair(chain, tol=1e-10)
+    recomputed = float(np.abs(result.nu[1:] @ chain.sub_generator
+                              + result.theta * result.nu[1:]).sum())
+    assert result.residual <= 1e-10
+    assert recomputed <= 1e-10
+
+
+def test_crowded_chain_keeps_a_nonnegative_eigenpair():
+    # near carrying capacity the decay rate is ~1e-13, below the
+    # accuracy of the eigenvalue itself; the row-sum identity keeps it
+    # nonnegative and the log-space weights keep nu from overflowing
+    model = LogisticModel(b=2.0, rho=0.3, d=1.0, c=0.01, kernel=UniformKernel())
+    result = principal_left_eigenpair(build_mass_chain(model, 250))
+    assert result.theta >= 0.0
+    assert np.all(result.nu >= 0.0)
+    assert abs(float(result.nu.sum()) - 1.0) <= 1e-12
 
 
 def test_eigenpair_error_paths(uniform_model):
     chain = build_mass_chain(uniform_model, 10)
     with pytest.raises(InvalidRegime):
         principal_left_eigenpair(chain, tol=0.0)
-    exit_max = float(np.max(-np.diag(chain.sub_generator)))
-    with pytest.raises(InvalidRegime):
-        principal_left_eigenpair(chain, uniformization_rate=0.5 * exit_max)
     with pytest.raises(NoConvergence):
-        principal_left_eigenpair(chain, tol=1e-14, max_iters=1)
+        principal_left_eigenpair(chain, tol=1e-300)
+
+
+def test_zero_interior_rate_is_rejected(uniform_model):
+    chain = build_mass_chain(uniform_model, 5)
+    no_birth, no_death = chain.births.copy(), chain.deaths.copy()
+    no_birth[3] = no_death[3] = 0.0
+    for births, deaths in ((no_birth, chain.deaths), (chain.births, no_death)):
+        with pytest.raises(InvalidRegime):
+            principal_left_eigenpair(replace(chain, births=births, deaths=deaths))
+
+
+def test_truncation_check_flags_a_moving_decay_rate():
+    # near criticality theta is 0.074 at N = 60 but 0.053 at N = 120
+    model = UniformModel(lam=1.05, b=1.0, rho=0.3, kernel=UniformKernel())
+    chain = build_mass_chain(model, 60)
+    result = principal_left_eigenpair(chain)
+    check = check_truncation(model, chain, result, 1e-10)
+    assert abs(check.theta_2N - 0.0533) <= 1e-3
+    assert any("at 2N" in warning for warning in check.warnings)
+
+
+def test_truncation_check_passes_an_adequate_chain(uniform_model, oracle60):
+    chain, result = oracle60
+    check = check_truncation(uniform_model, chain, result, 1e-10)
+    assert check.tail_mass == result.nu[60] and check.tail_mass < 1e-12
+    assert abs(check.theta_2N - result.theta) <= 1e-12
+    assert check.warnings == ()
 
 
 def test_mean_extinction_single_state_by_hand():

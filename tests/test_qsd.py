@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
 from qsdsim.coupling import bd_qsd
 from qsdsim.errors import (AllExtinct, Degenerate, InvalidRegime,
                            NoSingletonMass, NotNormalized, WindowTooSmall)
 from qsdsim.oracle import build_mass_chain, principal_left_eigenpair
-from qsdsim.qsd import (QsdEstimate, decay_rate_from_singletons,
-                        decay_rate_from_survival, estimate_report,
-                        fleming_viot_estimate, tv_distance, write_sample_csv,
-                        yaglom_estimate)
+from qsdsim.qsd import (QsdEstimate, SumTree, _estimate_from_counts,
+                        decay_rate_from_singletons, decay_rate_from_survival,
+                        estimate_report, fleming_viot_estimate, tv_distance,
+                        write_sample_csv, yaglom_estimate)
+from qsdsim.rates import LogisticModel
+from qsdsim.simulator import EventKind, _gillespie_branch
 from qsdsim.streams import RandomStream
+from qsdsim.trait_space import UniformKernel, sample_base
 
 ONE = Configuration.singleton(0.2)
 TWO = Configuration.from_pairs(((0.4, 2),))
@@ -114,6 +119,101 @@ def test_fleming_viot_matches_mass_chain_oracle(logistic_model):
     chain = build_mass_chain(logistic_model, 60)
     pair = principal_left_eigenpair(chain)
     assert tv_distance(est.mass_marginal, pair.nu) <= 0.05
+
+
+def _tree_cases(rate):
+    """Rate vectors of length 2-300 with point updates drawn from ``rate``."""
+    return st.lists(rate, min_size=2, max_size=300).flatmap(
+        lambda rates: st.tuples(
+            st.just(rates),
+            st.lists(st.tuples(st.integers(0, len(rates) - 1), rate), max_size=40)))
+
+
+def _updated(case):
+    rates, updates = case
+    tree = SumTree(rates)
+    plain = list(rates)
+    for i, rate in updates:
+        tree.update(i, rate)
+        plain[i] = rate
+    return tree, plain
+
+
+def _searchsorted(cum, x):
+    return min(int(np.searchsorted(cum, x, side="right")), len(cum) - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tree_cases(st.integers(1, 4000).map(lambda k: k / 2)))
+def test_sum_tree_is_exact_on_half_integer_rates(case):
+    tree, plain = _updated(case)
+    cum = np.cumsum(plain)
+    assert tree.total == math.fsum(plain) == cum[-1]
+    edges = [0.0, *cum]
+    probes = edges + [(a + b) / 2 for a, b in zip(edges, edges[1:])] + [cum[-1] + 1.0]
+    for x in probes:
+        assert tree.find(x) == _searchsorted(cum, x), x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tree_cases(st.floats(1e-3, 1e3)))
+def test_sum_tree_total_and_find_on_arbitrary_rates(case):
+    tree, plain = _updated(case)
+    exact = math.fsum(plain)
+    depth = (len(plain) - 1).bit_length()
+    assert abs(tree.total - exact) <= (depth + 1) * math.ulp(exact)
+    # between prefix boundaries rounding cannot move the answer
+    cum = np.cumsum(plain)
+    edges = [0.0, *cum]
+    for a, b in zip(edges, edges[1:]):
+        x = (a + b) / 2
+        assert tree.find(x) == _searchsorted(cum, x), x
+
+
+def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
+                         snapshot_interval=0.5):
+    """Fleming-Viot selection by a cumulative sum over all particles per event."""
+    gen = rng.generator()
+    configs = [Configuration.singleton(sample_base(gen)) for _ in range(particles)]
+    rates = np.array([model.total_jump_rate(c) for c in configs])
+    counts = {}
+    t = 0.0
+    next_snap = burn_in
+    while True:
+        cum = np.cumsum(rates)
+        total = float(cum[-1])
+        t_next = t + -math.log(1.0 - gen.random()) / total
+        while next_snap <= horizon and next_snap < t_next:
+            for c in configs:
+                counts[c] = counts.get(c, 0) + 1
+            next_snap += snapshot_interval
+        if t_next > horizon:
+            break
+        t = t_next
+        i = min(int(np.searchsorted(cum, gen.random() * total, side="right")),
+                particles - 1)
+        kind, parent, child = _gillespie_branch(model, configs[i], gen)
+        if kind is EventKind.DEATH:
+            nxt = configs[i].remove(parent)
+            if nxt.is_void:
+                j = int(gen.random() * (particles - 1))
+                if j >= i:
+                    j += 1
+                nxt = configs[j]
+        else:
+            nxt = configs[i].add(parent if kind is EventKind.CLONAL else child)
+        configs[i] = nxt
+        rates[i] = model.total_jump_rate(nxt)
+    return _estimate_from_counts(counts, burn_in=burn_in, particles=particles)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fleming_viot_selection_matches_a_cumulative_sum(seed):
+    model = LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.5, kernel=UniformKernel())
+    est = fleming_viot_estimate(model, 300, 1.0, 3.0, RandomStream(seed))
+    ref = _cumsum_fleming_viot(model, 300, 1.0, 3.0, RandomStream(seed))
+    assert est.configurations == ref.configurations
+    assert np.array_equal(est.weights, ref.weights)
 
 
 def test_decay_rate_on_noiseless_curve():
