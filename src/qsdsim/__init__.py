@@ -21,8 +21,7 @@ from .oracle import (MassChainOracle, build_mass_chain, mean_extinction_time,
 from .qsd import (QsdEstimate, decay_rate_from_singletons,
                   decay_rate_from_survival, fleming_viot_estimate, tv_distance,
                   yaglom_estimate)
-from .rates import (EventTable, LogisticModel, RateModel, UniformModel,
-                    event_table, location_kernel_G, sample_mutation_parent)
+from .rates import LogisticModel, RateModel, UniformModel, sample_mutation_parent
 from .simulator import (Event, EventKind, Trajectory, hitting_tail,
                         simulate_gillespie, simulate_thinning, survival_curve)
 from .streams import RandomStream

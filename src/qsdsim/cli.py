@@ -121,10 +121,6 @@ def _model_block(cfg: ExperimentConfig) -> dict:
     return block
 
 
-def _csv_meta(cfg: ExperimentConfig) -> dict:
-    return _meta(cfg)
-
-
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -137,7 +133,7 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
                                      RandomStream(cfg.seed).generator())
     out = _out_dir(cfg)
     with (out / "trajectory.csv").open("w") as fh:
-        write_trajectory_csv(trajectory, fh, metadata=_csv_meta(cfg))
+        write_trajectory_csv(trajectory, fh, metadata=_meta(cfg))
     if "json" in cfg.formats:
         _write_json(out / "trajectory.json", {
             "engine": cfg.engine,
@@ -177,7 +173,7 @@ def _run_survival(cfg: ExperimentConfig) -> int:
     })
     if "csv" in cfg.formats:
         with (out / "survival.csv").open("w") as fh:
-            for key, value in _csv_meta(cfg).items():
+            for key, value in _meta(cfg).items():
                 fh.write(f"# {key}={value}\n")
             fh.write("t,survival,stderr\n")
             for t, p, se in curve:
@@ -207,7 +203,7 @@ def _write_estimate(cfg: ExperimentConfig, est, label: str) -> None:
     })
     if "csv" in cfg.formats:
         with (out / "qsd_sample.csv").open("w") as fh:
-            write_sample_csv(est, fh, metadata=_csv_meta(cfg))
+            write_sample_csv(est, fh, metadata=_meta(cfg))
     theta_text = "none" if theta_singleton is None else f"{theta_singleton:.6g}"
     print(f"{label} estimate over {len(est.configurations)} configurations"
           f" (ess {est.ess:.1f}, singleton theta {theta_text})")
@@ -244,7 +240,7 @@ def _run_oracle(cfg: ExperimentConfig) -> int:
                                       "model": _model_block(cfg), **_meta(cfg)})
     if "csv" in cfg.formats:
         with (out / "oracle.csv").open("w") as fh:
-            for key, value in _csv_meta(cfg).items():
+            for key, value in _meta(cfg).items():
                 fh.write(f"# {key}={value}\n")
             fh.write("mass,nu\n")
             for k in range(1, chain.N + 1):

@@ -148,19 +148,6 @@ def coupled_path(model: RateModel, start: CoupledState, horizon: float,
     return path
 
 
-def coupled_state_at(model: RateModel, start: CoupledState, t: float,
-                     rng: np.random.Generator) -> CoupledState:
-    """The joint state at time t, without recording the path."""
-    now = 0.0
-    state = start
-    while True:
-        hold, nxt = step_coupled(model, state, rng)
-        if math.isinf(hold) or now + hold > t:
-            return state
-        now += hold
-        state = nxt
-
-
 def bd_chain_state_at(birth: float, death: float, k0: int, t: float,
                       rng: np.random.Generator) -> int:
     """Linear birth-death chain simulated directly, for marginal checks."""

@@ -5,11 +5,12 @@ mass, the mass process is itself Markov on the nonnegative integers
 with 0 absorbing. Truncating at N and dropping births from the top
 state leaves a strict sub-generator whose principal left eigenpair
 gives the decay rate and the mass marginal of the limit law to any
-accuracy the truncation supports. This module builds that matrix,
-solves for the eigenpair directly through its symmetric tridiagonal
-form, checks the truncation, solves the first-passage system for mean
-absorption times, and integrates the comparison ODE used by the
-exponential-moment bound.
+accuracy the truncation supports. The matrix is tridiagonal, so this
+module keeps only its two rate bands: it solves for the eigenpair
+directly through the symmetric tridiagonal form, checks the
+truncation, solves the banded first-passage system for mean absorption
+times, and integrates the comparison ODE used by the exponential-moment
+bound.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded
 
 from .errors import InvalidRegime, NoConvergence, SingularSystem, UnsupportedModel
 from .rates import RateModel
@@ -30,14 +31,13 @@ class MassChainOracle:
     """Truncated mass chain on states 1..N.
 
     ``births`` and ``deaths`` are indexed by state with entry 0 unused.
-    Row k of ``sub_generator`` sums to minus the rate into 0 (k=1)
-    minus the birth rate dropped by the truncation (k=N).
+    Row k of the sub-generator has -(b_k + d_k) on the diagonal, b_k
+    right of it for k < N and d_k left of it for k > 1.
     """
 
     N: int
     births: np.ndarray
     deaths: np.ndarray
-    sub_generator: np.ndarray
 
 
 def _mass_rates(model: RateModel, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -49,18 +49,10 @@ def _mass_rates(model: RateModel, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_mass_chain(model: RateModel, N: int) -> MassChainOracle:
-    """Assemble the truncated sub-generator from the model's mass rates."""
+    """Tabulate the truncated chain's rates from the model's mass rates."""
     if N < 2:
         raise UnsupportedModel(f"truncation must be at least 2, got {N!r}")
-    births, deaths = _mass_rates(model, N)
-    q = np.zeros((N, N))
-    for k in range(1, N + 1):
-        q[k - 1, k - 1] = -(births[k] + deaths[k])
-        if k < N:
-            q[k - 1, k] = births[k]
-        if k > 1:
-            q[k - 1, k - 2] = deaths[k]
-    return MassChainOracle(N=N, births=births, deaths=deaths, sub_generator=q)
+    return MassChainOracle(N, *_mass_rates(model, N))
 
 
 class EigenpairResult(NamedTuple):
@@ -150,12 +142,20 @@ def check_truncation(model: RateModel, oracle: MassChainOracle,
 
 
 def mean_extinction_time(oracle: MassChainOracle, k0: int) -> float:
-    """Expected absorption time from mass k0 in the truncated chain."""
+    """Expected absorption time from mass k0 in the truncated chain.
+
+    Solves Q u = -1 for the killed-at-N sub-generator Q from its bands.
+    """
     if not 1 <= k0 <= oracle.N:
         raise ValueError(f"k0 must be in 1..{oracle.N}, got {k0!r}")
+    b, d = oracle.births[1:], oracle.deaths[1:]
+    bands = np.zeros((3, oracle.N))
+    bands[0, 1:] = b[:-1]
+    bands[1] = -(b + d)
+    bands[2, :-1] = d[1:]
     try:
-        u = np.linalg.solve(oracle.sub_generator, -np.ones(oracle.N))
-    except np.linalg.LinAlgError as exc:
+        u = solve_banded((1, 1), bands, -np.ones(oracle.N))
+    except LinAlgError as exc:
         raise SingularSystem(f"first-passage system is singular: {exc}") from exc
     return float(u[k0 - 1])
 

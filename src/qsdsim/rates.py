@@ -258,49 +258,6 @@ class LogisticModel(RateModel):
         return k * self.b, k * (self.d + self.c * (k - 1))
 
 
-@dataclass(frozen=True)
-class EventTable:
-    """All jump rates available from one configuration.
-
-    ``clonal[i]`` and ``death[i]`` are the aggregated per-trait rates of
-    entry i (weight times the per-individual rate); ``mutation_total``
-    aggregates over all traits; ``total`` is the jump mass Q of the
-    state, zero exactly at the void configuration.
-    """
-
-    traits: tuple[TraitPoint, ...]
-    weights: tuple[int, ...]
-    clonal: tuple[float, ...]
-    death: tuple[float, ...]
-    mutation_total: float
-    total: float
-
-
-def event_table(model: RateModel, config: Configuration) -> EventTable:
-    """Tabulate every event rate out of the configuration."""
-    clonal, death, mutation, total = model.state_rates(config)
-    return EventTable(
-        traits=config.support(),
-        weights=tuple(w for _, w in config.entries),
-        clonal=tuple(clonal),
-        death=tuple(death),
-        mutation_total=mutation,
-        total=total,
-    )
-
-
-def location_kernel_G(model: RateModel, config: Configuration, z: TraitPoint) -> float:
-    """Mutation location density at z, mixed over all parents.
-
-    Integrates over z (against the base measure) to the total mutation
-    rate of the configuration.
-    """
-    out = 0.0
-    for trait, weight in config.entries:
-        out += weight * model.mutation_rate(trait, config) * model.kernel.density(trait, z)
-    return out
-
-
 def sample_mutation_parent(model: RateModel, config: Configuration,
                            rng: np.random.Generator) -> TraitPoint:
     """Draw the parent of a mutation, weighted by per-trait mutation rate."""
@@ -316,16 +273,3 @@ def sample_mutation_parent(model: RateModel, config: Configuration,
             return trait
     return config.entries[-1][0]
 
-
-def q_plus(model: RateModel, k: int) -> float:
-    """Largest total jump rate over states of mass at most k.
-
-    Defined through the mass chain, so it requires a trait-blind model.
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    best = 0.0
-    for j in range(1, k + 1):
-        birth, death = model.mass_birth_death_rates(j)
-        best = max(best, birth + death)
-    return best

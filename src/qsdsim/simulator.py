@@ -2,21 +2,23 @@
 
 Two engines produce the same law. The Gillespie engine is the
 reference: exponential holding time at the total jump rate, then a
-categorical branch over the event table. The thinning engine realizes
-the driving-Poisson-measure construction instead: candidate points are
-generated at bounding intensity, individuals are addressed through the
-cumulative-weight index functions, and candidates are accepted exactly
-when they fall inside the rate bands of the construction. Agreement of
-the two engines is one of the package's strongest correctness checks.
+categorical branch over the per-entry rates. Every replica estimator
+steps the same Gillespie kernel, ``_jumps``. The thinning engine
+realizes the driving-Poisson-measure construction instead: candidate
+points are generated at bounding intensity, individuals are addressed
+through the cumulative-weight index functions, and candidates are
+accepted exactly when they fall inside the rate bands of the
+construction. Agreement of the two engines is one of the package's
+strongest correctness checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,10 +61,8 @@ def apply_event(config: Configuration, event: Event) -> Configuration:
 class Trajectory:
     """One simulated path up to min(horizon, extinction).
 
-    Unreached times are math.inf. ``first_mutation_time`` is the first
-    time the support leaves the initial support; ``replacement_time``
-    is the first time no initial trait remains. ``hitting_times`` is a
-    lazily filled cache; use :meth:`hitting_time`.
+    Unreached times are math.inf; see :func:`path_times` for the
+    definitions of the three observable times.
     """
 
     initial: Configuration
@@ -72,75 +72,41 @@ class Trajectory:
     extinction_time: float
     first_mutation_time: float
     replacement_time: float
-    hitting_times: dict[int, float] = field(default_factory=dict)
     candidate_count: int | None = None
     accepted_count: int | None = None
 
-    def hitting_time(self, k: int) -> float:
-        """First time the total mass reaches k, math.inf if never."""
-        if k in self.hitting_times:
-            return self.hitting_times[k]
-        mass = self.initial.total_mass
-        hit = 0.0 if mass >= k else math.inf
-        if hit == math.inf:
-            for event in self.events:
-                mass += -1 if event.kind is EventKind.DEATH else 1
-                if mass >= k:
-                    hit = event.time
-                    break
-        self.hitting_times[k] = hit
-        return hit
 
-    def mass_trace(self) -> list[tuple[float, int]]:
-        """Piecewise-constant total mass as (jump time, mass) pairs."""
-        mass = self.initial.total_mass
-        trace = [(0.0, mass)]
-        for event in self.events:
-            mass += -1 if event.kind is EventKind.DEATH else 1
-            trace.append((event.time, mass))
-        return trace
+def path_times(initial: Configuration,
+               events: Iterable[Event]) -> tuple[float, float, float]:
+    """(extinction, first mutation, replacement) times of a logged path.
 
-    def state_at(self, t: float) -> Configuration:
-        """Configuration at time t, for 0 <= t <= horizon."""
-        if not (0.0 <= t <= self.horizon):
-            raise ValueError(f"time {t!r} outside [0, {self.horizon!r}]")
-        config = self.initial
-        for event in self.events:
-            if event.time > t:
-                break
-            config = apply_event(config, event)
-        return config
-
-
-def replay_observables(trajectory: Trajectory) -> tuple[Configuration, float, float, float]:
-    """Recompute (final, extinction, first mutation, replacement) from the log.
-
-    Independent of the bookkeeping done while simulating; used to test
-    pathwise consistency.
+    Extinction is the first time the mass is 0. First mutation is the
+    first time the support leaves the initial support, which is the
+    first mutation whose child is not an initial trait. Replacement is
+    the first time no individual carries an initial trait. A void start
+    is extinct and replaced at 0.0; unreached times are math.inf.
     """
-    config = trajectory.initial
-    initial_support = frozenset(config.support())
-    remaining = dict(config.entries)
-    extinction = math.inf
+    mass = initial.total_mass
+    counts = dict(initial.entries)
+    alive = len(counts)
+    extinction = 0.0 if mass == 0 else math.inf
     chi = math.inf
-    kappa = math.inf if remaining else 0.0
-    for event in trajectory.events:
-        config = apply_event(config, event)
-        if event.kind is EventKind.MUTATION and math.isinf(chi) \
-                and event.child not in initial_support:
+    kappa = 0.0 if alive == 0 else math.inf
+    for event in events:
+        step = -1 if event.kind is EventKind.DEATH else 1
+        trait = event.child if event.kind is EventKind.MUTATION else event.parent
+        mass += step
+        if trait in counts:
+            before = counts[trait]
+            counts[trait] = before + step
+            alive += (counts[trait] > 0) - (before > 0)
+        elif event.kind is EventKind.MUTATION and math.isinf(chi):
             chi = event.time
-        trait = event.parent if event.kind is not EventKind.MUTATION else event.child
-        if event.kind is EventKind.DEATH and event.parent in remaining:
-            remaining[event.parent] -= 1
-            if remaining[event.parent] == 0:
-                del remaining[event.parent]
-                if not remaining and math.isinf(kappa):
-                    kappa = event.time
-        elif event.kind is not EventKind.DEATH and trait in remaining:
-            remaining[trait] += 1
-        if config.is_void and math.isinf(extinction):
+        if mass == 0 and math.isinf(extinction):
             extinction = event.time
-    return config, extinction, chi, kappa
+        if alive == 0 and math.isinf(kappa):
+            kappa = event.time
+    return extinction, chi, kappa
 
 
 def _inverse_cdf_exponential(rng: np.random.Generator, rate: float) -> float:
@@ -171,52 +137,44 @@ def _gillespie_branch(model: RateModel, config: Configuration,
     return EventKind.DEATH, config.entries[-1][0], None
 
 
+def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random.Generator
+           ) -> Iterator[tuple[float, float, EventKind, float, float | None, Configuration]]:
+    """The exact jumps from ``config`` up to t_end, extinction or a dead state.
+
+    Yields (t, hold, kind, parent, child, after): the jump time, the
+    holding time that ended there, the branch of
+    :func:`_gillespie_branch` and the configuration after the jump.
+    Holding times are drawn at the total jump rate. The run stops
+    before branching once ``t + hold > t_end``, so its last draw is one
+    holding time past the horizon; every consumer relies on that order.
+    """
+    t = 0.0
+    while not config.is_void:
+        total = model.total_jump_rate(config)
+        if total <= 0.0:
+            return
+        hold = _inverse_cdf_exponential(rng, total)
+        if t + hold > t_end:
+            return
+        t += hold
+        kind, parent, child = _gillespie_branch(model, config, rng)
+        if kind is EventKind.DEATH:
+            config = config.remove(parent)
+        else:
+            config = config.add(parent if kind is EventKind.CLONAL else child)
+        yield t, hold, kind, parent, child, config
+
+
 def simulate_gillespie(model: RateModel, initial: Configuration, horizon: float,
                        rng: np.random.Generator) -> Trajectory:
     """Reference engine: exponential holding times at the total jump rate."""
     if horizon < 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
-    config = initial
-    initial_support = frozenset(initial.support())
-    remaining = dict(initial.entries)
-    t = 0.0
-    events: list[Event] = []
-    extinction = 0.0 if initial.is_void else math.inf
-    chi = math.inf
-    kappa = 0.0 if initial.is_void else math.inf
-    while not config.is_void:
-        total = model.total_jump_rate(config)
-        if total <= 0.0:
-            break
-        t_next = t + _inverse_cdf_exponential(rng, total)
-        if t_next > horizon:
-            break
-        t = t_next
-        kind, parent, child = _gillespie_branch(model, config, rng)
-        event = Event(t, kind, parent, child)
-        config = apply_event(config, event)
-        events.append(event)
-        if kind is EventKind.MUTATION:
-            if math.isinf(chi) and child not in initial_support:
-                chi = t
-            if child in remaining:
-                remaining[child] += 1
-        elif kind is EventKind.CLONAL:
-            if parent in remaining:
-                remaining[parent] += 1
-        else:
-            if parent in remaining:
-                remaining[parent] -= 1
-                if remaining[parent] == 0:
-                    del remaining[parent]
-                    if not remaining and math.isinf(kappa):
-                        kappa = t
-            if config.is_void:
-                extinction = t
-    return Trajectory(
-        initial=initial, events=tuple(events), horizon=horizon, final=config,
-        extinction_time=extinction, first_mutation_time=chi, replacement_time=kappa,
-    )
+    final = initial
+    events = []
+    for t, _, kind, parent, child, final in _jumps(model, initial, horizon, rng):
+        events.append(Event(t, kind, parent, child))
+    return Trajectory(initial, tuple(events), horizon, final, *path_times(initial, events))
 
 
 def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
@@ -235,15 +193,10 @@ def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
     if horizon < 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     config = initial
-    initial_support = frozenset(initial.support())
-    remaining = dict(initial.entries)
     birth_level = model.birth_sup * model.kernel.sup_density()
     t = 0.0
     events: list[Event] = []
     candidates = 0
-    extinction = 0.0 if initial.is_void else math.inf
-    chi = math.inf
-    kappa = 0.0 if initial.is_void else math.inf
     while not config.is_void:
         n = config.total_mass
         death_level = model.death_bound(config)
@@ -273,28 +226,9 @@ def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
             continue
         config = apply_event(config, event)
         events.append(event)
-        if event.kind is EventKind.MUTATION:
-            if math.isinf(chi) and event.child not in initial_support:
-                chi = t
-            if event.child in remaining:
-                remaining[event.child] += 1
-        elif event.kind is EventKind.CLONAL:
-            if trait in remaining:
-                remaining[trait] += 1
-        else:
-            if trait in remaining:
-                remaining[trait] -= 1
-                if remaining[trait] == 0:
-                    del remaining[trait]
-                    if not remaining and math.isinf(kappa):
-                        kappa = t
-            if config.is_void:
-                extinction = t
-    return Trajectory(
-        initial=initial, events=tuple(events), horizon=horizon, final=config,
-        extinction_time=extinction, first_mutation_time=chi, replacement_time=kappa,
-        candidate_count=candidates, accepted_count=len(events),
-    )
+    return Trajectory(initial, tuple(events), horizon, config, *path_times(initial, events),
+                      candidate_count=candidates, accepted_count=len(events))
+
 
 ENGINES = {
     "gillespie": simulate_gillespie,
@@ -317,36 +251,17 @@ def _evolve(model: RateModel, config: Configuration, t_end: float,
 
     Returns (state at t_end, extinction time or inf, masses at the
     checkpoints). Checkpoints must be sorted and lie within [0, t_end].
+    A checkpoint at a jump time sees the mass after the jump.
     """
     t = 0.0
-    extinction = 0.0 if config.is_void else math.inf
     masses: list[int] = []
-    pending = 0
-    while True:
-        total = model.total_jump_rate(config)
-        if config.is_void or total <= 0.0:
-            break
-        t_next = t + _inverse_cdf_exponential(rng, total)
-        while pending < len(checkpoints) and checkpoints[pending] < t_next:
+    for t, _, _, _, _, after in _jumps(model, config, t_end, rng):
+        while len(masses) < len(checkpoints) and checkpoints[len(masses)] < t:
             masses.append(config.total_mass)
-            pending += 1
-        if t_next > t_end:
-            t = t_end
-            break
-        t = t_next
-        kind, parent, child = _gillespie_branch(model, config, rng)
-        if kind is EventKind.DEATH:
-            config = config.remove(parent)
-            if config.is_void:
-                extinction = t
-        elif kind is EventKind.CLONAL:
-            config = config.add(parent)
-        else:
-            config = config.add(child)
-    while pending < len(checkpoints):
+        config = after
+    while len(masses) < len(checkpoints):
         masses.append(config.total_mass)
-        pending += 1
-    return config, extinction, masses
+    return config, t if config.is_void else math.inf, masses
 
 
 def _extinction_replica(model: RateModel, initial, t_max: float,
@@ -396,20 +311,8 @@ def _max_mass_replica(model: RateModel, initial, t: float,
                       rng: np.random.Generator) -> int:
     config = _resolve_initial(initial, rng)
     best = config.total_mass
-    now = 0.0
-    while not config.is_void:
-        total = model.total_jump_rate(config)
-        if total <= 0.0:
-            break
-        now += _inverse_cdf_exponential(rng, total)
-        if now > t:
-            break
-        kind, parent, child = _gillespie_branch(model, config, rng)
-        if kind is EventKind.DEATH:
-            config = config.remove(parent)
-        else:
-            config = config.add(parent if kind is EventKind.CLONAL else child)
-            best = max(best, config.total_mass)
+    for _, _, _, _, _, after in _jumps(model, config, t, rng):
+        best = max(best, after.total_mass)
     return best
 
 

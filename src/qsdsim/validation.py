@@ -21,11 +21,9 @@ import numpy as np
 from scipy.stats import chi2
 
 from .configuration import Configuration
-from .errors import InvalidRegime
 from .oracle import ode_trajectory
 from .rates import LogisticModel, RateModel, UniformModel
-from .simulator import (EventKind, _gillespie_branch, _inverse_cdf_exponential,
-                        mass_moments)
+from .simulator import _evolve, _jumps, mass_moments
 from .streams import RandomStream, map_replicas
 
 
@@ -115,25 +113,15 @@ def exp_mass_drift_bound(model: RateModel, a: float) -> float:
 
 def _martingale_replica(model: RateModel, f: TestFunction, initial: Configuration,
                         t: float, rng: np.random.Generator) -> float:
+    # L f is constant between jumps, so the integral is exact
     config = initial
     now = 0.0
     integral = 0.0
-    while not config.is_void:
-        total = model.total_jump_rate(config)
-        if total <= 0.0:
-            break
-        step = _inverse_cdf_exponential(rng, total)
-        if now + step > t:
-            integral += (t - now) * generator_apply(model, f, config)
-            now = t
-            break
-        integral += step * generator_apply(model, f, config)
-        now += step
-        kind, parent, child = _gillespie_branch(model, config, rng)
-        if kind is EventKind.DEATH:
-            config = config.remove(parent)
-        else:
-            config = config.add(parent if kind is EventKind.CLONAL else child)
+    for now, hold, _, _, _, after in _jumps(model, initial, t, rng):
+        integral += hold * generator_apply(model, f, config)
+        config = after
+    if not config.is_void:
+        integral += (t - now) * generator_apply(model, f, config)
     return f(config) - f(initial) - integral
 
 
@@ -166,29 +154,10 @@ class LyapunovPoint(NamedTuple):
 def _lyapunov_replica(model: RateModel, initial: Configuration, grid: tuple[float, ...],
                       a_at: tuple[float, ...], lam_star: float,
                       rng: np.random.Generator) -> np.ndarray:
-    config = initial
-    now = 0.0
-    out = np.zeros(len(grid))
-    pending = 0
-    while not config.is_void:
-        total = model.total_jump_rate(config)
-        if total <= 0.0:
-            break
-        t_next = now + _inverse_cdf_exponential(rng, total)
-        while pending < len(grid) and grid[pending] < t_next:
-            n = config.total_mass
-            out[pending] = math.exp(a_at[pending] * n - lam_star * grid[pending])
-            pending += 1
-        if pending == len(grid):
-            break
-        now = t_next
-        kind, parent, child = _gillespie_branch(model, config, rng)
-        if kind is EventKind.DEATH:
-            config = config.remove(parent)
-        else:
-            config = config.add(parent if kind is EventKind.CLONAL else child)
-    # extinct before remaining grid times: those contribute 0
-    return out
+    # extinct before a grid time: that time contributes 0
+    _, _, masses = _evolve(model, initial, grid[-1], rng, checkpoints=grid)
+    return np.array([math.exp(a * n - lam_star * g) if n else 0.0
+                     for a, n, g in zip(a_at, masses, grid)])
 
 
 def lyapunov_check(model: RateModel, initial: Configuration, a0: float,

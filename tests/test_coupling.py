@@ -5,8 +5,7 @@ import pytest
 
 from qsdsim.configuration import Configuration
 from qsdsim.coupling import (CoupledState, bd_chain_state_at, bd_qsd,
-                             coupled_path, coupled_rates, coupled_state_at,
-                             step_coupled)
+                             coupled_path, coupled_rates, step_coupled)
 from qsdsim.errors import InvalidRegime, InvariantBreach
 from qsdsim.simulator import simulate_gillespie
 from qsdsim.streams import RandomStream
@@ -103,8 +102,8 @@ def test_negative_horizon_rejected(uniform_model):
 def test_config_marginal_matches_plain_engine(uniform_model):
     stream = RandomStream(7)
     coupled = [
-        coupled_state_at(uniform_model, CoupledState(TRIO, 3), 1.0,
-                         stream.substream(0, r).generator()).config.total_mass
+        coupled_path(uniform_model, CoupledState(TRIO, 3), 1.0,
+                     stream.substream(0, r).generator())[-1][1].config.total_mass
         for r in range(4000)]
     plain = [
         simulate_gillespie(uniform_model, TRIO, 1.0,
@@ -117,8 +116,8 @@ def test_config_marginal_matches_plain_engine(uniform_model):
 def test_counter_marginal_is_linear_birth_death(logistic_model):
     stream = RandomStream(8)
     coupled = [
-        coupled_state_at(logistic_model, CoupledState(TRIO, 3), 1.0,
-                         stream.substream(0, r).generator()).counter
+        coupled_path(logistic_model, CoupledState(TRIO, 3), 1.0,
+                     stream.substream(0, r).generator())[-1][1].counter
         for r in range(4000)]
     direct = [
         bd_chain_state_at(logistic_model.birth_sup, logistic_model.death_inf,

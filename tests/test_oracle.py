@@ -16,6 +16,12 @@ from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.trait_space import UniformKernel
 
 
+def _sub_generator(chain):
+    """The truncated chain's sub-generator as a dense matrix."""
+    b, d = chain.births[1:], chain.deaths[1:]
+    return np.diag(-(b + d)) + np.diag(b[:-1], 1) + np.diag(d[1:], -1)
+
+
 def test_build_uniform_chain_by_hand(uniform_model):
     chain = build_mass_chain(uniform_model, 3)
     assert chain.births[1:].tolist() == [1.0, 2.0, 3.0]
@@ -25,7 +31,7 @@ def test_build_uniform_chain_by_hand(uniform_model):
         [4.0, -6.0, 2.0],
         [0.0, 6.0, -9.0],
     ])
-    assert np.array_equal(chain.sub_generator, expected)
+    assert np.array_equal(_sub_generator(chain), expected)
 
 
 def test_build_logistic_death_rate():
@@ -39,19 +45,6 @@ def test_build_rejects_degenerate_truncation(uniform_model):
         build_mass_chain(uniform_model, 1)
     with pytest.raises(UnsupportedModel):
         build_mass_chain(uniform_model, 0)
-
-
-def test_row_sums_account_for_absorption_and_truncation(uniform_model, logistic_model):
-    for model in (uniform_model, logistic_model):
-        chain = build_mass_chain(model, 10)
-        sums = chain.sub_generator.sum(axis=1)
-        for k in range(1, 11):
-            expected = 0.0
-            if k == 1:
-                expected -= chain.deaths[1]
-            if k == 10:
-                expected -= chain.births[10]
-            assert sums[k - 1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_two_state_eigenpair_solved_by_hand(uniform_model):
@@ -73,7 +66,7 @@ def test_truncated_chain_reaches_closed_form(uniform_model, oracle60):
 
 def test_residual_contract_holds_for_returned_vector(oracle60):
     chain, result = oracle60
-    recomputed = float(np.abs(result.nu[1:] @ chain.sub_generator
+    recomputed = float(np.abs(result.nu[1:] @ _sub_generator(chain)
                               + result.theta * result.nu[1:]).sum())
     assert recomputed <= 1e-10
     assert result.residual <= 1e-10
@@ -87,7 +80,7 @@ def test_theta_stable_under_deeper_truncation(uniform_model, oracle60):
 
 def test_direct_solve_matches_dense_eigensolve(logistic_model):
     chain = build_mass_chain(logistic_model, 40)
-    values, vectors = np.linalg.eig(chain.sub_generator.T)
+    values, vectors = np.linalg.eig(_sub_generator(chain).T)
     top = int(np.argmax(values.real))
     dense = np.abs(vectors[:, top].real)
     dense /= dense.sum()
@@ -101,7 +94,7 @@ def test_direct_solve_meets_tight_residual_at_deep_truncation(logistic_model):
     # power iteration needed about 185k sweeps here
     chain = build_mass_chain(logistic_model, 200)
     result = principal_left_eigenpair(chain, tol=1e-10)
-    recomputed = float(np.abs(result.nu[1:] @ chain.sub_generator
+    recomputed = float(np.abs(result.nu[1:] @ _sub_generator(chain)
                               + result.theta * result.nu[1:]).sum())
     assert result.residual <= 1e-10
     assert recomputed <= 1e-10
@@ -156,8 +149,7 @@ def test_truncation_check_passes_an_adequate_chain(uniform_model, oracle60):
 def test_mean_extinction_single_state_by_hand():
     # state 1 exits at rate 3 and is absorbed or truncated either way
     oracle = MassChainOracle(N=1, births=np.array([0.0, 1.0]),
-                             deaths=np.array([0.0, 2.0]),
-                             sub_generator=np.array([[-3.0]]))
+                             deaths=np.array([0.0, 2.0]))
     assert mean_extinction_time(oracle, 1) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
@@ -171,6 +163,14 @@ def test_mean_extinction_monotone_and_stable(uniform_model):
     assert abs(times[0] - math.log(2.0)) <= 1e-6
 
 
+def test_mean_extinction_matches_dense_solve(uniform_model, logistic_model):
+    for model, N in ((uniform_model, 60), (logistic_model, 120)):
+        chain = build_mass_chain(model, N)
+        dense = np.linalg.solve(_sub_generator(chain), -np.ones(N))
+        banded = np.array([mean_extinction_time(chain, k) for k in range(1, N + 1)])
+        assert np.max(np.abs(banded - dense) / dense) <= 1e-13
+
+
 def test_mean_extinction_argument_range(uniform_model):
     chain = build_mass_chain(uniform_model, 5)
     with pytest.raises(ValueError):
@@ -180,8 +180,7 @@ def test_mean_extinction_argument_range(uniform_model):
 
 
 def test_singular_first_passage_system():
-    oracle = MassChainOracle(N=2, births=np.zeros(3), deaths=np.zeros(3),
-                             sub_generator=np.zeros((2, 2)))
+    oracle = MassChainOracle(N=2, births=np.zeros(3), deaths=np.zeros(3))
     with pytest.raises(SingularSystem):
         mean_extinction_time(oracle, 1)
 

@@ -5,10 +5,9 @@ import pytest
 
 from qsdsim.configuration import Configuration
 from qsdsim.errors import InvalidRegime, NoMutationMass, UnsupportedModel
-from qsdsim.rates import (LogisticModel, RateModel, UniformModel, event_table,
-                          location_kernel_G, q_plus, sample_mutation_parent)
+from qsdsim.rates import LogisticModel, RateModel, UniformModel, sample_mutation_parent
 from qsdsim.streams import RandomStream
-from qsdsim.trait_space import TraitPoint, TruncatedGaussianKernel, UniformKernel
+from qsdsim.trait_space import TraitPoint, UniformKernel
 
 ETA = Configuration.from_pairs(((0.25, 2), (0.75, 1)))
 
@@ -96,25 +95,6 @@ def test_rate_parameters_must_be_positive():
         LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.0, kernel=k)
 
 
-def test_event_table_totals(uniform_model):
-    table = event_table(uniform_model, ETA)
-    assert table.traits == (0.25, 0.75)
-    assert table.weights == (2, 1)
-    assert sum(table.clonal) + sum(table.death) + table.mutation_total == \
-        pytest.approx(table.total)
-    assert table.total == pytest.approx(9.0)
-
-
-def test_location_kernel_sums_weighted_densities(uniform_model):
-    # uniform kernel density is 1, so G is the total mutation rate
-    assert location_kernel_G(uniform_model, ETA, 0.4) == pytest.approx(3 * 0.3)
-    gauss = TruncatedGaussianKernel(scale=0.2)
-    model = UniformModel(lam=2.0, b=1.0, rho=0.3, kernel=gauss)
-    z = 0.4
-    expected = sum(w * 0.3 * gauss.density(t, z) for t, w in ETA.entries)
-    assert location_kernel_G(model, ETA, z) == pytest.approx(expected)
-
-
 def test_sample_mutation_parent_weights(uniform_model):
     rng = RandomStream(3).generator()
     draws = [sample_mutation_parent(uniform_model, ETA, rng) for _ in range(30_000)]
@@ -126,13 +106,6 @@ def test_sample_mutation_parent_requires_mutation_mass(uniform_model):
     rng = RandomStream(4).generator()
     with pytest.raises(NoMutationMass):
         sample_mutation_parent(uniform_model, Configuration.void(), rng)
-
-
-def test_q_plus_bounds_low_mass_exit_rates(uniform_model, logistic_model):
-    assert q_plus(uniform_model, 4) == pytest.approx(4 * 3.0)
-    # logistic per-state exit k*b + k*(d + c(k-1)) is increasing in k too
-    expected = max(k * 1.0 + k * (2.0 + 0.5 * (k - 1)) for k in range(1, 5))
-    assert q_plus(logistic_model, 4) == pytest.approx(expected)
 
 
 def test_mass_birth_death_rates(uniform_model, logistic_model):

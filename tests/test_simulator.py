@@ -2,22 +2,52 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
+from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.simulator import (ENGINES, Event, EventKind, apply_event,
-                              hitting_tail, mass_moments, replay_observables,
+                              hitting_tail, mass_moments, path_times,
                               simulate_gillespie, simulate_thinning,
                               survival_curve, write_trajectory_csv)
 from qsdsim.streams import RandomStream
+from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
 from qsdsim.validation import chi2_threshold, mass_histogram, two_sample_chi2
 
 START = Configuration.from_pairs(((0.2, 2), (0.6, 1)))
+MODELS = (
+    UniformModel(lam=2.0, b=1.0, rho=0.3, kernel=UniformKernel()),
+    LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.5, kernel=UniformKernel()),
+    LogisticModel(b=2.0, rho=0.5, d=1.0, c=0.2, kernel=TruncatedGaussianKernel(scale=0.1)),
+)
 
 
 def _exact_survival(lam, b, t):
     # linear birth-death from one individual, subcritical
     theta = lam - b
     return theta * math.exp(-theta * t) / (lam - b * math.exp(-theta * t))
+
+
+def _scan_times(initial, events):
+    """The three path times by walking the configurations themselves."""
+    support = initial.support()
+    found = [math.inf, math.inf, math.inf]
+
+    def visit(t, config):
+        reached = (config.is_void,
+                   any(trait not in support for trait in config.support()),
+                   all(config.weight_of(trait) == 0 for trait in support))
+        for i, hit in enumerate(reached):
+            if hit and math.isinf(found[i]):
+                found[i] = t
+
+    config = initial
+    visit(0.0, config)
+    for event in events:
+        config = apply_event(config, event)
+        visit(event.time, config)
+    return tuple(found)
 
 
 def test_apply_event_by_kind():
@@ -46,22 +76,42 @@ def test_replay_matches_inline_observables(engine, uniform_model, logistic_model
     for model in (uniform_model, logistic_model):
         for r in range(100):
             traj = ENGINES[engine](model, START, 2.0, stream.substream(r).generator())
-            final, extinction, chi, kappa = replay_observables(traj)
-            assert final == traj.final
-            assert extinction == traj.extinction_time
-            assert chi == traj.first_mutation_time
-            assert kappa == traj.replacement_time
+            assert (traj.extinction_time, traj.first_mutation_time, traj.replacement_time) \
+                == _scan_times(START, traj.events)
+
+
+@settings(max_examples=120, deadline=None)
+@given(engine=st.sampled_from(sorted(ENGINES)), model=st.sampled_from(MODELS),
+       seed=st.integers(0, 2**32 - 1), horizon=st.floats(0.0, 4.0),
+       pairs=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 3)), max_size=3))
+def test_engine_paths_are_consistent(engine, model, seed, horizon, pairs):
+    initial = Configuration.from_pairs(pairs)
+    traj = ENGINES[engine](model, initial, horizon, RandomStream(seed).generator())
+    config = initial
+    last = 0.0
+    for event in traj.events:
+        assert last < event.time <= horizon
+        after = apply_event(config, event)
+        assert after.total_mass - config.total_mass == (-1 if event.kind is EventKind.DEATH
+                                                        else 1)
+        assert after.total_mass >= 0
+        config, last = after, event.time
+    assert config == traj.final
+    assert (traj.extinction_time, traj.first_mutation_time, traj.replacement_time) \
+        == _scan_times(initial, traj.events)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_mass_trace_steps_by_one(engine, logistic_model):
     traj = ENGINES[engine](logistic_model, START, 4.0,
                            RandomStream(13).generator())
-    trace = traj.mass_trace()
-    assert trace[0] == (0.0, 3)
-    for (_, before), (_, after) in zip(trace, trace[1:]):
+    buffer = io.StringIO()
+    write_trajectory_csv(traj, buffer)
+    masses = [START.total_mass] + [int(row.rsplit(",", 1)[1])
+                                   for row in buffer.getvalue().splitlines()[1:]]
+    for before, after in zip(masses, masses[1:]):
         assert abs(after - before) == 1
-    assert trace[-1][1] == traj.final.total_mass
+    assert masses[-1] == traj.final.total_mass
 
 
 def test_unreached_observables_are_inf(uniform_model):
@@ -80,57 +130,47 @@ def test_run_to_extinction(uniform_model):
     assert traj.final.is_void
     assert traj.extinction_time == traj.events[-1].time
     assert traj.replacement_time <= traj.extinction_time
-    assert traj.mass_trace()[-1][1] == 0
-
-
-def test_hitting_time_from_event_log():
-    events = (
-        Event(1.0, EventKind.CLONAL, 0.2, 0.2),
-        Event(2.0, EventKind.MUTATION, 0.2, 0.9),
-        Event(3.0, EventKind.DEATH, 0.6, None),
-    )
-    final = Configuration.from_pairs(((0.2, 3), (0.9, 1)))
-    from qsdsim.simulator import Trajectory
-    traj = Trajectory(initial=START, events=events, horizon=10.0, final=final,
-                      extinction_time=math.inf, first_mutation_time=2.0,
-                      replacement_time=math.inf)
-    assert traj.hitting_time(2) == 0.0
-    assert traj.hitting_time(3) == 0.0
-    assert traj.hitting_time(4) == 1.0
-    assert traj.hitting_time(5) == 2.0
-    assert math.isinf(traj.hitting_time(6))
 
 
 def test_replay_on_hand_built_log():
-    from qsdsim.simulator import Trajectory
     initial = Configuration.from_pairs(((0.5, 2),))
     events = (
         Event(1.0, EventKind.MUTATION, 0.5, 0.3),
         Event(2.0, EventKind.DEATH, 0.5, None),
         Event(3.0, EventKind.DEATH, 0.5, None),
     )
-    traj = Trajectory(initial=initial, events=events, horizon=10.0,
-                      final=Configuration.singleton(0.3),
-                      extinction_time=math.inf, first_mutation_time=1.0,
-                      replacement_time=3.0)
-    final, extinction, chi, kappa = replay_observables(traj)
+    final = initial
+    for event in events:
+        final = apply_event(final, event)
     assert final == Configuration.singleton(0.3)
-    assert math.isinf(extinction)
-    assert chi == 1.0
-    assert kappa == 3.0
+    assert path_times(initial, events) == (math.inf, 1.0, 3.0)
 
 
-def test_state_at_is_right_continuous(uniform_model):
-    traj = simulate_gillespie(uniform_model, START, 3.0,
-                              RandomStream(23).generator())
-    assert traj.state_at(0.0) == START
-    first = traj.events[0]
-    assert traj.state_at(first.time / 2) == START
-    assert traj.state_at(first.time) == apply_event(START, first)
-    with pytest.raises(ValueError):
-        traj.state_at(-0.1)
-    with pytest.raises(ValueError):
-        traj.state_at(traj.horizon + 1.0)
+@pytest.mark.parametrize("initial, events, expected", [
+    # a void start is extinct and replaced from the outset
+    (Configuration.void(), (), (0.0, math.inf, 0.0)),
+    # extinction at the last death, which also removes the last initial trait
+    (Configuration.singleton(0.5), (
+        Event(1.0, EventKind.CLONAL, 0.5, 0.5),
+        Event(2.0, EventKind.DEATH, 0.5, None),
+        Event(3.0, EventKind.DEATH, 0.5, None),
+    ), (3.0, math.inf, 3.0)),
+    # a death clears the last initial trait while a mutant lives on
+    (Configuration.from_pairs(((0.2, 1), (0.6, 1))), (
+        Event(1.0, EventKind.MUTATION, 0.2, 0.9),
+        Event(2.0, EventKind.DEATH, 0.2, None),
+        Event(2.5, EventKind.CLONAL, 0.9, 0.9),
+        Event(3.0, EventKind.DEATH, 0.6, None),
+    ), (math.inf, 1.0, 3.0)),
+    # a mutation back onto an initial trait is not a first mutation
+    (Configuration.from_pairs(((0.2, 1), (0.6, 1))), (
+        Event(1.0, EventKind.MUTATION, 0.2, 0.6),
+        Event(2.0, EventKind.MUTATION, 0.6, 0.7),
+    ), (math.inf, 2.0, math.inf)),
+])
+def test_path_times_on_hand_built_logs(initial, events, expected):
+    assert path_times(initial, events) == expected
+    assert _scan_times(initial, events) == expected
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
