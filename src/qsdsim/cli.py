@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ExperimentConfig, parse_config_text, resolve_config
+from .config import SCHEMA, ExperimentConfig, parse_config_text, resolve_config
 from .errors import ConfigError, NoSingletonMass, QsdsimError, WindowTooSmall
 from .oracle import (build_mass_chain, check_truncation, eigenpair_report,
                      principal_left_eigenpair)
@@ -29,24 +29,7 @@ from .simulator import ENGINES, survival_curve, write_trajectory_csv
 from .streams import RandomStream
 from .validation import run_validation_checks
 
-_FLAG_KEYS = (
-    ("seed", "run.seed"),
-    ("out", "output.directory"),
-    ("threads", "run.threads"),
-    ("t_max", "run.horizon"),
-    ("replicas", "run.replicas"),
-    ("particles", "run.particles"),
-    ("lam", "model.lambda"),
-    ("b", "model.b"),
-    ("rho", "model.rho"),
-    ("d", "model.d"),
-    ("c", "model.c"),
-    ("kind", "model.kind"),
-    ("kernel", "kernel.family"),
-    ("scale", "kernel.scale"),
-    ("truncation", "run.truncation"),
-    ("engine", "run.engine"),
-)
+_FLAGGED = tuple(key for key in SCHEMA if key.flag is not None)
 
 SUBCOMMANDS = ("simulate", "survival", "qsd-yaglom", "qsd-fv", "oracle",
                "validate", "compare")
@@ -65,22 +48,8 @@ def _build_parser() -> _Parser:
     for name in SUBCOMMANDS:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", metavar="PATH")
-        sub.add_argument("--seed", metavar="U64")
-        sub.add_argument("--out", metavar="DIR")
-        sub.add_argument("--threads", metavar="N")
-        sub.add_argument("--t-max", dest="t_max", metavar="T")
-        sub.add_argument("--replicas", metavar="N")
-        sub.add_argument("--particles", metavar="N")
-        sub.add_argument("--lambda", dest="lam", metavar="RATE")
-        sub.add_argument("--b", metavar="RATE")
-        sub.add_argument("--rho", metavar="FRACTION")
-        sub.add_argument("--d", metavar="RATE")
-        sub.add_argument("--c", metavar="RATE")
-        sub.add_argument("--kind", metavar="MODEL")
-        sub.add_argument("--kernel", metavar="FAMILY")
-        sub.add_argument("--scale", metavar="S")
-        sub.add_argument("--truncation", metavar="N")
-        sub.add_argument("--engine", metavar="ENGINE")
+        for key in _FLAGGED:
+            sub.add_argument(key.flag, dest=key.name, metavar=key.name)
         if name == "compare":
             sub.add_argument("file_a", metavar="FILE_A")
             sub.add_argument("file_b", metavar="FILE_B")
@@ -107,20 +76,6 @@ def _meta(cfg: ExperimentConfig) -> dict:
             "tool_version": __version__}
 
 
-def _model_block(cfg: ExperimentConfig) -> dict:
-    block = {"kind": cfg.kind, "b": cfg.b, "rho": cfg.rho,
-             "kernel": cfg.kernel_family}
-    if cfg.lam is not None:
-        block["lambda"] = cfg.lam
-    if cfg.d is not None:
-        block["d"] = cfg.d
-    if cfg.c is not None:
-        block["c"] = cfg.c
-    if cfg.kernel_scale is not None:
-        block["scale"] = cfg.kernel_scale
-    return block
-
-
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -134,17 +89,16 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     with (out / "trajectory.csv").open("w") as fh:
         write_trajectory_csv(trajectory, fh, metadata=_meta(cfg))
-    if "json" in cfg.formats:
-        _write_json(out / "trajectory.json", {
-            "engine": cfg.engine,
-            "event_count": len(trajectory.events),
-            "final_mass": trajectory.final.total_mass,
-            "extinction_time": trajectory.extinction_time,
-            "first_mutation_time": trajectory.first_mutation_time,
-            "replacement_time": trajectory.replacement_time,
-            "model": _model_block(cfg),
-            **_meta(cfg),
-        })
+    _write_json(out / "trajectory.json", {
+        "engine": cfg.engine,
+        "event_count": len(trajectory.events),
+        "final_mass": trajectory.final.total_mass,
+        "extinction_time": trajectory.extinction_time,
+        "first_mutation_time": trajectory.first_mutation_time,
+        "replacement_time": trajectory.replacement_time,
+        "model": cfg.model_block(),
+        **_meta(cfg),
+    })
     print(f"simulated {len(trajectory.events)} events to t={cfg.horizon}"
           f" (final mass {trajectory.final.total_mass})")
     return 0
@@ -152,6 +106,9 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
 
 def _run_survival(cfg: ExperimentConfig) -> int:
     model = cfg.build_model()
+    if not cfg.grid:
+        raise ConfigError(f"run.grid: the default grid 0.5, 1.0, ... has no point up to"
+                          f" run.horizon = {cfg.horizon}; set run.grid")
     curve = survival_curve(model, cfg.build_initial(), cfg.grid, cfg.replicas,
                            RandomStream(cfg.seed), workers=cfg.threads)
     theta_hat = theta_se = None
@@ -161,7 +118,7 @@ def _run_survival(cfg: ExperimentConfig) -> int:
         pass
     out = _out_dir(cfg)
     _write_json(out / "ensemble.json", {
-        "model": _model_block(cfg),
+        "model": cfg.model_block(),
         "seed": cfg.seed,
         "replicas": cfg.replicas,
         "grid": list(curve.grid),
@@ -171,13 +128,12 @@ def _run_survival(cfg: ExperimentConfig) -> int:
         "theta_stderr": theta_se,
         **_meta(cfg),
     })
-    if "csv" in cfg.formats:
-        with (out / "survival.csv").open("w") as fh:
-            for key, value in _meta(cfg).items():
-                fh.write(f"# {key}={value}\n")
-            fh.write("t,survival,stderr\n")
-            for t, p, se in curve:
-                fh.write(f"{t:.17g},{p:.17g},{se:.17g}\n")
+    with (out / "survival.csv").open("w") as fh:
+        for key, value in _meta(cfg).items():
+            fh.write(f"# {key}={value}\n")
+        fh.write("t,survival,stderr\n")
+        for t, p, se in curve:
+            fh.write(f"{t:.17g},{p:.17g},{se:.17g}\n")
     if theta_hat is None:
         print(f"survival curve over {len(curve)} grid points; no admissible window"
               " for a decay-rate fit")
@@ -198,12 +154,11 @@ def _write_estimate(cfg: ExperimentConfig, est, label: str) -> None:
         **estimate_report(est),
         "estimator": label,
         "theta_singleton": theta_singleton,
-        "model": _model_block(cfg),
+        "model": cfg.model_block(),
         **_meta(cfg),
     })
-    if "csv" in cfg.formats:
-        with (out / "qsd_sample.csv").open("w") as fh:
-            write_sample_csv(est, fh, metadata=_meta(cfg))
+    with (out / "qsd_sample.csv").open("w") as fh:
+        write_sample_csv(est, fh, metadata=_meta(cfg))
     theta_text = "none" if theta_singleton is None else f"{theta_singleton:.6g}"
     print(f"{label} estimate over {len(est.configurations)} configurations"
           f" (ess {est.ess:.1f}, singleton theta {theta_text})")
@@ -237,14 +192,13 @@ def _run_oracle(cfg: ExperimentConfig) -> int:
     _write_json(out / "oracle.json", {**eigenpair_report(chain, result),
                                       "tail_mass": check.tail_mass,
                                       "theta_2N": check.theta_2N,
-                                      "model": _model_block(cfg), **_meta(cfg)})
-    if "csv" in cfg.formats:
-        with (out / "oracle.csv").open("w") as fh:
-            for key, value in _meta(cfg).items():
-                fh.write(f"# {key}={value}\n")
-            fh.write("mass,nu\n")
-            for k in range(1, chain.N + 1):
-                fh.write(f"{k},{result.nu[k]:.17g}\n")
+                                      "model": cfg.model_block(), **_meta(cfg)})
+    with (out / "oracle.csv").open("w") as fh:
+        for key, value in _meta(cfg).items():
+            fh.write(f"# {key}={value}\n")
+        fh.write("mass,nu\n")
+        for k in range(1, chain.N + 1):
+            fh.write(f"{k},{result.nu[k]:.17g}\n")
     print(f"oracle N={chain.N}: theta = {result.theta:.10g}"
           f" (residual {result.residual:.2g})")
     return 0
@@ -282,14 +236,13 @@ def _run_compare(cfg: ExperimentConfig) -> int:
     if theta_a is not None and theta_b is not None:
         delta = abs(theta_a - theta_b) / max(abs(theta_a), abs(theta_b))
         ok = ok and delta <= cfg.theta_tol
-    if "json" in cfg.formats:
-        _write_json(_out_dir(cfg) / "compare.json", {
-            "a": cfg.compare_a, "b": cfg.compare_b,
-            "tv": tv, "tv_tol": cfg.tv_tol,
-            "theta_a": theta_a, "theta_b": theta_b,
-            "theta_rel_delta": delta, "theta_tol": cfg.theta_tol,
-            "pass": ok, **_meta(cfg),
-        })
+    _write_json(_out_dir(cfg) / "compare.json", {
+        "a": cfg.compare_a, "b": cfg.compare_b,
+        "tv": tv, "tv_tol": cfg.tv_tol,
+        "theta_a": theta_a, "theta_b": theta_b,
+        "theta_rel_delta": delta, "theta_tol": cfg.theta_tol,
+        "pass": ok, **_meta(cfg),
+    })
     delta_text = "n/a" if delta is None else f"{delta:.4g}"
     print(f"tv = {tv:.4g} (tol {cfg.tv_tol}), theta delta = {delta_text}"
           f" (tol {cfg.theta_tol}): {'pass' if ok else 'FAIL'}")
@@ -320,8 +273,8 @@ def main(argv: list[str] | None = None) -> int:
         raw = {}
         if args.config is not None:
             raw = parse_config_text(Path(args.config).read_text())
-        overrides = {key: getattr(args, attr)
-                     for attr, key in _FLAG_KEYS if getattr(args, attr) is not None}
+        overrides = {key.name: getattr(args, key.name)
+                     for key in _FLAGGED if getattr(args, key.name) is not None}
         if args.command == "compare":
             overrides["compare.a"] = args.file_a
             overrides["compare.b"] = args.file_b

@@ -1,18 +1,20 @@
 """Experiment configuration: parsing, validation, and resolution.
 
 Config files are flat ``key.path = value`` lines with ``#`` comments.
-Every key is validated against the known schema before anything runs;
-unknown or malformed keys fail naming the offending key. CLI flags
-override file values, defaults fill the rest, and the fully resolved
-mapping is what gets hashed into artifacts, so a hash pins the entire
-experiment.
+One table, :data:`SCHEMA`, lists every key with its parser, default,
+CLI flag and whether it is hashed; the defaults, the argparse flags,
+the config hash and the artifacts' model block all follow from it.
+Every key is validated before anything runs; unknown or malformed keys
+fail naming the offending key. CLI flags override file values, defaults
+fill the rest, and the fully resolved mapping is what gets hashed into
+artifacts, so a hash pins the entire experiment.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -20,35 +22,6 @@ from .configuration import Configuration, parse_configuration
 from .errors import ConfigError
 from .rates import LogisticModel, RateModel, UniformModel
 from .trait_space import MutationKernel, make_kernel
-
-DEFAULTS = {
-    "kernel.family": "uniform",
-    "run.seed": "1",
-    "run.replicas": "10000",
-    "run.horizon": "10.0",
-    "run.particles": "2000",
-    "run.burn_in": "20.0",
-    "run.truncation": "60",
-    "run.eigen_tol": "1e-10",
-    "run.tv_tol": "0.05",
-    "run.theta_tol": "0.1",
-    "run.snapshot_interval": "0.5",
-    "run.threads": "1",
-    "run.engine": "gillespie",
-    "run.initial_mass": "1",
-    "output.directory": "out",
-    "output.formats": "csv,json",
-}
-
-KNOWN_KEYS = frozenset(DEFAULTS) | {
-    "model.kind", "model.lambda", "model.b", "model.rho", "model.d", "model.c",
-    "kernel.scale", "run.grid", "run.initial", "compare.a", "compare.b",
-}
-
-MODEL_KEYS = {
-    "uniform": ("model.lambda", "model.b", "model.rho"),
-    "logistic": ("model.b", "model.rho", "model.d", "model.c"),
-}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -69,29 +42,43 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _as_int(key: str, value: str, minimum: int) -> int:
-    try:
-        out = int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-    if out < minimum:
-        raise ConfigError(f"{key}: must be at least {minimum}, got {out}")
-    return out
+def _int(minimum: int) -> Callable[[str, str], int]:
+    def parse(key: str, value: str) -> int:
+        try:
+            out = int(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+        if out < minimum:
+            raise ConfigError(f"{key}: must be at least {minimum}, got {out}")
+        return out
+    return parse
 
 
-def _as_float(key: str, value: str, minimum: float | None = None,
-              strict: bool = False) -> float:
-    try:
-        out = float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-    if minimum is not None and (out < minimum or (strict and out == minimum)):
-        bound = "above" if strict else "at least"
-        raise ConfigError(f"{key}: must be {bound} {minimum}, got {out}")
-    return out
+def _float(minimum: float | None = None, strict: bool = False) -> Callable[[str, str], float]:
+    def parse(key: str, value: str) -> float:
+        try:
+            out = float(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        if minimum is not None and (out < minimum or (strict and out == minimum)):
+            bound = "above" if strict else "at least"
+            raise ConfigError(f"{key}: must be {bound} {minimum}, got {out}")
+        return out
+    return parse
 
 
-def _as_grid(key: str, value: str) -> tuple[float, ...]:
+_positive = _float(0.0, strict=True)
+
+
+def _one_of(*choices: str) -> Callable[[str, str], str]:
+    def parse(key: str, value: str) -> str:
+        if value not in choices:
+            raise ConfigError(f"{key}: expected {' or '.join(choices)}, got {value!r}")
+        return value
+    return parse
+
+
+def _grid(key: str, value: str) -> tuple[float, ...]:
     try:
         grid = tuple(float(part) for part in value.split(",") if part.strip())
     except ValueError:
@@ -102,13 +89,90 @@ def _as_grid(key: str, value: str) -> tuple[float, ...]:
     return grid
 
 
+def _initial(key: str, value: str) -> str:
+    try:
+        parse_configuration(value)
+    except Exception as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    return value
+
+
+def _text(key: str, value: str) -> str:
+    return value
+
+
+class Key(NamedTuple):
+    """One config key.
+
+    ``field`` is the :class:`ExperimentConfig` attribute it fills and
+    ``parse(name, text)`` turns its text into that value or raises a
+    :class:`ConfigError` naming the key. Keys without a default stay
+    None when unset. ``flag`` is the CLI option that overrides it, and
+    ``hashed`` whether it enters :meth:`ExperimentConfig.config_hash`.
+    """
+
+    name: str
+    field: str
+    parse: Callable[[str, str], object]
+    default: str | None = None
+    flag: str | None = None
+    hashed: bool = True
+
+
+SCHEMA = (
+    Key("model.kind", "kind", _one_of("uniform", "logistic"), flag="--kind"),
+    Key("model.lambda", "lam", _positive, flag="--lambda"),
+    Key("model.b", "b", _positive, flag="--b"),
+    Key("model.rho", "rho", _float(), flag="--rho"),
+    Key("model.d", "d", _positive, flag="--d"),
+    Key("model.c", "c", _positive, flag="--c"),
+    Key("kernel.family", "kernel_family", _one_of("uniform", "truncated_gaussian"),
+        "uniform", "--kernel"),
+    Key("kernel.scale", "kernel_scale", _positive, flag="--scale"),
+    Key("run.seed", "seed", _int(0), "1", "--seed"),
+    Key("run.replicas", "replicas", _int(1), "10000", "--replicas"),
+    Key("run.horizon", "horizon", _positive, "10.0", "--t-max"),
+    Key("run.grid", "grid", _grid),
+    Key("run.particles", "particles", _int(2), "2000", "--particles"),
+    Key("run.burn_in", "burn_in", _float(0.0), "20.0"),
+    Key("run.truncation", "truncation", _int(2), "60", "--truncation"),
+    Key("run.eigen_tol", "eigen_tol", _positive, "1e-10"),
+    Key("run.tv_tol", "tv_tol", _positive, "0.05"),
+    Key("run.theta_tol", "theta_tol", _positive, "0.1"),
+    Key("run.snapshot_interval", "snapshot_interval", _positive, "0.5"),
+    Key("run.threads", "threads", _int(1), "1", "--threads"),
+    Key("run.engine", "engine", _one_of("gillespie", "thinning"), "gillespie", "--engine"),
+    Key("run.initial", "initial_text", _initial),
+    Key("run.initial_mass", "initial_mass", _int(1), "1"),
+    Key("output.directory", "out_dir", _text, "out", "--out", hashed=False),
+    Key("compare.a", "compare_a", _text, hashed=False),
+    Key("compare.b", "compare_b", _text, hashed=False),
+)
+
+_NAMES = frozenset(key.name for key in SCHEMA)
+
+# cross-key rule: the model keys each kind requires; the rest it forbids
+MODEL_KEYS = {
+    "uniform": ("model.lambda", "model.b", "model.rho"),
+    "logistic": ("model.b", "model.rho", "model.d", "model.c"),
+}
+
+
+def _render(value: object) -> str:
+    """A parsed value as canonical config text: floats by repr, grids joined."""
+    if isinstance(value, tuple):
+        return ",".join(repr(t) for t in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully resolved, validated experiment description.
 
-    The model block is optional at resolution time because comparing
-    existing artifacts needs no model; anything that simulates calls
-    :meth:`build_model`, which insists on it.
+    One field per :data:`SCHEMA` key. The model block is optional at
+    resolution time because comparing existing artifacts needs no model;
+    anything that simulates calls :meth:`build_model`, which insists on
+    it.
     """
 
     kind: str | None
@@ -135,54 +199,27 @@ class ExperimentConfig:
     initial_text: str | None
     initial_mass: int
     out_dir: str
-    formats: tuple[str, ...]
     compare_a: str | None
     compare_b: str | None
 
     def canonical_items(self) -> list[tuple[str, str]]:
-        """The experiment part of the config as sorted config-file lines.
+        """The hashed keys that are set, as sorted config-file lines.
 
-        Output plumbing (directory, formats, compare inputs) stays out:
-        the hash identifies what was computed, not where it landed.
+        Output plumbing (directory, compare inputs) stays out: the hash
+        identifies what was computed, not where it landed.
         """
-        items = {
-            "kernel.family": self.kernel_family,
-            "run.seed": str(self.seed),
-            "run.replicas": str(self.replicas),
-            "run.horizon": repr(self.horizon),
-            "run.grid": ",".join(repr(t) for t in self.grid),
-            "run.particles": str(self.particles),
-            "run.burn_in": repr(self.burn_in),
-            "run.truncation": str(self.truncation),
-            "run.eigen_tol": repr(self.eigen_tol),
-            "run.tv_tol": repr(self.tv_tol),
-            "run.theta_tol": repr(self.theta_tol),
-            "run.snapshot_interval": repr(self.snapshot_interval),
-            "run.threads": str(self.threads),
-            "run.engine": self.engine,
-            "run.initial_mass": str(self.initial_mass),
-        }
-        if self.kind is not None:
-            items["model.kind"] = self.kind
-        if self.b is not None:
-            items["model.b"] = repr(self.b)
-        if self.rho is not None:
-            items["model.rho"] = repr(self.rho)
-        if self.lam is not None:
-            items["model.lambda"] = repr(self.lam)
-        if self.d is not None:
-            items["model.d"] = repr(self.d)
-        if self.c is not None:
-            items["model.c"] = repr(self.c)
-        if self.kernel_scale is not None:
-            items["kernel.scale"] = repr(self.kernel_scale)
-        if self.initial_text is not None:
-            items["run.initial"] = self.initial_text
-        return sorted(items.items())
+        return sorted((key.name, _render(getattr(self, key.field))) for key in SCHEMA
+                      if key.hashed and getattr(self, key.field) is not None)
 
     def config_hash(self) -> str:
         payload = "\n".join(f"{k} = {v}" for k, v in self.canonical_items())
         return hashlib.sha256(payload.encode()).hexdigest()
+
+    def model_block(self) -> dict:
+        """The model and kernel keys that are set, named as their CLI flags."""
+        return {key.flag[2:]: getattr(self, key.field) for key in SCHEMA
+                if key.name.startswith(("model.", "kernel."))
+                and getattr(self, key.field) is not None}
 
     def build_kernel(self) -> MutationKernel:
         return make_kernel(self.kernel_family, self.kernel_scale)
@@ -204,99 +241,36 @@ class ExperimentConfig:
 def resolve_config(raw: Mapping[str, str],
                    overrides: Mapping[str, str] | None = None) -> ExperimentConfig:
     """Merge defaults, file values, and overrides into a validated config."""
-    merged = dict(DEFAULTS)
+    given: dict[str, str] = {}
     for source in (raw, overrides or {}):
-        for key, value in source.items():
-            if key not in KNOWN_KEYS:
-                raise ConfigError(f"unknown config key {key}")
-            merged[key] = value
+        for name, value in source.items():
+            if name not in _NAMES:
+                raise ConfigError(f"unknown config key {name}")
+            given[name] = value
+    values = {}
+    for key in SCHEMA:
+        text = given.get(key.name, key.default)
+        values[key.field] = None if text is None else key.parse(key.name, text)
 
-    kind = merged.get("model.kind")
-    if kind is None:
-        for key in merged:
-            if key.startswith("model."):
-                raise ConfigError(f"{key} given without model.kind")
-    else:
-        if kind not in MODEL_KEYS:
-            raise ConfigError(f"model.kind: expected uniform or logistic, got {kind!r}")
-        for key in MODEL_KEYS[kind]:
-            if key not in merged:
-                raise ConfigError(f"missing required key {key} for model.kind = {kind}")
-        for other, keys in MODEL_KEYS.items():
-            if other != kind:
-                for key in set(keys) - set(MODEL_KEYS[kind]):
-                    if key in merged:
-                        raise ConfigError(f"{key} does not apply to model.kind = {kind}")
+    kind = values["kind"]
+    required = MODEL_KEYS.get(kind, ())
+    for name in given:
+        if name.startswith("model.") and name != "model.kind" and name not in required:
+            raise ConfigError(f"{name} given without model.kind" if kind is None
+                              else f"{name} does not apply to model.kind = {kind}")
+    for name in required:
+        if name not in given:
+            raise ConfigError(f"missing required key {name} for model.kind = {kind}")
 
-    family = merged["kernel.family"]
-    if family not in ("uniform", "truncated_gaussian"):
-        raise ConfigError(
-            f"kernel.family: expected uniform or truncated_gaussian, got {family!r}")
-    if family == "uniform" and "kernel.scale" in merged:
-        raise ConfigError("kernel.scale does not apply to kernel.family = uniform")
-    if family == "truncated_gaussian" and "kernel.scale" not in merged:
+    gaussian = values["kernel_family"] == "truncated_gaussian"
+    if gaussian and values["kernel_scale"] is None:
         raise ConfigError(
             "missing required key kernel.scale for kernel.family = truncated_gaussian")
+    if not gaussian and values["kernel_scale"] is not None:
+        raise ConfigError("kernel.scale does not apply to kernel.family = uniform")
 
-    engine = merged["run.engine"]
-    if engine not in ("gillespie", "thinning"):
-        raise ConfigError(f"run.engine: expected gillespie or thinning, got {engine!r}")
-
-    formats = tuple(sorted(part.strip() for part in merged["output.formats"].split(",")
-                           if part.strip()))
-    if not formats or any(f not in ("csv", "json") for f in formats):
-        raise ConfigError(f"output.formats: subsets of csv,json only, got"
-                          f" {merged['output.formats']!r}")
-
-    seed = _as_int("run.seed", merged["run.seed"], 0)
-    if seed >= 2 ** 64:
-        raise ConfigError(f"run.seed: must fit in 64 bits, got {seed}")
-    horizon = _as_float("run.horizon", merged["run.horizon"], 0.0, strict=True)
-    if "run.grid" in merged:
-        grid = _as_grid("run.grid", merged["run.grid"])
-    else:
-        grid = tuple(float(t) for t in np.arange(0.5, horizon + 1e-9, 0.5))
-
-    initial_text = merged.get("run.initial")
-    if initial_text is not None:
-        try:
-            parse_configuration(initial_text)
-        except Exception as exc:
-            raise ConfigError(f"run.initial: {exc}") from None
-
-    return ExperimentConfig(
-        kind=kind,
-        lam=_as_float("model.lambda", merged["model.lambda"], 0.0, strict=True)
-        if "model.lambda" in merged else None,
-        b=_as_float("model.b", merged["model.b"], 0.0, strict=True)
-        if "model.b" in merged else None,
-        rho=_as_float("model.rho", merged["model.rho"])
-        if "model.rho" in merged else None,
-        d=_as_float("model.d", merged["model.d"], 0.0, strict=True)
-        if "model.d" in merged else None,
-        c=_as_float("model.c", merged["model.c"], 0.0, strict=True)
-        if "model.c" in merged else None,
-        kernel_family=family,
-        kernel_scale=_as_float("kernel.scale", merged["kernel.scale"], 0.0, strict=True)
-        if "kernel.scale" in merged else None,
-        seed=seed,
-        replicas=_as_int("run.replicas", merged["run.replicas"], 1),
-        horizon=horizon,
-        grid=grid,
-        particles=_as_int("run.particles", merged["run.particles"], 2),
-        burn_in=_as_float("run.burn_in", merged["run.burn_in"], 0.0),
-        truncation=_as_int("run.truncation", merged["run.truncation"], 2),
-        eigen_tol=_as_float("run.eigen_tol", merged["run.eigen_tol"], 0.0, strict=True),
-        tv_tol=_as_float("run.tv_tol", merged["run.tv_tol"], 0.0, strict=True),
-        theta_tol=_as_float("run.theta_tol", merged["run.theta_tol"], 0.0, strict=True),
-        snapshot_interval=_as_float("run.snapshot_interval",
-                                    merged["run.snapshot_interval"], 0.0, strict=True),
-        threads=_as_int("run.threads", merged["run.threads"], 1),
-        engine=engine,
-        initial_text=initial_text,
-        initial_mass=_as_int("run.initial_mass", merged["run.initial_mass"], 1),
-        out_dir=merged["output.directory"],
-        formats=formats,
-        compare_a=merged.get("compare.a"),
-        compare_b=merged.get("compare.b"),
-    )
+    if values["seed"] >= 2 ** 64:
+        raise ConfigError(f"run.seed: must fit in 64 bits, got {values['seed']}")
+    if values["grid"] is None:
+        values["grid"] = tuple(float(t) for t in np.arange(0.5, values["horizon"] + 1e-9, 0.5))
+    return ExperimentConfig(**values)

@@ -52,7 +52,7 @@ class NoConvergence(QsdsimError):
 
 
 class SingularSystem(QsdsimError):
-    """Linear system for the mean extinction time is singular."""
+    """Mean extinction time not computable: the chain has a zero rate."""
 
 
 class ConfigError(QsdsimError):

@@ -8,9 +8,8 @@ gives the decay rate and the mass marginal of the limit law to any
 accuracy the truncation supports. The matrix is tridiagonal, so this
 module keeps only its two rate bands: it solves for the eigenpair
 directly through the symmetric tridiagonal form, checks the
-truncation, solves the banded first-passage system for mean absorption
-times, and integrates the comparison ODE used by the exponential-moment
-bound.
+truncation, sums mean absorption times in closed form, and integrates
+the comparison ODE used by the exponential-moment bound.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import logsumexp
 
 from .errors import InvalidRegime, NoConvergence, SingularSystem, UnsupportedModel
 from .rates import RateModel
@@ -144,20 +144,37 @@ def check_truncation(model: RateModel, oracle: MassChainOracle,
 def mean_extinction_time(oracle: MassChainOracle, k0: int) -> float:
     """Expected absorption time from mass k0 in the truncated chain.
 
-    Solves Q u = -1 for the killed-at-N sub-generator Q from its bands.
+    The chain leaves 1..N by a death at 1 or a birth at N, so this is the
+    two-sided exit time of a birth-death chain, summed from its Green
+    function. With scale increments w_0 = 1, w_i = prod_{l<=i} d_l/b_l
+    and scale s_k = sum_{i<k} w_i, the ratios R_j = s_j / w_{j-1} and
+    T_j = (s_{N+1} - s_j) / w_j obey R_1 = 1, R_{j+1} = 1 + R_j b_j/d_j
+    and T_N = 1, T_j = 1 + T_{j+1} d_{j+1}/b_{j+1}, and
+
+        E_k = (d_k T_k sum_{j<=k} R_j/d_j + b_k R_k sum_{j>k} T_j/b_j)
+              / (b_k R_k + d_k T_k).
+
+    Every term is positive and the ratios are kept as logs, so nothing
+    cancels or overflows where the first-passage system is too
+    ill-conditioned to solve (times of 1e13 near carrying capacity).
     """
     if not 1 <= k0 <= oracle.N:
         raise ValueError(f"k0 must be in 1..{oracle.N}, got {k0!r}")
     b, d = oracle.births[1:], oracle.deaths[1:]
-    bands = np.zeros((3, oracle.N))
-    bands[0, 1:] = b[:-1]
-    bands[1] = -(b + d)
-    bands[2, :-1] = d[1:]
-    try:
-        u = solve_banded((1, 1), bands, -np.ones(oracle.N))
-    except LinAlgError as exc:
-        raise SingularSystem(f"first-passage system is singular: {exc}") from exc
-    return float(u[k0 - 1])
+    if not (np.all(b > 0.0) and np.all(d > 0.0)):
+        raise SingularSystem("first-passage sums need every birth and death rate positive")
+    log_ratio = np.log(b / d)
+    log_R = np.zeros(oracle.N)
+    log_T = np.zeros(oracle.N)
+    for j in range(1, oracle.N):
+        log_R[j] = np.logaddexp(0.0, log_R[j - 1] + log_ratio[j - 1])
+        log_T[-1 - j] = np.logaddexp(0.0, log_T[-j] - log_ratio[-j])
+    k = k0 - 1
+    below = logsumexp(log_R[:k + 1] - np.log(d[:k + 1]))
+    above = logsumexp(log_T[k + 1:] - np.log(b[k + 1:]))
+    up, down = math.log(b[k]) + log_R[k], math.log(d[k]) + log_T[k]
+    total = np.logaddexp(up, down)
+    return float(np.exp(below + (down - total)) + np.exp(above + (up - total)))
 
 
 def eigenpair_report(oracle: MassChainOracle, result: EigenpairResult) -> dict:
@@ -194,25 +211,18 @@ def ode_trajectory(lambda_star: float, b_star: float, a0: float, t_end: float,
     def f(a: float) -> float:
         return lambda_star * (1.0 - math.exp(-a)) + b_star * (1.0 - math.exp(a))
 
+    def step(a: float, h: float) -> float:
+        k1 = f(a)
+        k2 = f(a + 0.5 * h * k1)
+        k3 = f(a + 0.5 * h * k2)
+        k4 = f(a + h * k3)
+        return a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     out = [(0.0, a0)]
-    a = a0
-    t = 0.0
     steps = int(math.floor(t_end / dt + 1e-12))
     for i in range(1, steps + 1):
-        h = dt
-        k1 = f(a)
-        k2 = f(a + 0.5 * h * k1)
-        k3 = f(a + 0.5 * h * k2)
-        k4 = f(a + h * k3)
-        a = a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = i * dt
-        out.append((t, a))
+        out.append((i * dt, step(out[-1][1], dt)))
+    t = out[-1][0]
     if t < t_end:
-        h = t_end - t
-        k1 = f(a)
-        k2 = f(a + 0.5 * h * k1)
-        k3 = f(a + 0.5 * h * k2)
-        k4 = f(a + h * k3)
-        a = a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append((t_end, a))
+        out.append((t_end, step(out[-1][1], t_end - t)))
     return out

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from qsdsim import __version__
+from qsdsim import __version__, cli
 from qsdsim.cli import main
+from qsdsim.config import SCHEMA, resolve_config
 
 UNIFORM_FLAGS = ["--kind", "uniform", "--lambda", "2.0", "--b", "1.0",
                  "--rho", "0.3"]
@@ -138,6 +139,19 @@ def test_survival_artifacts(tmp_path):
     assert len([l for l in lines if not l.startswith("# ")]) == 1 + 6
 
 
+def test_survival_needs_a_grid_point_within_the_horizon(tmp_path, capsys):
+    # the default grid 0.5, 1.0, ... has no point up to a horizon of 0.3
+    status = main(["survival", *UNIFORM_FLAGS, "--t-max", "0.3",
+                   "--out", str(tmp_path)])
+    assert status == 1
+    assert "error: run.grid" in capsys.readouterr().err
+    config = tmp_path / "grid.cfg"
+    config.write_text("run.grid = 0.1, 0.3\n")
+    assert main(["survival", "--config", str(config), *UNIFORM_FLAGS, "--t-max", "0.3",
+                 "--replicas", "50", "--out", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "ensemble.json")["grid"] == [0.1, 0.3]
+
+
 def test_yaglom_artifacts(tmp_path, capsys):
     out = tmp_path / "yaglom"
     assert main(["qsd-yaglom", *UNIFORM_FLAGS, "--replicas", "2000",
@@ -216,6 +230,45 @@ def test_compare_needs_a_vector(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert status == 1
     assert "no nu or mass_marginal" in capsys.readouterr().err
+
+
+# the documented flag of each key that has one
+FLAGS = {
+    "model.kind": "--kind", "model.lambda": "--lambda", "model.b": "--b",
+    "model.rho": "--rho", "model.d": "--d", "model.c": "--c",
+    "kernel.family": "--kernel", "kernel.scale": "--scale", "run.seed": "--seed",
+    "run.replicas": "--replicas", "run.horizon": "--t-max",
+    "run.particles": "--particles", "run.truncation": "--truncation",
+    "run.threads": "--threads", "run.engine": "--engine", "output.directory": "--out",
+}
+
+# a full config of each kind whose values differ from every default
+FLAG_FILES = (
+    {"model.kind": "uniform", "model.lambda": "2.5", "model.b": "1.25",
+     "model.rho": "0.35"},
+    {"model.kind": "logistic", "model.b": "1.5", "model.rho": "0.4",
+     "model.d": "2.75", "model.c": "0.125", "kernel.family": "truncated_gaussian",
+     "kernel.scale": "0.0625", "run.seed": "11", "run.replicas": "123",
+     "run.horizon": "4.5", "run.particles": "77", "run.truncation": "33",
+     "run.threads": "3", "run.engine": "thinning", "output.directory": "elsewhere"},
+)
+
+
+@pytest.mark.parametrize("key", SCHEMA, ids=lambda key: key.name)
+def test_each_flag_sets_its_key(key, tmp_path, monkeypatch):
+    # a flag must resolve to the same config as its key in a file
+    assert key.flag == FLAGS.get(key.name)
+    if key.flag is None:
+        return
+    full = next(lines for lines in FLAG_FILES if key.name in lines)
+    assert full[key.name] != key.default
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{name} = {value}\n" for name, value in full.items()
+                              if name != key.name))
+    seen = []
+    monkeypatch.setattr(cli, "run_subcommand", lambda name, cfg: seen.append(cfg) or 0)
+    assert main(["oracle", "--config", str(config), FLAGS[key.name], full[key.name]]) == 0
+    assert seen == [resolve_config(full)]
 
 
 def test_reruns_are_byte_identical(tmp_path):

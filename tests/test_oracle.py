@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,8 +168,39 @@ def test_mean_extinction_matches_dense_solve(uniform_model, logistic_model):
     for model, N in ((uniform_model, 60), (logistic_model, 120)):
         chain = build_mass_chain(model, N)
         dense = np.linalg.solve(_sub_generator(chain), -np.ones(N))
-        banded = np.array([mean_extinction_time(chain, k) for k in range(1, N + 1)])
-        assert np.max(np.abs(banded - dense) / dense) <= 1e-13
+        summed = np.array([mean_extinction_time(chain, k) for k in range(1, N + 1)])
+        assert np.max(np.abs(summed - dense) / dense) <= 1e-13
+
+
+def _exact_mean_extinction(chain):
+    """Q u = -1 solved in exact rationals from the chain's float rates."""
+    b = [Fraction(float(x)) for x in chain.births[1:]]
+    d = [Fraction(float(x)) for x in chain.deaths[1:]]
+    # Thomas elimination of row k: d_k u_{k-1} - (b_k + d_k) u_k + b_k u_{k+1} = -1
+    upper, rhs = [], []
+    for k in range(chain.N):
+        pivot = -(b[k] + d[k])
+        right = Fraction(-1)
+        if k > 0:
+            pivot -= d[k] * upper[-1]
+            right -= d[k] * rhs[-1]
+        upper.append((b[k] if k < chain.N - 1 else 0) / pivot)
+        rhs.append(right / pivot)
+    u = [rhs[-1]]
+    for k in range(chain.N - 2, -1, -1):
+        u.append(rhs[k] - upper[k] * u[-1])
+    return [float(x) for x in reversed(u)]
+
+
+def test_mean_extinction_matches_exact_rational_solve(logistic_model):
+    # near carrying capacity the system is so ill-conditioned (times ~1e13)
+    # that float linear solves miss by percents
+    crowded = LogisticModel(b=2.0, rho=0.3, d=1.0, c=0.01, kernel=UniformKernel())
+    for model, N in ((crowded, 250), (logistic_model, 120)):
+        chain = build_mass_chain(model, N)
+        exact = np.array(_exact_mean_extinction(chain))
+        summed = np.array([mean_extinction_time(chain, k) for k in range(1, N + 1)])
+        assert np.max(np.abs(summed - exact) / exact) <= 1e-12
 
 
 def test_mean_extinction_argument_range(uniform_model):
