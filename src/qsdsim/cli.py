@@ -19,12 +19,14 @@ from pathlib import Path
 
 from . import __version__
 from .config import SCHEMA, ExperimentConfig, parse_config_text, resolve_config
-from .errors import ConfigError, NoSingletonMass, QsdsimError, WindowTooSmall
+from .errors import (ConfigError, InvalidRegime, NoSingletonMass, QsdsimError,
+                     WindowTooSmall)
 from .oracle import (build_mass_chain, check_truncation, eigenpair_report,
                      principal_left_eigenpair)
 from .qsd import (decay_rate_from_singletons, decay_rate_from_survival,
                   estimate_report, fleming_viot_estimate, tv_distance,
                   write_sample_csv, yaglom_estimate)
+from .rates import UniformModel
 from .simulator import ENGINES, survival_curve, write_trajectory_csv
 from .streams import RandomStream
 from .validation import run_validation_checks
@@ -96,6 +98,8 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
         "extinction_time": trajectory.extinction_time,
         "first_mutation_time": trajectory.first_mutation_time,
         "replacement_time": trajectory.replacement_time,
+        "thinning_candidates": trajectory.candidate_count,
+        "thinning_accepted": trajectory.accepted_count,
         "model": cfg.model_block(),
         **_meta(cfg),
     })
@@ -164,8 +168,17 @@ def _write_estimate(cfg: ExperimentConfig, est, label: str) -> None:
           f" (ess {est.ess:.1f}, singleton theta {theta_text})")
 
 
-def _run_qsd_yaglom(cfg: ExperimentConfig) -> int:
+def _qsd_model(cfg: ExperimentConfig):
+    """The model of a QSD estimate; a uniform one needs lambda > b for a QSD to exist."""
     model = cfg.build_model()
+    if isinstance(model, UniformModel) and model.lam <= model.b:
+        raise InvalidRegime(f"no quasi-stationary law for model.lambda = {model.lam!r}"
+                            f" <= model.b = {model.b!r}: the mass is not subcritical")
+    return model
+
+
+def _run_qsd_yaglom(cfg: ExperimentConfig) -> int:
+    model = _qsd_model(cfg)
     est = yaglom_estimate(model, cfg.build_initial(), cfg.horizon, cfg.replicas,
                           RandomStream(cfg.seed), workers=cfg.threads)
     _write_estimate(cfg, est, "yaglom")
@@ -173,7 +186,7 @@ def _run_qsd_yaglom(cfg: ExperimentConfig) -> int:
 
 
 def _run_qsd_fv(cfg: ExperimentConfig) -> int:
-    model = cfg.build_model()
+    model = _qsd_model(cfg)
     est = fleming_viot_estimate(model, cfg.particles, cfg.burn_in, cfg.horizon,
                                 RandomStream(cfg.seed),
                                 snapshot_interval=cfg.snapshot_interval)

@@ -4,14 +4,108 @@ All randomness in the package flows from one root seed. A RandomStream
 names a node in the SeedSequence spawn tree; replica r of an ensemble
 uses the child stream ``root.substream(r)``, so results do not depend on
 evaluation order or on how replicas are distributed over workers.
+
+Replica generators are seeded a chunk at a time: ``seed_words``
+repeats numpy's SeedSequence hash (entropy pool of 4 words, then
+``generate_state``) in vectorised 32-bit arithmetic over a range of
+replica indices, and each row seeds a PCG64 exactly as
+``substream(r).generator()`` would, bit for bit.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_MASK = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative int, as SeedSequence coerces it."""
+    if n < 0:
+        raise ValueError(f"entropy and spawn keys must be nonnegative, got {n}")
+    out = [n & _MASK]
+    while n > _MASK:
+        n >>= 32
+        out.append(n & _MASK)
+    return out
+
+
+def _hash_consts(init: int, mult: int):
+    """The (before, after) multiplier pairs of successive hash calls."""
+    const = init
+    while True:
+        nxt = const * mult & _MASK
+        yield const, nxt
+        const = nxt
+
+
+def _scramble(value, pair):
+    # Words are ints or uint64 arrays below 2**32, so products stay below
+    # 2**64 and the mask reduces them mod 2**32.
+    before, after = pair
+    value = (value ^ before) * after & _MASK
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    # uint64 wrap-around is exact mod 2**32, so the difference needs no care.
+    value = (_MIX_L * x - _MIX_R * y) & _MASK
+    return value ^ (value >> 16)
+
+
+def seed_words(entropy: int, key: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """PCG64 seeds of spawn keys ``key + (r,)`` for r in [start, stop).
+
+    Row ``r - start`` equals
+    ``SeedSequence(entropy, spawn_key=key + (r,)).generate_state(4, np.uint64)``.
+    Every word but the last is shared by the range, so it is hashed once as
+    a Python int; only the replica word is a vector.
+    """
+    if not 0 <= start <= stop <= _MASK + 1:
+        raise ValueError(f"replica range [{start}, {stop}) must lie in [0, 2**32]")
+    run = _words(entropy)
+    run += [0] * (_POOL_SIZE - len(run))  # padded because the spawn key is never empty
+    spawn = [w for k in key for w in _words(k)]
+    entropy_words = run + spawn + [np.arange(start, stop, dtype=np.uint64)]
+
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_scramble(w, next(consts)) for w in entropy_words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _scramble(pool[src], next(consts)))
+    for word in entropy_words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _scramble(word, next(consts)))
+
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    state = [_scramble(pool[i % _POOL_SIZE], next(consts)) for i in range(8)]
+    seeds = np.empty((stop - start, 4), dtype=np.uint64)
+    for j in range(4):
+        seeds[:, j] = state[2 * j] | (state[2 * j + 1] << np.uint64(32))
+    return seeds
+
+
+class _PrecomputedSeed(ISeedSequence):
+    """Hands PCG64 one row of ``seed_words``; it cannot spawn."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a precomputed replica seed holds 4 uint64 words only")
+        return self.state
 
 
 @dataclass(frozen=True)
@@ -42,26 +136,40 @@ class RandomStream:
         seq = np.random.SeedSequence(self.entropy, spawn_key=self.key)
         return np.random.default_rng(seq)
 
+    def replica_generators(self, start: int, stop: int) -> Iterator[np.random.Generator]:
+        """Generators of ``substream(r)`` for r in [start, stop), one hash pass.
+
+        Each yields the same numbers as ``substream(r).generator()``, but its
+        ``bit_generator.seed_seq`` is not a SeedSequence and cannot spawn.
+        """
+        for row in seed_words(self.entropy, self.key, start, stop):
+            yield np.random.Generator(np.random.PCG64(_PrecomputedSeed(row)))
+
 
 def _run_chunk(args: tuple) -> list:
     fn, stream, start, stop = args
-    return [fn(stream.substream(r).generator()) for r in range(start, stop)]
+    return [fn(gen) for gen in stream.replica_generators(start, stop)]
 
 
 def map_replicas(fn, n_replicas: int, stream: RandomStream, workers: int = 1,
                  chunk_size: int = 4096) -> list:
     """Evaluate ``fn(generator)`` for replica substreams 0..n-1.
 
-    ``fn`` must be picklable when workers > 1 (a module-level function or
-    functools.partial over one). Results are returned in replica order,
-    so the merge is independent of worker count and scheduling.
+    Replicas run in chunks of ``chunk_size``, each seeded by one hash pass;
+    the chunk size bounds the seed memory and is the unit of work sent to a
+    worker. ``fn`` must be picklable when workers > 1 (a module-level
+    function or functools.partial over one). Results are returned in
+    replica order, so the merge is independent of worker count, chunk size
+    and scheduling.
     """
     if n_replicas < 0:
         raise ValueError("n_replicas must be nonnegative")
-    if workers <= 1 or n_replicas <= chunk_size:
-        return [fn(stream.substream(r).generator()) for r in range(n_replicas)]
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     chunks = [(fn, stream, a, min(a + chunk_size, n_replicas))
               for a in range(0, n_replicas, chunk_size)]
+    if workers <= 1 or len(chunks) <= 1:
+        return [y for chunk in chunks for y in _run_chunk(chunk)]
     out: list = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_run_chunk, chunks):

@@ -96,6 +96,12 @@ def test_simulate_artifacts(tmp_path, engine, capsys):
     body = [line for line in csv_lines
             if not line.startswith("# ") and line != header]
     assert len(body) == payload["event_count"]
+    if engine == "thinning":
+        assert payload["thinning_candidates"] >= payload["thinning_accepted"]
+        assert payload["thinning_accepted"] == payload["event_count"]
+    else:
+        assert payload["thinning_candidates"] is None
+        assert payload["thinning_accepted"] is None
 
 
 def test_simulate_unreached_times_serialize_as_null(tmp_path):
@@ -164,6 +170,23 @@ def test_yaglom_artifacts(tmp_path, capsys):
     assert payload["burn_in"] == 0.0
     lines = (out / "qsd_sample.csv").read_text().splitlines()
     assert "weight,configuration" in lines
+
+
+@pytest.mark.parametrize("subcommand", ["qsd-yaglom", "qsd-fv"])
+def test_qsd_estimates_need_a_subcritical_uniform_model(tmp_path, capsys, subcommand):
+    for lam in ("1.0", "0.5"):
+        status = main([subcommand, "--kind", "uniform", "--lambda", lam, "--b", "1.0",
+                       "--rho", "0.3", "--replicas", "20", "--particles", "4",
+                       "--t-max", "1.0", "--out", str(tmp_path / lam)])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "error: no quasi-stationary law" in err
+        assert "model.lambda" in err and "model.b" in err
+        assert not (tmp_path / lam / "qsd.json").exists()
+    # survival is still allowed there
+    assert main(["survival", "--kind", "uniform", "--lambda", "1.0", "--b", "1.0",
+                 "--rho", "0.3", "--replicas", "20", "--t-max", "1.0",
+                 "--out", str(tmp_path / "survival")]) == 0
 
 
 def test_fleming_viot_artifacts(tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsdsim.streams import RandomStream, map_replicas
+from qsdsim.streams import RandomStream, map_replicas, seed_words
 
 
 def test_same_stream_reproduces():
@@ -44,3 +47,49 @@ def test_map_replicas_chunk_edges():
     for n in (1, 2, 31, 32, 33):
         out = map_replicas(_third_uniform, n, stream, workers=2, chunk_size=16)
         assert len(out) == n
+
+
+def test_map_replicas_rejects_a_chunk_size_below_one():
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="chunk_size"):
+            map_replicas(_third_uniform, 10, RandomStream(1), workers=workers, chunk_size=0)
+
+
+def test_seed_words_rejects_indices_past_one_word():
+    with pytest.raises(ValueError):
+        seed_words(1, (), 2**32, 2**32 + 1)
+    with pytest.raises(ValueError):
+        seed_words(1, (), 3, 2)
+
+
+entropies = st.integers(0, 2**64 - 1)
+keys = st.lists(st.integers(0, 2**40), max_size=3).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entropy=entropies, key=keys, start=st.integers(0, 5000), length=st.integers(0, 40))
+def test_seed_words_match_seed_sequence(entropy, key, start, length):
+    words = seed_words(entropy, key, start, start + length)
+    assert words.shape == (length, 4) and words.dtype == np.uint64
+    for i, row in enumerate(words):
+        ref = np.random.SeedSequence(entropy, spawn_key=key + (start + i,))
+        assert np.array_equal(row, ref.generate_state(4, np.uint64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(entropy=entropies, key=keys, start=st.integers(0, 2**32 - 8))
+def test_replica_generators_draw_as_substream_generators(entropy, key, start):
+    stream = RandomStream(entropy, key)
+    for r, gen in enumerate(stream.replica_generators(start, start + 8), start):
+        ref = stream.substream(r).generator()
+        assert np.array_equal(gen.integers(0, 2**63, size=4), ref.integers(0, 2**63, size=4))
+        assert gen.random() == ref.random()
+
+
+@settings(max_examples=15, deadline=None)
+@given(entropy=entropies, key=keys, n=st.integers(0, 40), chunk=st.integers(1, 9))
+def test_map_replicas_equals_the_per_replica_reference(entropy, key, n, chunk):
+    stream = RandomStream(entropy, key)
+    ref = [_third_uniform(stream.substream(r).generator()) for r in range(n)]
+    assert map_replicas(_third_uniform, n, stream, workers=1, chunk_size=chunk) == ref
+    assert map_replicas(_third_uniform, n, stream, workers=2, chunk_size=chunk) == ref
