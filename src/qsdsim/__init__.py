@@ -11,7 +11,7 @@ checkable by at least two independent routes.
 __version__ = "0.1.0"
 
 from .configuration import Configuration, parse_configuration
-from .coupling import CoupledState, bd_qsd, coupled_path, step_coupled
+from .coupling import CoupledState, coupled_path, step_coupled
 from .errors import (AllExtinct, ConfigError, Degenerate, InvalidRegime,
                      InvariantBreach, NoConvergence, NoMutationMass,
                      NoSingletonMass, NotNormalized, QsdsimError, SingularSystem,

@@ -130,6 +130,7 @@ def _run_survival(cfg: ExperimentConfig) -> int:
         "stderr": list(curve.stderr),
         "theta_hat": theta_hat,
         "theta_stderr": theta_se,
+        "events": curve.events,
         **_meta(cfg),
     })
     with (out / "survival.csv").open("w") as fh:

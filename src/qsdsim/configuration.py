@@ -65,11 +65,6 @@ class Configuration:
     def is_void(self) -> bool:
         return not self.entries
 
-    def mass_and_support(self) -> tuple[int, int, tuple[int, ...]]:
-        """Total mass, number of distinct traits, and the weight vector."""
-        weights = tuple(w for _, w in self.entries)
-        return sum(weights), len(weights), weights
-
     def support(self) -> tuple[TraitPoint, ...]:
         return tuple(t for t, _ in self.entries)
 

@@ -7,9 +7,6 @@ the counter marginally performs a linear birth-death chain with
 per-capita rates (birth sup, death inf) while the first coordinate
 keeps the exact population law. Stepping the literal joint rates and
 watching the order survive every jump is the point of this module.
-
-The closed-form quasi-stationary law of the linear birth-death chain
-lives here as well, since it is the dominating chain's own limit law.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .configuration import Configuration
-from .errors import InvalidRegime, InvariantBreach
+from .errors import InvariantBreach
 from .rates import RateModel, sample_mutation_parent
 
 
@@ -160,27 +157,3 @@ def bd_chain_state_at(birth: float, death: float, k0: int, t: float,
             break
         k += 1 if rng.random() * (birth + death) < birth else -1
     return k
-
-
-def bd_qsd(lam: float, b: float, kmax: int) -> tuple[np.ndarray, float]:
-    """Geometric quasi-stationary law of the linear birth-death chain.
-
-    Returns the probability vector over masses 0..kmax (index 0 always
-    zero), renormalized over the truncation, together with the
-    geometric tail mass beyond kmax that was cut off.
-    """
-    if lam <= 0.0 or b <= 0.0:
-        raise InvalidRegime(f"rates must be positive, got lam={lam!r}, b={b!r}")
-    if lam <= b:
-        raise InvalidRegime(
-            f"no quasi-stationary law for lam={lam!r} <= b={b!r}: the chain is not"
-            " subcritical"
-        )
-    if kmax < 1:
-        raise InvalidRegime(f"kmax must be a positive integer, got {kmax!r}")
-    ratio = b / lam
-    probs = np.zeros(kmax + 1)
-    probs[1:] = (1.0 - ratio) * ratio ** np.arange(kmax)
-    tail = ratio ** kmax
-    probs /= probs[1:].sum()
-    return probs, tail

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -23,8 +23,9 @@ from .configuration import Configuration
 from .errors import (AllExtinct, Degenerate, InvalidRegime, NoSingletonMass,
                      NotNormalized, WindowTooSmall)
 from .rates import RateModel
-from .simulator import EventKind, _evolve, _gillespie_branch, _resolve_initial
-from .streams import RandomStream, map_replicas
+from .simulator import EventKind, _gillespie_branch, mass_paths
+# map_replicas is unused here but stays importable: perfbench/tracer.py patches it.
+from .streams import RandomStream, map_replicas  # noqa: F401
 from .trait_space import sample_base
 
 
@@ -34,13 +35,15 @@ class QsdEstimate:
 
     ``particles`` is the survivor count for conditioned ensembles and
     the particle count for interacting-particle runs; ``burn_in`` is 0
-    for the former.
+    for the former. ``events`` counts the jumps the estimator simulated:
+    of every replica's mass path, or of every particle.
     """
 
     configurations: tuple[Configuration, ...]
     weights: np.ndarray
     burn_in: float
     particles: int
+    events: int = 0
     _masses: np.ndarray = field(init=False, repr=False)
     _cumw: np.ndarray = field(init=False, repr=False)
 
@@ -90,19 +93,12 @@ class QsdEstimate:
 
 
 def _estimate_from_counts(counts: dict[Configuration, int], burn_in: float,
-                          particles: int) -> QsdEstimate:
+                          particles: int, events: int) -> QsdEstimate:
     configs = sorted(counts, key=lambda c: c.entries)
     total = float(sum(counts.values()))
     weights = np.array([counts[c] / total for c in configs])
     return QsdEstimate(configurations=tuple(configs), weights=weights,
-                       burn_in=burn_in, particles=particles)
-
-
-def _survivor_replica(model: RateModel, initial, t: float,
-                      rng: np.random.Generator) -> Configuration:
-    config = _resolve_initial(initial, rng)
-    final, _, _ = _evolve(model, config, t, rng)
-    return final
+                       burn_in=burn_in, particles=particles, events=events)
 
 
 def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
@@ -111,21 +107,16 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
 
     ``initial`` is a configuration, or anything with a
     ``draw(rng) -> Configuration`` method to start each replica from.
+    Mass paths come first (:func:`~qsdsim.simulator.mass_paths`); traits
+    are drawn only for the survivors.
     """
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
-    fn = partial(_survivor_replica, model, initial, t)
-    finals = map_replicas(fn, replicas, rng, workers)
-    counts: dict[Configuration, int] = {}
-    for config in finals:
-        if not config.is_void:
-            counts[config] = counts.get(config, 0) + 1
-    if not counts:
+    paths = mass_paths(model, initial, t, replicas, rng, workers, survivors=True)
+    if not paths.survivors:
         raise AllExtinct(f"no replica of {replicas} survived to t={t!r}")
-    survivors = sum(counts.values())
-    return _estimate_from_counts(counts, burn_in=0.0, particles=survivors)
+    return _estimate_from_counts(Counter(paths.survivors), burn_in=0.0,
+                                 particles=len(paths.survivors), events=paths.events)
 
 
 class SumTree:
@@ -205,6 +196,7 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
     rates = SumTree([model.total_jump_rate(c) for c in configs])
     counts: dict[Configuration, int] = {}
     t = 0.0
+    events = 0
     next_snap = burn_in
     while True:
         total = rates.total
@@ -218,6 +210,7 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         if t_next > horizon:
             break
         t = t_next
+        events += 1
         i = rates.find(gen.random() * total)
         kind, parent, child = _gillespie_branch(model, configs[i], gen)
         if kind is EventKind.DEATH:
@@ -235,7 +228,8 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         rates.update(i, model.total_jump_rate(nxt))
     if not counts:
         raise InvalidRegime("no snapshot fell inside [burn_in, horizon]")
-    return _estimate_from_counts(counts, burn_in=burn_in, particles=particles)
+    return _estimate_from_counts(counts, burn_in=burn_in, particles=particles,
+                                 events=events)
 
 
 def decay_rate_from_survival(curve: Iterable[tuple[float, float, float]]) -> tuple[float, float]:
@@ -315,6 +309,7 @@ def estimate_report(est: QsdEstimate) -> dict:
         "ess": est.ess,
         "burn_in": est.burn_in,
         "particles": est.particles,
+        "events": est.events,
     }
 
 

@@ -2,23 +2,30 @@
 
 Two engines produce the same law. The Gillespie engine is the
 reference: exponential holding time at the total jump rate, then a
-categorical branch over the per-entry rates. Every replica estimator
-steps the same Gillespie kernel, ``_jumps``. The thinning engine
+categorical branch over the per-entry rates; its kernel ``_jumps`` is
+also what the validation battery steps. The thinning engine
 realizes the driving-Poisson-measure construction instead: candidate
 points are generated at bounding intensity, individuals are addressed
 through the cumulative-weight index functions, and candidates are
 accepted exactly when they fall inside the rate bands of the
 construction. Agreement of the two engines is one of the package's
 strongest correctness checks.
+
+Ensembles take a third route, mass first. Both rate models are
+trait-blind, so the total mass is a birth-death chain on its own:
+``mass_paths`` advances a chunk of replicas in numpy lockstep on the
+mass alone, and draws traits afterwards, by an urn along each mass path,
+only for the replicas whose configuration is reported.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -236,39 +243,142 @@ ENGINES = {
 }
 
 
-def _resolve_initial(initial, rng: np.random.Generator) -> Configuration:
-    # Ensembles may start each replica from a draw of an estimate
-    # instead of a fixed configuration.
-    if isinstance(initial, Configuration):
-        return initial
-    return initial.draw(rng)
+# Replicas per lockstep chunk of mass_paths; a constant, so that no result
+# depends on the worker count.
+CHUNK = 4096
 
 
-def _evolve(model: RateModel, config: Configuration, t_end: float,
-            rng: np.random.Generator,
-            checkpoints: Sequence[float] = ()) -> tuple[Configuration, float, list[int]]:
-    """Run without recording events; optionally capture mass at times.
+class MassPaths(NamedTuple):
+    """Mass-path observables of an ensemble, one entry per replica.
 
-    Returns (state at t_end, extinction time or inf, masses at the
-    checkpoints). Checkpoints must be sorted and lie within [0, t_end].
-    A checkpoint at a jump time sees the mass after the jump.
+    ``extinction`` is the time the mass hits 0 (0.0 for a void start,
+    inf while alive at the horizon). ``at`` has one column of masses per
+    checkpoint; a checkpoint at a jump time sees the mass after the jump.
+    ``maximum`` is the running maximum of the mass up to the horizon and
+    ``events`` the number of jumps of all replicas together.
+    ``survivors`` holds, only when asked for, the configurations of the
+    replicas alive at the horizon, in replica order.
     """
-    t = 0.0
-    masses: list[int] = []
-    for t, _, _, _, _, after in _jumps(model, config, t_end, rng):
-        while len(masses) < len(checkpoints) and checkpoints[len(masses)] < t:
-            masses.append(config.total_mass)
-        config = after
-    while len(masses) < len(checkpoints):
-        masses.append(config.total_mass)
-    return config, t if config.is_void else math.inf, masses
+
+    start: np.ndarray
+    final: np.ndarray
+    extinction: np.ndarray
+    at: np.ndarray
+    maximum: np.ndarray
+    events: int
+    survivors: tuple[Configuration, ...]
 
 
-def _extinction_replica(model: RateModel, initial, t_max: float,
-                        rng: np.random.Generator) -> float:
-    config = _resolve_initial(initial, rng)
-    _, extinction, _ = _evolve(model, config, t_max, rng)
-    return extinction
+def _urn(model: RateModel, start: Configuration, steps: np.ndarray,
+         rng: np.random.Generator) -> Configuration:
+    """Traits along a mass path with ±1 ``steps``, for a trait-blind model.
+
+    At +1 a uniform individual is the parent, and the child is a kernel
+    draw with probability rho, else a clone. At -1 a uniform individual
+    dies. Given the mass path these are the exact conditional laws, since
+    every individual carries the same rates.
+    """
+    traits = [trait for trait, weight in start.entries for _ in range(weight)]
+    picks = rng.random(len(steps)).tolist()
+    mutates = (rng.random(len(steps)) < model.rho).tolist()
+    for step, pick, mutate in zip(steps.tolist(), picks, mutates):
+        i = int(pick * len(traits))
+        if step > 0:
+            traits.append(model.kernel.sample(traits[i], rng) if mutate else traits[i])
+        else:
+            traits[i] = traits[-1]
+            traits.pop()
+    return Configuration(tuple(sorted(Counter(traits).items())))
+
+
+def _mass_chunk(model: RateModel, initial, t_end: float, checkpoints: tuple[float, ...],
+                survivors: bool, size: int, rng: np.random.Generator) -> MassPaths:
+    """``size`` replicas advanced together on the mass chain alone.
+
+    Each round, every live replica draws a holding time at b(n) + d(n)
+    and stops once ``t + hold > t_end``, as :func:`_jumps` does; the others
+    step +1 with probability b(n) / (b(n) + d(n)), else -1. With
+    ``survivors`` the steps are kept and the replicas alive at t_end get
+    their traits from :func:`_urn`.
+    """
+    if isinstance(initial, Configuration):
+        starts = [initial] * size
+        start = np.full(size, initial.total_mass, dtype=np.int64)
+    else:
+        starts = [initial.draw(rng) for _ in range(size)]
+        start = np.array([c.total_mass for c in starts], dtype=np.int64)
+    mass = start.copy()
+    maximum = start.copy()
+    extinction = np.where(start == 0, 0.0, math.inf)
+    at = np.full((size, len(checkpoints)), -1, dtype=np.int64)
+    # narrow dtypes keep the step log of survivors small: 5 bytes a jump
+    lane = np.flatnonzero(start).astype(np.int32)
+    t = np.zeros(lane.size)
+    events = 0
+    log = [(lane[:0], np.zeros(0, dtype=np.int8))]
+    while lane.size:
+        n = mass[lane]
+        birth, death = model.mass_birth_death_rates(n)
+        total = birth + death
+        after = t + rng.standard_exponential(lane.size) / total
+        go = after <= t_end
+        lane, n, t, after, birth, total = (x[go] for x in (lane, n, t, after, birth, total))
+        for k, c in enumerate(checkpoints):
+            cross = (t <= c) & (c < after)
+            at[lane[cross], k] = n[cross]
+        step = np.where(rng.random(lane.size) * total < birth, np.int8(1), np.int8(-1))
+        n += step
+        mass[lane] = n
+        maximum[lane] = np.maximum(maximum[lane], n)
+        events += lane.size
+        if survivors:
+            log.append((lane, step))
+        alive = n > 0
+        extinction[lane[~alive]] = after[~alive]
+        lane, t = lane[alive], after[alive]
+    # a checkpoint that no jump passed sees the mass the path ended with
+    at = np.where(at < 0, mass[:, None], at)
+    kept: tuple[Configuration, ...] = ()
+    if survivors:
+        ids = np.concatenate([x for x, _ in log])
+        steps = np.concatenate([s for _, s in log])
+        del log
+        # a stable sort by replica keeps each replica's steps in time order
+        order = np.argsort(ids, kind="stable")
+        ids, steps = ids[order], steps[order]
+        lanes = np.flatnonzero(mass)
+        bounds = zip(np.searchsorted(ids, lanes, "left"), np.searchsorted(ids, lanes, "right"))
+        kept = tuple(_urn(model, starts[i], steps[lo:hi], rng)
+                     for i, (lo, hi) in zip(lanes, bounds))
+    return MassPaths(start, mass, extinction, at, maximum, events, kept)
+
+
+def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: RandomStream,
+               workers: int = 1, checkpoints: Sequence[float] = (),
+               survivors: bool = False) -> MassPaths:
+    """Mass paths of an ensemble to t_end, simulated in lockstep chunks.
+
+    For trait-blind models, whose mass is a birth-death chain on its own
+    with rates ``model.mass_birth_death_rates``. ``initial`` is a
+    configuration, or anything with a ``draw(rng) -> Configuration``
+    method, drawn once per replica. Replicas run in chunks of
+    :data:`CHUNK`, and chunk c draws from ``rng.substream(c)``.
+    Checkpoints must be sorted and lie within [0, t_end]. With
+    ``survivors`` the result also carries the configurations of the
+    replicas alive at t_end, their traits drawn by the urn.
+    """
+    if replicas < 1:
+        raise ValueError("replicas must be positive")
+    chunk = partial(_mass_chunk, model, initial, float(t_end),
+                    tuple(float(c) for c in checkpoints), survivors)
+    full, rest = divmod(replicas, CHUNK)
+    parts = map_replicas(partial(chunk, CHUNK), full, rng, workers, chunk_size=1)
+    if rest:
+        parts.append(chunk(rest, rng.substream(full).generator()))
+    columns = zip(*(part[:5] for part in parts))
+    return MassPaths(*(np.concatenate(column) for column in columns),
+                     sum(part.events for part in parts),
+                     tuple(c for part in parts for c in part.survivors))
 
 
 @dataclass(frozen=True)
@@ -279,6 +389,7 @@ class SurvivalCurve:
     survival: tuple[float, ...]
     stderr: tuple[float, ...]
     replicas: int
+    events: int
 
     def __iter__(self):
         return iter(zip(self.grid, self.survival, self.stderr))
@@ -293,27 +404,15 @@ def survival_curve(model: RateModel, initial, grid: Sequence[float],
     grid = tuple(float(t) for t in grid)
     if any(t < 0.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be nonnegative and strictly increasing")
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
-    fn = partial(_extinction_replica, model, initial, max(grid))
-    extinctions = np.array(map_replicas(fn, replicas, rng, workers))
+    paths = mass_paths(model, initial, max(grid), replicas, rng, workers)
     survival = []
     stderr = []
     for t in grid:
-        p = float(np.mean(extinctions > t))
+        p = float(np.mean(paths.extinction > t))
         survival.append(p)
         stderr.append(math.sqrt(p * (1.0 - p) / replicas))
     return SurvivalCurve(grid=grid, survival=tuple(survival), stderr=tuple(stderr),
-                         replicas=replicas)
-
-
-def _max_mass_replica(model: RateModel, initial, t: float,
-                      rng: np.random.Generator) -> int:
-    config = _resolve_initial(initial, rng)
-    best = config.total_mass
-    for _, _, _, _, _, after in _jumps(model, config, t, rng):
-        best = max(best, after.total_mass)
-    return best
+                         replicas=replicas, events=paths.events)
 
 
 def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
@@ -324,28 +423,17 @@ def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
     Computed from the running maximum of each replica, so the estimates
     are automatically nonincreasing in K on the shared replica set.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
-    fn = partial(_max_mass_replica, model, initial, t)
-    maxima = np.array(map_replicas(fn, replicas, rng, workers))
+    maxima = mass_paths(model, initial, t, replicas, rng, workers).maximum
     return [(int(k), float(np.mean(maxima >= k))) for k in k_values]
-
-
-def _masses_replica(model: RateModel, initial, times: Sequence[float],
-                    rng: np.random.Generator) -> np.ndarray:
-    config = _resolve_initial(initial, rng)
-    _, _, masses = _evolve(model, config, max(times), rng, checkpoints=times)
-    return np.array(masses, dtype=float)
 
 
 def mass_moments(model: RateModel, initial, times: Sequence[float], replicas: int,
                  rng: RandomStream, workers: int = 1) -> list[tuple[float, float, float]]:
     """Mean total mass at each time with Monte Carlo standard errors."""
     times = tuple(float(t) for t in times)
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be strictly increasing")
-    fn = partial(_masses_replica, model, initial, times)
-    rows = np.stack(map_replicas(fn, replicas, rng, workers))
+    if any(t < 0.0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("times must be nonnegative and strictly increasing")
+    rows = mass_paths(model, initial, max(times), replicas, rng, workers, checkpoints=times).at
     means = rows.mean(axis=0)
     errs = rows.std(axis=0, ddof=1) / math.sqrt(replicas)
     return [(t, float(m), float(e)) for t, m, e in zip(times, means, errs)]

@@ -23,7 +23,7 @@ from scipy.stats import chi2
 from .configuration import Configuration
 from .oracle import ode_trajectory
 from .rates import LogisticModel, RateModel, UniformModel
-from .simulator import _evolve, _jumps, mass_moments
+from .simulator import _jumps, mass_moments
 from .streams import RandomStream, map_replicas
 
 
@@ -154,8 +154,15 @@ class LyapunovPoint(NamedTuple):
 def _lyapunov_replica(model: RateModel, initial: Configuration, grid: tuple[float, ...],
                       a_at: tuple[float, ...], lam_star: float,
                       rng: np.random.Generator) -> np.ndarray:
-    # extinct before a grid time: that time contributes 0
-    _, _, masses = _evolve(model, initial, grid[-1], rng, checkpoints=grid)
+    # a grid time at a jump sees the mass after it; extinct before a grid
+    # time, that time contributes 0
+    masses: list[int] = []
+    n = initial.total_mass
+    for t, _, _, _, _, after in _jumps(model, initial, grid[-1], rng):
+        while len(masses) < len(grid) and grid[len(masses)] < t:
+            masses.append(n)
+        n = after.total_mass
+    masses += [n] * (len(grid) - len(masses))
     return np.array([math.exp(a * n - lam_star * g) if n else 0.0
                      for a, n, g in zip(a_at, masses, grid)])
 

@@ -15,7 +15,7 @@ import pytest
 
 from qsdsim.cli import main
 from qsdsim.configuration import Configuration
-from qsdsim.coupling import CoupledState, bd_qsd, coupled_path
+from qsdsim.coupling import CoupledState, coupled_path
 from qsdsim.errors import InvariantBreach
 from qsdsim.oracle import (build_mass_chain, ode_trajectory,
                            principal_left_eigenpair)
@@ -27,6 +27,8 @@ from qsdsim.streams import RandomStream
 from qsdsim.validation import (Indicator, Mass, chi2_threshold, lyapunov_check,
                                mass_histogram, martingale_residual,
                                two_sample_chi2)
+
+from closed_forms import bd_qsd
 
 
 @pytest.fixture(scope="session")
@@ -109,10 +111,8 @@ def test_criterion_06_engines_share_the_time_one_law(uniform_model,
         hists = {}
         for lane, engine in enumerate(sorted(ENGINES)):
             stream = RandomStream(601, (lane,))
-            masses = [
-                ENGINES[engine](model, initial, 1.0,
-                                stream.substream(r).generator()).final.total_mass
-                for r in range(100_000)]
+            masses = [ENGINES[engine](model, initial, 1.0, gen).final.total_mass
+                      for gen in stream.replica_generators(0, 100_000)]
             hists[engine] = mass_histogram(masses)
         stat, df = two_sample_chi2(hists["gillespie"], hists["thinning"])
         cut = chi2_threshold(df)
@@ -128,10 +128,9 @@ def test_criterion_07_counter_dominates_mass(uniform_model, logistic_model,
     paths = 0
     for lane, model in enumerate((uniform_model, logistic_model)):
         stream = RandomStream(701, (lane,))
-        for r in range(10_000):
+        for gen in stream.replica_generators(0, 10_000):
             try:
-                path = coupled_path(model, CoupledState(initial, 3), 2.0,
-                                    stream.substream(r).generator())
+                path = coupled_path(model, CoupledState(initial, 3), 2.0, gen)
             except InvariantBreach:
                 violations += 1
                 continue

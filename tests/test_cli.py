@@ -140,6 +140,9 @@ def test_survival_artifacts(tmp_path):
     assert payload["replicas"] == 400
     assert payload["theta_hat"] is not None
     assert all(0.0 <= p <= 1.0 for p in payload["survival"])
+    # every replica extinct by the horizon jumped at least once
+    assert isinstance(payload["events"], int)
+    assert payload["events"] >= round(400 * (1.0 - payload["survival"][-1]))
     lines = (out / "survival.csv").read_text().splitlines()
     assert "t,survival,stderr" in lines
     assert len([l for l in lines if not l.startswith("# ")]) == 1 + 6
@@ -168,6 +171,8 @@ def test_yaglom_artifacts(tmp_path, capsys):
     assert abs(sum(payload["mass_marginal"]) - 1.0) <= 1e-9
     assert payload["theta_singleton"] is not None
     assert payload["burn_in"] == 0.0
+    assert isinstance(payload["events"], int)
+    assert payload["events"] >= 2000 - payload["particles"]
     lines = (out / "qsd_sample.csv").read_text().splitlines()
     assert "weight,configuration" in lines
 
@@ -204,6 +209,7 @@ def test_fleming_viot_artifacts(tmp_path):
     payload = _read_json(out / "qsd.json")
     assert payload["estimator"] == "fleming-viot"
     assert payload["particles"] == 50
+    assert payload["events"] > 0
     assert payload["burn_in"] == 1.0
 
 

@@ -10,7 +10,7 @@ def test_void_has_no_mass():
     assert void.is_void
     assert void.total_mass == 0
     assert void.support_size == 0
-    assert void.mass_and_support() == (0, 0, ())
+    assert void.entries == ()
 
 
 def test_from_pairs_merges_and_sorts():
@@ -18,7 +18,7 @@ def test_from_pairs_merges_and_sorts():
     assert c.entries == ((0.2, 2), (0.7, 4))
     assert c.total_mass == 6
     assert c.support_size == 2
-    assert c.mass_and_support() == (6, 2, (2, 4))
+    assert [weight for _, weight in c.entries] == [2, 4]
 
 
 def test_entries_must_be_strictly_increasing():

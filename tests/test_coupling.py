@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from qsdsim.configuration import Configuration
-from qsdsim.coupling import (CoupledState, bd_chain_state_at, bd_qsd,
-                             coupled_path, coupled_rates, step_coupled)
+from qsdsim.coupling import (CoupledState, bd_chain_state_at, coupled_path,
+                             coupled_rates, step_coupled)
 from qsdsim.errors import InvalidRegime, InvariantBreach
 from qsdsim.simulator import simulate_gillespie
 from qsdsim.streams import RandomStream
 from qsdsim.validation import chi2_threshold, mass_histogram, two_sample_chi2
+
+from closed_forms import bd_qsd
 
 PAIR = Configuration.from_pairs(((0.25, 1), (0.75, 1)))
 TRIO = Configuration.from_pairs(((0.25, 2), (0.75, 1)))
@@ -76,9 +78,8 @@ def test_counter_runs_alone_after_extinction(uniform_model):
 def test_paths_preserve_order_and_jump_structure(fixture, request):
     model = request.getfixturevalue(fixture)
     stream = RandomStream(5, (hash_free_tag(fixture),))
-    for r in range(50):
-        path = coupled_path(model, CoupledState(TRIO, 4), 2.0,
-                            stream.substream(r).generator())
+    for gen in stream.replica_generators(0, 50):
+        path = coupled_path(model, CoupledState(TRIO, 4), 2.0, gen)
         assert path[0] == (0.0, CoupledState(TRIO, 4))
         times = [t for t, _ in path]
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -102,27 +103,20 @@ def test_negative_horizon_rejected(uniform_model):
 def test_config_marginal_matches_plain_engine(uniform_model):
     stream = RandomStream(7)
     coupled = [
-        coupled_path(uniform_model, CoupledState(TRIO, 3), 1.0,
-                     stream.substream(0, r).generator())[-1][1].config.total_mass
-        for r in range(4000)]
-    plain = [
-        simulate_gillespie(uniform_model, TRIO, 1.0,
-                           stream.substream(1, r).generator()).final.total_mass
-        for r in range(4000)]
+        coupled_path(uniform_model, CoupledState(TRIO, 3), 1.0, gen)[-1][1].config.total_mass
+        for gen in stream.substream(0).replica_generators(0, 4000)]
+    plain = [simulate_gillespie(uniform_model, TRIO, 1.0, gen).final.total_mass
+             for gen in stream.substream(1).replica_generators(0, 4000)]
     stat, df = two_sample_chi2(mass_histogram(coupled), mass_histogram(plain))
     assert stat <= chi2_threshold(df)
 
 
 def test_counter_marginal_is_linear_birth_death(logistic_model):
     stream = RandomStream(8)
-    coupled = [
-        coupled_path(logistic_model, CoupledState(TRIO, 3), 1.0,
-                     stream.substream(0, r).generator())[-1][1].counter
-        for r in range(4000)]
-    direct = [
-        bd_chain_state_at(logistic_model.birth_sup, logistic_model.death_inf,
-                          3, 1.0, stream.substream(1, r).generator())
-        for r in range(4000)]
+    coupled = [coupled_path(logistic_model, CoupledState(TRIO, 3), 1.0, gen)[-1][1].counter
+               for gen in stream.substream(0).replica_generators(0, 4000)]
+    direct = [bd_chain_state_at(logistic_model.birth_sup, logistic_model.death_inf, 3, 1.0, gen)
+              for gen in stream.substream(1).replica_generators(0, 4000)]
     stat, df = two_sample_chi2(mass_histogram(coupled), mass_histogram(direct))
     assert stat <= chi2_threshold(df)
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsdsim.coupling import bd_qsd
 from qsdsim.errors import (InvalidRegime, NoConvergence, SingularSystem,
                            UnsupportedModel)
 from qsdsim.oracle import (MassChainOracle, build_mass_chain,
@@ -15,6 +14,8 @@ from qsdsim.oracle import (MassChainOracle, build_mass_chain,
 from qsdsim.qsd import tv_distance
 from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.trait_space import UniformKernel
+
+from closed_forms import bd_qsd
 
 
 def _sub_generator(chain):

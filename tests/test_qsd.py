@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
-from qsdsim.coupling import bd_qsd
 from qsdsim.errors import (AllExtinct, Degenerate, InvalidRegime,
                            NoSingletonMass, NotNormalized, WindowTooSmall)
 from qsdsim.oracle import build_mass_chain, principal_left_eigenpair
@@ -18,6 +17,8 @@ from qsdsim.rates import LogisticModel
 from qsdsim.simulator import EventKind, _gillespie_branch
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import UniformKernel, sample_base
+
+from closed_forms import bd_qsd
 
 ONE = Configuration.singleton(0.2)
 TWO = Configuration.from_pairs(((0.4, 2),))
@@ -178,6 +179,7 @@ def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
     rates = np.array([model.total_jump_rate(c) for c in configs])
     counts = {}
     t = 0.0
+    events = 0
     next_snap = burn_in
     while True:
         cum = np.cumsum(rates)
@@ -190,6 +192,7 @@ def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
         if t_next > horizon:
             break
         t = t_next
+        events += 1
         i = min(int(np.searchsorted(cum, gen.random() * total, side="right")),
                 particles - 1)
         kind, parent, child = _gillespie_branch(model, configs[i], gen)
@@ -204,7 +207,8 @@ def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
             nxt = configs[i].add(parent if kind is EventKind.CLONAL else child)
         configs[i] = nxt
         rates[i] = model.total_jump_rate(nxt)
-    return _estimate_from_counts(counts, burn_in=burn_in, particles=particles)
+    return _estimate_from_counts(counts, burn_in=burn_in, particles=particles,
+                                 events=events)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -214,6 +218,7 @@ def test_fleming_viot_selection_matches_a_cumulative_sum(seed):
     ref = _cumsum_fleming_viot(model, 300, 1.0, 3.0, RandomStream(seed))
     assert est.configurations == ref.configurations
     assert np.array_equal(est.weights, ref.weights)
+    assert est.events == ref.events > 0
 
 
 def test_decay_rate_on_noiseless_curve():

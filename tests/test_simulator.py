@@ -1,16 +1,19 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
+from qsdsim.qsd import QsdEstimate
 from qsdsim.rates import LogisticModel, UniformModel
-from qsdsim.simulator import (ENGINES, Event, EventKind, apply_event,
-                              hitting_tail, mass_moments, path_times,
-                              simulate_gillespie, simulate_thinning,
-                              survival_curve, write_trajectory_csv)
+from qsdsim.simulator import (CHUNK, ENGINES, Event, EventKind, apply_event,
+                              hitting_tail, mass_moments, mass_paths,
+                              path_times, simulate_gillespie,
+                              simulate_thinning, survival_curve,
+                              write_trajectory_csv)
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
 from qsdsim.validation import chi2_threshold, mass_histogram, two_sample_chi2
@@ -218,6 +221,8 @@ def test_mass_moments_track_exponential_decay(uniform_model):
         assert abs(mean - 5.0 * math.exp(-theta * t)) <= 4.0 * se
     with pytest.raises(ValueError):
         mass_moments(uniform_model, initial, (0.75, 0.25), 10, RandomStream(1))
+    with pytest.raises(ValueError):
+        mass_moments(uniform_model, initial, (-0.25, 0.25), 10, RandomStream(1))
 
 
 def test_mass_moments_at_time_zero_are_exact(uniform_model):
@@ -265,3 +270,75 @@ def test_trajectory_csv_layout(uniform_model):
         if event.kind is EventKind.DEATH:
             assert child == ""
         assert int(mass) >= 0
+
+
+ESTIMATE = QsdEstimate(
+    configurations=(Configuration.singleton(0.2), Configuration.from_pairs(((0.4, 2), (0.6, 1)))),
+    weights=np.array([0.5, 0.5]), burn_in=0.0, particles=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(MODELS), seed=st.integers(0, 2**32 - 1),
+       replicas=st.one_of(st.sampled_from([1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3]),
+                          st.integers(1, 300)),
+       horizon=st.floats(0.0, 2.0), start=st.sampled_from([START, Configuration.void(), ESTIMATE]),
+       survivors=st.booleans())
+def test_mass_paths_invariants(model, seed, replicas, horizon, start, survivors):
+    checkpoints = (0.0, horizon / 2, horizon)
+    paths = mass_paths(model, start, horizon, replicas, RandomStream(seed),
+                       checkpoints=checkpoints, survivors=survivors)
+    for column in (paths.start, paths.final, paths.extinction, paths.at, paths.maximum):
+        assert len(column) == replicas
+    assert (paths.at >= 0).all() and (paths.final >= 0).all()
+    assert (paths.at[:, 0] == paths.start).all()
+    assert (paths.at[:, -1] == paths.final).all()
+    assert (paths.maximum >= paths.start).all() and (paths.maximum >= paths.at.max(axis=1)).all()
+    extinct = np.isfinite(paths.extinction)
+    assert (paths.extinction[extinct] <= horizon).all()
+    assert (paths.final[extinct] == 0).all() and (paths.final[~extinct] > 0).all()
+    assert (paths.extinction[paths.start == 0] == 0.0).all()
+    for k, c in enumerate(checkpoints):
+        assert (paths.at[extinct & (paths.extinction <= c), k] == 0).all()
+    # each jump moves one replica by one, so the count bounds and matches the net move
+    moved = paths.final - paths.start
+    assert np.abs(moved).sum() <= paths.events and (paths.events - moved.sum()) % 2 == 0
+    if survivors:
+        assert [c.total_mass for c in paths.survivors] == paths.final[paths.final > 0].tolist()
+    else:
+        assert paths.survivors == ()
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), replicas=st.integers(2 * CHUNK + 1, 3 * CHUNK))
+def test_mass_paths_do_not_depend_on_workers(seed, replicas, uniform_model):
+    runs = [mass_paths(uniform_model, START, 1.0, n, RandomStream(seed), workers=workers,
+                       checkpoints=(0.5,), survivors=True)
+            for n, workers in ((replicas, 1), (replicas, 2), (CHUNK, 1))]
+    for one, two, first in zip(*runs):
+        if isinstance(one, np.ndarray):
+            assert np.array_equal(one, two)
+            # chunk 0 is the same whatever follows it
+            assert np.array_equal(one[:CHUNK], first)
+        else:
+            assert one == two
+
+
+def _joint_law(configs, kmax=15):
+    """Counts over (mass, support size), both clamped at kmax, one flat bin each."""
+    counts = np.zeros((kmax + 1) ** 2, dtype=int)
+    for c in configs:
+        counts[min(c.total_mass, kmax) * (kmax + 1) + min(c.support_size, kmax)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("model", [MODELS[0], MODELS[2]], ids=["uniform", "logistic"])
+def test_mass_first_matches_the_full_engine_jointly(model):
+    # unequal families, so the urn's choice of parent shows in the support law
+    start = Configuration.from_pairs(((0.3, 6), (0.5, 1), (0.51, 1)))
+    replicas = 10_000
+    full = [simulate_gillespie(model, start, 1.0, gen).final
+            for gen in RandomStream(67, (0,)).replica_generators(0, replicas)]
+    paths = mass_paths(model, start, 1.0, replicas, RandomStream(67, (1,)), survivors=True)
+    void = [Configuration.void()] * (replicas - len(paths.survivors))
+    stat, df = two_sample_chi2(_joint_law(full), _joint_law([*paths.survivors, *void]))
+    assert stat <= chi2_threshold(df, 0.999)
