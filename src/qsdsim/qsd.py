@@ -1,12 +1,12 @@
 """Estimators for the conditioned-on-survival limit law and its decay rate.
 
 A quasi-stationary estimate is a weighted collection of configurations.
-Two routes produce one: conditioning a plain ensemble on survival at a
-fixed time (Yaglom), or running interacting particles that resurrect on
-absorption (Fleming-Viot). Decay-rate estimators come in two flavors
-too, a survival-curve slope and the singleton-mass death-rate integral,
-so independent routes can be cross-checked against the finite-state
-oracle.
+Two routes produce one: conditioning an ensemble on survival at a fixed
+time (Yaglom, with the survivors split once on the way), or running
+interacting particles that resurrect on absorption (Fleming-Viot).
+Decay-rate estimators come in two flavors too, a survival-curve slope
+and the singleton-mass death-rate integral, so independent routes can be
+cross-checked against the finite-state oracle.
 """
 
 from __future__ import annotations
@@ -101,22 +101,43 @@ def _estimate_from_counts(counts: dict[Configuration, int], burn_in: float,
                        burn_in=burn_in, particles=particles, events=events)
 
 
+# The Yaglom horizon is cut into this many equal stages, and the survivors
+# of each stage but the last are copied to refill the ensemble; a constant.
+YAGLOM_STAGES = 2
+
+
 def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
                     rng: RandomStream, workers: int = 1) -> QsdEstimate:
-    """Empirical law at time t among surviving replicas, equal weights.
+    """Empirical law at time t among surviving replicas, by fixed-factor splitting.
 
-    ``initial`` is a configuration, or anything with a
-    ``draw(rng) -> Configuration`` method to start each replica from.
-    Mass paths come first (:func:`~qsdsim.simulator.mass_paths`); traits
-    are drawn only for the survivors.
+    The horizon is cut into :data:`YAGLOM_STAGES` equal stages, and stage
+    k runs mass paths (:func:`~qsdsim.simulator.mass_paths`) on
+    ``rng.substream(k)``; traits are drawn only for each stage's
+    survivors. The first stage starts ``replicas`` replicas from
+    ``initial``, a configuration or anything with a
+    ``draw(rng) -> Configuration`` method. Each later stage starts from
+    the S survivors of the one before, each copied ``replicas // S``
+    times. Every survivor gets the same number of copies, so the final
+    survivors keep equal weights and estimate the law conditioned on
+    survival to t, as plain conditioning does, but with up to
+    ``replicas // S`` times as many of them where many replicas die. No
+    stage runs more than ``replicas`` replicas.
     """
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
-    paths = mass_paths(model, initial, t, replicas, rng, workers, survivors=True)
-    if not paths.survivors:
-        raise AllExtinct(f"no replica of {replicas} survived to t={t!r}")
+    starts, size, events = initial, replicas, 0
+    for stage in range(YAGLOM_STAGES):
+        paths = mass_paths(model, starts, t / YAGLOM_STAGES, size, rng.substream(stage),
+                           workers, survivors=True)
+        events += paths.events
+        if not paths.survivors:
+            raise AllExtinct(f"no replica of {size} survived stage {stage + 1} of"
+                             f" {YAGLOM_STAGES} to t={t!r}")
+        copies = replicas // len(paths.survivors)
+        starts = tuple(c for c in paths.survivors for _ in range(copies))
+        size = len(starts)
     return _estimate_from_counts(Counter(paths.survivors), burn_in=0.0,
-                                 particles=len(paths.survivors), events=paths.events)
+                                 particles=len(paths.survivors), events=events)
 
 
 class SumTree:

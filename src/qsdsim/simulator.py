@@ -291,8 +291,8 @@ def _urn(model: RateModel, start: Configuration, steps: np.ndarray,
     return Configuration(tuple(sorted(Counter(traits).items())))
 
 
-def _mass_chunk(model: RateModel, initial, t_end: float, checkpoints: tuple[float, ...],
-                survivors: bool, size: int, rng: np.random.Generator) -> MassPaths:
+def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
+                survivors: bool, size: int, rng: np.random.Generator, initial) -> MassPaths:
     """``size`` replicas advanced together on the mass chain alone.
 
     Each round, every live replica draws a holding time at b(n) + d(n)
@@ -305,7 +305,8 @@ def _mass_chunk(model: RateModel, initial, t_end: float, checkpoints: tuple[floa
         starts = [initial] * size
         start = np.full(size, initial.total_mass, dtype=np.int64)
     else:
-        starts = [initial.draw(rng) for _ in range(size)]
+        starts = (list(initial) if isinstance(initial, tuple)
+                  else [initial.draw(rng) for _ in range(size)])
         start = np.array([c.total_mass for c in starts], dtype=np.int64)
     mass = start.copy()
     maximum = start.copy()
@@ -360,21 +361,27 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
 
     For trait-blind models, whose mass is a birth-death chain on its own
     with rates ``model.mass_birth_death_rates``. ``initial`` is a
-    configuration, or anything with a ``draw(rng) -> Configuration``
-    method, drawn once per replica. Replicas run in chunks of
-    :data:`CHUNK`, and chunk c draws from ``rng.substream(c)``.
+    configuration, a tuple of ``replicas`` configurations (replica r
+    starts from the r-th), or anything with a ``draw(rng) ->
+    Configuration`` method, drawn once per replica. Replicas run in
+    chunks of :data:`CHUNK`, and chunk c draws from ``rng.substream(c)``.
     Checkpoints must be sorted and lie within [0, t_end]. With
     ``survivors`` the result also carries the configurations of the
     replicas alive at t_end, their traits drawn by the urn.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    chunk = partial(_mass_chunk, model, initial, float(t_end),
+    if isinstance(initial, tuple) and len(initial) != replicas:
+        raise ValueError(f"need one start per replica, got {len(initial)} for {replicas}")
+    chunk = partial(_mass_chunk, model, float(t_end),
                     tuple(float(c) for c in checkpoints), survivors)
     full, rest = divmod(replicas, CHUNK)
-    parts = map_replicas(partial(chunk, CHUNK), full, rng, workers, chunk_size=1)
+    starts = [initial[c * CHUNK:(c + 1) * CHUNK] if isinstance(initial, tuple) else initial
+              for c in range(full + 1)]
+    parts = map_replicas(partial(chunk, CHUNK), full, rng, workers, chunk_size=1,
+                         items=starts[:full])
     if rest:
-        parts.append(chunk(rest, rng.substream(full).generator()))
+        parts.append(chunk(rest, rng.substream(full).generator(), starts[full]))
     columns = zip(*(part[:5] for part in parts))
     return MassPaths(*(np.concatenate(column) for column in columns),
                      sum(part.events for part in parts),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -147,12 +147,15 @@ class RandomStream:
 
 
 def _run_chunk(args: tuple) -> list:
-    fn, stream, start, stop = args
-    return [fn(gen) for gen in stream.replica_generators(start, stop)]
+    fn, stream, start, stop, items = args
+    gens = stream.replica_generators(start, stop)
+    if items is None:
+        return [fn(gen) for gen in gens]
+    return [fn(gen, item) for gen, item in zip(gens, items)]
 
 
 def map_replicas(fn, n_replicas: int, stream: RandomStream, workers: int = 1,
-                 chunk_size: int = 4096) -> list:
+                 chunk_size: int = 4096, items: Sequence | None = None) -> list:
     """Evaluate ``fn(generator)`` for replica substreams 0..n-1.
 
     Replicas run in chunks of ``chunk_size``, each seeded by one hash pass;
@@ -160,13 +163,17 @@ def map_replicas(fn, n_replicas: int, stream: RandomStream, workers: int = 1,
     worker. ``fn`` must be picklable when workers > 1 (a module-level
     function or functools.partial over one). Results are returned in
     replica order, so the merge is independent of worker count, chunk size
-    and scheduling.
+    and scheduling. With ``items``, one per replica, replica r evaluates
+    ``fn(generator, items[r])``.
     """
     if n_replicas < 0:
         raise ValueError("n_replicas must be nonnegative")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-    chunks = [(fn, stream, a, min(a + chunk_size, n_replicas))
+    if items is not None and len(items) != n_replicas:
+        raise ValueError(f"need one item per replica, got {len(items)} for {n_replicas}")
+    chunks = [(fn, stream, a, min(a + chunk_size, n_replicas),
+               None if items is None else items[a:a + chunk_size])
               for a in range(0, n_replicas, chunk_size)]
     if workers <= 1 or len(chunks) <= 1:
         return [y for chunk in chunks for y in _run_chunk(chunk)]

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsdsim import qsd
 from qsdsim.configuration import Configuration
 from qsdsim.errors import (AllExtinct, Degenerate, InvalidRegime,
                            NoSingletonMass, NotNormalized, WindowTooSmall)
 from qsdsim.oracle import build_mass_chain, principal_left_eigenpair
-from qsdsim.qsd import (QsdEstimate, SumTree, _estimate_from_counts,
+from qsdsim.qsd import (YAGLOM_STAGES, QsdEstimate, SumTree, _estimate_from_counts,
                         decay_rate_from_singletons, decay_rate_from_survival,
                         estimate_report, fleming_viot_estimate, tv_distance,
                         write_sample_csv, yaglom_estimate)
 from qsdsim.rates import LogisticModel
-from qsdsim.simulator import EventKind, _gillespie_branch
+from qsdsim.simulator import EventKind, _gillespie_branch, mass_paths
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import UniformKernel, sample_base
 
@@ -87,6 +88,44 @@ def test_yaglom_mass_marginal_near_geometric(uniform_model):
     est = yaglom_estimate(uniform_model, ONE, 3.0, 40_000, RandomStream(11))
     probs, _ = bd_qsd(uniform_model.lam, uniform_model.b, 40)
     assert tv_distance(est.mass_marginal, probs) <= 0.05
+
+
+def test_yaglom_splitting_keeps_equal_weights_and_the_conditioned_law(uniform_model):
+    t, replicas = 3.0, 20_000
+    est = yaglom_estimate(uniform_model, ONE, t, replicas, RandomStream(13))
+    counts = est.weights * est.particles
+    assert np.allclose(counts, np.round(counts)) and est.particles <= replicas
+    # from a singleton the linear chain at t, given survival, is geometric
+    lam, b = uniform_model.lam, uniform_model.b
+    decay = math.exp(-(lam - b) * t)
+    ratio = b * (1.0 - decay) / (lam - b * decay)
+    exact = np.zeros(61)
+    exact[1:] = ratio ** np.arange(60)
+    assert tv_distance(est.mass_marginal, exact / exact.sum()) <= 0.04
+    # plain conditioning keeps about replicas * P(alive at t) = 511 survivors
+    alive = decay / (lam / b - decay)
+    assert est.particles >= 4 * replicas * alive
+
+
+def test_yaglom_stages_copy_every_survivor_alike(uniform_model, monkeypatch):
+    calls = []
+
+    def recording(model, initial, t_end, replicas, rng, workers, survivors):
+        paths = mass_paths(model, initial, t_end, replicas, rng, workers, survivors=survivors)
+        calls.append((initial, t_end, replicas, rng, paths.survivors))
+        return paths
+
+    monkeypatch.setattr(qsd, "mass_paths", recording)
+    est = yaglom_estimate(uniform_model, ONE, 3.0, 1000, RandomStream(4))
+    assert len(calls) == YAGLOM_STAGES
+    assert sum(call[1] for call in calls) == pytest.approx(3.0)
+    assert [call[3] for call in calls] == [RandomStream(4).substream(k)
+                                           for k in range(YAGLOM_STAGES)]
+    for (*_, before), (starts, _, size, _, _) in zip(calls, calls[1:]):
+        copies = 1000 // len(before)
+        assert size == len(starts) == copies * len(before) <= 1000
+        assert starts == tuple(c for c in before for _ in range(copies))
+    assert est.particles == len(calls[-1][4])
 
 
 def test_fleming_viot_rejects_bad_arguments(uniform_model):

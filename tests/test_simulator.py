@@ -323,6 +323,20 @@ def test_mass_paths_do_not_depend_on_workers(seed, replicas, uniform_model):
             assert one == two
 
 
+def test_mass_paths_start_each_replica_from_its_own_configuration(uniform_model):
+    replicas = 2 * CHUNK + 5
+    starts = tuple(Configuration.from_pairs(((0.5, 1 + r % 3),)) for r in range(replicas))
+    still = mass_paths(uniform_model, starts, 0.0, replicas, RandomStream(3), survivors=True)
+    assert still.start.tolist() == [1 + r % 3 for r in range(replicas)]
+    assert still.survivors == starts
+    runs = [mass_paths(uniform_model, starts, 1.0, replicas, RandomStream(3), workers=workers,
+                       survivors=True) for workers in (1, 2)]
+    assert np.array_equal(runs[0].final, runs[1].final)
+    assert runs[0].survivors == runs[1].survivors
+    with pytest.raises(ValueError, match="one start per replica"):
+        mass_paths(uniform_model, starts[:-1], 1.0, replicas, RandomStream(3))
+
+
 def _joint_law(configs, kmax=15):
     """Counts over (mass, support size), both clamped at kmax, one flat bin each."""
     counts = np.zeros((kmax + 1) ** 2, dtype=int)

@@ -49,6 +49,21 @@ def test_map_replicas_chunk_edges():
         assert len(out) == n
 
 
+def _shifted_uniform(rng, item):
+    return item + float(rng.random())
+
+
+def test_map_replicas_passes_one_item_per_replica():
+    stream = RandomStream(11)
+    items = list(range(70))
+    ref = [r + float(stream.substream(r).generator().random()) for r in range(70)]
+    for workers in (1, 2):
+        assert map_replicas(_shifted_uniform, 70, stream, workers=workers, chunk_size=16,
+                            items=items) == ref
+    with pytest.raises(ValueError, match="one item per replica"):
+        map_replicas(_shifted_uniform, 70, stream, items=items[:-1])
+
+
 def test_map_replicas_rejects_a_chunk_size_below_one():
     for workers in (1, 2):
         with pytest.raises(ValueError, match="chunk_size"):
