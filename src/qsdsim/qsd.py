@@ -33,10 +33,11 @@ from .trait_space import sample_base
 class QsdEstimate:
     """Weighted configurations approximating the conditioned limit law.
 
-    ``particles`` is the survivor count for conditioned ensembles and
-    the particle count for interacting-particle runs; ``burn_in`` is 0
-    for the former. ``events`` counts the jumps the estimator simulated:
-    of every replica's mass path, or of every particle.
+    ``particles`` is the number of independent survivors for conditioned
+    ensembles (see :func:`yaglom_estimate`) and the particle count for
+    interacting-particle runs; ``burn_in`` is 0 for the former.
+    ``events`` counts the jumps the estimator simulated: of every
+    replica's mass path, or of every particle.
     """
 
     configurations: tuple[Configuration, ...]
@@ -122,10 +123,17 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
     survival to t, as plain conditioning does, but with up to
     ``replicas // S`` times as many of them where many replicas die. No
     stage runs more than ``replicas`` replicas.
+
+    Copies of one survivor share its past, so ``particles`` counts
+    independent survivors: the first-stage replicas with a descendant
+    alive at t. Without splitting that is the survivor count. Runs on
+    mass paths, so the model must be trait-blind.
     """
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     starts, size, events = initial, replicas, 0
+    # lineage[r]: the first-stage replica that replica r of this stage descends from
+    lineage, copies = np.arange(replicas), 1
     for stage in range(YAGLOM_STAGES):
         paths = mass_paths(model, starts, t / YAGLOM_STAGES, size, rng.substream(stage),
                            workers, survivors=True)
@@ -133,11 +141,12 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
         if not paths.survivors:
             raise AllExtinct(f"no replica of {size} survived stage {stage + 1} of"
                              f" {YAGLOM_STAGES} to t={t!r}")
+        lineage = lineage[np.flatnonzero(paths.final) // copies]
         copies = replicas // len(paths.survivors)
         starts = tuple(c for c in paths.survivors for _ in range(copies))
         size = len(starts)
     return _estimate_from_counts(Counter(paths.survivors), burn_in=0.0,
-                                 particles=len(paths.survivors), events=events)
+                                 particles=len(np.unique(lineage)), events=events)
 
 
 class SumTree:

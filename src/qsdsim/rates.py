@@ -28,7 +28,17 @@ class RateModel(ABC):
     bounds ``birth_sup`` (for reproduction including mutation),
     ``death_inf`` and ``singleton_death_sup``, and a mutation kernel.
     Rates must be strictly positive on nonempty configurations and are
-    zero at the void configuration by convention.
+    zero at the void configuration by convention. That is all the full
+    engines (``simulate_gillespie``, ``simulate_thinning``,
+    ``fleming_viot_estimate``) read.
+
+    The mass-first ensemble estimators (``survival_curve``,
+    ``yaglom_estimate``, ``mass_moments``, ``hitting_tail``) need a
+    trait-blind model: one that also overrides
+    :meth:`mass_birth_death_rates`, evaluated elementwise on an array of
+    masses, and carries ``rho``, the probability that a birth mutates.
+    For any other model they raise :class:`UnsupportedModel`, from the
+    base :meth:`mass_birth_death_rates`.
     """
 
     kernel: MutationKernel

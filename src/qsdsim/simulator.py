@@ -292,15 +292,17 @@ def _urn(model: RateModel, start: Configuration, steps: np.ndarray,
 
 
 def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
-                survivors: bool, size: int, rng: np.random.Generator, initial) -> MassPaths:
-    """``size`` replicas advanced together on the mass chain alone.
+                survivors: bool, rng: np.random.Generator, part: tuple) -> MassPaths:
+    """One chunk of replicas advanced together on the mass chain alone.
 
-    Each round, every live replica draws a holding time at b(n) + d(n)
-    and stops once ``t + hold > t_end``, as :func:`_jumps` does; the others
-    step +1 with probability b(n) / (b(n) + d(n)), else -1. With
-    ``survivors`` the steps are kept and the replicas alive at t_end get
-    their traits from :func:`_urn`.
+    ``part`` is ``(size, initial)``, the chunk's replica count and its
+    start as :func:`mass_paths` takes it. Each round, every live replica
+    draws a holding time at b(n) + d(n) and stops once ``t + hold >
+    t_end``, as :func:`_jumps` does; the others step +1 with probability
+    b(n) / (b(n) + d(n)), else -1. With ``survivors`` the steps are kept
+    and the replicas alive at t_end get their traits from :func:`_urn`.
     """
+    size, initial = part
     if isinstance(initial, Configuration):
         starts = [initial] * size
         start = np.full(size, initial.total_mass, dtype=np.int64)
@@ -359,15 +361,19 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
                survivors: bool = False) -> MassPaths:
     """Mass paths of an ensemble to t_end, simulated in lockstep chunks.
 
-    For trait-blind models, whose mass is a birth-death chain on its own
-    with rates ``model.mass_birth_death_rates``. ``initial`` is a
-    configuration, a tuple of ``replicas`` configurations (replica r
-    starts from the r-th), or anything with a ``draw(rng) ->
-    Configuration`` method, drawn once per replica. Replicas run in
-    chunks of :data:`CHUNK`, and chunk c draws from ``rng.substream(c)``.
-    Checkpoints must be sorted and lie within [0, t_end]. With
-    ``survivors`` the result also carries the configurations of the
-    replicas alive at t_end, their traits drawn by the urn.
+    For trait-blind models only (see :class:`~qsdsim.rates.RateModel`):
+    the mass is a birth-death chain on its own with rates
+    ``model.mass_birth_death_rates``, and the urn reads ``model.rho``.
+    Other models raise :class:`~qsdsim.errors.UnsupportedModel`.
+    ``initial`` is a configuration, a tuple of ``replicas``
+    configurations (replica r starts from the r-th), or anything with a
+    ``draw(rng) -> Configuration`` method, drawn once per replica.
+    Replicas run in chunks of :data:`CHUNK`, all through
+    :func:`~qsdsim.streams.map_replicas`, and chunk c draws from
+    ``rng.substream(c)``. Checkpoints must be sorted and lie within
+    [0, t_end]. With ``survivors`` the result also carries the
+    configurations of the replicas alive at t_end, their traits drawn by
+    the urn.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
@@ -375,13 +381,10 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
         raise ValueError(f"need one start per replica, got {len(initial)} for {replicas}")
     chunk = partial(_mass_chunk, model, float(t_end),
                     tuple(float(c) for c in checkpoints), survivors)
-    full, rest = divmod(replicas, CHUNK)
-    starts = [initial[c * CHUNK:(c + 1) * CHUNK] if isinstance(initial, tuple) else initial
-              for c in range(full + 1)]
-    parts = map_replicas(partial(chunk, CHUNK), full, rng, workers, chunk_size=1,
-                         items=starts[:full])
-    if rest:
-        parts.append(chunk(rest, rng.substream(full).generator(), starts[full]))
+    work = [(min(CHUNK, replicas - a),
+             initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
+            for a in range(0, replicas, CHUNK)]
+    parts = map_replicas(chunk, len(work), rng, workers, chunk_size=1, items=work)
     columns = zip(*(part[:5] for part in parts))
     return MassPaths(*(np.concatenate(column) for column in columns),
                      sum(part.events for part in parts),
@@ -407,7 +410,10 @@ class SurvivalCurve:
 
 def survival_curve(model: RateModel, initial, grid: Sequence[float],
                    replicas: int, rng: RandomStream, workers: int = 1) -> SurvivalCurve:
-    """Fraction of replicas not yet extinct at each grid time."""
+    """Fraction of replicas not yet extinct at each grid time.
+
+    Runs on :func:`mass_paths`, so the model must be trait-blind.
+    """
     grid = tuple(float(t) for t in grid)
     if any(t < 0.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be nonnegative and strictly increasing")
@@ -428,7 +434,8 @@ def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
     """Empirical P(total mass reaches K by time t) for each K.
 
     Computed from the running maximum of each replica, so the estimates
-    are automatically nonincreasing in K on the shared replica set.
+    are automatically nonincreasing in K on the shared replica set. Runs
+    on :func:`mass_paths`, so the model must be trait-blind.
     """
     maxima = mass_paths(model, initial, t, replicas, rng, workers).maximum
     return [(int(k), float(np.mean(maxima >= k))) for k in k_values]
@@ -436,7 +443,10 @@ def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
 
 def mass_moments(model: RateModel, initial, times: Sequence[float], replicas: int,
                  rng: RandomStream, workers: int = 1) -> list[tuple[float, float, float]]:
-    """Mean total mass at each time with Monte Carlo standard errors."""
+    """Mean total mass at each time with Monte Carlo standard errors.
+
+    Runs on :func:`mass_paths`, so the model must be trait-blind.
+    """
     times = tuple(float(t) for t in times)
     if any(t < 0.0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be nonnegative and strictly increasing")

@@ -89,7 +89,7 @@ def test_criterion_04_estimators_agree_with_each_other_and_truth(
     ok = cross <= 0.05 and yag_truth <= 0.05 and fv_truth <= 0.05
     verdict(4, "conditioned vs interacting estimates", ok,
              f"cross tv={cross:.4f}, vs truth {yag_truth:.4f}/{fv_truth:.4f},"
-             f" {yag.particles} survivors")
+             f" {yag.particles} independent survivors")
 
 
 def test_criterion_05_conditioned_evolution_is_a_fixed_point(uniform_model,
@@ -99,7 +99,7 @@ def test_criterion_05_conditioned_evolution_is_a_fixed_point(uniform_model,
     tv = tv_distance(evolved.mass_marginal, fv_estimate.mass_marginal)
     ok = tv <= 0.05
     verdict(5, "evolve-and-condition stability", ok,
-             f"tv={tv:.4f} after t=1, {evolved.particles} survivors")
+             f"tv={tv:.4f} after t=1, {evolved.particles} independent survivors")
 
 
 def test_criterion_06_engines_share_the_time_one_law(uniform_model,

@@ -93,8 +93,7 @@ def test_yaglom_mass_marginal_near_geometric(uniform_model):
 def test_yaglom_splitting_keeps_equal_weights_and_the_conditioned_law(uniform_model):
     t, replicas = 3.0, 20_000
     est = yaglom_estimate(uniform_model, ONE, t, replicas, RandomStream(13))
-    counts = est.weights * est.particles
-    assert np.allclose(counts, np.round(counts)) and est.particles <= replicas
+    assert est.particles <= replicas
     # from a singleton the linear chain at t, given survival, is geometric
     lam, b = uniform_model.lam, uniform_model.b
     decay = math.exp(-(lam - b) * t)
@@ -102,9 +101,10 @@ def test_yaglom_splitting_keeps_equal_weights_and_the_conditioned_law(uniform_mo
     exact = np.zeros(61)
     exact[1:] = ratio ** np.arange(60)
     assert tv_distance(est.mass_marginal, exact / exact.sum()) <= 0.04
-    # plain conditioning keeps about replicas * P(alive at t) = 511 survivors
+    # plain conditioning keeps about replicas * P(alive at t) = 511 survivors,
+    # all independent; splitting keeps about 3.6 times as many independent ones
     alive = decay / (lam / b - decay)
-    assert est.particles >= 4 * replicas * alive
+    assert est.particles >= 3 * replicas * alive
 
 
 def test_yaglom_stages_copy_every_survivor_alike(uniform_model, monkeypatch):
@@ -112,7 +112,7 @@ def test_yaglom_stages_copy_every_survivor_alike(uniform_model, monkeypatch):
 
     def recording(model, initial, t_end, replicas, rng, workers, survivors):
         paths = mass_paths(model, initial, t_end, replicas, rng, workers, survivors=survivors)
-        calls.append((initial, t_end, replicas, rng, paths.survivors))
+        calls.append((initial, t_end, replicas, rng, paths))
         return paths
 
     monkeypatch.setattr(qsd, "mass_paths", recording)
@@ -121,11 +121,17 @@ def test_yaglom_stages_copy_every_survivor_alike(uniform_model, monkeypatch):
     assert sum(call[1] for call in calls) == pytest.approx(3.0)
     assert [call[3] for call in calls] == [RandomStream(4).substream(k)
                                            for k in range(YAGLOM_STAGES)]
-    for (*_, before), (starts, _, size, _, _) in zip(calls, calls[1:]):
-        copies = 1000 // len(before)
-        assert size == len(starts) == copies * len(before) <= 1000
-        assert starts == tuple(c for c in before for _ in range(copies))
-    assert est.particles == len(calls[-1][4])
+    # ancestor[i]: the first-stage replica behind survivor i of the stage
+    ancestor = np.flatnonzero(calls[0][4].final)
+    for (*_, before), (starts, _, size, _, after) in zip(calls, calls[1:]):
+        copies = 1000 // len(before.survivors)
+        assert size == len(starts) == copies * len(before.survivors) <= 1000
+        assert starts == tuple(c for c in before.survivors for _ in range(copies))
+        ancestor = ancestor[np.flatnonzero(after.final) // copies]
+    final = calls[-1][4].survivors
+    counts = est.weights * len(final)
+    assert np.allclose(counts, np.round(counts))
+    assert est.particles == len(set(ancestor.tolist())) < len(final)
 
 
 def test_fleming_viot_rejects_bad_arguments(uniform_model):

@@ -5,7 +5,9 @@ import pytest
 
 from qsdsim.configuration import Configuration
 from qsdsim.errors import InvalidRegime, NoMutationMass, UnsupportedModel
+from qsdsim.qsd import yaglom_estimate
 from qsdsim.rates import LogisticModel, RateModel, UniformModel, sample_mutation_parent
+from qsdsim.simulator import simulate_gillespie, survival_curve
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import TraitPoint, UniformKernel
 
@@ -113,30 +115,43 @@ def test_mass_birth_death_rates(uniform_model, logistic_model):
     assert logistic_model.mass_birth_death_rates(3) == (3.0, 3 * 3.0)
 
 
+class TraitDependent(RateModel):
+    """Clonal rate grows with the trait, so the mass is no chain on its own."""
+
+    kernel = UniformKernel()
+
+    def clonal_rate(self, trait: TraitPoint, config: Configuration) -> float:
+        return 0.7 * (1.0 + trait)
+
+    def mutation_rate(self, trait: TraitPoint, config: Configuration) -> float:
+        return 0.3
+
+    def death_rate(self, trait: TraitPoint, config: Configuration) -> float:
+        return 2.0
+
+    @property
+    def birth_sup(self) -> float:
+        return 2.0
+
+    @property
+    def death_inf(self) -> float:
+        return 2.0
+
+    @property
+    def singleton_death_sup(self) -> float:
+        return 2.0
+
+
 def test_base_rate_model_requires_mass_dependence_for_chain():
-    class TraitDependent(RateModel):
-        kernel = UniformKernel()
-
-        def clonal_rate(self, trait: TraitPoint, config: Configuration) -> float:
-            return 0.7 * (1.0 + trait)
-
-        def mutation_rate(self, trait: TraitPoint, config: Configuration) -> float:
-            return 0.3
-
-        def death_rate(self, trait: TraitPoint, config: Configuration) -> float:
-            return 2.0
-
-        @property
-        def birth_sup(self) -> float:
-            return 2.0
-
-        @property
-        def death_inf(self) -> float:
-            return 2.0
-
-        @property
-        def singleton_death_sup(self) -> float:
-            return 2.0
-
     with pytest.raises(UnsupportedModel):
         TraitDependent().mass_birth_death_rates(3)
+
+
+def test_mass_first_estimators_need_a_trait_blind_model():
+    model, start, rng = TraitDependent(), Configuration.singleton(0.5), RandomStream(2)
+    with pytest.raises(UnsupportedModel):
+        survival_curve(model, start, (0.5, 1.0), 10, rng)
+    with pytest.raises(UnsupportedModel):
+        yaglom_estimate(model, start, 1.0, 10, rng)
+    # the full engine needs only the per-individual rates
+    assert simulate_gillespie(model, start, 1.0, rng.generator()).horizon == 1.0
