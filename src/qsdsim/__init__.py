@@ -14,10 +14,10 @@ from .configuration import Configuration, parse_configuration
 from .coupling import CoupledState, coupled_path, step_coupled
 from .errors import (AllExtinct, ConfigError, Degenerate, InvalidRegime,
                      InvariantBreach, NoConvergence, NoMutationMass,
-                     NoSingletonMass, NotNormalized, QsdsimError, SingularSystem,
-                     TraitAbsent, UnsupportedModel, WindowTooSmall)
-from .oracle import (MassChainOracle, build_mass_chain, mean_extinction_time,
-                     ode_trajectory, principal_left_eigenpair)
+                     NoSingletonMass, NotNormalized, QsdsimError, TraitAbsent,
+                     UnsupportedModel, WindowTooSmall)
+from .oracle import (MassChainOracle, build_mass_chain, ode_trajectory,
+                     principal_left_eigenpair)
 from .qsd import (QsdEstimate, decay_rate_from_singletons,
                   decay_rate_from_survival, fleming_viot_estimate, tv_distance,
                   yaglom_estimate)
@@ -26,7 +26,7 @@ from .simulator import (Event, EventKind, Trajectory, hitting_tail,
                         simulate_gillespie, simulate_thinning, survival_curve)
 from .streams import RandomStream
 from .trait_space import (MutationKernel, TruncatedGaussianKernel, UniformKernel,
-                          distance, make_kernel, sample_base)
+                          make_kernel, sample_base)
 from .validation import (BoundedCustom, ExpMass, Indicator, Mass, TestFunction,
                          generator_apply, lyapunov_check, martingale_residual)
 

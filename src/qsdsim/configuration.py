@@ -20,12 +20,16 @@ class Configuration:
 
     Entries are strictly increasing in trait and every weight is a
     positive integer. The void configuration has no entries.
+    ``total_mass`` is summed once, on construction, since every rate of
+    a trait-blind model reads it.
     """
 
     entries: tuple[tuple[TraitPoint, int], ...] = field(default_factory=tuple)
+    total_mass: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         last = None
+        total = 0
         for trait, weight in self.entries:
             validate_trait(trait)
             if not (isinstance(weight, int) and weight >= 1):
@@ -33,6 +37,8 @@ class Configuration:
             if last is not None and trait <= last:
                 raise ValueError("entries must be strictly increasing in trait")
             last = trait
+            total += weight
+        object.__setattr__(self, "total_mass", total)
 
     @staticmethod
     def void() -> "Configuration":
@@ -52,10 +58,6 @@ class Configuration:
         return Configuration(((trait, 1),))
 
     # -- measure structure -------------------------------------------------
-
-    @property
-    def total_mass(self) -> int:
-        return sum(w for _, w in self.entries)
 
     @property
     def support_size(self) -> int:

@@ -143,17 +143,3 @@ def coupled_path(model: RateModel, start: CoupledState, horizon: float,
         state = nxt
         path.append((t, state))
     return path
-
-
-def bd_chain_state_at(birth: float, death: float, k0: int, t: float,
-                      rng: np.random.Generator) -> int:
-    """Linear birth-death chain simulated directly, for marginal checks."""
-    k = k0
-    now = 0.0
-    while k > 0:
-        total = k * (birth + death)
-        now += -math.log(1.0 - rng.random()) / total
-        if now > t:
-            break
-        k += 1 if rng.random() * (birth + death) < birth else -1
-    return k

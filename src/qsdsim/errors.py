@@ -51,9 +51,5 @@ class NoConvergence(QsdsimError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 
 
-class SingularSystem(QsdsimError):
-    """Mean extinction time not computable: the chain has a zero rate."""
-
-
 class ConfigError(QsdsimError):
     """Experiment configuration is missing, malformed, or inconsistent."""

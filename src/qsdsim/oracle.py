@@ -8,8 +8,8 @@ gives the decay rate and the mass marginal of the limit law to any
 accuracy the truncation supports. The matrix is tridiagonal, so this
 module keeps only its two rate bands: it solves for the eigenpair
 directly through the symmetric tridiagonal form, checks the
-truncation, sums mean absorption times in closed form, and integrates
-the comparison ODE used by the exponential-moment bound.
+truncation, and integrates the comparison ODE used by the
+exponential-moment bound.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import logsumexp
 
-from .errors import InvalidRegime, NoConvergence, SingularSystem, UnsupportedModel
+from .errors import InvalidRegime, NoConvergence, UnsupportedModel
 from .rates import RateModel
 
 
@@ -139,42 +138,6 @@ def check_truncation(model: RateModel, oracle: MassChainOracle,
         warnings.append(f"theta = {result.theta:.10g} at N = {oracle.N} but"
                         f" {theta_2N:.10g} at 2N; raise the truncation")
     return TruncationCheck(tail_mass=tail, theta_2N=theta_2N, warnings=tuple(warnings))
-
-
-def mean_extinction_time(oracle: MassChainOracle, k0: int) -> float:
-    """Expected absorption time from mass k0 in the truncated chain.
-
-    The chain leaves 1..N by a death at 1 or a birth at N, so this is the
-    two-sided exit time of a birth-death chain, summed from its Green
-    function. With scale increments w_0 = 1, w_i = prod_{l<=i} d_l/b_l
-    and scale s_k = sum_{i<k} w_i, the ratios R_j = s_j / w_{j-1} and
-    T_j = (s_{N+1} - s_j) / w_j obey R_1 = 1, R_{j+1} = 1 + R_j b_j/d_j
-    and T_N = 1, T_j = 1 + T_{j+1} d_{j+1}/b_{j+1}, and
-
-        E_k = (d_k T_k sum_{j<=k} R_j/d_j + b_k R_k sum_{j>k} T_j/b_j)
-              / (b_k R_k + d_k T_k).
-
-    Every term is positive and the ratios are kept as logs, so nothing
-    cancels or overflows where the first-passage system is too
-    ill-conditioned to solve (times of 1e13 near carrying capacity).
-    """
-    if not 1 <= k0 <= oracle.N:
-        raise ValueError(f"k0 must be in 1..{oracle.N}, got {k0!r}")
-    b, d = oracle.births[1:], oracle.deaths[1:]
-    if not (np.all(b > 0.0) and np.all(d > 0.0)):
-        raise SingularSystem("first-passage sums need every birth and death rate positive")
-    log_ratio = np.log(b / d)
-    log_R = np.zeros(oracle.N)
-    log_T = np.zeros(oracle.N)
-    for j in range(1, oracle.N):
-        log_R[j] = np.logaddexp(0.0, log_R[j - 1] + log_ratio[j - 1])
-        log_T[-1 - j] = np.logaddexp(0.0, log_T[-j] - log_ratio[-j])
-    k = k0 - 1
-    below = logsumexp(log_R[:k + 1] - np.log(d[:k + 1]))
-    above = logsumexp(log_T[k + 1:] - np.log(b[k + 1:]))
-    up, down = math.log(b[k]) + log_R[k], math.log(d[k]) + log_T[k]
-    total = np.logaddexp(up, down)
-    return float(np.exp(below + (down - total)) + np.exp(above + (up - total)))
 
 
 def eigenpair_report(oracle: MassChainOracle, result: EigenpairResult) -> dict:

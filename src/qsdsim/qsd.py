@@ -127,7 +127,7 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
     Copies of one survivor share its past, so ``particles`` counts
     independent survivors: the first-stage replicas with a descendant
     alive at t. Without splitting that is the survivor count. Runs on
-    mass paths, so the model must be trait-blind.
+    mass paths.
     """
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
@@ -227,6 +227,7 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
     counts: dict[Configuration, int] = {}
     t = 0.0
     events = 0
+    snaps = 0
     next_snap = burn_in
     while True:
         total = rates.total
@@ -236,7 +237,8 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         while next_snap <= horizon and next_snap < t_next:
             for c in configs:
                 counts[c] = counts.get(c, 0) + 1
-            next_snap += snapshot_interval
+            snaps += 1
+            next_snap = burn_in + snaps * snapshot_interval
         if t_next > horizon:
             break
         t = t_next

@@ -1,12 +1,12 @@
-"""Rate models: per-individual clonal birth, mutation, and death rates.
+"""Rate models: trait-blind birth, mutation and death rates.
 
-A rate model assigns to every individual of a configuration a clonal
-birth rate, a mutation rate, and a death rate, together with the global
-bounds the coupling and thinning machinery needs. Two built-in kinds
-are provided. Uniform rates do not depend on the state at all; Logistic
-rates add a death penalty growing linearly with the population size.
-Both are trait-blind, which is what makes the mass-chain oracle exact
-for them.
+Every individual reproduces at rate ``b`` and dies at the per-capita
+death rate d(n), where n is the total mass; a birth mutates with
+probability ``rho`` and otherwise clones the parent. The rates do not
+depend on the traits, so the total mass is a birth-death chain on its
+own, which makes the mass-first ensembles and the mass-chain oracle
+exact. Uniform rates have d(n) = lam; logistic rates add a death
+penalty growing linearly with the population size.
 """
 
 from __future__ import annotations
@@ -17,97 +17,94 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import Configuration
-from .errors import InvalidRegime, NoMutationMass, UnsupportedModel
+from .errors import InvalidRegime, NoMutationMass
 from .trait_space import MutationKernel, TraitPoint
 
 
 class RateModel(ABC):
-    """Per-individual rates plus the bounds they never exceed.
+    """Trait-blind rates from ``b``, ``rho``, ``kernel`` and d(n).
 
-    Extension models must supply the three per-individual rates, the
-    bounds ``birth_sup`` (for reproduction including mutation),
-    ``death_inf`` and ``singleton_death_sup``, and a mutation kernel.
-    Rates must be strictly positive on nonempty configurations and are
-    zero at the void configuration by convention. That is all the full
-    engines (``simulate_gillespie``, ``simulate_thinning``,
-    ``fleming_viot_estimate``) read.
-
-    The mass-first ensemble estimators (``survival_curve``,
-    ``yaglom_estimate``, ``mass_moments``, ``hitting_tail``) need a
-    trait-blind model: one that also overrides
-    :meth:`mass_birth_death_rates`, evaluated elementwise on an array of
-    masses, and carries ``rho``, the probability that a birth mutates.
-    For any other model they raise :class:`UnsupportedModel`, from the
-    base :meth:`mass_birth_death_rates`.
+    A model supplies the reproduction rate ``b``, the mutation
+    probability ``rho``, the mutation ``kernel`` and
+    :meth:`per_capita_death`. Every rate, bound and mass-chain rate the
+    engines, the coupling, the estimators and the oracle read is derived
+    from these here. Rates are zero at the void configuration. The
+    per-individual rates keep a ``trait`` argument so that every engine
+    calls them alike; no rate depends on it.
     """
 
+    b: float
+    rho: float
     kernel: MutationKernel
 
     @abstractmethod
+    def per_capita_death(self, n):
+        """Death rate of one individual among n >= 1, elementwise on arrays.
+
+        It must be positive and nondecreasing in n, so its value at
+        n = 1 is both :attr:`death_inf` and :attr:`singleton_death_sup`.
+        A constant may come back as a scalar; it broadcasts.
+        """
+
     def clonal_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        """Clonal birth rate of one individual at the trait."""
+        """Clonal birth rate of one individual."""
+        return 0.0 if config.is_void else self.b * (1.0 - self.rho)
 
-    @abstractmethod
     def mutation_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        """Mutation birth rate of one individual at the trait."""
-
-    @abstractmethod
-    def death_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        """Death rate of one individual at the trait."""
+        """Mutation birth rate of one individual."""
+        return 0.0 if config.is_void else self.b * self.rho
 
     def reproduction_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        """Total birth rate (clonal plus mutation) of one individual."""
-        return self.clonal_rate(trait, config) + self.mutation_rate(trait, config)
+        """Total birth rate of one individual: ``b`` whole, not clonal + mutation."""
+        return 0.0 if config.is_void else self.b
+
+    def death_rate(self, trait: TraitPoint, config: Configuration) -> float:
+        """Death rate of one individual."""
+        n = config.total_mass
+        return self.per_capita_death(n) if n else 0.0
 
     @property
-    @abstractmethod
     def birth_sup(self) -> float:
         """Upper bound for reproduction_rate over all states."""
+        return self.b
 
     @property
-    @abstractmethod
     def death_inf(self) -> float:
-        """Lower bound for death_rate over all nonempty states."""
+        """Lower bound for death_rate over nonempty states, and its value at mass 1."""
+        return self.per_capita_death(1)
 
-    @property
-    @abstractmethod
-    def singleton_death_sup(self) -> float:
-        """Upper bound for death_rate over configurations of mass 1."""
+    singleton_death_sup = death_inf
 
     def state_rates(self, config: Configuration) -> tuple[list[float], list[float], float, float]:
-        """Per-entry clonal and death rates, total mutation rate, total rate.
-
-        The total is the analytic jump mass of the state whenever the
-        model can supply it in closed form; the generic fallback sums
-        the parts.
-        """
-        clonal = []
-        death = []
-        mutation = 0.0
-        for trait, weight in config.entries:
-            clonal.append(weight * self.clonal_rate(trait, config))
-            death.append(weight * self.death_rate(trait, config))
-            mutation += weight * self.mutation_rate(trait, config)
-        total = sum(clonal) + sum(death) + mutation
-        return clonal, death, mutation, total
+        """Per-entry clonal and death rates, total mutation rate, total rate."""
+        n = config.total_mass
+        death = self.per_capita_death(n) if n else 0.0
+        clonal = self.b * (1.0 - self.rho)
+        clonals, deaths = [], []
+        for _, weight in config.entries:
+            clonals.append(weight * clonal)
+            deaths.append(weight * death)
+        return clonals, deaths, n * (self.b * self.rho), n * self.b + n * death
 
     def total_jump_rate(self, config: Configuration) -> float:
         """Total rate Q of leaving the configuration; 0 at the void state."""
-        return self.state_rates(config)[3]
+        n = config.total_mass
+        return n * self.b + n * self.per_capita_death(n) if n else 0.0
 
     def death_bound(self, config: Configuration) -> float:
-        """Upper bound for the per-individual death rate at this state."""
-        if config.is_void:
-            return 0.0
-        return max(self.death_rate(t, config) for t, _ in config.entries)
+        """Upper bound for the per-individual death rate at this state: the rate itself."""
+        n = config.total_mass
+        return self.per_capita_death(n) if n else 0.0
 
-    def mass_birth_death_rates(self, k: int) -> tuple[float, float]:
-        """Mass-chain rates (k -> k+1, k -> k-1) for trait-blind models."""
-        raise UnsupportedModel(
-            f"{type(self).__name__} rates are not a function of total mass alone")
+    def mass_birth_death_rates(self, k):
+        """Mass-chain rates (k -> k+1, k -> k-1), elementwise on an array of masses."""
+        return k * self.b, k * self.per_capita_death(k)
 
 
-def _check_rho(rho: float) -> None:
+def _check(rho: float, **positive: float) -> None:
+    for name, value in positive.items():
+        if not (value > 0.0):
+            raise InvalidRegime(f"{name} must be positive, got {value!r}")
     if not (0.0 < rho < 1.0):
         raise InvalidRegime(f"rho must lie in (0, 1), got {rho!r}")
 
@@ -134,57 +131,10 @@ class UniformModel(RateModel):
     kernel: MutationKernel
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0):
-            raise InvalidRegime(f"lam must be positive, got {self.lam!r}")
-        if not (self.b > 0.0):
-            raise InvalidRegime(f"b must be positive, got {self.b!r}")
-        _check_rho(self.rho)
+        _check(self.rho, lam=self.lam, b=self.b)
 
-    def clonal_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        return 0.0 if config.is_void else self.b * (1.0 - self.rho)
-
-    def mutation_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        return 0.0 if config.is_void else self.b * self.rho
-
-    def death_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        return 0.0 if config.is_void else self.lam
-
-    def reproduction_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        # Returned whole rather than as the clonal + mutation sum so the
-        # exact generator identities hold bit-for-bit.
-        return 0.0 if config.is_void else self.b
-
-    @property
-    def birth_sup(self) -> float:
-        return self.b
-
-    @property
-    def death_inf(self) -> float:
+    def per_capita_death(self, n):
         return self.lam
-
-    @property
-    def singleton_death_sup(self) -> float:
-        return self.lam
-
-    def state_rates(self, config: Configuration) -> tuple[list[float], list[float], float, float]:
-        clonal_per = self.b * (1.0 - self.rho)
-        n = 0
-        clonal = []
-        death = []
-        for _, weight in config.entries:
-            n += weight
-            clonal.append(weight * clonal_per)
-            death.append(weight * self.lam)
-        return clonal, death, n * (self.b * self.rho), n * (self.b + self.lam)
-
-    def total_jump_rate(self, config: Configuration) -> float:
-        return config.total_mass * (self.b + self.lam)
-
-    def death_bound(self, config: Configuration) -> float:
-        return 0.0 if config.is_void else self.lam
-
-    def mass_birth_death_rates(self, k: int) -> tuple[float, float]:
-        return k * self.b, k * self.lam
 
 
 @dataclass(frozen=True)
@@ -212,60 +162,10 @@ class LogisticModel(RateModel):
     kernel: MutationKernel
 
     def __post_init__(self) -> None:
-        if not (self.b > 0.0):
-            raise InvalidRegime(f"b must be positive, got {self.b!r}")
-        _check_rho(self.rho)
-        if not (self.d > 0.0):
-            raise InvalidRegime(f"d must be positive, got {self.d!r}")
-        if not (self.c > 0.0):
-            raise InvalidRegime(f"c must be positive, got {self.c!r}")
+        _check(self.rho, b=self.b, d=self.d, c=self.c)
 
-    def clonal_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        return 0.0 if config.is_void else self.b * (1.0 - self.rho)
-
-    def mutation_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        return 0.0 if config.is_void else self.b * self.rho
-
-    def death_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        if config.is_void:
-            return 0.0
-        return self.d + self.c * (config.total_mass - 1)
-
-    def reproduction_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        return 0.0 if config.is_void else self.b
-
-    @property
-    def birth_sup(self) -> float:
-        return self.b
-
-    @property
-    def death_inf(self) -> float:
-        return self.d
-
-    @property
-    def singleton_death_sup(self) -> float:
-        return self.d
-
-    def state_rates(self, config: Configuration) -> tuple[list[float], list[float], float, float]:
-        n = config.total_mass
-        death_per = self.d + self.c * (n - 1) if n else 0.0
-        clonal_per = self.b * (1.0 - self.rho)
-        clonal = [weight * clonal_per for _, weight in config.entries]
-        death = [weight * death_per for _, weight in config.entries]
-        return clonal, death, n * (self.b * self.rho), n * self.b + n * death_per
-
-    def total_jump_rate(self, config: Configuration) -> float:
-        n = config.total_mass
-        if n == 0:
-            return 0.0
-        return n * self.b + n * (self.d + self.c * (n - 1))
-
-    def death_bound(self, config: Configuration) -> float:
-        n = config.total_mass
-        return 0.0 if n == 0 else self.d + self.c * (n - 1)
-
-    def mass_birth_death_rates(self, k: int) -> tuple[float, float]:
-        return k * self.b, k * (self.d + self.c * (k - 1))
+    def per_capita_death(self, n):
+        return self.d + self.c * (n - 1)
 
 
 def sample_mutation_parent(model: RateModel, config: Configuration,
@@ -282,4 +182,3 @@ def sample_mutation_parent(model: RateModel, config: Configuration,
         if x <= acc:
             return trait
     return config.entries[-1][0]
-

@@ -11,7 +11,7 @@ accepted exactly when they fall inside the rate bands of the
 construction. Agreement of the two engines is one of the package's
 strongest correctness checks.
 
-Ensembles take a third route, mass first. Both rate models are
+Ensembles take a third route, mass first. Every rate model is
 trait-blind, so the total mass is a birth-death chain on its own:
 ``mass_paths`` advances a chunk of replicas in numpy lockstep on the
 mass alone, and draws traits afterwards, by an urn along each mass path,
@@ -271,7 +271,7 @@ class MassPaths(NamedTuple):
 
 def _urn(model: RateModel, start: Configuration, steps: np.ndarray,
          rng: np.random.Generator) -> Configuration:
-    """Traits along a mass path with ±1 ``steps``, for a trait-blind model.
+    """Traits along a mass path with ±1 ``steps``.
 
     At +1 a uniform individual is the parent, and the child is a kernel
     draw with probability rho, else a clone. At -1 a uniform individual
@@ -361,13 +361,12 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
                survivors: bool = False) -> MassPaths:
     """Mass paths of an ensemble to t_end, simulated in lockstep chunks.
 
-    For trait-blind models only (see :class:`~qsdsim.rates.RateModel`):
-    the mass is a birth-death chain on its own with rates
-    ``model.mass_birth_death_rates``, and the urn reads ``model.rho``.
-    Other models raise :class:`~qsdsim.errors.UnsupportedModel`.
-    ``initial`` is a configuration, a tuple of ``replicas``
-    configurations (replica r starts from the r-th), or anything with a
-    ``draw(rng) -> Configuration`` method, drawn once per replica.
+    Every :class:`~qsdsim.rates.RateModel` is trait-blind, so the mass is
+    a birth-death chain on its own with rates
+    ``model.mass_birth_death_rates``. ``initial`` is a configuration, a
+    tuple of ``replicas`` configurations (replica r starts from the
+    r-th), or anything with a ``draw(rng) -> Configuration`` method,
+    drawn once per replica.
     Replicas run in chunks of :data:`CHUNK`, all through
     :func:`~qsdsim.streams.map_replicas`, and chunk c draws from
     ``rng.substream(c)``. Checkpoints must be sorted and lie within
@@ -412,7 +411,7 @@ def survival_curve(model: RateModel, initial, grid: Sequence[float],
                    replicas: int, rng: RandomStream, workers: int = 1) -> SurvivalCurve:
     """Fraction of replicas not yet extinct at each grid time.
 
-    Runs on :func:`mass_paths`, so the model must be trait-blind.
+    Runs on :func:`mass_paths`.
     """
     grid = tuple(float(t) for t in grid)
     if any(t < 0.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -435,7 +434,7 @@ def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
 
     Computed from the running maximum of each replica, so the estimates
     are automatically nonincreasing in K on the shared replica set. Runs
-    on :func:`mass_paths`, so the model must be trait-blind.
+    on :func:`mass_paths`.
     """
     maxima = mass_paths(model, initial, t, replicas, rng, workers).maximum
     return [(int(k), float(np.mean(maxima >= k))) for k in k_values]
@@ -445,7 +444,7 @@ def mass_moments(model: RateModel, initial, times: Sequence[float], replicas: in
                  rng: RandomStream, workers: int = 1) -> list[tuple[float, float, float]]:
     """Mean total mass at each time with Monte Carlo standard errors.
 
-    Runs on :func:`mass_paths`, so the model must be trait-blind.
+    Runs on :func:`mass_paths`.
     """
     times = tuple(float(t) for t in times)
     if any(t < 0.0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):

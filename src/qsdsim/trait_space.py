@@ -29,11 +29,6 @@ def validate_trait(x: float) -> float:
     return x
 
 
-def distance(a: TraitPoint, b: TraitPoint) -> float:
-    """Metric on the trait space: absolute difference."""
-    return abs(a - b)
-
-
 def sample_base(rng: np.random.Generator) -> TraitPoint:
     """One draw from the base measure (uniform on [0, 1])."""
     return float(rng.random())

@@ -1,5 +1,7 @@
 """Closed forms the tests compare simulated and solved laws against."""
 
+import math
+
 import numpy as np
 
 from qsdsim.errors import InvalidRegime
@@ -27,3 +29,17 @@ def bd_qsd(lam: float, b: float, kmax: int) -> tuple[np.ndarray, float]:
     tail = ratio ** kmax
     probs /= probs[1:].sum()
     return probs, tail
+
+
+def bd_chain_state_at(birth: float, death: float, k0: int, t: float,
+                      rng: np.random.Generator) -> int:
+    """State at time t of the linear birth-death chain from k0, simulated directly."""
+    k = k0
+    now = 0.0
+    while k > 0:
+        total = k * (birth + death)
+        now += -math.log(1.0 - rng.random()) / total
+        if now > t:
+            break
+        k += 1 if rng.random() * (birth + death) < birth else -1
+    return k

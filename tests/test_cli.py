@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -313,3 +317,17 @@ def test_reruns_are_byte_identical(tmp_path):
     assert first == second
     assert set(first) == {"oracle.json", "oracle.csv", "qsd.json",
                           "qsd_sample.csv"}
+
+
+def test_importing_the_cli_loads_every_module_the_benchmark_times():
+    # perfbench/run.py --trace 1 fails outright when a timed module goes missing
+    root = Path(__file__).resolve().parents[1]
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    timed = {m["name"][:-len(".import_s")] for m in spec["per_layer"]
+             if m["name"].endswith(".import_s")}
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import qsdsim.cli"],
+                          env=env, capture_output=True, text=True, check=True)
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert timed and timed <= imported, sorted(timed - imported)

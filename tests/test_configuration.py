@@ -1,8 +1,11 @@
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration, parse_configuration
 from qsdsim.errors import TraitAbsent
+
+from strategies import configurations
 
 
 def test_void_has_no_mass():
@@ -78,11 +81,10 @@ def test_remove_decrements_and_drops():
         c.remove(0.5)
 
 
-def test_add_remove_round_trip_is_identity():
-    rng = np.random.default_rng(3)
-    c = Configuration.from_pairs([(float(t), int(w)) for t, w in
-                                  zip(rng.random(5), rng.integers(1, 5, 5))])
-    for trait in (0.123456, c.support()[2]):
+@settings(max_examples=200, deadline=None)
+@given(configurations(), st.floats(0.0, 1.0), st.integers(0, 5))
+def test_add_remove_round_trip_is_identity(c, fresh, pick):
+    for trait in (fresh, c.support()[pick % c.support_size]):
         assert c.add(trait).remove(trait) == c
 
 
@@ -95,14 +97,10 @@ def test_immutability():
         c.entries = ()
 
 
-def test_serialize_round_trip_bit_exact():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        size = int(rng.integers(0, 5))
-        pairs = [(float(t), int(w)) for t, w in
-                 zip(rng.random(size), rng.integers(1, 9, size))]
-        c = Configuration.from_pairs(pairs)
-        assert parse_configuration(c.serialize()) == c
+@settings(max_examples=200, deadline=None)
+@given(configurations(0))
+def test_serialize_round_trip_bit_exact(c):
+    assert parse_configuration(c.serialize()) == c
 
 
 def test_serialize_format():
@@ -124,3 +122,10 @@ def test_configurations_hash_and_compare_by_value():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(configurations())
+def test_individual_traits_list_each_trait_weight_times_in_order(c):
+    listed = [c.individual_trait(i) for i in range(1, c.total_mass + 1)]
+    assert listed == [t for t, w in c.entries for _ in range(w)]

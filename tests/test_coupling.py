@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from qsdsim.configuration import Configuration
-from qsdsim.coupling import (CoupledState, bd_chain_state_at, coupled_path,
-                             coupled_rates, step_coupled)
+from qsdsim.coupling import CoupledState, coupled_path, coupled_rates, step_coupled
 from qsdsim.errors import InvalidRegime, InvariantBreach
 from qsdsim.simulator import simulate_gillespie
 from qsdsim.streams import RandomStream
 from qsdsim.validation import chi2_threshold, mass_histogram, two_sample_chi2
 
-from closed_forms import bd_qsd
+from closed_forms import bd_chain_state_at, bd_qsd
 
 PAIR = Configuration.from_pairs(((0.25, 1), (0.75, 1)))
 TRIO = Configuration.from_pairs(((0.25, 2), (0.75, 1)))

@@ -1,16 +1,12 @@
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qsdsim.errors import (InvalidRegime, NoConvergence, SingularSystem,
-                           UnsupportedModel)
-from qsdsim.oracle import (MassChainOracle, build_mass_chain,
-                           check_truncation, eigenpair_report,
-                           mean_extinction_time, ode_trajectory,
-                           principal_left_eigenpair)
+from qsdsim.errors import InvalidRegime, NoConvergence, UnsupportedModel
+from qsdsim.oracle import (build_mass_chain, check_truncation, eigenpair_report,
+                           ode_trajectory, principal_left_eigenpair)
 from qsdsim.qsd import tv_distance
 from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.trait_space import UniformKernel
@@ -146,76 +142,6 @@ def test_truncation_check_passes_an_adequate_chain(uniform_model, oracle60):
     assert check.tail_mass == result.nu[60] and check.tail_mass < 1e-12
     assert abs(check.theta_2N - result.theta) <= 1e-12
     assert check.warnings == ()
-
-
-def test_mean_extinction_single_state_by_hand():
-    # state 1 exits at rate 3 and is absorbed or truncated either way
-    oracle = MassChainOracle(N=1, births=np.array([0.0, 1.0]),
-                             deaths=np.array([0.0, 2.0]))
-    assert mean_extinction_time(oracle, 1) == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-
-def test_mean_extinction_monotone_and_stable(uniform_model):
-    chain = build_mass_chain(uniform_model, 60)
-    times = [mean_extinction_time(chain, k) for k in range(1, 11)]
-    assert all(a < b for a, b in zip(times, times[1:]))
-    deeper = build_mass_chain(uniform_model, 80)
-    assert abs(times[0] - mean_extinction_time(deeper, 1)) <= 1e-8
-    # one-individual start has a closed-form mean lifetime
-    assert abs(times[0] - math.log(2.0)) <= 1e-6
-
-
-def test_mean_extinction_matches_dense_solve(uniform_model, logistic_model):
-    for model, N in ((uniform_model, 60), (logistic_model, 120)):
-        chain = build_mass_chain(model, N)
-        dense = np.linalg.solve(_sub_generator(chain), -np.ones(N))
-        summed = np.array([mean_extinction_time(chain, k) for k in range(1, N + 1)])
-        assert np.max(np.abs(summed - dense) / dense) <= 1e-13
-
-
-def _exact_mean_extinction(chain):
-    """Q u = -1 solved in exact rationals from the chain's float rates."""
-    b = [Fraction(float(x)) for x in chain.births[1:]]
-    d = [Fraction(float(x)) for x in chain.deaths[1:]]
-    # Thomas elimination of row k: d_k u_{k-1} - (b_k + d_k) u_k + b_k u_{k+1} = -1
-    upper, rhs = [], []
-    for k in range(chain.N):
-        pivot = -(b[k] + d[k])
-        right = Fraction(-1)
-        if k > 0:
-            pivot -= d[k] * upper[-1]
-            right -= d[k] * rhs[-1]
-        upper.append((b[k] if k < chain.N - 1 else 0) / pivot)
-        rhs.append(right / pivot)
-    u = [rhs[-1]]
-    for k in range(chain.N - 2, -1, -1):
-        u.append(rhs[k] - upper[k] * u[-1])
-    return [float(x) for x in reversed(u)]
-
-
-def test_mean_extinction_matches_exact_rational_solve(logistic_model):
-    # near carrying capacity the system is so ill-conditioned (times ~1e13)
-    # that float linear solves miss by percents
-    crowded = LogisticModel(b=2.0, rho=0.3, d=1.0, c=0.01, kernel=UniformKernel())
-    for model, N in ((crowded, 250), (logistic_model, 120)):
-        chain = build_mass_chain(model, N)
-        exact = np.array(_exact_mean_extinction(chain))
-        summed = np.array([mean_extinction_time(chain, k) for k in range(1, N + 1)])
-        assert np.max(np.abs(summed - exact) / exact) <= 1e-12
-
-
-def test_mean_extinction_argument_range(uniform_model):
-    chain = build_mass_chain(uniform_model, 5)
-    with pytest.raises(ValueError):
-        mean_extinction_time(chain, 0)
-    with pytest.raises(ValueError):
-        mean_extinction_time(chain, 6)
-
-
-def test_singular_first_passage_system():
-    oracle = MassChainOracle(N=2, births=np.zeros(3), deaths=np.zeros(3))
-    with pytest.raises(SingularSystem):
-        mean_extinction_time(oracle, 1)
 
 
 def test_eigenpair_report_shape(oracle60):

@@ -225,6 +225,7 @@ def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
     counts = {}
     t = 0.0
     events = 0
+    snaps = 0
     next_snap = burn_in
     while True:
         cum = np.cumsum(rates)
@@ -233,7 +234,8 @@ def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
         while next_snap <= horizon and next_snap < t_next:
             for c in configs:
                 counts[c] = counts.get(c, 0) + 1
-            next_snap += snapshot_interval
+            snaps += 1
+            next_snap = burn_in + snaps * snapshot_interval
         if t_next > horizon:
             break
         t = t_next
@@ -264,6 +266,15 @@ def test_fleming_viot_selection_matches_a_cumulative_sum(seed):
     assert est.configurations == ref.configurations
     assert np.array_equal(est.weights, ref.weights)
     assert est.events == ref.events > 0
+
+
+def test_fleming_viot_takes_every_snapshot_of_a_non_dyadic_interval(logistic_model):
+    # 16 snapshots at 0.0, 0.1, ..., 1.5; adding 0.1 fifteen times overshoots 1.5
+    est = fleming_viot_estimate(logistic_model, 5, 0.0, 1.5, RandomStream(4),
+                                snapshot_interval=0.1)
+    counts = est.weights * (5 * 16)
+    assert np.allclose(counts, np.rint(counts), rtol=0.0, atol=1e-9)
+    assert np.rint(counts).sum() == 5 * 16 and est.events > 0
 
 
 def test_decay_rate_on_noiseless_curve():

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
-from qsdsim.errors import InvalidRegime, NoMutationMass, UnsupportedModel
-from qsdsim.qsd import yaglom_estimate
-from qsdsim.rates import LogisticModel, RateModel, UniformModel, sample_mutation_parent
-from qsdsim.simulator import simulate_gillespie, survival_curve
+from qsdsim.errors import InvalidRegime, NoMutationMass
+from qsdsim.rates import LogisticModel, UniformModel, sample_mutation_parent
 from qsdsim.streams import RandomStream
-from qsdsim.trait_space import TraitPoint, UniformKernel
+from qsdsim.trait_space import UniformKernel
+
+from strategies import configurations
 
 ETA = Configuration.from_pairs(((0.25, 2), (0.75, 1)))
 
@@ -39,35 +41,6 @@ def test_logistic_death_grows_with_mass(logistic_model):
     assert m.death_rate(0.25, ETA) == 2.0 + 0.5 * 2
     assert m.death_rate(0.5, Configuration.singleton(0.5)) == 2.0
     assert m.death_inf == 2.0 and m.singleton_death_sup == 2.0
-
-
-def test_rates_vanish_at_void(uniform_model, logistic_model):
-    void = Configuration.void()
-    for m in (uniform_model, logistic_model):
-        assert m.clonal_rate(0.5, void) == 0.0
-        assert m.mutation_rate(0.5, void) == 0.0
-        assert m.death_rate(0.5, void) == 0.0
-        assert m.total_jump_rate(void) == 0.0
-
-
-def test_state_rates_match_generic_route(uniform_model, logistic_model):
-    # the optimized per-model tables must agree with the abstract sums
-    rng = np.random.default_rng(2)
-    for m in (uniform_model, logistic_model):
-        for _ in range(50):
-            size = int(rng.integers(1, 5))
-            config = Configuration.from_pairs(
-                [(float(t), int(w)) for t, w in
-                 zip(rng.random(size), rng.integers(1, 5, size))])
-            clonal, death, mut, total = m.state_rates(config)
-            assert clonal == pytest.approx(
-                [w * m.clonal_rate(t, config) for t, w in config.entries])
-            assert death == pytest.approx(
-                [w * m.death_rate(t, config) for t, w in config.entries])
-            assert mut == pytest.approx(
-                sum(w * m.mutation_rate(t, config) for t, w in config.entries))
-            assert total == pytest.approx(sum(clonal) + sum(death) + mut)
-            assert m.total_jump_rate(config) == pytest.approx(total)
 
 
 def test_reproduction_rate_is_exact_sum_of_parts(uniform_model):
@@ -115,43 +88,51 @@ def test_mass_birth_death_rates(uniform_model, logistic_model):
     assert logistic_model.mass_birth_death_rates(3) == (3.0, 3 * 3.0)
 
 
-class TraitDependent(RateModel):
-    """Clonal rate grows with the trait, so the mass is no chain on its own."""
-
-    kernel = UniformKernel()
-
-    def clonal_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        return 0.7 * (1.0 + trait)
-
-    def mutation_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        return 0.3
-
-    def death_rate(self, trait: TraitPoint, config: Configuration) -> float:
-        return 2.0
-
-    @property
-    def birth_sup(self) -> float:
-        return 2.0
-
-    @property
-    def death_inf(self) -> float:
-        return 2.0
-
-    @property
-    def singleton_death_sup(self) -> float:
-        return 2.0
+_RATE = st.floats(0.01, 10.0)
+_RHO = st.floats(0.01, 0.99)
+MODELS = st.one_of(
+    st.builds(UniformModel, lam=_RATE, b=_RATE, rho=_RHO, kernel=st.just(UniformKernel())),
+    st.builds(LogisticModel, b=_RATE, rho=_RHO, d=_RATE, c=_RATE,
+              kernel=st.just(UniformKernel())))
 
 
-def test_base_rate_model_requires_mass_dependence_for_chain():
-    with pytest.raises(UnsupportedModel):
-        TraitDependent().mass_birth_death_rates(3)
+@settings(max_examples=200, deadline=None)
+@given(MODELS, configurations())
+def test_state_rates_sum_to_the_total_jump_rate(m, config):
+    clonal, death, mutation, total = m.state_rates(config)
+    assert total == m.total_jump_rate(config)
+    assert math.fsum([*clonal, *death, mutation]) == pytest.approx(total, rel=1e-12)
+    assert clonal == [w * m.clonal_rate(t, config) for t, w in config.entries]
+    assert death == [w * m.death_rate(t, config) for t, w in config.entries]
 
 
-def test_mass_first_estimators_need_a_trait_blind_model():
-    model, start, rng = TraitDependent(), Configuration.singleton(0.5), RandomStream(2)
-    with pytest.raises(UnsupportedModel):
-        survival_curve(model, start, (0.5, 1.0), 10, rng)
-    with pytest.raises(UnsupportedModel):
-        yaglom_estimate(model, start, 1.0, 10, rng)
-    # the full engine needs only the per-individual rates
-    assert simulate_gillespie(model, start, 1.0, rng.generator()).horizon == 1.0
+@settings(max_examples=200, deadline=None)
+@given(MODELS, configurations())
+def test_mass_rates_are_b_and_per_capita_death(m, config):
+    k = config.total_mass
+    assert m.mass_birth_death_rates(k) == (k * m.b, k * m.per_capita_death(k))
+    ks = np.arange(1, k + 1)
+    births, deaths = m.mass_birth_death_rates(ks)
+    assert births.tolist() == [j * m.b for j in range(1, k + 1)]
+    assert deaths.tolist() == [j * m.per_capita_death(j) for j in range(1, k + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(MODELS, configurations())
+def test_rates_lie_within_their_bounds(m, config):
+    for trait, _ in config.entries:
+        death = m.death_rate(trait, config)
+        assert m.death_inf <= death == m.death_bound(config)
+        assert m.reproduction_rate(trait, config) <= m.birth_sup
+        single = Configuration.singleton(trait)
+        assert m.death_rate(trait, single) <= m.singleton_death_sup
+
+
+@settings(max_examples=50, deadline=None)
+@given(MODELS, st.floats(0.0, 1.0))
+def test_rates_vanish_at_void(m, trait):
+    void = Configuration.void()
+    for rate in (m.clonal_rate, m.mutation_rate, m.reproduction_rate, m.death_rate):
+        assert rate(trait, void) == 0.0
+    assert m.total_jump_rate(void) == 0.0 and m.death_bound(void) == 0.0
+    assert m.state_rates(void) == ([], [], 0.0, 0.0)

@@ -6,7 +6,7 @@ from scipy.stats import kstest
 
 from qsdsim.errors import InvalidRegime
 from qsdsim.streams import RandomStream
-from qsdsim.trait_space import (TruncatedGaussianKernel, UniformKernel, distance,
+from qsdsim.trait_space import (TruncatedGaussianKernel, UniformKernel,
                                 make_kernel, sample_base, validate_trait)
 
 
@@ -20,12 +20,6 @@ def test_validate_trait_accepts_unit_interval():
 def test_validate_trait_rejects_outside(bad):
     with pytest.raises(ValueError):
         validate_trait(bad)
-
-
-def test_distance_is_absolute_difference():
-    assert distance(0.25, 0.75) == 0.5
-    assert distance(0.75, 0.25) == 0.5
-    assert distance(0.4, 0.4) == 0.0
 
 
 def test_sample_base_uniform_law():
