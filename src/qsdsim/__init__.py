@@ -15,7 +15,7 @@ from .coupling import CoupledState, coupled_path, step_coupled
 from .errors import (AllExtinct, ConfigError, Degenerate, InvalidRegime,
                      InvariantBreach, NoConvergence, NoMutationMass,
                      NoSingletonMass, NotNormalized, QsdsimError, TraitAbsent,
-                     UnsupportedModel, WindowTooSmall)
+                     WindowTooSmall)
 from .oracle import (MassChainOracle, build_mass_chain, ode_trajectory,
                      principal_left_eigenpair)
 from .qsd import (QsdEstimate, decay_rate_from_singletons,

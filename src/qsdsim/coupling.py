@@ -7,6 +7,8 @@ the counter marginally performs a linear birth-death chain with
 per-capita rates (birth sup, death inf) while the first coordinate
 keeps the exact population law. Stepping the literal joint rates and
 watching the order survive every jump is the point of this module.
+Rates are trait-blind, so each line of the joint generator is one total
+and a jump picks its line first, then the individual it moves by rank.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from .configuration import Configuration
 from .errors import InvariantBreach
-from .rates import RateModel, sample_mutation_parent
+from .rates import RateModel, individual_at, sample_mutation_parent
+from .simulator import EventKind
 
 
 @dataclass(frozen=True)
@@ -37,49 +40,32 @@ class CoupledState:
 
 
 class CoupledRates(NamedTuple):
-    """The six rate lines of the joint generator, exposed for tests.
+    """The six rate lines of the joint generator, each a total rate.
 
-    clonal_up and joint_down and config_down align with the
-    configuration's entries. counter_up is the slack between the
-    counter's birth rate and the configuration's total reproduction
-    rate; counter_down fires only on the excess counter mass.
+    counter_up is the slack between the counter's birth rate and the
+    configuration's total reproduction rate; counter_down fires only on
+    the excess counter mass. Every individual carries the same rates,
+    so a line that moves the configuration moves a uniform individual.
     """
 
-    clonal_up: tuple[float, ...]
+    clonal_up: float
     mutation_up: float
     counter_up: float
-    joint_down: tuple[float, ...]
-    config_down: tuple[float, ...]
+    joint_down: float
+    config_down: float
     counter_down: float
-
-    @property
-    def total(self) -> float:
-        return (sum(self.clonal_up) + self.mutation_up + self.counter_up
-                + sum(self.joint_down) + sum(self.config_down) + self.counter_down)
 
 
 def coupled_rates(model: RateModel, s: CoupledState) -> CoupledRates:
     """Evaluate the joint generator's lines at the given state."""
     config, m = s.config, s.counter
     n = config.total_mass
+    clonal, death, mutation, _ = model.state_rates(config)
     death_floor = model.death_inf
-    clonal_up = []
-    joint_down = []
-    config_down = []
-    reproduction = 0.0
-    for trait, weight in config.entries:
-        clonal_up.append(weight * model.clonal_rate(trait, config))
-        reproduction += weight * model.reproduction_rate(trait, config)
-        joint_down.append(weight * death_floor)
-        config_down.append(weight * (model.death_rate(trait, config) - death_floor))
-    mutation_up = sum(weight * model.mutation_rate(trait, config)
-                      for trait, weight in config.entries)
-    counter_up = m * model.birth_sup - reproduction
-    counter_down = death_floor * (m - n)
     return CoupledRates(
-        clonal_up=tuple(clonal_up), mutation_up=mutation_up, counter_up=counter_up,
-        joint_down=tuple(joint_down), config_down=tuple(config_down),
-        counter_down=counter_down,
+        clonal_up=clonal, mutation_up=mutation, counter_up=m * model.birth_sup - n * model.b,
+        joint_down=n * death_floor, config_down=death - n * death_floor,
+        counter_down=death_floor * (m - n),
     )
 
 
@@ -87,40 +73,38 @@ def step_coupled(model: RateModel, s: CoupledState,
                  rng: np.random.Generator) -> tuple[float, CoupledState]:
     """One jump of the joint chain; (math.inf, s) once fully absorbed.
 
+    One uniform times the total rate falls into one of the six lines.
+    The uniform rescaled within a line that moves an individual ranks
+    that individual; a mutation draws its parent with a fresh uniform.
     The scan order puts the counter-only birth last so float slack in
-    the cumulative comparison can only land on a line that preserves
-    the order between mass and counter.
+    the scan can only land on a line that preserves the order between
+    mass and counter.
     """
-    rates = coupled_rates(model, s)
-    total = (sum(rates.clonal_up) + rates.mutation_up + sum(rates.joint_down)
-             + sum(rates.config_down) + rates.counter_down + rates.counter_up)
+    r = coupled_rates(model, s)
+    # (rate, configuration move, counter step) in scan order
+    lines = ((r.clonal_up, EventKind.CLONAL, 1), (r.mutation_up, EventKind.MUTATION, 1),
+             (r.joint_down, EventKind.DEATH, -1), (r.config_down, EventKind.DEATH, 0),
+             (r.counter_down, None, -1), (r.counter_up, None, 1))
+    total = sum(rate for rate, _, _ in lines)
     if total <= 0.0:
         return math.inf, s
     hold = -math.log(1.0 - rng.random()) / total
-    config, m = s.config, s.counter
     x = rng.random() * total
-    acc = 0.0
-    for (trait, _), rate in zip(config.entries, rates.clonal_up):
-        acc += rate
-        if x <= acc:
-            return hold, CoupledState(config.add(trait), m + 1)
-    acc += rates.mutation_up
-    if x <= acc:
-        parent = sample_mutation_parent(model, config, rng)
-        child = model.kernel.sample(parent, rng)
-        return hold, CoupledState(config.add(child), m + 1)
-    for (trait, _), rate in zip(config.entries, rates.joint_down):
-        acc += rate
-        if x <= acc:
-            return hold, CoupledState(config.remove(trait), m - 1)
-    for (trait, _), rate in zip(config.entries, rates.config_down):
-        acc += rate
-        if x <= acc:
-            return hold, CoupledState(config.remove(trait), m)
-    acc += rates.counter_down
-    if x <= acc:
-        return hold, CoupledState(config, m - 1)
-    return hold, CoupledState(config, m + 1)
+    for rate, move, step in lines[:-1]:
+        if x < rate:
+            break
+        x -= rate
+    else:
+        rate, move, step = lines[-1]
+    config, m = s.config, s.counter + step
+    if move is None:
+        return hold, CoupledState(config, m)
+    if move is EventKind.MUTATION:
+        parent = sample_mutation_parent(config, rng)
+        return hold, CoupledState(config.add(model.kernel.sample(parent, rng)), m)
+    trait = individual_at(config, x / rate)
+    return hold, CoupledState(config.add(trait) if move is EventKind.CLONAL
+                              else config.remove(trait), m)
 
 
 def coupled_path(model: RateModel, start: CoupledState, horizon: float,

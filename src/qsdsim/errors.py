@@ -43,10 +43,6 @@ class NotNormalized(QsdsimError):
     """A probability vector does not sum to one within tolerance."""
 
 
-class UnsupportedModel(QsdsimError):
-    """Model lacks the structure an operation requires."""
-
-
 class NoConvergence(QsdsimError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 

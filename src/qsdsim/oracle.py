@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import InvalidRegime, NoConvergence, UnsupportedModel
+from .errors import InvalidRegime, NoConvergence
 from .rates import RateModel
 
 
@@ -50,7 +50,7 @@ def _mass_rates(model: RateModel, N: int) -> tuple[np.ndarray, np.ndarray]:
 def build_mass_chain(model: RateModel, N: int) -> MassChainOracle:
     """Tabulate the truncated chain's rates from the model's mass rates."""
     if N < 2:
-        raise UnsupportedModel(f"truncation must be at least 2, got {N!r}")
+        raise InvalidRegime(f"truncation must be at least 2, got {N!r}")
     return MassChainOracle(N, *_mass_rates(model, N))
 
 

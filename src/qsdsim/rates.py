@@ -30,7 +30,9 @@ class RateModel(ABC):
     engines, the coupling, the estimators and the oracle read is derived
     from these here. Rates are zero at the void configuration. The
     per-individual rates keep a ``trait`` argument so that every engine
-    calls them alike; no rate depends on it.
+    calls them alike; no rate depends on it. So the exact steppers draw
+    a jump's kind from the per-kind totals of :meth:`state_rates` and
+    then a uniform individual (:func:`individual_at`).
     """
 
     b: float
@@ -75,16 +77,15 @@ class RateModel(ABC):
 
     singleton_death_sup = death_inf
 
-    def state_rates(self, config: Configuration) -> tuple[list[float], list[float], float, float]:
-        """Per-entry clonal and death rates, total mutation rate, total rate."""
+    def state_rates(self, config: Configuration) -> tuple[float, float, float, float]:
+        """Clonal, death and mutation totals and the total rate, all 0 at the void state.
+
+        The total is :meth:`total_jump_rate` bit for bit.
+        """
         n = config.total_mass
         death = self.per_capita_death(n) if n else 0.0
-        clonal = self.b * (1.0 - self.rho)
-        clonals, deaths = [], []
-        for _, weight in config.entries:
-            clonals.append(weight * clonal)
-            deaths.append(weight * death)
-        return clonals, deaths, n * (self.b * self.rho), n * self.b + n * death
+        return (n * (self.b * (1.0 - self.rho)), n * death, n * (self.b * self.rho),
+                n * self.b + n * death)
 
     def total_jump_rate(self, config: Configuration) -> float:
         """Total rate Q of leaving the configuration; 0 at the void state."""
@@ -168,17 +169,20 @@ class LogisticModel(RateModel):
         return self.d + self.c * (n - 1)
 
 
-def sample_mutation_parent(model: RateModel, config: Configuration,
-                           rng: np.random.Generator) -> TraitPoint:
-    """Draw the parent of a mutation, weighted by per-trait mutation rate."""
-    rates = [weight * model.mutation_rate(trait, config) for trait, weight in config.entries]
-    total = sum(rates)
-    if total <= 0.0:
+def individual_at(config: Configuration, u: float) -> TraitPoint:
+    """Trait of the individual at rank floor(u n) of the n in a nonvoid configuration.
+
+    Ranks run from 0 in :meth:`Configuration.individual_trait` order, and
+    u lies in [0, 1]. A uniform rescaled to [0, 1) can round u n up to n;
+    that rank is clipped to n - 1.
+    """
+    n = config.total_mass
+    rank = int(u * n)
+    return config.individual_trait(rank + 1 if rank < n else n)
+
+
+def sample_mutation_parent(config: Configuration, rng: np.random.Generator) -> TraitPoint:
+    """Draw the parent of a mutation: a uniform individual, as all mutate at rate b rho."""
+    if config.is_void:
         raise NoMutationMass("configuration carries no mutation rate")
-    x = rng.random() * total
-    acc = 0.0
-    for (trait, _), rate in zip(config.entries, rates):
-        acc += rate
-        if x <= acc:
-            return trait
-    return config.entries[-1][0]
+    return individual_at(config, rng.random())

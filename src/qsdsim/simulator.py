@@ -2,11 +2,12 @@
 
 Two engines produce the same law. The Gillespie engine is the
 reference: exponential holding time at the total jump rate, then a
-categorical branch over the per-entry rates; its kernel ``_jumps`` is
-also what the validation battery steps. The thinning engine
-realizes the driving-Poisson-measure construction instead: candidate
-points are generated at bounding intensity, individuals are addressed
-through the cumulative-weight index functions, and candidates are
+branch that picks the jump's kind from the per-kind totals and the
+individual it moves by rank; its kernel ``_jumps`` is also what the
+validation battery steps. The thinning engine realizes the
+driving-Poisson-measure construction instead: candidate points are
+generated at bounding intensity, individuals are addressed by rank
+through the cumulative-weight index function, and candidates are
 accepted exactly when they fall inside the rate bands of the
 construction. Agreement of the two engines is one of the package's
 strongest correctness checks.
@@ -30,7 +31,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .configuration import Configuration
-from .rates import RateModel, sample_mutation_parent
+from .rates import RateModel, individual_at, sample_mutation_parent
 from .streams import RandomStream, map_replicas
 from .trait_space import sample_base
 
@@ -123,25 +124,24 @@ def _inverse_cdf_exponential(rng: np.random.Generator, rate: float) -> float:
 
 def _gillespie_branch(model: RateModel, config: Configuration,
                       rng: np.random.Generator) -> tuple[EventKind, float, float | None]:
-    """Pick one jump out of the configuration with the exact probabilities."""
-    clonal, death, mutation_total, total = model.state_rates(config)
+    """Pick one jump out of the configuration with the exact probabilities.
+
+    One uniform times the total rate falls into the clonal, the death or
+    the mutation band, in that order, so the mutation band absorbs float
+    slack. Every individual carries the same rates, so the uniform
+    rescaled within the clonal or death band ranks the individual that
+    jumps; a mutation draws its parent with a fresh uniform.
+    """
+    clonal, death, _, total = model.state_rates(config)
     x = rng.random() * total
-    acc = 0.0
-    for (trait, _), rate in zip(config.entries, clonal):
-        acc += rate
-        if x <= acc:
-            return EventKind.CLONAL, trait, trait
-    for (trait, _), rate in zip(config.entries, death):
-        acc += rate
-        if x <= acc:
-            return EventKind.DEATH, trait, None
-    if mutation_total > 0.0:
-        parent = sample_mutation_parent(model, config, rng)
-        child = model.kernel.sample(parent, rng)
-        return EventKind.MUTATION, parent, child
-    # Float slack with no mutation mass to absorb it: attribute to the
-    # last death entry.
-    return EventKind.DEATH, config.entries[-1][0], None
+    if x < clonal:
+        trait = individual_at(config, x / clonal)
+        return EventKind.CLONAL, trait, trait
+    x -= clonal
+    if x < death:
+        return EventKind.DEATH, individual_at(config, x / death), None
+    parent = sample_mutation_parent(config, rng)
+    return EventKind.MUTATION, parent, model.kernel.sample(parent, rng)
 
 
 def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random.Generator
@@ -214,8 +214,7 @@ def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
         t = t_next
         candidates += 1
         which = rng.random() * per_index
-        index = int(rng.random() * n) + 1
-        trait = config.individual_trait(index)
+        trait = individual_at(config, rng.random())
         event: Event | None = None
         if which < birth_level:
             child = sample_base(rng)

@@ -3,6 +3,8 @@
 from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
+from qsdsim.rates import LogisticModel, UniformModel
+from qsdsim.trait_space import UniformKernel
 
 
 def configurations(min_entries: int = 1, max_entries: int = 6):
@@ -12,3 +14,12 @@ def configurations(min_entries: int = 1, max_entries: int = 6):
     return traits.flatmap(lambda ts: st.lists(
         st.integers(1, 5), min_size=len(ts), max_size=len(ts)).map(
         lambda ws: Configuration.from_pairs(zip(ts, ws))))
+
+
+# Rate models of both kinds over random admissible parameters.
+_RATE = st.floats(0.01, 10.0)
+_RHO = st.floats(0.01, 0.99)
+MODELS = st.one_of(
+    st.builds(UniformModel, lam=_RATE, b=_RATE, rho=_RHO, kernel=st.just(UniformKernel())),
+    st.builds(LogisticModel, b=_RATE, rho=_RHO, d=_RATE, c=_RATE,
+              kernel=st.just(UniformKernel())))

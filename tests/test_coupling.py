@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
 from qsdsim.coupling import CoupledState, coupled_path, coupled_rates, step_coupled
@@ -11,6 +13,7 @@ from qsdsim.streams import RandomStream
 from qsdsim.validation import chi2_threshold, mass_histogram, two_sample_chi2
 
 from closed_forms import bd_chain_state_at, bd_qsd
+from strategies import MODELS, configurations
 
 PAIR = Configuration.from_pairs(((0.25, 1), (0.75, 1)))
 TRIO = Configuration.from_pairs(((0.25, 2), (0.75, 1)))
@@ -18,32 +21,101 @@ TRIO = Configuration.from_pairs(((0.25, 2), (0.75, 1)))
 
 def test_rate_lines_uniform_at_tight_counter(uniform_model):
     rates = coupled_rates(uniform_model, CoupledState(PAIR, 2))
-    assert rates.clonal_up == (0.7, 0.7)
+    assert rates.clonal_up == 1.4
     assert rates.mutation_up == pytest.approx(0.6)
     # counter births at b per head exactly cancel total reproduction
     assert rates.counter_up == 0.0
-    assert rates.joint_down == (2.0, 2.0)
-    assert rates.config_down == (0.0, 0.0)
+    assert rates.joint_down == 4.0
+    assert rates.config_down == 0.0
     assert rates.counter_down == 0.0
-    assert rates.total == pytest.approx(uniform_model.total_jump_rate(PAIR))
+    assert sum(rates) == pytest.approx(uniform_model.total_jump_rate(PAIR))
 
 
 def test_rate_lines_logistic_with_excess(logistic_model):
     rates = coupled_rates(logistic_model, CoupledState(TRIO, 5))
-    assert rates.clonal_up == (1.4, 0.7)
+    assert rates.clonal_up == pytest.approx(2.1)
     assert rates.mutation_up == pytest.approx(0.9)
     assert rates.counter_up == pytest.approx(2.0)
-    assert rates.joint_down == (4.0, 2.0)
-    assert rates.config_down == (2.0, 1.0)
+    assert rates.joint_down == 6.0
+    assert rates.config_down == 3.0
     assert rates.counter_down == pytest.approx(4.0)
     # both marginals must add up: the configuration to its jump rate,
     # the counter to the linear chain's rate at m
-    config_total = (sum(rates.clonal_up) + rates.mutation_up
-                    + sum(rates.joint_down) + sum(rates.config_down))
+    config_total = (rates.clonal_up + rates.mutation_up
+                    + rates.joint_down + rates.config_down)
     assert config_total == pytest.approx(logistic_model.total_jump_rate(TRIO))
     assert rates.counter_up + 3 * logistic_model.b == pytest.approx(5 * logistic_model.b)
-    assert sum(rates.joint_down) + rates.counter_down == \
+    assert rates.joint_down + rates.counter_down == \
         pytest.approx(5 * logistic_model.death_inf)
+
+
+def _per_entry_step(model, s, rng):
+    """One coupled jump by a scan over every entry's rate on every line.
+
+    The reference for step_coupled: each line is a list of per-entry
+    rates, and a mutation parent comes from a second per-entry scan.
+    """
+    config, m = s.config, s.counter
+    n = config.total_mass
+    floor = model.death_inf
+    clonal = [w * model.clonal_rate(t, config) for t, w in config.entries]
+    joint = [w * floor for _, w in config.entries]
+    extra = [w * (model.death_rate(t, config) - floor) for t, w in config.entries]
+    mutation = [w * model.mutation_rate(t, config) for t, w in config.entries]
+    mutation_up = sum(mutation)
+    counter_up = m * model.birth_sup - sum(w * model.reproduction_rate(t, config)
+                                          for t, w in config.entries)
+    counter_down = floor * (m - n)
+    total = (sum(clonal) + mutation_up + sum(joint) + sum(extra) + counter_down
+             + counter_up)
+    if total <= 0.0:
+        return math.inf, s
+    hold = -math.log(1.0 - rng.random()) / total
+    x = rng.random() * total
+    acc = 0.0
+    for (trait, _), rate in zip(config.entries, clonal):
+        acc += rate
+        if x <= acc:
+            return hold, CoupledState(config.add(trait), m + 1)
+    acc += mutation_up
+    if x <= acc:
+        y = rng.random() * mutation_up
+        parent, below = config.entries[-1][0], 0.0
+        for (trait, _), rate in zip(config.entries, mutation):
+            below += rate
+            if y <= below:
+                parent = trait
+                break
+        return hold, CoupledState(config.add(model.kernel.sample(parent, rng)), m + 1)
+    for (trait, _), rate in zip(config.entries, joint):
+        acc += rate
+        if x <= acc:
+            return hold, CoupledState(config.remove(trait), m - 1)
+    for (trait, _), rate in zip(config.entries, extra):
+        acc += rate
+        if x <= acc:
+            return hold, CoupledState(config.remove(trait), m)
+    acc += counter_down
+    if x <= acc:
+        return hold, CoupledState(config, m - 1)
+    return hold, CoupledState(config, m + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MODELS, configurations(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_step_picks_what_a_per_entry_scan_picks(model, config, excess, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    state = CoupledState(config, config.total_mass + excess)
+    for _ in range(20):
+        hold, nxt = step_coupled(model, state, ours)
+        want_hold, want = _per_entry_step(model, state, theirs)
+        assert nxt == want
+        # the per-entry total is summed in another order, so holds agree to rounding
+        assert hold == pytest.approx(want_hold, rel=1e-12)
+        assert ours.random() == theirs.random()
+        if math.isinf(hold):
+            break
+        state = nxt
 
 
 def test_state_rejects_broken_order():

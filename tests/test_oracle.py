@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qsdsim.errors import InvalidRegime, NoConvergence, UnsupportedModel
+from qsdsim.errors import InvalidRegime, NoConvergence
 from qsdsim.oracle import (build_mass_chain, check_truncation, eigenpair_report,
                            ode_trajectory, principal_left_eigenpair)
 from qsdsim.qsd import tv_distance
@@ -39,9 +39,9 @@ def test_build_logistic_death_rate():
 
 
 def test_build_rejects_degenerate_truncation(uniform_model):
-    with pytest.raises(UnsupportedModel):
+    with pytest.raises(InvalidRegime):
         build_mass_chain(uniform_model, 1)
-    with pytest.raises(UnsupportedModel):
+    with pytest.raises(InvalidRegime):
         build_mass_chain(uniform_model, 0)
 
 

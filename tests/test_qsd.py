@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qsdsim import qsd
 from qsdsim.configuration import Configuration
-from qsdsim.errors import (AllExtinct, Degenerate, InvalidRegime,
+from qsdsim.errors import (AllExtinct, InvalidRegime,
                            NoSingletonMass, NotNormalized, WindowTooSmall)
 from qsdsim.oracle import build_mass_chain, principal_left_eigenpair
 from qsdsim.qsd import (YAGLOM_STAGES, QsdEstimate, SumTree, _estimate_from_counts,

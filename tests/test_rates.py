@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
 from qsdsim.errors import InvalidRegime, NoMutationMass
-from qsdsim.rates import LogisticModel, UniformModel, sample_mutation_parent
+from qsdsim.rates import LogisticModel, UniformModel, individual_at, sample_mutation_parent
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import UniformKernel
 
-from strategies import configurations
+from strategies import MODELS, configurations
 
 ETA = Configuration.from_pairs(((0.25, 2), (0.75, 1)))
 
@@ -70,17 +70,26 @@ def test_rate_parameters_must_be_positive():
         LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.0, kernel=k)
 
 
-def test_sample_mutation_parent_weights(uniform_model):
+def test_sample_mutation_parent_weights():
     rng = RandomStream(3).generator()
-    draws = [sample_mutation_parent(uniform_model, ETA, rng) for _ in range(30_000)]
+    draws = [sample_mutation_parent(ETA, rng) for _ in range(30_000)]
     frac = sum(1 for d in draws if d == 0.25) / len(draws)
     assert frac == pytest.approx(2.0 / 3.0, abs=0.01)
 
 
-def test_sample_mutation_parent_requires_mutation_mass(uniform_model):
+def test_sample_mutation_parent_requires_mutation_mass():
     rng = RandomStream(4).generator()
     with pytest.raises(NoMutationMass):
-        sample_mutation_parent(uniform_model, Configuration.void(), rng)
+        sample_mutation_parent(Configuration.void(), rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configurations())
+def test_individual_at_ranks_by_floor_and_clips_the_top(config):
+    n = config.total_mass
+    for rank in range(n):
+        assert individual_at(config, (rank + 0.5) / n) == config.individual_trait(rank + 1)
+    assert individual_at(config, 1.0) == config.entries[-1][0]
 
 
 def test_mass_birth_death_rates(uniform_model, logistic_model):
@@ -88,22 +97,20 @@ def test_mass_birth_death_rates(uniform_model, logistic_model):
     assert logistic_model.mass_birth_death_rates(3) == (3.0, 3 * 3.0)
 
 
-_RATE = st.floats(0.01, 10.0)
-_RHO = st.floats(0.01, 0.99)
-MODELS = st.one_of(
-    st.builds(UniformModel, lam=_RATE, b=_RATE, rho=_RHO, kernel=st.just(UniformKernel())),
-    st.builds(LogisticModel, b=_RATE, rho=_RHO, d=_RATE, c=_RATE,
-              kernel=st.just(UniformKernel())))
-
-
 @settings(max_examples=200, deadline=None)
 @given(MODELS, configurations())
 def test_state_rates_sum_to_the_total_jump_rate(m, config):
     clonal, death, mutation, total = m.state_rates(config)
     assert total == m.total_jump_rate(config)
-    assert math.fsum([*clonal, *death, mutation]) == pytest.approx(total, rel=1e-12)
-    assert clonal == [w * m.clonal_rate(t, config) for t, w in config.entries]
-    assert death == [w * m.death_rate(t, config) for t, w in config.entries]
+    assert math.fsum([clonal, death, mutation]) == pytest.approx(total, rel=1e-12)
+    # each kind's total is the sum of the per-individual rates
+    entries = config.entries
+    assert clonal == pytest.approx(math.fsum(w * m.clonal_rate(t, config) for t, w in entries),
+                                   rel=1e-12)
+    assert death == pytest.approx(math.fsum(w * m.death_rate(t, config) for t, w in entries),
+                                  rel=1e-12)
+    assert mutation == pytest.approx(
+        math.fsum(w * m.mutation_rate(t, config) for t, w in entries), rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,4 +142,4 @@ def test_rates_vanish_at_void(m, trait):
     for rate in (m.clonal_rate, m.mutation_rate, m.reproduction_rate, m.death_rate):
         assert rate(trait, void) == 0.0
     assert m.total_jump_rate(void) == 0.0 and m.death_bound(void) == 0.0
-    assert m.state_rates(void) == ([], [], 0.0, 0.0)
+    assert m.state_rates(void) == (0.0, 0.0, 0.0, 0.0)

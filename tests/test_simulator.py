@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from qsdsim.configuration import Configuration
 from qsdsim.qsd import QsdEstimate
 from qsdsim.rates import LogisticModel, UniformModel
-from qsdsim.simulator import (CHUNK, ENGINES, Event, EventKind, apply_event,
-                              hitting_tail, mass_moments, mass_paths,
+from qsdsim.simulator import (CHUNK, ENGINES, Event, EventKind, _gillespie_branch,
+                              apply_event, hitting_tail, mass_moments, mass_paths,
                               path_times, simulate_gillespie,
                               simulate_thinning, survival_curve,
                               write_trajectory_csv)
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
 from qsdsim.validation import chi2_threshold, mass_histogram, two_sample_chi2
+
+import strategies
 
 START = Configuration.from_pairs(((0.2, 2), (0.6, 1)))
 MODELS = (
@@ -60,6 +62,46 @@ def test_apply_event_by_kind():
     assert c.weight_of(0.4) == 1 and c.total_mass == 4
     c = apply_event(START, Event(0.1, EventKind.DEATH, 0.6, None))
     assert c.weight_of(0.6) == 0 and c.total_mass == 2
+
+
+def _per_entry_branch(model, config, rng):
+    """One Gillespie branch by a scan over every entry's clonal, then death rate.
+
+    The reference for _gillespie_branch: a mutation parent comes from a
+    second per-entry scan over the mutation rates.
+    """
+    x = rng.random() * model.total_jump_rate(config)
+    acc = 0.0
+    for trait, weight in config.entries:
+        acc += weight * model.clonal_rate(trait, config)
+        if x <= acc:
+            return EventKind.CLONAL, trait, trait
+    for trait, weight in config.entries:
+        acc += weight * model.death_rate(trait, config)
+        if x <= acc:
+            return EventKind.DEATH, trait, None
+    rates = [weight * model.mutation_rate(trait, config) for trait, weight in config.entries]
+    y = rng.random() * sum(rates)
+    parent, acc = config.entries[-1][0], 0.0
+    for (trait, _), rate in zip(config.entries, rates):
+        acc += rate
+        if y <= acc:
+            parent = trait
+            break
+    return EventKind.MUTATION, parent, model.kernel.sample(parent, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.MODELS, strategies.configurations(), st.integers(0, 2**32 - 1))
+def test_branch_picks_what_a_per_entry_scan_picks(model, config, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        kind, parent, child = _gillespie_branch(model, config, ours)
+        assert (kind, parent, child) == _per_entry_branch(model, config, theirs)
+        assert ours.random() == theirs.random()
+        config = apply_event(config, Event(0.0, kind, parent, child))
+        if config.is_void:
+            break
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
