@@ -22,7 +22,6 @@ import numpy as np
 from .configuration import Configuration
 from .errors import InvariantBreach
 from .rates import RateModel, individual_at, sample_mutation_parent
-from .simulator import EventKind
 
 
 @dataclass(frozen=True)
@@ -80,31 +79,29 @@ def step_coupled(model: RateModel, s: CoupledState,
     the scan can only land on a line that preserves the order between
     mass and counter.
     """
-    r = coupled_rates(model, s)
-    # (rate, configuration move, counter step) in scan order
-    lines = ((r.clonal_up, EventKind.CLONAL, 1), (r.mutation_up, EventKind.MUTATION, 1),
-             (r.joint_down, EventKind.DEATH, -1), (r.config_down, EventKind.DEATH, 0),
-             (r.counter_down, None, -1), (r.counter_up, None, 1))
-    total = sum(rate for rate, _, _ in lines)
+    clonal, mutation, counter_up, joint_down, config_down, counter_down = coupled_rates(model, s)
+    total = clonal + mutation + joint_down + config_down + counter_down + counter_up
     if total <= 0.0:
         return math.inf, s
     hold = -math.log(1.0 - rng.random()) / total
+    config, m = s.config, s.counter
     x = rng.random() * total
-    for rate, move, step in lines[:-1]:
-        if x < rate:
-            break
-        x -= rate
-    else:
-        rate, move, step = lines[-1]
-    config, m = s.config, s.counter + step
-    if move is None:
-        return hold, CoupledState(config, m)
-    if move is EventKind.MUTATION:
+    if x < clonal:
+        return hold, CoupledState(config.add(individual_at(config, x / clonal)), m + 1)
+    x -= clonal
+    if x < mutation:
         parent = sample_mutation_parent(config, rng)
-        return hold, CoupledState(config.add(model.kernel.sample(parent, rng)), m)
-    trait = individual_at(config, x / rate)
-    return hold, CoupledState(config.add(trait) if move is EventKind.CLONAL
-                              else config.remove(trait), m)
+        return hold, CoupledState(config.add(model.kernel.sample(parent, rng)), m + 1)
+    x -= mutation
+    if x < joint_down:
+        return hold, CoupledState(config.remove(individual_at(config, x / joint_down)), m - 1)
+    x -= joint_down
+    if x < config_down:
+        return hold, CoupledState(config.remove(individual_at(config, x / config_down)), m)
+    x -= config_down
+    if x < counter_down:
+        return hold, CoupledState(config, m - 1)
+    return hold, CoupledState(config, m + 1)
 
 
 def coupled_path(model: RateModel, start: CoupledState, horizon: float,
