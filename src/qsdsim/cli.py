@@ -15,7 +15,9 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO, Iterator
 
 from . import __version__
 from .config import SCHEMA, ExperimentConfig, parse_config_text, resolve_config
@@ -78,6 +80,15 @@ def _meta(cfg: ExperimentConfig) -> dict:
             "tool_version": __version__}
 
 
+@contextmanager
+def _csv_artifact(cfg: ExperimentConfig, path: Path) -> Iterator[IO[str]]:
+    """Open a CSV artifact for writing, its ``# key=value`` provenance lines first."""
+    with path.open("w") as out:
+        for key, value in _meta(cfg).items():
+            out.write(f"# {key}={value}\n")
+        yield out
+
+
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -89,8 +100,8 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
     trajectory = ENGINES[cfg.engine](model, cfg.build_initial(), cfg.horizon,
                                      RandomStream(cfg.seed).generator())
     out = _out_dir(cfg)
-    with (out / "trajectory.csv").open("w") as fh:
-        write_trajectory_csv(trajectory, fh, metadata=_meta(cfg))
+    with _csv_artifact(cfg, out / "trajectory.csv") as fh:
+        write_trajectory_csv(trajectory, fh)
     _write_json(out / "trajectory.json", {
         "engine": cfg.engine,
         "event_count": len(trajectory.events),
@@ -133,9 +144,7 @@ def _run_survival(cfg: ExperimentConfig) -> int:
         "events": curve.events,
         **_meta(cfg),
     })
-    with (out / "survival.csv").open("w") as fh:
-        for key, value in _meta(cfg).items():
-            fh.write(f"# {key}={value}\n")
+    with _csv_artifact(cfg, out / "survival.csv") as fh:
         fh.write("t,survival,stderr\n")
         for t, p, se in curve:
             fh.write(f"{t:.17g},{p:.17g},{se:.17g}\n")
@@ -162,8 +171,8 @@ def _write_estimate(cfg: ExperimentConfig, est, label: str) -> None:
         "model": cfg.model_block(),
         **_meta(cfg),
     })
-    with (out / "qsd_sample.csv").open("w") as fh:
-        write_sample_csv(est, fh, metadata=_meta(cfg))
+    with _csv_artifact(cfg, out / "qsd_sample.csv") as fh:
+        write_sample_csv(est, fh)
     theta_text = "none" if theta_singleton is None else f"{theta_singleton:.6g}"
     print(f"{label} estimate over {len(est.configurations)} configurations"
           f" (ess {est.ess:.1f}, singleton theta {theta_text})")
@@ -207,9 +216,7 @@ def _run_oracle(cfg: ExperimentConfig) -> int:
                                       "tail_mass": check.tail_mass,
                                       "theta_2N": check.theta_2N,
                                       "model": cfg.model_block(), **_meta(cfg)})
-    with (out / "oracle.csv").open("w") as fh:
-        for key, value in _meta(cfg).items():
-            fh.write(f"# {key}={value}\n")
+    with _csv_artifact(cfg, out / "oracle.csv") as fh:
         fh.write("mass,nu\n")
         for k in range(1, chain.N + 1):
             fh.write(f"{k},{result.nu[k]:.17g}\n")

@@ -8,7 +8,7 @@ Configurations are immutable values; add and remove return new objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import TraitAbsent
 from .trait_space import TraitPoint, validate_trait
@@ -66,21 +66,6 @@ class Configuration:
     @property
     def is_void(self) -> bool:
         return not self.entries
-
-    def support(self) -> tuple[TraitPoint, ...]:
-        return tuple(t for t, _ in self.entries)
-
-    def weight_of(self, trait: TraitPoint) -> int:
-        """Weight at the trait, 0 if absent."""
-        for t, w in self.entries:
-            if t == trait:
-                return w
-            if t > trait:
-                break
-        return 0
-
-    def __iter__(self) -> Iterator[tuple[TraitPoint, int]]:
-        return iter(self.entries)
 
     def individual_trait(self, index: int) -> TraitPoint:
         """Trait of the individual with the given 1-based index.

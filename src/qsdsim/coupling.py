@@ -21,7 +21,7 @@ import numpy as np
 
 from .configuration import Configuration
 from .errors import InvariantBreach
-from .rates import RateModel, individual_at, sample_mutation_parent
+from .rates import RateModel, holding_time, individual_at, sample_mutation_parent
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def step_coupled(model: RateModel, s: CoupledState,
     total = clonal + mutation + joint_down + config_down + counter_down + counter_up
     if total <= 0.0:
         return math.inf, s
-    hold = -math.log(1.0 - rng.random()) / total
+    hold = holding_time(rng, total)
     config, m = s.config, s.counter
     x = rng.random() * total
     if x < clonal:

@@ -22,8 +22,8 @@ import numpy as np
 from .configuration import Configuration
 from .errors import (AllExtinct, Degenerate, InvalidRegime, NoSingletonMass,
                      NotNormalized, WindowTooSmall)
-from .rates import RateModel
-from .simulator import EventKind, _gillespie_branch, mass_paths
+from .rates import RateModel, holding_time
+from .simulator import _gillespie_branch, mass_paths
 # map_replicas is unused here but stays importable: perfbench/tracer.py patches it.
 from .streams import RandomStream, map_replicas  # noqa: F401
 from .trait_space import sample_base
@@ -233,7 +233,7 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         total = rates.total
         if total <= 0.0:
             raise Degenerate("all copies extinct at once")
-        t_next = t + -math.log(1.0 - gen.random()) / total
+        t_next = t + holding_time(gen, total)
         while next_snap <= horizon and next_snap < t_next:
             for c in configs:
                 counts[c] = counts.get(c, 0) + 1
@@ -244,18 +244,14 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         t = t_next
         events += 1
         i = rates.find(gen.random() * total)
-        kind, parent, child = _gillespie_branch(model, configs[i], gen)
-        if kind is EventKind.DEATH:
-            nxt = configs[i].remove(parent)
+        *_, nxt = _gillespie_branch(model, configs[i], gen)
+        if nxt.is_void:
+            j = int(gen.random() * (particles - 1))
+            if j >= i:
+                j += 1
+            nxt = configs[j]
             if nxt.is_void:
-                j = int(gen.random() * (particles - 1))
-                if j >= i:
-                    j += 1
-                nxt = configs[j]
-                if nxt.is_void:
-                    raise Degenerate("resampling donor is extinct")
-        else:
-            nxt = configs[i].add(parent if kind is EventKind.CLONAL else child)
+                raise Degenerate("resampling donor is extinct")
         configs[i] = nxt
         rates.update(i, model.total_jump_rate(nxt))
     if not counts:
@@ -302,15 +298,16 @@ def decay_rate_from_survival(curve: Iterable[tuple[float, float, float]]) -> tup
 def decay_rate_from_singletons(model: RateModel, est: QsdEstimate) -> float:
     """Death-rate integral over the mass-1 part of the estimate.
 
-    The integral is unnormalized: weights are the estimate's own, which
-    sum to 1 over all masses.
+    A lone individual dies at d(1), ``model.death_inf``. The integral is
+    unnormalized: weights are the estimate's own, which sum to 1 over
+    all masses.
     """
     acc = 0.0
     found = False
     for config, weight in zip(est.configurations, est.weights):
         if config.total_mass == 1:
             found = True
-            acc += float(weight) * model.death_rate(config.entries[0][0], config)
+            acc += float(weight) * model.death_inf
     if not found:
         raise NoSingletonMass("estimate has no weight on mass-1 configurations")
     return acc
@@ -345,11 +342,8 @@ def estimate_report(est: QsdEstimate) -> dict:
     }
 
 
-def write_sample_csv(est: QsdEstimate, out: IO[str],
-                     metadata: dict[str, object] | None = None) -> None:
+def write_sample_csv(est: QsdEstimate, out: IO[str]) -> None:
     """Weighted configuration sample as CSV."""
-    for key, value in (metadata or {}).items():
-        out.write(f"# {key}={value}\n")
     out.write("weight,configuration\n")
     for config, weight in est.sample:
         out.write(f"{weight:.17g},{config.serialize()}\n")

@@ -11,6 +11,7 @@ penalty growing linearly with the population size.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -28,11 +29,11 @@ class RateModel(ABC):
     probability ``rho``, the mutation ``kernel`` and
     :meth:`per_capita_death`. Every rate, bound and mass-chain rate the
     engines, the coupling, the estimators and the oracle read is derived
-    from these here. Rates are zero at the void configuration. The
-    per-individual rates keep a ``trait`` argument so that every engine
-    calls them alike; no rate depends on it. So the exact steppers draw
-    a jump's kind from the per-kind totals of :meth:`state_rates` and
-    then a uniform individual (:func:`individual_at`).
+    from these here. Rates are zero at the void configuration. No rate
+    depends on a trait, so the exact steppers draw a jump's kind from the
+    per-kind totals of :meth:`state_rates` and then a uniform individual
+    (:func:`individual_at`), and thinning and the generator read ``b``,
+    ``rho`` and d(n) directly.
     """
 
     b: float
@@ -47,6 +48,10 @@ class RateModel(ABC):
         n = 1 is both :attr:`death_inf` and :attr:`singleton_death_sup`.
         A constant may come back as a scalar; it broadcasts.
         """
+
+    # No code of the package calls the five per-individual methods below
+    # (clonal, mutation, reproduction and death rate, and the death bound);
+    # they stay because perfbench/tracer.py patches them by name.
 
     def clonal_rate(self, trait: TraitPoint, config: Configuration) -> float:
         """Clonal birth rate of one individual."""
@@ -179,6 +184,14 @@ def individual_at(config: Configuration, u: float) -> TraitPoint:
     n = config.total_mass
     rank = int(u * n)
     return config.individual_trait(rank + 1 if rank < n else n)
+
+
+def holding_time(rng: np.random.Generator, rate: float) -> float:
+    """Exponential holding time at a positive rate, by the inverse CDF of one uniform.
+
+    One uniform per holding time keeps every engine's stream consumption flat.
+    """
+    return -math.log(1.0 - rng.random()) / rate
 
 
 def sample_mutation_parent(config: Configuration, rng: np.random.Generator) -> TraitPoint:

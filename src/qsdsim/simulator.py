@@ -9,7 +9,10 @@ driving-Poisson-measure construction instead: candidate points are
 generated at bounding intensity, individuals are addressed by rank
 through the cumulative-weight index function, and candidates are
 accepted exactly when they fall inside the rate bands of the
-construction. Agreement of the two engines is one of the package's
+construction. The candidate levels are per state: the birth bands are
+b(1 - rho) and b, fixed for the run, and the death level is d(n) at the
+current mass n. That death bound is tight, so every death candidate is
+accepted. Agreement of the two engines is one of the package's
 strongest correctness checks.
 
 Ensembles take a third route, mass first. Every rate model is
@@ -31,7 +34,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .configuration import Configuration
-from .rates import RateModel, individual_at, sample_mutation_parent
+from .rates import RateModel, holding_time, individual_at, sample_mutation_parent
 from .streams import RandomStream, map_replicas
 from .trait_space import sample_base
 
@@ -54,15 +57,6 @@ class Event:
     kind: EventKind
     parent: float
     child: float | None
-
-
-def apply_event(config: Configuration, event: Event) -> Configuration:
-    """The configuration after the event."""
-    if event.kind is EventKind.DEATH:
-        return config.remove(event.parent)
-    if event.kind is EventKind.CLONAL:
-        return config.add(event.parent)
-    return config.add(event.child)
 
 
 @dataclass
@@ -117,31 +111,30 @@ def path_times(initial: Configuration,
     return extinction, chi, kappa
 
 
-def _inverse_cdf_exponential(rng: np.random.Generator, rate: float) -> float:
-    # One uniform draw per holding time keeps stream consumption flat.
-    return -math.log(1.0 - rng.random()) / rate
-
-
-def _gillespie_branch(model: RateModel, config: Configuration,
-                      rng: np.random.Generator) -> tuple[EventKind, float, float | None]:
+def _gillespie_branch(model: RateModel, config: Configuration, rng: np.random.Generator
+                      ) -> tuple[EventKind, float, float | None, Configuration]:
     """Pick one jump out of the configuration with the exact probabilities.
 
-    One uniform times the total rate falls into the clonal, the death or
-    the mutation band, in that order, so the mutation band absorbs float
-    slack. Every individual carries the same rates, so the uniform
-    rescaled within the clonal or death band ranks the individual that
-    jumps; a mutation draws its parent with a fresh uniform.
+    Returns (kind, parent, child, after), ``after`` being the
+    configuration after the jump. One uniform times the total rate falls
+    into the clonal, the death or the mutation band, in that order, so
+    the mutation band absorbs float slack. Every individual carries the
+    same rates, so the uniform rescaled within the clonal or death band
+    ranks the individual that jumps; a mutation draws its parent with a
+    fresh uniform.
     """
     clonal, death, _, total = model.state_rates(config)
     x = rng.random() * total
     if x < clonal:
         trait = individual_at(config, x / clonal)
-        return EventKind.CLONAL, trait, trait
+        return EventKind.CLONAL, trait, trait, config.add(trait)
     x -= clonal
     if x < death:
-        return EventKind.DEATH, individual_at(config, x / death), None
+        trait = individual_at(config, x / death)
+        return EventKind.DEATH, trait, None, config.remove(trait)
     parent = sample_mutation_parent(config, rng)
-    return EventKind.MUTATION, parent, model.kernel.sample(parent, rng)
+    child = model.kernel.sample(parent, rng)
+    return EventKind.MUTATION, parent, child, config.add(child)
 
 
 def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random.Generator
@@ -160,15 +153,11 @@ def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random
         total = model.total_jump_rate(config)
         if total <= 0.0:
             return
-        hold = _inverse_cdf_exponential(rng, total)
+        hold = holding_time(rng, total)
         if t + hold > t_end:
             return
         t += hold
-        kind, parent, child = _gillespie_branch(model, config, rng)
-        if kind is EventKind.DEATH:
-            config = config.remove(parent)
-        else:
-            config = config.add(parent if kind is EventKind.CLONAL else child)
+        kind, parent, child, config = _gillespie_branch(model, config, rng)
         yield t, hold, kind, parent, child, config
 
 
@@ -188,50 +177,51 @@ def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
                       rng: np.random.Generator) -> Trajectory:
     """Poisson-construction engine: bounded candidates, band acceptance.
 
-    Candidates arrive at rate n*(B* g* + death bound): a birth candidate
-    carries an individual index, a child mark drawn from the base
-    measure, and a level under B* g*; a death candidate carries an index
-    and a level under the state's death bound. The candidate becomes a
-    clonal birth, a mutation, or a death exactly when its level falls in
-    the corresponding band; otherwise nothing happens. Candidate clocks
+    Candidates arrive at rate n*(b g* + d(n)): a birth candidate carries
+    an individual index, a child mark drawn from the base measure, and a
+    level under b g*; a death candidate carries an index and a level
+    under d(n). A birth candidate becomes a clonal birth or a mutation
+    exactly when its level falls under b(1 - rho) or b times the kernel
+    density; otherwise nothing happens. The death bound d(n) is the death
+    rate itself, so every death candidate is a death. Candidate clocks
     are regenerated after every point, which is distributionally
     equivalent to any other schedule by memorylessness.
     """
     if horizon < 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     config = initial
-    birth_level = model.birth_sup * model.kernel.sup_density()
+    clonal, birth = model.b * (1.0 - model.rho), model.b
+    birth_level = birth * model.kernel.sup_density()
     t = 0.0
     events: list[Event] = []
     candidates = 0
     while not config.is_void:
         n = config.total_mass
-        death_level = model.death_bound(config)
+        death_level = model.per_capita_death(n)
         per_index = birth_level + death_level
-        t_next = t + _inverse_cdf_exponential(rng, n * per_index)
+        t_next = t + holding_time(rng, n * per_index)
         if t_next > horizon:
             break
         t = t_next
         candidates += 1
         which = rng.random() * per_index
         trait = individual_at(config, rng.random())
-        event: Event | None = None
         if which < birth_level:
             child = sample_base(rng)
             level = rng.random() * birth_level
             density = model.kernel.density(trait, child)
-            if level <= model.clonal_rate(trait, config) * density:
-                event = Event(t, EventKind.CLONAL, trait, trait)
-            elif level <= model.reproduction_rate(trait, config) * density:
-                event = Event(t, EventKind.MUTATION, trait, child)
+            if level <= clonal * density:
+                events.append(Event(t, EventKind.CLONAL, trait, trait))
+                config = config.add(trait)
+            elif level <= birth * density:
+                events.append(Event(t, EventKind.MUTATION, trait, child))
+                config = config.add(child)
         else:
-            level = rng.random() * death_level
-            if level <= model.death_rate(trait, config):
-                event = Event(t, EventKind.DEATH, trait, None)
-        if event is None:
-            continue
-        config = apply_event(config, event)
-        events.append(event)
+            # the bound d(n) is the death rate itself, so every level is
+            # accepted; it is still drawn, so that the stream does not move
+            rng.random()
+            events.append(Event(t, EventKind.DEATH, trait, None))
+            config = config.remove(trait)
     return Trajectory(initial, tuple(events), horizon, config, *path_times(initial, events),
                       candidate_count=candidates, accepted_count=len(events))
 
@@ -454,11 +444,8 @@ def mass_moments(model: RateModel, initial, times: Sequence[float], replicas: in
     return [(t, float(m), float(e)) for t, m, e in zip(times, means, errs)]
 
 
-def write_trajectory_csv(trajectory: Trajectory, out: IO[str],
-                         metadata: dict[str, object] | None = None) -> None:
-    """Event log as CSV, one row per jump, with provenance comments."""
-    for key, value in (metadata or {}).items():
-        out.write(f"# {key}={value}\n")
+def write_trajectory_csv(trajectory: Trajectory, out: IO[str]) -> None:
+    """Event log as CSV, one row per jump."""
     out.write("time,event_kind,parent_trait,child_trait,total_mass_after\n")
     mass = trajectory.initial.total_mass
     for event in trajectory.events:

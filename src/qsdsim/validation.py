@@ -87,22 +87,25 @@ class BoundedCustom(TestFunction):
 def generator_apply(model: RateModel, f: TestFunction, config: Configuration) -> float:
     """Exact generator action on a mass-only observable.
 
-    Reproduction is taken whole per individual rather than split into
-    clonal and mutation parts: a birth of either kind moves the mass up
-    by one, and keeping the sum unsplit preserves the closed-form
-    identities bit for bit. The void value of f being 0 makes the
-    absorption term at mass 1 come out automatically.
+    Every individual reproduces at ``b`` and dies at d(n). Reproduction
+    is taken whole rather than split into clonal and mutation parts: a
+    birth of either kind moves the mass up by one, and keeping the sum
+    unsplit preserves the closed-form identities bit for bit. The sums
+    run entry by entry; a product with n would round differently in the
+    last digits. The void value of f being 0 makes the absorption term
+    at mass 1 come out automatically.
     """
     if config.is_void:
         return 0.0
     n = config.total_mass
     up = f.value_at_mass(n + 1) - f.value_at_mass(n)
     down = f.value_at_mass(n - 1) - f.value_at_mass(n)
+    b, d = model.b, model.per_capita_death(n)
     birth = 0.0
     death = 0.0
-    for trait, weight in config.entries:
-        birth += weight * model.reproduction_rate(trait, config)
-        death += weight * model.death_rate(trait, config)
+    for _, weight in config.entries:
+        birth += weight * b
+        death += weight * d
     return birth * up + death * down
 
 

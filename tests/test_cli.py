@@ -318,6 +318,22 @@ def test_reruns_are_byte_identical(tmp_path):
                           "qsd_sample.csv"}
 
 
+def test_every_csv_artifact_opens_with_its_provenance(tmp_path):
+    runs = {("trajectory.csv", "trajectory.json"): ["simulate", "--t-max", "1.0"],
+            ("survival.csv", "ensemble.json"): ["survival", "--replicas", "50",
+                                                "--t-max", "1.0"],
+            ("qsd_sample.csv", "qsd.json"): ["qsd-yaglom", "--replicas", "200",
+                                             "--t-max", "1.0"],
+            ("oracle.csv", "oracle.json"): ["oracle", "--truncation", "20"]}
+    for (csv, report), (command, *flags) in runs.items():
+        out = tmp_path / command
+        assert main([command, *UNIFORM_FLAGS, *flags, "--seed", "5", "--out", str(out)]) == 0
+        lines = (out / csv).read_text().splitlines()
+        assert lines[:3] == [f"# config_hash={_read_json(out / report)['config_hash']}",
+                             "# seed=5", f"# tool_version={__version__}"], csv
+        assert not lines[3].startswith("#"), csv
+
+
 def test_importing_the_cli_loads_every_module_the_benchmark_times():
     # perfbench/run.py --trace 1 fails outright when a timed module goes missing
     root = Path(__file__).resolve().parents[1]

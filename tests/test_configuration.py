@@ -45,14 +45,6 @@ def test_traits_must_lie_in_unit_interval():
         Configuration(((1.5, 1),))
 
 
-def test_support_and_weight_of():
-    c = Configuration.from_pairs([(0.1, 1), (0.9, 5)])
-    assert c.support() == (0.1, 0.9)
-    assert c.weight_of(0.9) == 5
-    assert c.weight_of(0.5) == 0
-    assert list(c) == [(0.1, 1), (0.9, 5)]
-
-
 def test_individual_trait_uses_cumulative_weights():
     c = Configuration.from_pairs([(0.1, 2), (0.5, 1), (0.9, 3)])
     assert [c.individual_trait(i) for i in range(1, 7)] == \
@@ -84,7 +76,7 @@ def test_remove_decrements_and_drops():
 @settings(max_examples=200, deadline=None)
 @given(configurations(), st.floats(0.0, 1.0), st.integers(0, 5))
 def test_add_remove_round_trip_is_identity(c, fresh, pick):
-    for trait in (fresh, c.support()[pick % c.support_size]):
+    for trait in (fresh, c.entries[pick % c.support_size][0]):
         assert c.add(trait).remove(trait) == c
 
 

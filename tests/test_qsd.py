@@ -15,7 +15,7 @@ from qsdsim.qsd import (YAGLOM_STAGES, QsdEstimate, SumTree, _estimate_from_coun
                         estimate_report, fleming_viot_estimate, tv_distance,
                         write_sample_csv, yaglom_estimate)
 from qsdsim.rates import LogisticModel
-from qsdsim.simulator import EventKind, _gillespie_branch, mass_paths
+from qsdsim.simulator import _gillespie_branch, mass_paths
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import UniformKernel, sample_base
 
@@ -242,16 +242,12 @@ def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
         events += 1
         i = min(int(np.searchsorted(cum, gen.random() * total, side="right")),
                 particles - 1)
-        kind, parent, child = _gillespie_branch(model, configs[i], gen)
-        if kind is EventKind.DEATH:
-            nxt = configs[i].remove(parent)
-            if nxt.is_void:
-                j = int(gen.random() * (particles - 1))
-                if j >= i:
-                    j += 1
-                nxt = configs[j]
-        else:
-            nxt = configs[i].add(parent if kind is EventKind.CLONAL else child)
+        *_, nxt = _gillespie_branch(model, configs[i], gen)
+        if nxt.is_void:
+            j = int(gen.random() * (particles - 1))
+            if j >= i:
+                j += 1
+            nxt = configs[j]
         configs[i] = nxt
         rates[i] = model.total_jump_rate(nxt)
     return _estimate_from_counts(counts, burn_in=burn_in, particles=particles,
@@ -354,9 +350,8 @@ def test_sample_csv_layout(tmp_path):
     est = _hand_estimate()
     path = tmp_path / "sample.csv"
     with open(path, "w") as out:
-        write_sample_csv(est, out, metadata={"tool_version": "0.1.0"})
+        write_sample_csv(est, out)
     lines = path.read_text().splitlines()
-    assert lines[0] == "# tool_version=0.1.0"
-    assert lines[1] == "weight,configuration"
-    assert lines[2] == "0.5,1@0.20000000000000001"
-    assert len(lines) == 2 + 3
+    assert lines[0] == "weight,configuration"
+    assert lines[1] == "0.5,1@0.20000000000000001"
+    assert len(lines) == 1 + 3

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -8,14 +9,13 @@ from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
 from qsdsim.qsd import QsdEstimate
-from qsdsim.rates import LogisticModel, UniformModel
-from qsdsim.simulator import (CHUNK, ENGINES, Event, EventKind, _gillespie_branch,
-                              apply_event, hitting_tail, mass_moments, mass_paths,
-                              path_times, simulate_gillespie,
-                              simulate_thinning, survival_curve,
-                              write_trajectory_csv)
+from qsdsim.rates import LogisticModel, UniformModel, individual_at
+from qsdsim.simulator import (CHUNK, ENGINES, Event, EventKind, Trajectory,
+                              _gillespie_branch, hitting_tail, mass_moments, mass_paths,
+                              path_times, simulate_gillespie, simulate_thinning,
+                              survival_curve, write_trajectory_csv)
 from qsdsim.streams import RandomStream
-from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
+from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, sample_base
 from qsdsim.validation import chi2_threshold, mass_histogram, two_sample_chi2
 
 import strategies
@@ -34,15 +34,23 @@ def _exact_survival(lam, b, t):
     return theta * math.exp(-theta * t) / (lam - b * math.exp(-theta * t))
 
 
+def apply_event(config, event):
+    """The configuration after the event: the replay reference for every engine's log."""
+    if event.kind is EventKind.DEATH:
+        return config.remove(event.parent)
+    if event.kind is EventKind.CLONAL:
+        return config.add(event.parent)
+    return config.add(event.child)
+
+
 def _scan_times(initial, events):
     """The three path times by walking the configurations themselves."""
-    support = initial.support()
+    support = {trait for trait, _ in initial.entries}
     found = [math.inf, math.inf, math.inf]
 
     def visit(t, config):
-        reached = (config.is_void,
-                   any(trait not in support for trait in config.support()),
-                   all(config.weight_of(trait) == 0 for trait in support))
+        traits = {trait for trait, _ in config.entries}
+        reached = (config.is_void, not traits <= support, not traits & support)
         for i, hit in enumerate(reached):
             if hit and math.isinf(found[i]):
                 found[i] = t
@@ -57,11 +65,11 @@ def _scan_times(initial, events):
 
 def test_apply_event_by_kind():
     c = apply_event(START, Event(0.1, EventKind.CLONAL, 0.2, 0.2))
-    assert c.weight_of(0.2) == 3
+    assert c.entries == ((0.2, 3), (0.6, 1))
     c = apply_event(START, Event(0.1, EventKind.MUTATION, 0.2, 0.4))
-    assert c.weight_of(0.4) == 1 and c.total_mass == 4
+    assert c.entries == ((0.2, 2), (0.4, 1), (0.6, 1))
     c = apply_event(START, Event(0.1, EventKind.DEATH, 0.6, None))
-    assert c.weight_of(0.6) == 0 and c.total_mass == 2
+    assert c.entries == ((0.2, 2),)
 
 
 def _per_entry_branch(model, config, rng):
@@ -96,12 +104,76 @@ def _per_entry_branch(model, config, rng):
 def test_branch_picks_what_a_per_entry_scan_picks(model, config, seed):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(20):
-        kind, parent, child = _gillespie_branch(model, config, ours)
+        kind, parent, child, after = _gillespie_branch(model, config, ours)
         assert (kind, parent, child) == _per_entry_branch(model, config, theirs)
         assert ours.random() == theirs.random()
         config = apply_event(config, Event(0.0, kind, parent, child))
+        assert after == config
         if config.is_void:
             break
+
+
+def _per_candidate_thinning(model, initial, horizon, rng):
+    """Thinning that reads four per-individual rates on every candidate.
+
+    The reference for simulate_thinning: the death level is
+    ``death_bound``, each band a ``(trait, config)`` rate evaluated per
+    candidate, and each accepted jump is applied by :func:`apply_event`.
+    """
+    config = initial
+    birth_level = model.birth_sup * model.kernel.sup_density()
+    t = 0.0
+    events = []
+    candidates = 0
+    while not config.is_void:
+        n = config.total_mass
+        death_level = model.death_bound(config)
+        per_index = birth_level + death_level
+        t_next = t + -math.log(1.0 - rng.random()) / (n * per_index)
+        if t_next > horizon:
+            break
+        t = t_next
+        candidates += 1
+        which = rng.random() * per_index
+        trait = individual_at(config, rng.random())
+        event = None
+        if which < birth_level:
+            child = sample_base(rng)
+            level = rng.random() * birth_level
+            density = model.kernel.density(trait, child)
+            if level <= model.clonal_rate(trait, config) * density:
+                event = Event(t, EventKind.CLONAL, trait, trait)
+            elif level <= model.reproduction_rate(trait, config) * density:
+                event = Event(t, EventKind.MUTATION, trait, child)
+        else:
+            level = rng.random() * death_level
+            if level <= model.death_rate(trait, config):
+                event = Event(t, EventKind.DEATH, trait, None)
+        if event is None:
+            continue
+        config = apply_event(config, event)
+        events.append(event)
+    return Trajectory(initial, tuple(events), horizon, config, *path_times(initial, events),
+                      candidate_count=candidates, accepted_count=len(events))
+
+
+KERNELS = (UniformKernel(), TruncatedGaussianKernel(scale=0.2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategies.MODELS, st.sampled_from(KERNELS), strategies.configurations(),
+       st.floats(0.5, 4.0), st.integers(0, 2**32 - 1))
+def test_thinning_draws_what_a_per_candidate_engine_draws(model, kernel, initial, horizon,
+                                                          seed):
+    model = dataclasses.replace(model, kernel=kernel)
+    # the mean mass grows at rate b - d(1) at most; keep it below 64
+    growth = model.b - model.death_inf
+    if growth > 0.0:
+        horizon = min(horizon, math.log(64 / initial.total_mass) / growth)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert simulate_thinning(model, initial, horizon, ours) \
+        == _per_candidate_thinning(model, initial, horizon, theirs)
+    assert ours.random() == theirs.random()
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
@@ -298,11 +370,10 @@ def test_thinning_counts_candidates(uniform_model, logistic_model):
 def test_trajectory_csv_layout(uniform_model):
     traj = simulate_gillespie(uniform_model, START, 2.0, RandomStream(53).generator())
     buffer = io.StringIO()
-    write_trajectory_csv(traj, buffer, metadata={"seed": 53})
+    write_trajectory_csv(traj, buffer)
     lines = buffer.getvalue().splitlines()
-    assert lines[0] == "# seed=53"
-    assert lines[1] == "time,event_kind,parent_trait,child_trait,total_mass_after"
-    rows = lines[2:]
+    assert lines[0] == "time,event_kind,parent_trait,child_trait,total_mass_after"
+    rows = lines[1:]
     assert len(rows) == len(traj.events)
     for row, event in zip(rows, traj.events):
         time, kind, parent, child, mass = row.split(",")
