@@ -7,11 +7,15 @@ Configurations are immutable values; add and remove return new objects.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import TraitAbsent
 from .trait_space import TraitPoint, validate_trait
+
+_trait_of = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -86,41 +90,34 @@ class Configuration:
     # -- elementary transitions --------------------------------------------
 
     def add(self, trait: TraitPoint) -> "Configuration":
-        """New configuration with one more individual at the trait."""
+        """New configuration with one more individual at the trait.
+
+        The entry is found by bisection and the successor is built from
+        slices of the entries, which are already valid, so only the new
+        trait is checked. An entry keeps its stored trait object.
+        """
         validate_trait(trait)
-        out = []
-        placed = False
-        for t, w in self.entries:
-            if t == trait:
-                out.append((t, w + 1))
-                placed = True
-            elif t > trait and not placed:
-                out.append((trait, 1))
-                out.append((t, w))
-                placed = True
-            else:
-                out.append((t, w))
-        if not placed:
-            out.append((trait, 1))
-        return Configuration(tuple(out))
+        entries = self.entries
+        i = bisect_left(entries, trait, key=_trait_of)
+        if i < len(entries) and entries[i][0] == trait:
+            here, weight = entries[i]
+            out = entries[:i] + ((here, weight + 1),) + entries[i + 1:]
+        else:
+            out = entries[:i] + ((trait, 1),) + entries[i:]
+        return _successor(out, self.total_mass + 1)
 
     def remove(self, trait: TraitPoint) -> "Configuration":
         """New configuration with one individual at the trait removed.
 
         Raises TraitAbsent if the trait carries no weight.
         """
-        out = []
-        found = False
-        for t, w in self.entries:
-            if t == trait:
-                found = True
-                if w > 1:
-                    out.append((t, w - 1))
-            else:
-                out.append((t, w))
-        if not found:
+        entries = self.entries
+        i = bisect_left(entries, trait, key=_trait_of)
+        if i == len(entries) or entries[i][0] != trait:
             raise TraitAbsent(f"trait {trait!r} not present in configuration")
-        return Configuration(tuple(out))
+        here, weight = entries[i]
+        kept = ((here, weight - 1),) if weight > 1 else ()
+        return _successor(entries[:i] + kept + entries[i + 1:], self.total_mass - 1)
 
     # -- serialization ------------------------------------------------------
 
@@ -133,6 +130,14 @@ class Configuration:
         if not self.entries:
             return "0"
         return ";".join(f"{w}@{t:.17g}" for t, w in self.entries)
+
+
+def _successor(entries: tuple[tuple[TraitPoint, int], ...], total_mass: int) -> Configuration:
+    """A configuration from entries known to be valid and their total mass, unchecked."""
+    config = object.__new__(Configuration)
+    object.__setattr__(config, "entries", entries)
+    object.__setattr__(config, "total_mass", total_mass)
+    return config
 
 
 def parse_configuration(text: str) -> Configuration:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,51 @@ def test_remove_decrements_and_drops():
 def test_add_remove_round_trip_is_identity(c, fresh, pick):
     for trait in (fresh, c.entries[pick % c.support_size][0]):
         assert c.add(trait).remove(trait) == c
+
+
+# Entries of 0-8 distinct traits; -0.0 stands in for 0.0 now and then, so
+# that a stored trait object can be told from an equal one.
+_TRAIT = st.one_of(st.floats(0.0, 1.0), st.just(-0.0))
+_ENTRIES = st.lists(st.tuples(_TRAIT, st.integers(1, 5)), max_size=8,
+                    unique_by=lambda entry: entry[0]).map(sorted).map(tuple)
+
+
+def _signs(config):
+    return [math.copysign(1.0, trait) for trait, _ in config.entries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTRIES, st.data())
+def test_successors_equal_a_fully_validated_configuration(entries, data):
+    c = Configuration(entries)
+    stored = [trait for trait, _ in entries]
+    trait = data.draw(st.one_of(_TRAIT, *([st.sampled_from(stored)] if stored else [])))
+    counts = dict(entries)  # an equal key keeps the first, stored, trait object
+    counts[trait] = counts.get(trait, 0) + 1
+    added = Configuration(tuple(sorted(counts.items())))
+    for got, want in ((c.add(trait), added), (added.remove(trait), c)):
+        assert got.entries == want.entries
+        assert got.total_mass == want.total_mass
+        assert got == want and hash(got) == hash(want)
+        assert _signs(got) == _signs(want)
+    if trait in stored:
+        counts[trait] -= 2
+        removed = Configuration(tuple((t, w) for t, w in sorted(counts.items()) if w))
+        assert c.remove(trait) == removed
+        assert c.remove(trait).total_mass == removed.total_mass
+        assert _signs(c.remove(trait)) == _signs(removed)
+    else:
+        with pytest.raises(TraitAbsent):
+            c.remove(trait)
+    outside = data.draw(st.floats().filter(lambda x: not 0.0 <= x <= 1.0))
+    with pytest.raises(ValueError):
+        c.add(outside)
+
+
+def test_successors_keep_a_stored_negative_zero():
+    c = Configuration(((-0.0, 2), (0.5, 1)))
+    for successor in (c.add(0.0), c.remove(0.0)):
+        assert math.copysign(1.0, successor.entries[0][0]) == -1.0
 
 
 def test_immutability():
