@@ -197,6 +197,9 @@ def _run_qsd_yaglom(cfg: ExperimentConfig) -> int:
 
 def _run_qsd_fv(cfg: ExperimentConfig) -> int:
     model = _qsd_model(cfg)
+    if not 0.0 <= cfg.burn_in < cfg.horizon:
+        raise InvalidRegime(f"need 0 <= run.burn_in < run.horizon, got {cfg.burn_in!r} and"
+                            f" {cfg.horizon!r}; run.burn_in is set in a config file")
     est = fleming_viot_estimate(model, cfg.particles, cfg.burn_in, cfg.horizon,
                                 RandomStream(cfg.seed),
                                 snapshot_interval=cfg.snapshot_interval)

@@ -92,9 +92,7 @@ class Configuration:
     def add(self, trait: TraitPoint) -> "Configuration":
         """New configuration with one more individual at the trait.
 
-        The entry is found by bisection and the successor is built from
-        slices of the entries, which are already valid, so only the new
-        trait is checked. An entry keeps its stored trait object.
+        Only the new trait is checked; an entry keeps its stored trait object.
         """
         validate_trait(trait)
         entries = self.entries

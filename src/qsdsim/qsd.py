@@ -231,8 +231,6 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
     next_snap = burn_in
     while True:
         total = rates.total
-        if total <= 0.0:
-            raise Degenerate("all copies extinct at once")
         t_next = t + holding_time(gen, total)
         while next_snap <= horizon and next_snap < t_next:
             for c in configs:

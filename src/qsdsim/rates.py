@@ -32,8 +32,8 @@ class RateModel(ABC):
     from these here. Rates are zero at the void configuration. No rate
     depends on a trait, so the exact steppers draw a jump's kind from the
     per-kind totals of :meth:`state_rates` and then a uniform individual
-    (:func:`individual_at`), and thinning and the generator read ``b``,
-    ``rho`` and d(n) directly.
+    (:func:`individual_at`). Every engine reads d(n) through
+    :meth:`death_at`, which raises InvalidRegime where it is not positive.
     """
 
     b: float
@@ -48,6 +48,15 @@ class RateModel(ABC):
         n = 1 is both :attr:`death_inf` and :attr:`singleton_death_sup`.
         A constant may come back as a scalar; it broadcasts.
         """
+
+    def death_at(self, n):
+        """d(n) at masses n >= 1 that a run reaches, checked positive as the contract requires."""
+        d = self.per_capita_death(n)
+        if not (d.min() if isinstance(d, np.ndarray) else d) > 0.0:
+            masses, deaths = (np.ravel(x) for x in np.broadcast_arrays(n, d))
+            i = deaths.argmin()
+            raise InvalidRegime(f"per_capita_death({masses[i]}) = {deaths[i]} must be positive")
+        return d
 
     # No code of the package calls the five per-individual methods below
     # (clonal, mutation, reproduction and death rate, and the death bound);
@@ -88,14 +97,14 @@ class RateModel(ABC):
         The total is :meth:`total_jump_rate` bit for bit.
         """
         n = config.total_mass
-        death = self.per_capita_death(n) if n else 0.0
+        death = self.death_at(n) if n else 0.0
         return (n * (self.b * (1.0 - self.rho)), n * death, n * (self.b * self.rho),
                 n * self.b + n * death)
 
     def total_jump_rate(self, config: Configuration) -> float:
         """Total rate Q of leaving the configuration; 0 at the void state."""
         n = config.total_mass
-        return n * self.b + n * self.per_capita_death(n) if n else 0.0
+        return n * self.b + n * self.death_at(n) if n else 0.0
 
     def death_bound(self, config: Configuration) -> float:
         """Upper bound for the per-individual death rate at this state: the rate itself."""
@@ -104,7 +113,7 @@ class RateModel(ABC):
 
     def mass_birth_death_rates(self, k):
         """Mass-chain rates (k -> k+1, k -> k-1), elementwise on an array of masses."""
-        return k * self.b, k * self.per_capita_death(k)
+        return k * self.b, k * self.death_at(k)
 
 
 def _check(rho: float, **positive: float) -> None:

@@ -4,15 +4,12 @@ Two engines produce the same law. The Gillespie engine is the
 reference: exponential holding time at the total jump rate, then a
 branch that picks the jump's kind from the per-kind totals and the
 individual it moves by rank; its kernel ``_jumps`` is also what the
-validation battery steps. The thinning engine realizes the
-driving-Poisson-measure construction instead: candidate points are
-generated at bounding intensity, individuals are addressed by rank
-through the cumulative-weight index function, and candidates are
-accepted exactly when they fall inside the rate bands of the
-construction. The candidate levels are per state: the birth bands are
-b(1 - rho) and b, fixed for the run, and the death level is d(n) at the
-current mass n. That death bound is tight, so every death candidate is
-accepted. Agreement of the two engines is one of the package's
+validation battery steps. The thinning engine realizes the paper's
+construction from three Poisson point measures per individual instead:
+clonal births at rate b(1 - rho) and deaths at rate d(n), every point
+accepted, and mutations at the bounding rate b rho g*, each point
+carrying a base-measure child mark and accepted under b rho times the
+kernel density. Agreement of the two engines is one of the package's
 strongest correctness checks.
 
 Ensembles take a third route, mass first. Every rate model is
@@ -139,7 +136,7 @@ def _gillespie_branch(model: RateModel, config: Configuration, rng: np.random.Ge
 
 def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random.Generator
            ) -> Iterator[tuple[float, float, EventKind, float, float | None, Configuration]]:
-    """The exact jumps from ``config`` up to t_end, extinction or a dead state.
+    """The exact jumps from ``config`` up to t_end or extinction.
 
     Yields (t, hold, kind, parent, child, after): the jump time, the
     holding time that ended there, the branch of
@@ -150,10 +147,7 @@ def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random
     """
     t = 0.0
     while not config.is_void:
-        total = model.total_jump_rate(config)
-        if total <= 0.0:
-            return
-        hold = holding_time(rng, total)
+        hold = holding_time(rng, model.total_jump_rate(config))
         if t + hold > t_end:
             return
         t += hold
@@ -175,30 +169,28 @@ def simulate_gillespie(model: RateModel, initial: Configuration, horizon: float,
 
 def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
                       rng: np.random.Generator) -> Trajectory:
-    """Poisson-construction engine: bounded candidates, band acceptance.
+    """Poisson-construction engine on three point measures per individual.
 
-    Candidates arrive at rate n*(b g* + d(n)): a birth candidate carries
-    an individual index, a child mark drawn from the base measure, and a
-    level under b g*; a death candidate carries an index and a level
-    under d(n). A birth candidate becomes a clonal birth or a mutation
-    exactly when its level falls under b(1 - rho) or b times the kernel
-    density; otherwise nothing happens. The death bound d(n) is the death
-    rate itself, so every death candidate is a death. Candidate clocks
-    are regenerated after every point, which is distributionally
-    equivalent to any other schedule by memorylessness.
+    Candidates arrive at rate n*(b(1 - rho) + b rho g* + d(n)), g* bounding
+    the kernel density, each with an individual index. Clonal and death
+    candidates are always accepted. A mutation candidate carries a
+    base-measure child mark and a level under b rho g*, and is accepted
+    when the level falls under b rho times the kernel density. Candidate
+    clocks are regenerated after every point, which is equivalent in law
+    to any other schedule by memorylessness.
     """
     if horizon < 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     config = initial
-    clonal, birth = model.b * (1.0 - model.rho), model.b
-    birth_level = birth * model.kernel.sup_density()
+    clonal, mutation = model.b * (1.0 - model.rho), model.b * model.rho
+    mutation_level = mutation * model.kernel.sup_density()
+    births = clonal + mutation_level
     t = 0.0
     events: list[Event] = []
     candidates = 0
     while not config.is_void:
         n = config.total_mass
-        death_level = model.per_capita_death(n)
-        per_index = birth_level + death_level
+        per_index = births + model.death_at(n)
         t_next = t + holding_time(rng, n * per_index)
         if t_next > horizon:
             break
@@ -206,20 +198,15 @@ def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
         candidates += 1
         which = rng.random() * per_index
         trait = individual_at(config, rng.random())
-        if which < birth_level:
+        if which < clonal:
+            events.append(Event(t, EventKind.CLONAL, trait, trait))
+            config = config.add(trait)
+        elif which < births:
             child = sample_base(rng)
-            level = rng.random() * birth_level
-            density = model.kernel.density(trait, child)
-            if level <= clonal * density:
-                events.append(Event(t, EventKind.CLONAL, trait, trait))
-                config = config.add(trait)
-            elif level <= birth * density:
+            if rng.random() * mutation_level <= mutation * model.kernel.density(trait, child):
                 events.append(Event(t, EventKind.MUTATION, trait, child))
                 config = config.add(child)
         else:
-            # the bound d(n) is the death rate itself, so every level is
-            # accepted; it is still drawn, so that the stream does not move
-            rng.random()
             events.append(Event(t, EventKind.DEATH, trait, None))
             config = config.remove(trait)
     return Trajectory(initial, tuple(events), horizon, config, *path_times(initial, events),

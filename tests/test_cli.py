@@ -216,6 +216,16 @@ def test_fleming_viot_artifacts(tmp_path):
     assert payload["burn_in"] == 1.0
 
 
+def test_fleming_viot_at_its_defaults_names_the_burn_in_key(tmp_path, capsys):
+    # run.burn_in defaults to 20 and run.horizon to 10, and burn_in has no flag
+    assert main(["qsd-fv", *UNIFORM_FLAGS, "--particles", "4",
+                 "--out", str(tmp_path / "fv")]) == 1
+    err = capsys.readouterr().err
+    assert "error: need 0 <= run.burn_in < run.horizon, got 20.0 and 10.0" in err
+    assert "run.burn_in is set in a config file" in err
+    assert not (tmp_path / "fv" / "qsd.json").exists()
+
+
 def test_validate_exit_status_and_report(tmp_path, capsys):
     out = tmp_path / "validate"
     assert main(["validate", *UNIFORM_FLAGS, "--replicas", "300",

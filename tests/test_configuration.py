@@ -99,23 +99,23 @@ def test_successors_equal_a_fully_validated_configuration(entries, data):
     c = Configuration(entries)
     stored = [trait for trait, _ in entries]
     trait = data.draw(st.one_of(_TRAIT, *([st.sampled_from(stored)] if stored else [])))
-    counts = dict(entries)  # an equal key keeps the first, stored, trait object
-    counts[trait] = counts.get(trait, 0) + 1
-    added = Configuration(tuple(sorted(counts.items())))
-    for got, want in ((c.add(trait), added), (added.remove(trait), c)):
+
+    def validated(step):
+        counts = dict(entries)  # an equal key keeps the stored trait object
+        counts[trait] = counts.get(trait, 0) + step
+        return Configuration(tuple((t, w) for t, w in sorted(counts.items()) if w))
+
+    pairs = [(c.add(trait), validated(1)), (c.add(trait).remove(trait), c)]
+    if trait in stored:
+        pairs.append((c.remove(trait), validated(-1)))
+    else:
+        with pytest.raises(TraitAbsent):
+            c.remove(trait)
+    for got, want in pairs:
         assert got.entries == want.entries
         assert got.total_mass == want.total_mass
         assert got == want and hash(got) == hash(want)
         assert _signs(got) == _signs(want)
-    if trait in stored:
-        counts[trait] -= 2
-        removed = Configuration(tuple((t, w) for t, w in sorted(counts.items()) if w))
-        assert c.remove(trait) == removed
-        assert c.remove(trait).total_mass == removed.total_mass
-        assert _signs(c.remove(trait)) == _signs(removed)
-    else:
-        with pytest.raises(TraitAbsent):
-            c.remove(trait)
     outside = data.draw(st.floats().filter(lambda x: not 0.0 <= x <= 1.0))
     with pytest.raises(ValueError):
         c.add(outside)

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
-from qsdsim.qsd import QsdEstimate
-from qsdsim.rates import LogisticModel, UniformModel, individual_at
+from qsdsim.errors import InvalidRegime
+from qsdsim.oracle import build_mass_chain
+from qsdsim.qsd import QsdEstimate, fleming_viot_estimate
+from qsdsim.rates import LogisticModel, RateModel, UniformModel, individual_at
 from qsdsim.simulator import (CHUNK, ENGINES, Event, EventKind, Trajectory,
                               _gillespie_branch, hitting_tail, mass_moments, mass_paths,
                               path_times, simulate_gillespie, simulate_thinning,
@@ -114,21 +116,24 @@ def test_branch_picks_what_a_per_entry_scan_picks(model, config, seed):
 
 
 def _per_candidate_thinning(model, initial, horizon, rng):
-    """Thinning that reads four per-individual rates on every candidate.
+    """Thinning on three point measures that reads per-individual rates on every candidate.
 
-    The reference for simulate_thinning: the death level is
-    ``death_bound``, each band a ``(trait, config)`` rate evaluated per
-    candidate, and each accepted jump is applied by :func:`apply_event`.
+    The reference for simulate_thinning. Candidates arrive at the largest
+    per-individual candidate rate, clonal plus death plus mutation times
+    g*, each a ``(trait, config)`` rate. A candidate's band is read from
+    its own individual's rates: clonal and death candidates are jumps, and
+    a mutation candidate is accepted under the mutation rate times the
+    kernel density. Each accepted jump is applied by :func:`apply_event`.
     """
     config = initial
-    birth_level = model.birth_sup * model.kernel.sup_density()
+    g_star = model.kernel.sup_density()
     t = 0.0
     events = []
     candidates = 0
     while not config.is_void:
         n = config.total_mass
-        death_level = model.death_bound(config)
-        per_index = birth_level + death_level
+        per_index = max(model.clonal_rate(x, config) + model.mutation_rate(x, config) * g_star
+                        + model.death_rate(x, config) for x, _ in config.entries)
         t_next = t + -math.log(1.0 - rng.random()) / (n * per_index)
         if t_next > horizon:
             break
@@ -136,21 +141,19 @@ def _per_candidate_thinning(model, initial, horizon, rng):
         candidates += 1
         which = rng.random() * per_index
         trait = individual_at(config, rng.random())
-        event = None
-        if which < birth_level:
+        clonal = model.clonal_rate(trait, config)
+        mutation_level = model.mutation_rate(trait, config) * g_star
+        if which < clonal:
+            event = Event(t, EventKind.CLONAL, trait, trait)
+        elif which < clonal + mutation_level:
             child = sample_base(rng)
-            level = rng.random() * birth_level
-            density = model.kernel.density(trait, child)
-            if level <= model.clonal_rate(trait, config) * density:
-                event = Event(t, EventKind.CLONAL, trait, trait)
-            elif level <= model.reproduction_rate(trait, config) * density:
-                event = Event(t, EventKind.MUTATION, trait, child)
+            level = rng.random() * mutation_level
+            if level > model.mutation_rate(trait, config) * model.kernel.density(trait, child):
+                continue
+            event = Event(t, EventKind.MUTATION, trait, child)
         else:
-            level = rng.random() * death_level
-            if level <= model.death_rate(trait, config):
-                event = Event(t, EventKind.DEATH, trait, None)
-        if event is None:
-            continue
+            # the death band is the death rate itself
+            event = Event(t, EventKind.DEATH, trait, None)
         config = apply_event(config, event)
         events.append(event)
     return Trajectory(initial, tuple(events), horizon, config, *path_times(initial, events),
@@ -469,3 +472,47 @@ def test_mass_first_matches_the_full_engine_jointly(model):
     void = [Configuration.void()] * (replicas - len(paths.survivors))
     stat, df = two_sample_chi2(_joint_law(full), _joint_law([*paths.survivors, *void]))
     assert stat <= chi2_threshold(df, 0.999)
+
+
+def test_thinning_matches_gillespie_jointly_on_a_narrow_gaussian_kernel():
+    # g* is about 8 at scale 0.05: most mutation candidates are rejected,
+    # and no clonal or death candidate is. Criterion 06 runs the uniform
+    # kernel only, where g* = 1.
+    model = LogisticModel(b=2.0, rho=0.5, d=1.0, c=0.2,
+                          kernel=TruncatedGaussianKernel(scale=0.05))
+    start = Configuration.from_pairs(((0.3, 3), (0.7, 2)))
+    replicas = 4000
+    laws = [_joint_law([ENGINES[engine](model, start, 1.5, gen).final
+                        for gen in RandomStream(71, (k,)).replica_generators(0, replicas)])
+            for k, engine in enumerate(("gillespie", "thinning"))]
+    stat, df = two_sample_chi2(*laws)
+    assert stat <= chi2_threshold(df, 0.999)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Collapsing(RateModel):
+    """Breaks the rate contract: d(n) = 3 - n/2 is 0 at mass 6 and negative above."""
+
+    b: float = 2.0
+    rho: float = 0.3
+    kernel: UniformKernel = UniformKernel()
+
+    def per_capita_death(self, n):
+        return 3.0 - 0.5 * n
+
+
+def test_every_engine_raises_once_it_reaches_a_mass_with_no_positive_death_rate():
+    model = _Collapsing()
+    start = Configuration.from_pairs(((0.5, 5),))
+    bad = r"per_capita_death\(6\) = 0\.0 must be positive"
+    for engine in sorted(ENGINES):
+        with pytest.raises(InvalidRegime, match=bad):
+            ENGINES[engine](model, start, 100.0, RandomStream(5).generator())
+    with pytest.raises(InvalidRegime, match=bad):
+        mass_paths(model, start, 100.0, 50, RandomStream(5))
+    with pytest.raises(InvalidRegime, match=bad):
+        fleming_viot_estimate(model, 20, 1.0, 100.0, RandomStream(5))
+    # masses a run never reaches are not checked
+    assert build_mass_chain(model, 5).N == 5
+    with pytest.raises(InvalidRegime, match=bad):
+        build_mass_chain(model, 6)
