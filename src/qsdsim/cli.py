@@ -30,7 +30,7 @@ from .qsd import (decay_rate_from_singletons, decay_rate_from_survival,
                   write_sample_csv, yaglom_estimate)
 from .rates import UniformModel
 from .simulator import ENGINES, survival_curve, write_trajectory_csv
-from .streams import RandomStream
+from .streams import RandomStream, Uniforms
 from .validation import run_validation_checks
 
 _FLAGGED = tuple(key for key in SCHEMA if key.flag is not None)
@@ -98,7 +98,7 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 def _run_simulate(cfg: ExperimentConfig) -> int:
     model = cfg.build_model()
     trajectory = ENGINES[cfg.engine](model, cfg.build_initial(), cfg.horizon,
-                                     RandomStream(cfg.seed).generator())
+                                     Uniforms(RandomStream(cfg.seed).generator()))
     out = _out_dir(cfg)
     with _csv_artifact(cfg, out / "trajectory.csv") as fh:
         write_trajectory_csv(trajectory, fh)

@@ -12,7 +12,6 @@ cross-checked against the finite-state oracle.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -25,7 +24,7 @@ from .errors import (AllExtinct, Degenerate, InvalidRegime, NoSingletonMass,
 from .rates import RateModel, holding_time
 from .simulator import _gillespie_branch, mass_paths
 # map_replicas is unused here but stays importable: perfbench/tracer.py patches it.
-from .streams import RandomStream, map_replicas  # noqa: F401
+from .streams import RandomStream, Uniforms, map_replicas  # noqa: F401
 from .trait_space import sample_base
 
 
@@ -152,12 +151,14 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
 class SumTree:
     """Nonnegative rates with O(log n) total, prefix search and point update.
 
-    A heap-ordered binary tree in one flat array of doubles: the leaves
+    A heap-ordered binary tree in one flat list of floats: the leaves
     sit at ``[size, size + n)`` with zeros padding them to a power of
     two, and every inner node holds the sum of its two children. An
-    update recomputes the nodes above a leaf from their children rather
-    than adding a difference, so every node stays a function of the
-    current rates and no rounding error builds up over many updates.
+    update carries the new sum of each node up to its parent, adding the
+    sibling, rather than adding a difference; IEEE addition commutes, so
+    every node stays the sum of its children, a function of the current
+    rates, and no rounding error builds up over many updates. An update
+    that leaves a rate as it was returns at once.
     Where all partial sums are exact, as with small dyadic rates,
     ``total`` and ``find`` agree exactly with a cumulative sum.
     """
@@ -167,8 +168,8 @@ class SumTree:
     def __init__(self, rates: Sequence[float]) -> None:
         n = len(rates)
         size = 1 << (n - 1).bit_length()
-        tree = array("d", [0.0]) * (2 * size)
-        tree[size:size + n] = array("d", rates)
+        tree = [0.0] * (2 * size)
+        tree[size:size + n] = map(float, rates)
         for k in range(size - 1, 0, -1):
             tree[k] = tree[2 * k] + tree[2 * k + 1]
         self._n, self._size, self._tree = n, size, tree
@@ -180,11 +181,13 @@ class SumTree:
     def update(self, i: int, rate: float) -> None:
         tree = self._tree
         k = i + self._size
-        tree[k] = rate
-        k >>= 1
-        while k:
-            tree[k] = tree[2 * k] + tree[2 * k + 1]
+        if tree[k] == rate:
+            return
+        tree[k] = rate = float(rate)
+        while k > 1:
+            rate += tree[k ^ 1]
             k >>= 1
+            tree[k] = rate
 
     def find(self, x: float) -> int:
         """First index whose prefix sum exceeds x, clipped to the last.
@@ -195,12 +198,13 @@ class SumTree:
         size = self._size
         k = 1
         while k < size:
-            k *= 2
+            k <<= 1
             left = tree[k]
             if x >= left:
                 x -= left
                 k += 1
-        return min(k - size, self._n - 1)
+        i, n = k - size, self._n
+        return i if i < n else n - 1
 
 
 def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
@@ -213,7 +217,9 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
     uniformly chosen survivor. The estimate is the empirical measure
     time-averaged over snapshots every ``snapshot_interval`` in
     [burn_in, horizon]. Particles start as independent singletons at
-    base-measure draws.
+    base-measure draws. Each event reads the rates of two masses from
+    ``model.rate_table()``: the moving copy's, for its branch, and its
+    successor's, for its selection weight.
     """
     if particles < 2:
         raise InvalidRegime(f"need at least 2 particles, got {particles!r}")
@@ -221,10 +227,11 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         raise InvalidRegime(f"need 0 <= burn_in < horizon, got {burn_in!r}, {horizon!r}")
     if snapshot_interval <= 0.0:
         raise InvalidRegime(f"snapshot interval must be positive, got {snapshot_interval!r}")
-    gen = rng.generator()
+    gen = Uniforms(rng.generator())
     configs = [Configuration.singleton(sample_base(gen)) for _ in range(particles)]
-    rates = SumTree([model.total_jump_rate(c) for c in configs])
-    counts: dict[Configuration, int] = {}
+    rows = model.rate_table()
+    rates = SumTree([rows[c.total_mass][3] for c in configs])
+    counts: Counter[Configuration] = Counter()
     t = 0.0
     events = 0
     snaps = 0
@@ -233,8 +240,7 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         total = rates.total
         t_next = t + holding_time(gen, total)
         while next_snap <= horizon and next_snap < t_next:
-            for c in configs:
-                counts[c] = counts.get(c, 0) + 1
+            counts.update(configs)
             snaps += 1
             next_snap = burn_in + snaps * snapshot_interval
         if t_next > horizon:
@@ -242,7 +248,8 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         t = t_next
         events += 1
         i = rates.find(gen.random() * total)
-        *_, nxt = _gillespie_branch(model, configs[i], gen)
+        config = configs[i]
+        *_, nxt = _gillespie_branch(model, config, gen, rows[config.total_mass])
         if nxt.is_void:
             j = int(gen.random() * (particles - 1))
             if j >= i:
@@ -251,7 +258,7 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
             if nxt.is_void:
                 raise Degenerate("resampling donor is extinct")
         configs[i] = nxt
-        rates.update(i, model.total_jump_rate(nxt))
+        rates.update(i, rows[nxt.total_mass][3])
     if not counts:
         raise InvalidRegime("no snapshot fell inside [burn_in, horizon]")
     return _estimate_from_counts(counts, burn_in=burn_in, particles=particles,

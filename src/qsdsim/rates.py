@@ -33,7 +33,8 @@ class RateModel(ABC):
     depends on a trait, so the exact steppers draw a jump's kind from the
     per-kind totals of :meth:`state_rates` and then a uniform individual
     (:func:`individual_at`). Every engine reads d(n) through
-    :meth:`death_at`, which raises InvalidRegime where it is not positive.
+    :meth:`death_at`, which raises InvalidRegime where it is not positive,
+    and checks ``b`` and ``rho`` once per run through :meth:`check_regime`.
     """
 
     b: float
@@ -91,20 +92,42 @@ class RateModel(ABC):
 
     singleton_death_sup = death_inf
 
+    def check_regime(self) -> None:
+        """Raise InvalidRegime unless b > 0 and 0 < rho < 1.
+
+        The shipped constructors check these; an engine checks them again
+        at the start of a run, so a model built around them is refused too.
+        """
+        _check(self.rho, b=self.b)
+
+    def _row(self, n: int) -> tuple[float, float, float, float]:
+        # the one formula of the per-kind totals at total mass n
+        death = self.death_at(n) if n else 0.0
+        return (n * (self.b * (1.0 - self.rho)), n * death, n * (self.b * self.rho),
+                n * self.b + n * death)
+
     def state_rates(self, config: Configuration) -> tuple[float, float, float, float]:
         """Clonal, death and mutation totals and the total rate, all 0 at the void state.
 
         The total is :meth:`total_jump_rate` bit for bit.
         """
-        n = config.total_mass
-        death = self.death_at(n) if n else 0.0
-        return (n * (self.b * (1.0 - self.rho)), n * death, n * (self.b * self.rho),
-                n * self.b + n * death)
+        return self._row(config.total_mass)
 
+    # No code of the package calls total_jump_rate since the steppers read
+    # rate_table; it stays because perfbench/tracer.py patches it by name.
     def total_jump_rate(self, config: Configuration) -> float:
         """Total rate Q of leaving the configuration; 0 at the void state."""
-        n = config.total_mass
-        return n * self.b + n * self.death_at(n) if n else 0.0
+        return self._row(config.total_mass)[3]
+
+    def rate_table(self) -> dict[int, tuple[float, float, float, float]]:
+        """:meth:`state_rates` by total mass, each row computed on its first read.
+
+        A run that reads its rates here evaluates d(n), and its
+        :meth:`death_at` guard, once per mass it reaches. Raises
+        InvalidRegime as :meth:`check_regime` does.
+        """
+        self.check_regime()
+        return _RateTable(self._row)
 
     def death_bound(self, config: Configuration) -> float:
         """Upper bound for the per-individual death rate at this state: the rate itself."""
@@ -114,6 +137,20 @@ class RateModel(ABC):
     def mass_birth_death_rates(self, k):
         """Mass-chain rates (k -> k+1, k -> k-1), elementwise on an array of masses."""
         return k * self.b, k * self.death_at(k)
+
+
+class _RateTable(dict):
+    """Rows of a rate model by total mass, filled in on first read."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row) -> None:
+        super().__init__()
+        self._row = row
+
+    def __missing__(self, n: int) -> tuple[float, float, float, float]:
+        row = self[n] = self._row(n)
+        return row
 
 
 def _check(rho: float, **positive: float) -> None:

@@ -10,7 +10,9 @@ clonal births at rate b(1 - rho) and deaths at rate d(n), every point
 accepted, and mutations at the bounding rate b rho g*, each point
 carrying a base-measure child mark and accepted under b rho times the
 kernel density. Agreement of the two engines is one of the package's
-strongest correctness checks.
+strongest correctness checks. Both draw one uniform at a time through
+``rng.random()``, so ``rng`` may be a Generator or a
+:class:`~qsdsim.streams.Uniforms` over one, with the same trajectory.
 
 Ensembles take a third route, mass first. Every rate model is
 trait-blind, so the total mass is a birth-death chain on its own:
@@ -108,19 +110,22 @@ def path_times(initial: Configuration,
     return extinction, chi, kappa
 
 
-def _gillespie_branch(model: RateModel, config: Configuration, rng: np.random.Generator
+def _gillespie_branch(model: RateModel, config: Configuration, rng: np.random.Generator,
+                      row: tuple[float, float, float, float] | None = None
                       ) -> tuple[EventKind, float, float | None, Configuration]:
     """Pick one jump out of the configuration with the exact probabilities.
 
     Returns (kind, parent, child, after), ``after`` being the
-    configuration after the jump. One uniform times the total rate falls
+    configuration after the jump. ``row`` is ``model.state_rates(config)``
+    where the caller has it already, read from ``model.rate_table()``;
+    without it the branch reads it. One uniform times the total rate falls
     into the clonal, the death or the mutation band, in that order, so
     the mutation band absorbs float slack. Every individual carries the
     same rates, so the uniform rescaled within the clonal or death band
     ranks the individual that jumps; a mutation draws its parent with a
     fresh uniform.
     """
-    clonal, death, _, total = model.state_rates(config)
+    clonal, death, _, total = model.state_rates(config) if row is None else row
     x = rng.random() * total
     if x < clonal:
         trait = individual_at(config, x / clonal)
@@ -141,17 +146,21 @@ def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random
     Yields (t, hold, kind, parent, child, after): the jump time, the
     holding time that ended there, the branch of
     :func:`_gillespie_branch` and the configuration after the jump.
-    Holding times are drawn at the total jump rate. The run stops
-    before branching once ``t + hold > t_end``, so its last draw is one
-    holding time past the horizon; every consumer relies on that order.
+    Holding times are drawn at the total jump rate, and each step reads
+    one row of ``model.rate_table()`` for both the holding time and the
+    branch. The run stops before branching once ``t + hold > t_end``, so
+    its last draw is one holding time past the horizon; every consumer
+    relies on that order.
     """
+    rows = model.rate_table()
     t = 0.0
     while not config.is_void:
-        hold = holding_time(rng, model.total_jump_rate(config))
+        row = rows[config.total_mass]
+        hold = holding_time(rng, row[3])
         if t + hold > t_end:
             return
         t += hold
-        kind, parent, child, config = _gillespie_branch(model, config, rng)
+        kind, parent, child, config = _gillespie_branch(model, config, rng, row)
         yield t, hold, kind, parent, child, config
 
 
@@ -177,20 +186,25 @@ def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
     base-measure child mark and a level under b rho g*, and is accepted
     when the level falls under b rho times the kernel density. Candidate
     clocks are regenerated after every point, which is equivalent in law
-    to any other schedule by memorylessness.
+    to any other schedule by memorylessness. The candidate rate per
+    individual is computed once per mass reached.
     """
     if horizon < 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
+    model.check_regime()
     config = initial
     clonal, mutation = model.b * (1.0 - model.rho), model.b * model.rho
     mutation_level = mutation * model.kernel.sup_density()
     births = clonal + mutation_level
+    levels: dict[int, float] = {}
     t = 0.0
     events: list[Event] = []
     candidates = 0
     while not config.is_void:
         n = config.total_mass
-        per_index = births + model.death_at(n)
+        per_index = levels.get(n)
+        if per_index is None:
+            per_index = levels[n] = births + model.death_at(n)
         t_next = t + holding_time(rng, n * per_index)
         if t_next > horizon:
             break
@@ -354,6 +368,7 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
         raise ValueError("replicas must be positive")
     if isinstance(initial, tuple) and len(initial) != replicas:
         raise ValueError(f"need one start per replica, got {len(initial)} for {replicas}")
+    model.check_regime()
     chunk = partial(_mass_chunk, model, float(t_end),
                     tuple(float(c) for c in checkpoints), survivors)
     work = [(min(CHUNK, replicas - a),

@@ -10,6 +10,10 @@ repeats numpy's SeedSequence hash (entropy pool of 4 words, then
 ``generate_state``) in vectorised 32-bit arithmetic over a range of
 replica indices, and each row seeds a PCG64 exactly as
 ``substream(r).generator()`` would, bit for bit.
+
+A per-event loop that draws one uniform at a time takes them from
+:class:`Uniforms`, which draws them from its generator in blocks and
+hands out the same values in the same order.
 """
 
 from __future__ import annotations
@@ -144,6 +148,41 @@ class RandomStream:
         """
         for row in seed_words(self.entropy, self.key, start, stop):
             yield np.random.Generator(np.random.PCG64(_PrecomputedSeed(row)))
+
+
+class Uniforms:
+    """The uniforms of one generator, drawn in blocks and handed out one by one.
+
+    Each call of :meth:`random` returns the value ``gen.random()`` would
+    return next, bit for bit: a block from ``gen.random(size)`` holds the
+    values of ``size`` scalar calls in order. Blocks start at 64 values
+    and double up to 4096, so a short run draws little ahead. Only the
+    owner of a generator may wrap it, and it must not draw from the
+    generator afterwards, since the block has already taken the next
+    values. The wrapper stands in for the generator wherever one uniform
+    at a time is drawn through ``random()``.
+    """
+
+    __slots__ = ("_gen", "_block", "_next", "_size")
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        self._gen = gen
+        self._block: list[float] = []
+        self._next = 0
+        self._size = 64
+
+    def random(self) -> float:
+        i = self._next
+        try:
+            value = self._block[i]
+        except IndexError:
+            size = self._size
+            self._block = self._gen.random(size).tolist()
+            self._size = min(2 * size, 4096)
+            value = self._block[0]
+            i = 0
+        self._next = i + 1
+        return value
 
 
 def _run_chunk(args: tuple) -> list:

@@ -39,7 +39,9 @@ class MutationKernel:
 
     Subclasses implement ``density``, ``cdf``, ``sample`` and
     ``sup_density``. Densities are with respect to the base measure and
-    integrate to one over [0, 1] for every parent.
+    integrate to one over [0, 1] for every parent. ``sample`` draws only
+    through ``rng.random()``, one uniform at a time, so that ``rng`` may
+    be a Generator or a :class:`~qsdsim.streams.Uniforms` over one.
     """
 
     def density(self, parent: TraitPoint, child: TraitPoint) -> float:

@@ -24,7 +24,7 @@ from .configuration import Configuration
 from .oracle import ode_trajectory
 from .rates import LogisticModel, RateModel, UniformModel
 from .simulator import _jumps, mass_moments
-from .streams import RandomStream, map_replicas
+from .streams import RandomStream, Uniforms, map_replicas
 
 
 class TestFunction(ABC):
@@ -120,7 +120,7 @@ def _martingale_replica(model: RateModel, f: TestFunction, initial: Configuratio
     config = initial
     now = 0.0
     integral = 0.0
-    for now, hold, _, _, _, after in _jumps(model, initial, t, rng):
+    for now, hold, _, _, _, after in _jumps(model, initial, t, Uniforms(rng)):
         integral += hold * generator_apply(model, f, config)
         config = after
     if not config.is_void:
@@ -161,7 +161,7 @@ def _lyapunov_replica(model: RateModel, initial: Configuration, grid: tuple[floa
     # time, that time contributes 0
     masses: list[int] = []
     n = initial.total_mass
-    for t, _, _, _, _, after in _jumps(model, initial, grid[-1], rng):
+    for t, _, _, _, _, after in _jumps(model, initial, grid[-1], Uniforms(rng)):
         while len(masses) < len(grid) and grid[len(masses)] < t:
             masses.append(n)
         n = after.total_mass

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
 from qsdsim.errors import InvalidRegime, NoMutationMass
-from qsdsim.rates import LogisticModel, UniformModel, individual_at, sample_mutation_parent
+from qsdsim.rates import (LogisticModel, RateModel, UniformModel, individual_at,
+                          sample_mutation_parent)
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import UniformKernel
 
@@ -143,3 +146,37 @@ def test_rates_vanish_at_void(m, trait):
         assert rate(trait, void) == 0.0
     assert m.total_jump_rate(void) == 0.0 and m.death_bound(void) == 0.0
     assert m.state_rates(void) == (0.0, 0.0, 0.0, 0.0)
+
+
+def _bits(row):
+    return struct.pack("4d", *row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MODELS, configurations(), configurations())
+def test_rate_table_rows_are_state_rates_bit_for_bit(m, config, other):
+    table = m.rate_table()
+    void = Configuration.void()
+    for c in (config, other, void, config):
+        assert _bits(table[c.total_mass]) == _bits(m.state_rates(c))
+        assert table[c.total_mass][3] == m.total_jump_rate(c)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Unchecked(RateModel):
+    """Constant death rate 1, built without the shipped constructors' checks."""
+
+    b: float
+    rho: float
+    kernel: UniformKernel = UniformKernel()
+
+    def per_capita_death(self, n):
+        return 1.0
+
+
+@pytest.mark.parametrize("b, rho", [(0.0, 0.3), (-1.0, 0.3), (math.nan, 0.3),
+                                    (1.0, 0.0), (1.0, 1.0), (1.0, 1.5), (1.0, math.nan)])
+def test_rate_table_refuses_a_model_outside_the_regime(b, rho):
+    with pytest.raises(InvalidRegime):
+        _Unchecked(b, rho).rate_table()
+    _Unchecked(1.0, 0.3).rate_table()

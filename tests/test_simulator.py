@@ -16,9 +16,10 @@ from qsdsim.simulator import (CHUNK, ENGINES, Event, EventKind, Trajectory,
                               _gillespie_branch, hitting_tail, mass_moments, mass_paths,
                               path_times, simulate_gillespie, simulate_thinning,
                               survival_curve, write_trajectory_csv)
-from qsdsim.streams import RandomStream
+from qsdsim.streams import RandomStream, Uniforms
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, sample_base
-from qsdsim.validation import chi2_threshold, mass_histogram, two_sample_chi2
+from qsdsim.validation import (Mass, chi2_threshold, martingale_residual, mass_histogram,
+                               two_sample_chi2)
 
 import strategies
 
@@ -516,3 +517,69 @@ def test_every_engine_raises_once_it_reaches_a_mass_with_no_positive_death_rate(
     assert build_mass_chain(model, 5).N == 5
     with pytest.raises(InvalidRegime, match=bad):
         build_mass_chain(model, 6)
+
+
+@pytest.mark.parametrize("broken", [{"b": 0.0}, {"b": -1.0}, {"rho": 0.0}, {"rho": 1.0},
+                                    {"rho": math.nan}])
+def test_every_run_refuses_a_model_outside_the_regime_before_drawing(broken):
+    # built without a constructor that checks b and rho
+    model = dataclasses.replace(_Collapsing(), **broken)
+    start = Configuration.from_pairs(((0.5, 2),))
+    for engine in sorted(ENGINES):
+        with pytest.raises(InvalidRegime):
+            ENGINES[engine](model, start, 1.0, RandomStream(5).generator())
+    with pytest.raises(InvalidRegime):
+        mass_paths(model, start, 1.0, 10, RandomStream(5))
+    with pytest.raises(InvalidRegime):
+        fleming_viot_estimate(model, 20, 0.5, 1.0, RandomStream(5))
+    with pytest.raises(InvalidRegime):
+        martingale_residual(model, Mass(), start, 1.0, 3, RandomStream(5))
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountingDeaths(LogisticModel):
+    """Logistic rates that log every mass at which d(n) is evaluated."""
+
+    masses: list = dataclasses.field(default_factory=list, compare=False, repr=False)
+
+    def per_capita_death(self, n):
+        self.masses.append(n)
+        return super().per_capita_death(n)
+
+
+def _counting_model():
+    return _CountingDeaths(b=1.5, rho=0.3, d=1.0, c=0.05, kernel=UniformKernel())
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_a_run_evaluates_the_death_rate_once_per_mass_it_reaches(engine):
+    model = _counting_model()
+    start = Configuration.from_pairs(((0.3, 4), (0.7, 3)))
+    trajectory = ENGINES[engine](model, start, 5.0, RandomStream(3).generator())
+    mass = start.total_mass
+    reached = {mass}
+    for event in trajectory.events:
+        mass += -1 if event.kind is EventKind.DEATH else 1
+        reached.add(mass)
+    assert len(trajectory.events) > 50
+    assert len(model.masses) == len(set(model.masses))
+    assert set(model.masses) <= reached
+
+
+def test_fleming_viot_evaluates_the_death_rate_once_per_mass_it_reaches():
+    model = _counting_model()
+    est = fleming_viot_estimate(model, 50, 1.0, 4.0, RandomStream(3))
+    assert est.events > 500
+    assert len(model.masses) == len(set(model.masses))
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("model", MODELS)
+def test_engines_draw_the_same_path_from_uniforms_as_from_the_generator(engine, model):
+    # every event takes at least two uniforms, so each run refills the first block
+    start = Configuration.from_pairs(((0.2, 25), (0.6, 15)))
+    for seed in range(4):
+        raw = ENGINES[engine](model, start, 3.0, RandomStream(seed).generator())
+        assert len(raw.events) > 32
+        assert ENGINES[engine](model, start, 3.0,
+                               Uniforms(RandomStream(seed).generator())) == raw

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdsim.streams import RandomStream, map_replicas, seed_words
+from qsdsim.streams import RandomStream, Uniforms, map_replicas, seed_words
 
 
 def test_same_stream_reproduces():
@@ -108,3 +108,12 @@ def test_map_replicas_equals_the_per_replica_reference(entropy, key, n, chunk):
     ref = [_third_uniform(stream.substream(r).generator()) for r in range(n)]
     assert map_replicas(_third_uniform, n, stream, workers=1, chunk_size=chunk) == ref
     assert map_replicas(_third_uniform, n, stream, workers=2, chunk_size=chunk) == ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), length=st.integers(0, 9000))
+def test_uniforms_hand_out_what_scalar_draws_give(seed, length):
+    # blocks of 64, 128, ..., 4096 values: 9000 draws span eight refills
+    blocks = Uniforms(np.random.default_rng(seed))
+    scalar = np.random.default_rng(seed)
+    assert [blocks.random() for _ in range(length)] == [scalar.random() for _ in range(length)]
