@@ -93,11 +93,7 @@ class RateModel(ABC):
     singleton_death_sup = death_inf
 
     def check_regime(self) -> None:
-        """Raise InvalidRegime unless b > 0 and 0 < rho < 1.
-
-        The shipped constructors check these; an engine checks them again
-        at the start of a run, so a model built around them is refused too.
-        """
+        """Raise InvalidRegime unless b > 0 and 0 < rho < 1; engines call it as a run starts."""
         _check(self.rho, b=self.b)
 
     def _row(self, n: int) -> tuple[float, float, float, float]:
@@ -113,8 +109,8 @@ class RateModel(ABC):
         """
         return self._row(config.total_mass)
 
-    # No code of the package calls total_jump_rate since the steppers read
-    # rate_table; it stays because perfbench/tracer.py patches it by name.
+    # No code of the package calls total_jump_rate (the steppers read
+    # rate_table); it stays because perfbench/tracer.py patches it by name.
     def total_jump_rate(self, config: Configuration) -> float:
         """Total rate Q of leaving the configuration; 0 at the void state."""
         return self._row(config.total_mass)[3]

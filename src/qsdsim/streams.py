@@ -11,9 +11,7 @@ repeats numpy's SeedSequence hash (entropy pool of 4 words, then
 replica indices, and each row seeds a PCG64 exactly as
 ``substream(r).generator()`` would, bit for bit.
 
-A per-event loop that draws one uniform at a time takes them from
-:class:`Uniforms`, which draws them from its generator in blocks and
-hands out the same values in the same order.
+Per-event loops take their uniforms one at a time from :class:`Uniforms`.
 """
 
 from __future__ import annotations

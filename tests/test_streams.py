@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdsim.streams import RandomStream, Uniforms, map_replicas, seed_words
@@ -112,8 +112,9 @@ def test_map_replicas_equals_the_per_replica_reference(entropy, key, n, chunk):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), length=st.integers(0, 9000))
+@example(seed=1, length=9000)
 def test_uniforms_hand_out_what_scalar_draws_give(seed, length):
-    # blocks of 64, 128, ..., 4096 values: 9000 draws span eight refills
+    # blocks of 64, 128, ..., 4096, 4096 values: 9000 draws take eight blocks
     blocks = Uniforms(np.random.default_rng(seed))
     scalar = np.random.default_rng(seed)
     assert [blocks.random() for _ in range(length)] == [scalar.random() for _ in range(length)]
