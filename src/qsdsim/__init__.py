@@ -22,8 +22,8 @@ from .qsd import (QsdEstimate, decay_rate_from_singletons,
                   decay_rate_from_survival, fleming_viot_estimate, tv_distance,
                   yaglom_estimate)
 from .rates import LogisticModel, RateModel, UniformModel, sample_mutation_parent
-from .simulator import (Event, EventKind, Trajectory, hitting_tail,
-                        simulate_gillespie, simulate_thinning, survival_curve)
+from .simulator import (Event, EventKind, Trajectory, simulate_gillespie,
+                        simulate_thinning, survival_curve)
 from .streams import RandomStream
 from .trait_space import (MutationKernel, TruncatedGaussianKernel, UniformKernel,
                           make_kernel, sample_base)

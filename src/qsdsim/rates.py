@@ -96,9 +96,11 @@ class RateModel(ABC):
         """Raise InvalidRegime unless b > 0 and 0 < rho < 1; engines call it as a run starts."""
         _check(self.rho, b=self.b)
 
-    def _row(self, n: int) -> tuple[float, float, float, float]:
-        # the one formula of the per-kind totals at total mass n
-        death = self.death_at(n) if n else 0.0
+    def _death(self, n: int) -> float:
+        return self.death_at(n) if n else 0.0
+
+    def _row(self, n: int, death: float) -> tuple[float, float, float, float]:
+        # the one formula of the per-kind totals at total mass n, where d(n) = death
         return (n * (self.b * (1.0 - self.rho)), n * death, n * (self.b * self.rho),
                 n * self.b + n * death)
 
@@ -107,23 +109,26 @@ class RateModel(ABC):
 
         The total is :meth:`total_jump_rate` bit for bit.
         """
-        return self._row(config.total_mass)
+        n = config.total_mass
+        return self._row(n, self._death(n))
 
     # No code of the package calls total_jump_rate (the steppers read
     # rate_table); it stays because perfbench/tracer.py patches it by name.
     def total_jump_rate(self, config: Configuration) -> float:
         """Total rate Q of leaving the configuration; 0 at the void state."""
-        return self._row(config.total_mass)[3]
+        n = config.total_mass
+        return self._row(n, self._death(n))[3]
 
     def rate_table(self) -> dict[int, tuple[float, float, float, float]]:
         """:meth:`state_rates` by total mass, each row computed on its first read.
 
         A run that reads its rates here evaluates d(n), and its
-        :meth:`death_at` guard, once per mass it reaches. Raises
-        InvalidRegime as :meth:`check_regime` does.
+        :meth:`death_at` guard, once per mass it reaches; the table's
+        ``death(n)`` gives back the d(n) its row at n was built from.
+        Raises InvalidRegime as :meth:`check_regime` does.
         """
         self.check_regime()
-        return _RateTable(self._row)
+        return _RateTable(self)
 
     def death_bound(self, config: Configuration) -> float:
         """Upper bound for the per-individual death rate at this state: the rate itself."""
@@ -138,15 +143,23 @@ class RateModel(ABC):
 class _RateTable(dict):
     """Rows of a rate model by total mass, filled in on first read."""
 
-    __slots__ = ("_row",)
+    __slots__ = ("_model", "_deaths")
 
-    def __init__(self, row) -> None:
+    def __init__(self, model: RateModel) -> None:
         super().__init__()
-        self._row = row
+        self._model = model
+        self._deaths: dict[int, float] = {}
 
     def __missing__(self, n: int) -> tuple[float, float, float, float]:
-        row = self[n] = self._row(n)
+        death = self._deaths[n] = self._model._death(n)
+        row = self[n] = self._model._row(n, death)
         return row
+
+    def death(self, n: int) -> float:
+        """d(n), read once with the row at n."""
+        if n not in self._deaths:
+            self[n]
+        return self._deaths[n]
 
 
 def _check(rho: float, **positive: float) -> None:

@@ -17,14 +17,14 @@ strongest correctness checks. Both draw one uniform at a time through
 Ensembles take a third route, mass first. Every rate model is
 trait-blind, so the total mass is a birth-death chain on its own:
 ``mass_paths`` advances a chunk of replicas in numpy lockstep on the
-mass alone, and draws traits afterwards, by an urn along each mass path,
-only for the replicas whose configuration is reported.
+mass alone, and draws traits afterwards, by an urn along each mass path
+run for the whole chunk in lockstep too, only for the replicas whose
+configuration is reported.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -32,10 +32,10 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .configuration import Configuration
+from .configuration import Configuration, _successor
 from .rates import RateModel, holding_time, individual_at, sample_mutation_parent
 from .streams import RandomStream, map_replicas
-from .trait_space import sample_base
+from .trait_space import sample_base, validate_trait
 
 
 class EventKind(Enum):
@@ -139,7 +139,8 @@ def _gillespie_branch(model: RateModel, config: Configuration, rng: np.random.Ge
     return EventKind.MUTATION, parent, child, config.add(child)
 
 
-def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random.Generator
+def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random.Generator,
+           rows: dict | None = None
            ) -> Iterator[tuple[float, float, EventKind, float, float | None, Configuration]]:
     """The exact jumps from ``config`` up to t_end or extinction.
 
@@ -147,12 +148,14 @@ def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random
     holding time that ended there, the branch of
     :func:`_gillespie_branch` and the configuration after the jump.
     Holding times are drawn at the total jump rate, and each step reads
-    one row of ``model.rate_table()`` for both the holding time and the
-    branch. The run stops before branching once ``t + hold > t_end``, so
-    its last draw is one holding time past the horizon; every consumer
-    relies on that order.
+    one row of ``rows``, a ``model.rate_table()`` that callers running
+    many short paths share, for both the holding time and the branch;
+    without it the run builds its own. The run stops before branching
+    once ``t + hold > t_end``, so its last draw is one holding time past
+    the horizon; every consumer relies on that order.
     """
-    rows = model.rate_table()
+    if rows is None:
+        rows = model.rate_table()
     t = 0.0
     while not config.is_void:
         row = rows[config.total_mass]
@@ -259,26 +262,217 @@ class MassPaths(NamedTuple):
     survivors: tuple[Configuration, ...]
 
 
-def _urn(model: RateModel, start: Configuration, steps: np.ndarray,
-         rng: np.random.Generator) -> Configuration:
-    """Traits along a mass path with ±1 ``steps``.
+# Uniforms the urn draws at a time. It draws a chunk's uniforms twice, once
+# for the mutation flags and once for the picks and kernel uniforms, so
+# that no more than this many of them are held at once.
+_PIECE = 8192
 
-    At +1 a uniform individual is the parent, and the child is a kernel
-    draw with probability rho, else a clone. At -1 a uniform individual
-    dies. Given the mass path these are the exact conditional laws, since
-    every individual carries the same rates.
+
+def _urns(model: RateModel, starts, masses: np.ndarray, steps: np.ndarray,
+          lengths: np.ndarray, finals: np.ndarray,
+          rng: np.random.Generator) -> tuple[Configuration, ...]:
+    """Traits along the mass paths of a chunk's survivors, in one numpy lockstep urn.
+
+    Survivor s starts from ``starts``, one configuration for all or a
+    sequence with one per survivor, at mass ``masses[s]``, takes the
+    ``lengths[s]`` ±1 ``steps`` that follow those of survivors 0..s-1 and
+    ends at mass ``finals[s]``. Its individuals form a list in entry
+    order. At +1 a uniform individual is the parent, and the child, put
+    at the end, is a kernel draw with probability rho, else a clone. At
+    -1 a uniform individual dies and the last one takes its place. Given
+    the mass path these are the exact conditional laws, since every
+    individual carries the same rates.
+
+    The uniforms are those of running the survivors one after another
+    (:func:`_urn_uniforms`). Every mass along the paths is known
+    beforehand, so every step's slots in the list are too. All survivors
+    take step k at once, longest path first so that those still stepping
+    form a prefix, moving ids of trait nodes: one node per start entry
+    and one per mutant child, each child valued from its parent's value
+    afterwards, a generation at a time, through the kernel's
+    ``inverse_cdf``. The trait lists are then sorted and run-length
+    encoded together.
     """
-    traits = [trait for trait, weight in start.entries for _ in range(weight)]
-    picks = rng.random(len(steps)).tolist()
-    mutates = (rng.random(len(steps)) < model.rho).tolist()
-    for step, pick, mutate in zip(steps.tolist(), picks, mutates):
-        i = int(pick * len(traits))
-        if step > 0:
-            traits.append(model.kernel.sample(traits[i], rng) if mutate else traits[i])
-        else:
-            traits[i] = traits[-1]
-            traits.pop()
-    return Configuration(tuple(sorted(Counter(traits).items())))
+    count = len(lengths)
+    if not count:
+        return ()
+    # positions in the uniforms and in the rows of node ids fit this type
+    bound = max(3 * len(steps), count * int(masses.max() + lengths.max()))
+    index = np.int32 if bound < 2**31 else np.int64
+    masses, finals = masses.astype(index), finals.astype(index)
+    up = steps > 0
+    # the mass before each step
+    mass = np.cumsum(steps, dtype=index)
+    mass -= steps
+    net = finals - masses
+    mass += np.repeat(masses - (np.cumsum(net, dtype=index) - net), lengths)
+    pick, mutates, kernel_u = _urn_uniforms(model.rho, up, lengths, mass, rng, index)
+
+    # row r of node ids is the list of the survivor of rank r, longest
+    # path first; a birth reads its parent and writes the child after the
+    # last individual, a death moves the last individual onto the one
+    # that dies
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty(count, dtype=index)
+    rank[order] = np.arange(count, dtype=index)
+    width = int(max(masses.max(), mass.max(initial=0) + 1))
+    row = np.repeat(rank * width, lengths)
+    pick += row
+    mass += row
+    del row
+    source = np.where(up, pick, mass - 1)
+    np.copyto(pick, mass, where=up)
+    target = pick
+    del pick, mass, up
+    # step k of the survivor of rank r goes to slot cum[k] + r
+    longest = int(lengths[order[0]])
+    live = count - np.cumsum(np.bincount(lengths, minlength=longest + 1))[:longest]
+    cum = np.zeros(longest + 1, dtype=index)
+    np.cumsum(live, out=cum[1:])
+    slot = np.arange(len(steps), dtype=index)
+    span = lengths.astype(index)
+    slot -= np.repeat(np.cumsum(span, dtype=index) - span, lengths)
+    slot = cum[slot]
+    slot += np.repeat(rank, lengths)
+    kernel_u = kernel_u[np.argsort(slot[mutates])]
+    source = _scatter(source, slot)
+    target = _scatter(target, slot)
+    mutates = _scatter(mutates, slot)
+    del slot
+
+    entries = (starts.entries if isinstance(starts, Configuration)
+               else [entry for c in starts for entry in c.entries])
+    nodes = len(entries)
+    firsts = np.repeat(np.arange(nodes, dtype=index), [w for _, w in entries])
+    lists = np.empty((count, width), dtype=index)
+    if isinstance(starts, Configuration):
+        lists[:, :len(firsts)] = firsts
+    else:
+        cols = np.arange(len(firsts)) - np.repeat(np.cumsum(masses) - masses, masses)
+        lists[np.repeat(rank, masses), cols] = firsts
+        del cols
+    flat = lists.reshape(-1)
+    parent_of = np.empty(len(kernel_u), dtype=index)
+    cut = cum.tolist()
+    mutant_cut = [0, *np.cumsum(np.add.reduceat(mutates, cut[:-1])).tolist()] if longest else [0]
+    for a, b, ma, mb in zip(cut, cut[1:], mutant_cut, mutant_cut[1:]):
+        value = flat[source[a:b]]
+        if mb > ma:
+            mutant = mutates[a:b]
+            parent_of[ma:mb] = value[mutant]
+            value[mutant] = np.arange(nodes + ma, nodes + mb, dtype=index)
+        flat[target[a:b]] = value
+    del source, target, mutates, flat
+
+    # a child's node comes after its parent's, so each round values the
+    # children of the nodes valued so far; one more node, at inf, pads
+    # the rows past each survivor's final mass
+    value = np.empty(nodes + len(parent_of) + 1)
+    value[:nodes] = [trait for trait, _ in entries]
+    value[-1] = np.inf
+    known = np.zeros(len(value), dtype=bool)
+    known[:nodes] = True
+    pending = np.arange(len(parent_of))
+    while pending.size:
+        ready = known[parent_of[pending]]
+        now = pending[ready]
+        value[nodes + now] = model.kernel.inverse_cdf(value[parent_of[now]], kernel_u[now])
+        known[nodes + now] = True
+        pending = pending[~ready]
+    size = finals[order]
+    lists[np.arange(width) >= size[:, None]] = len(value) - 1
+    traits = value[lists]
+    del lists, value, known, parent_of, kernel_u
+
+    # sort each row, then one run per distinct trait; validate_trait on the
+    # extremes stands for the per-entry check of Configuration
+    traits.sort(axis=1)
+    traits = traits[np.arange(width) < size[:, None]]
+    row_first = np.cumsum(size) - size
+    new = np.ones(len(traits), dtype=bool)
+    np.not_equal(traits[1:], traits[:-1], out=new[1:])
+    new[row_first] = True
+    runs = np.flatnonzero(new)
+    traits = traits[runs]
+    validate_trait(float(traits.min()))
+    validate_trait(float(traits.max()))
+    pairs = list(zip(traits.tolist(), np.diff(runs, append=len(new)).tolist()))
+    per_row = np.add.reduceat(new, row_first, dtype=np.int64)
+    run_end = np.cumsum(per_row)
+    spans = zip((run_end - per_row)[rank].tolist(), run_end[rank].tolist(), finals.tolist())
+    return tuple([_successor(tuple(pairs[i:j]), n) for i, j, n in spans])
+
+
+def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndarray,
+                  rng: np.random.Generator, index) -> tuple[np.ndarray, ...]:
+    """The urn's uniforms, drawn as running the survivors one after another would.
+
+    Survivor s reads ``lengths[s]`` picks, as many mutation flags, then
+    one kernel uniform per mutating birth; its steps are ``up`` (births)
+    and the ``mass`` before each. Returns, per step, the rank of the
+    picked individual, truncated as int() does, and whether the step is
+    a mutating birth, and the kernel uniforms in step order. The urn
+    draws a block of uniforms long enough for every survivor twice from
+    the same generator state: once for the flags, from which one scan
+    over the survivors finds where each one's uniforms start, and once
+    for the picks and kernel uniforms. The block may run past the last
+    uniform used; that is harmless, since ``rng`` is the chunk's own
+    generator and nothing draws from it afterwards.
+    """
+    total = len(up)
+    size = 2 * total + int(np.count_nonzero(up))
+    state = rng.bit_generator.state
+    flag = np.empty(size, dtype=bool)
+    for i in range(0, size, _PIECE):
+        np.less(rng.random(min(_PIECE, size - i)), rho, out=flag[i:i + _PIECE])
+    # survivor s takes 2 lengths[s] uniforms and one per mutating birth,
+    # counted as the set bits of its birth bytes ANDed with its flag bytes
+    below, births = memoryview(flag.view(np.uint8)), memoryview(up.view(np.uint8))
+    offsets = []
+    mark = offsets.append
+    word = int.from_bytes
+    here = lo = 0
+    for n in lengths.tolist():
+        mark(here)
+        here += 2 * n + (word(births[lo:lo + n], "little")
+                         & word(below[here + n:here + 2 * n], "little")).bit_count()
+        lo += n
+    mark(here)
+    del below, births
+    # step k of survivor s reads its pick at offsets[s] + k and its flag
+    # lengths[s] later; its i-th mutating birth reads the kernel uniform
+    # at offsets[s] + 2 lengths[s] + i
+    offsets = np.array(offsets, dtype=index)
+    span = lengths.astype(index)
+    at = np.repeat(offsets[:-1] - (np.cumsum(span, dtype=index) - span), lengths)
+    at += np.arange(total, dtype=index)
+    mutations = np.diff(offsets) - 2 * span
+    kernel_at = np.repeat(offsets[:-1] + 2 * span
+                          - (np.cumsum(mutations, dtype=index) - mutations), mutations)
+    kernel_at += np.arange(len(kernel_at), dtype=index)
+    flagged = np.repeat(span, lengths)
+    flagged += at
+    mutates = flag[flagged]
+    mutates &= up
+    del flag, flagged
+    # the same block again; each pick turns into a rank in place
+    rng.bit_generator.state = state
+    pick, kernel_u = at, np.empty(len(kernel_at))
+    lo = low = 0
+    for i in range(0, size, _PIECE):
+        piece = rng.random(min(_PIECE, size - i))
+        hi = lo + int(np.searchsorted(at[lo:], i + _PIECE))
+        pick[lo:hi] = piece[at[lo:hi] - i] * mass[lo:hi]
+        high = low + int(np.searchsorted(kernel_at[low:], i + _PIECE))
+        kernel_u[low:high] = piece[kernel_at[low:high] - i]
+        lo, low = hi, high
+    return pick, mutates, kernel_u
+
+
+def _scatter(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    out = np.empty_like(values)
+    out[slot] = values
+    return out
 
 
 def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
@@ -289,8 +483,11 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     start as :func:`mass_paths` takes it. Each round, every live replica
     draws a holding time at b(n) + d(n) and stops once ``t + hold >
     t_end``, as :func:`_jumps` does; the others step +1 with probability
-    b(n) / (b(n) + d(n)), else -1. With ``survivors`` the steps are kept
-    and the replicas alive at t_end get their traits from :func:`_urn`.
+    b(n) / (b(n) + d(n)), else -1. With ``survivors`` the steps are kept,
+    and the replicas alive at t_end get their traits from one
+    :func:`_urns` call, which draws from ``rng`` after the mass chain,
+    in the order of running the survivors one after another in replica
+    order.
     """
     size, initial = part
     if isinstance(initial, Configuration):
@@ -336,13 +533,17 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         ids = np.concatenate([x for x, _ in log])
         steps = np.concatenate([s for _, s in log])
         del log
+        keep = mass[ids] > 0
+        ids, steps = ids[keep], steps[keep]
+        del keep
         # a stable sort by replica keeps each replica's steps in time order
-        order = np.argsort(ids, kind="stable")
-        ids, steps = ids[order], steps[order]
+        steps = steps[np.argsort(ids, kind="stable")]
         lanes = np.flatnonzero(mass)
-        bounds = zip(np.searchsorted(ids, lanes, "left"), np.searchsorted(ids, lanes, "right"))
-        kept = tuple(_urn(model, starts[i], steps[lo:hi], rng)
-                     for i, (lo, hi) in zip(lanes, bounds))
+        lengths = np.bincount(ids, minlength=size)[lanes]
+        del ids
+        firsts = (initial if isinstance(initial, Configuration)
+                  else [starts[i] for i in lanes.tolist()])
+        kept = _urns(model, firsts, start[lanes], steps, lengths, mass[lanes], rng)
     return MassPaths(start, mass, extinction, at, maximum, events, kept)
 
 
@@ -416,19 +617,6 @@ def survival_curve(model: RateModel, initial, grid: Sequence[float],
         stderr.append(math.sqrt(p * (1.0 - p) / replicas))
     return SurvivalCurve(grid=grid, survival=tuple(survival), stderr=tuple(stderr),
                          replicas=replicas, events=paths.events)
-
-
-def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
-                 replicas: int, rng: RandomStream,
-                 workers: int = 1) -> list[tuple[int, float]]:
-    """Empirical P(total mass reaches K by time t) for each K.
-
-    Computed from the running maximum of each replica, so the estimates
-    are automatically nonincreasing in K on the shared replica set. Runs
-    on :func:`mass_paths`.
-    """
-    maxima = mass_paths(model, initial, t, replicas, rng, workers).maximum
-    return [(int(k), float(np.mean(maxima >= k))) for k in k_values]
 
 
 def mass_moments(model: RateModel, initial, times: Sequence[float], replicas: int,

@@ -10,7 +10,7 @@ region of the space from any parent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -20,6 +20,10 @@ from .errors import InvalidRegime
 TraitPoint = float
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Parents a Gaussian kernel keeps its normalisation for; the memo starts
+# over when full, so a long run with many distinct traits stays small.
+_WINDOWS = 1024
 
 
 def validate_trait(x: float) -> float:
@@ -37,11 +41,13 @@ def sample_base(rng: np.random.Generator) -> TraitPoint:
 class MutationKernel:
     """Family of child-trait densities indexed by the parent trait.
 
-    Subclasses implement ``density``, ``cdf``, ``sample`` and
-    ``sup_density``. Densities are with respect to the base measure and
-    integrate to one over [0, 1] for every parent. ``sample`` draws only
-    through ``rng.random()``, one uniform at a time, so that ``rng`` may
-    be a Generator or a :class:`~qsdsim.streams.Uniforms` over one.
+    Subclasses implement ``density``, ``cdf``, ``sample``,
+    ``inverse_cdf`` and ``sup_density``. Densities are with respect to
+    the base measure and integrate to one over [0, 1] for every parent.
+    ``sample`` draws only through ``rng.random()``, one uniform at a
+    time, so that ``rng`` may be a Generator or a
+    :class:`~qsdsim.streams.Uniforms` over one; ``inverse_cdf`` gives on
+    arrays, bit for bit, what ``sample`` returns for each uniform.
     """
 
     def density(self, parent: TraitPoint, child: TraitPoint) -> float:
@@ -51,6 +57,10 @@ class MutationKernel:
         raise NotImplementedError
 
     def sample(self, parent: TraitPoint, rng: np.random.Generator) -> TraitPoint:
+        raise NotImplementedError
+
+    def inverse_cdf(self, parents: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The children ``sample`` draws from ``parents`` when ``rng.random()`` gives ``u``."""
         raise NotImplementedError
 
     def sup_density(self) -> float:
@@ -71,6 +81,9 @@ class UniformKernel(MutationKernel):
     def sample(self, parent: TraitPoint, rng: np.random.Generator) -> TraitPoint:
         return float(rng.random())
 
+    def inverse_cdf(self, parents: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return u
+
     def sup_density(self) -> float:
         return 1.0
 
@@ -87,37 +100,56 @@ class TruncatedGaussianKernel(MutationKernel):
     """
 
     scale: float
+    # (Phi(-parent/scale), window mass) by parent, up to _WINDOWS entries;
+    # a memo only, left out of equality, hashing and repr
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.scale > 0.0):
             raise InvalidRegime(f"kernel scale must be positive, got {self.scale!r}")
 
-    def _normalization(self, parent: float) -> float:
+    def _window(self, parent):
+        # the standard normal CDF at the lower end of [0, 1] and the mass
+        # of [0, 1], both seen from the parent; floats or arrays
         s = self.scale
-        return float(ndtr((1.0 - parent) / s) - ndtr(-parent / s))
+        lo = ndtr(-parent / s)
+        return lo, ndtr((1.0 - parent) / s) - lo
+
+    def _window_at(self, parent: float) -> tuple[float, float]:
+        window = self._windows.get(parent)
+        if window is None:
+            if len(self._windows) >= _WINDOWS:
+                self._windows.clear()
+            lo, mass = self._window(parent)
+            window = self._windows[parent] = (float(lo), float(mass))
+        return window
+
+    def _quantile(self, parent, u, lo, mass):
+        # the inverse CDF before clipping, on floats or arrays alike
+        return parent + self.scale * ndtri(lo + u * mass)
 
     def density(self, parent: TraitPoint, child: TraitPoint) -> float:
         s = self.scale
         z = (child - parent) / s
-        return math.exp(-0.5 * z * z) / (_SQRT_2PI * s * self._normalization(parent))
+        return math.exp(-0.5 * z * z) / (_SQRT_2PI * s * self._window_at(parent)[1])
 
     def cdf(self, parent: TraitPoint, x: float) -> float:
         if x <= 0.0:
             return 0.0
         if x >= 1.0:
             return 1.0
-        s = self.scale
-        lo = ndtr(-parent / s)
-        return float((ndtr((x - parent) / s) - lo) / self._normalization(parent))
+        lo, mass = self._window_at(parent)
+        return float((ndtr((x - parent) / self.scale) - lo) / mass)
 
     def sample(self, parent: TraitPoint, rng: np.random.Generator) -> TraitPoint:
         # Inverse-CDF transform of a single uniform draw; clipping guards
         # against the last-ulp excursions of ndtri near the endpoints.
-        s = self.scale
-        lo = ndtr(-parent / s)
-        u = lo + rng.random() * self._normalization(parent)
-        z = parent + s * float(ndtri(u))
+        z = float(self._quantile(parent, rng.random(), *self._window_at(parent)))
         return min(max(z, 0.0), 1.0)
+
+    def inverse_cdf(self, parents: np.ndarray, u: np.ndarray) -> np.ndarray:
+        z = self._quantile(parents, u, *self._window(parents))
+        return np.minimum(np.maximum(z, 0.0), 1.0)
 
     def sup_density(self) -> float:
         # The mode sits at child = parent and the normalization is

@@ -84,7 +84,8 @@ class BoundedCustom(TestFunction):
         return self.values[min(k, len(self.values) - 1)]
 
 
-def generator_apply(model: RateModel, f: TestFunction, config: Configuration) -> float:
+def generator_apply(model: RateModel, f: TestFunction, config: Configuration,
+                    rows=None) -> float:
     """Exact generator action on a mass-only observable.
 
     Every individual reproduces at ``b`` and dies at d(n). Reproduction
@@ -93,14 +94,15 @@ def generator_apply(model: RateModel, f: TestFunction, config: Configuration) ->
     unsplit preserves the closed-form identities bit for bit. The sums
     run entry by entry; a product with n would round differently in the
     last digits. The void value of f being 0 makes the absorption term
-    at mass 1 come out automatically.
+    at mass 1 come out automatically. With ``rows``, a
+    ``model.rate_table()``, d(n) is read from it, once per mass.
     """
     if config.is_void:
         return 0.0
     n = config.total_mass
     up = f.value_at_mass(n + 1) - f.value_at_mass(n)
     down = f.value_at_mass(n - 1) - f.value_at_mass(n)
-    b, d = model.b, model.per_capita_death(n)
+    b, d = model.b, model.per_capita_death(n) if rows is None else rows.death(n)
     birth = 0.0
     death = 0.0
     for _, weight in config.entries:
@@ -115,16 +117,16 @@ def exp_mass_drift_bound(model: RateModel, a: float) -> float:
 
 
 def _martingale_replica(model: RateModel, f: TestFunction, initial: Configuration,
-                        t: float, rng: np.random.Generator) -> float:
+                        t: float, rows, rng: np.random.Generator) -> float:
     # L f is constant between jumps, so the integral is exact
     config = initial
     now = 0.0
     integral = 0.0
-    for now, hold, _, _, _, after in _jumps(model, initial, t, Uniforms(rng)):
-        integral += hold * generator_apply(model, f, config)
+    for now, hold, _, _, _, after in _jumps(model, initial, t, Uniforms(rng), rows):
+        integral += hold * generator_apply(model, f, config, rows)
         config = after
     if not config.is_void:
-        integral += (t - now) * generator_apply(model, f, config)
+        integral += (t - now) * generator_apply(model, f, config, rows)
     return f(config) - f(initial) - integral
 
 
@@ -134,13 +136,14 @@ def martingale_residual(model: RateModel, f: TestFunction, initial: Configuratio
     """Monte Carlo E[f(Y_t)] - f(initial) - E int L f, with exact integrals.
 
     The residual is zero in expectation; the return pairs the estimate
-    with its standard error so callers can judge it as noise.
+    with its standard error so callers can judge it as noise. The
+    replicas share one ``model.rate_table()``.
     """
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    fn = partial(_martingale_replica, model, f, initial, t)
+    fn = partial(_martingale_replica, model, f, initial, t, model.rate_table())
     draws = np.array(map_replicas(fn, replicas, rng, workers))
     stderr = float(draws.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return float(draws.mean()), stderr
@@ -155,13 +158,13 @@ class LyapunovPoint(NamedTuple):
 
 
 def _lyapunov_replica(model: RateModel, initial: Configuration, grid: tuple[float, ...],
-                      a_at: tuple[float, ...], lam_star: float,
+                      a_at: tuple[float, ...], lam_star: float, rows,
                       rng: np.random.Generator) -> np.ndarray:
     # a grid time at a jump sees the mass after it; extinct before a grid
     # time, that time contributes 0
     masses: list[int] = []
     n = initial.total_mass
-    for t, _, _, _, _, after in _jumps(model, initial, grid[-1], Uniforms(rng)):
+    for t, _, _, _, _, after in _jumps(model, initial, grid[-1], Uniforms(rng), rows):
         while len(masses) < len(grid) and grid[len(masses)] < t:
             masses.append(n)
         n = after.total_mass
@@ -178,7 +181,7 @@ def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
     Estimates E[e^{-death_inf t} e^{a(t) mass} on survival] at each grid
     time, with a(t) integrated from a0, and flags any point whose
     estimate exceeds e^{a0 mass(initial)} by more than 3 standard
-    errors.
+    errors. The replicas share one ``model.rate_table()``.
     """
     grid = tuple(float(t) for t in grid)
     if any(t <= 0.0 for t in grid) or any(y <= x for x, y in zip(grid, grid[1:])):
@@ -189,7 +192,7 @@ def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
     ts = np.array([p[0] for p in traj])
     avals = np.array([p[1] for p in traj])
     a_at = tuple(float(x) for x in np.interp(grid, ts, avals))
-    fn = partial(_lyapunov_replica, model, initial, grid, a_at, lam_star)
+    fn = partial(_lyapunov_replica, model, initial, grid, a_at, lam_star, model.rate_table())
     rows = np.stack(map_replicas(fn, replicas, rng, workers))
     bound = math.exp(a0 * initial.total_mass)
     points = []

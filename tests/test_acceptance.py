@@ -21,14 +21,14 @@ from qsdsim.oracle import (build_mass_chain, ode_trajectory,
                            principal_left_eigenpair)
 from qsdsim.qsd import (decay_rate_from_singletons, decay_rate_from_survival,
                         tv_distance, yaglom_estimate)
-from qsdsim.simulator import (ENGINES, hitting_tail, mass_moments,
-                              survival_curve)
+from qsdsim.simulator import ENGINES, mass_moments, survival_curve
 from qsdsim.streams import RandomStream
 from qsdsim.validation import (Indicator, Mass, chi2_threshold, lyapunov_check,
                                mass_histogram, martingale_residual,
                                two_sample_chi2)
 
 from closed_forms import bd_qsd
+from ensembles import hitting_tail
 
 
 @pytest.fixture(scope="session")

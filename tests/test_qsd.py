@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,10 +15,10 @@ from qsdsim.qsd import (YAGLOM_STAGES, QsdEstimate, SumTree, _estimate_from_coun
                         decay_rate_from_singletons, decay_rate_from_survival,
                         estimate_report, fleming_viot_estimate, tv_distance,
                         write_sample_csv, yaglom_estimate)
-from qsdsim.rates import LogisticModel
+from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.simulator import _gillespie_branch, mass_paths
 from qsdsim.streams import RandomStream
-from qsdsim.trait_space import UniformKernel, sample_base
+from qsdsim.trait_space import UniformKernel, make_kernel, sample_base
 
 from closed_forms import bd_qsd
 
@@ -355,3 +356,21 @@ def test_sample_csv_layout(tmp_path):
     assert lines[0] == "weight,configuration"
     assert lines[1] == "0.5,1@0.20000000000000001"
     assert len(lines) == 1 + 3
+
+
+# sha256 of the serialized survivors of a small two-chunk Yaglom estimate,
+# pinned from the one-survivor-at-a-time urn. The lockstep urn must keep
+# every bit; only a deliberate change of the random stream may move them.
+YAGLOM_DIGESTS = {
+    "uniform": "1a6417339360c5b9f2f041ebb984e6fbdc849d170015a85ae36da647138238fd",
+    "truncated_gaussian": "a0335e0cf05ef3bd85ec8a17ce68a85bc558ae48ee7eb877dedf11f1feb6df4e",
+}
+
+
+@pytest.mark.parametrize("family", sorted(YAGLOM_DIGESTS))
+def test_yaglom_survivors_keep_their_bits(family):
+    model = UniformModel(lam=2.0, b=1.0, rho=0.3, kernel=make_kernel(family, 0.05))
+    start = Configuration.from_pairs(((0.0, 2), (0.5, 1), (1.0, 1)))
+    est = yaglom_estimate(model, start, 2.0, 5000, RandomStream(2024))
+    text = "\n".join(f"{w!r} {c.serialize()}" for c, w in est.sample)
+    assert hashlib.sha256(text.encode()).hexdigest() == YAGLOM_DIGESTS[family]

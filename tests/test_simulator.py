@@ -13,7 +13,7 @@ from qsdsim.oracle import build_mass_chain
 from qsdsim.qsd import QsdEstimate, fleming_viot_estimate
 from qsdsim.rates import LogisticModel, RateModel, UniformModel, individual_at
 from qsdsim.simulator import (CHUNK, ENGINES, Event, EventKind, Trajectory,
-                              _gillespie_branch, hitting_tail, mass_moments, mass_paths,
+                              _gillespie_branch, _urns, mass_moments, mass_paths,
                               path_times, simulate_gillespie, simulate_thinning,
                               survival_curve, write_trajectory_csv)
 from qsdsim.streams import RandomStream, Uniforms
@@ -22,6 +22,7 @@ from qsdsim.validation import (Mass, chi2_threshold, martingale_residual, mass_h
                                two_sample_chi2)
 
 import strategies
+from ensembles import hitting_tail, urn
 
 START = Configuration.from_pairs(((0.2, 2), (0.6, 1)))
 MODELS = (
@@ -583,3 +584,44 @@ def test_engines_draw_the_same_path_from_uniforms_as_from_the_generator(engine, 
         assert len(raw.events) > 32
         assert ENGINES[engine](model, start, 3.0,
                                Uniforms(RandomStream(seed).generator())) == raw
+
+
+_TRAITS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# starts with repeated traits (weights above 1) and traits at 0 and 1
+_STARTS = st.lists(st.tuples(_TRAITS, st.integers(1, 4)), min_size=1, max_size=4).map(
+    Configuration.from_pairs)
+
+
+def _survivor_path(start: Configuration, ups: list[bool]) -> list[int]:
+    # a survivor's path never reaches mass 0: a death at mass 1 becomes a birth
+    path, mass = [], start.total_mass
+    for up in ups:
+        step = 1 if up or mass == 1 else -1
+        path.append(step)
+        mass += step
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel=st.one_of(st.just(UniformKernel()),
+                        st.floats(0.005, 0.5).map(TruncatedGaussianKernel)),
+       rho=st.floats(0.01, 0.99), shared=st.booleans(),
+       chunk=st.lists(st.tuples(_STARTS, st.lists(st.booleans(), max_size=40)), max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_lockstep_urns_give_the_one_at_a_time_urn_bit_for_bit(kernel, rho, shared, chunk,
+                                                               seed):
+    model = UniformModel(lam=2.0, b=1.0, rho=rho, kernel=kernel)
+    if shared and chunk:
+        chunk = [(chunk[0][0], ups) for _, ups in chunk]
+    starts = [start for start, _ in chunk]
+    paths = [np.array(_survivor_path(start, ups), dtype=np.int8) for start, ups in chunk]
+    masses = np.array([c.total_mass for c in starts], dtype=np.int64)
+    finals = masses + np.array([p.sum() for p in paths], dtype=np.int64)
+    lengths = np.array([len(p) for p in paths], dtype=np.int64)
+    steps = np.concatenate([np.zeros(0, dtype=np.int8), *paths])
+    got = _urns(model, starts[0] if shared and chunk else starts, masses, steps, lengths,
+                finals, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    want = [urn(model, start, path, rng) for start, path in zip(starts, paths)]
+    assert [c.serialize() for c in got] == [c.serialize() for c in want]
+    assert [c.total_mass for c in got] == finals.tolist()

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
 from qsdsim.errors import InvalidRegime
 from qsdsim.streams import RandomStream
-from qsdsim.trait_space import (TruncatedGaussianKernel, UniformKernel,
+from qsdsim.trait_space import (_WINDOWS, TruncatedGaussianKernel, UniformKernel,
                                 make_kernel, sample_base, validate_trait)
 
 
@@ -115,3 +118,62 @@ def test_make_kernel_factory():
         make_kernel("truncated_gaussian", None)
     with pytest.raises(InvalidRegime):
         make_kernel("cauchy", 0.3)
+
+
+class _Fixed:
+    """Hands out given uniforms through ``random()``, as a generator would."""
+
+    def __init__(self, *u):
+        self._u = iter(u)
+
+    def random(self):
+        return next(self._u)
+
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_LEVEL = st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]), st.floats(0.0, 1.0,
+                                                                        exclude_max=True))
+
+
+def _uncached_window(scale, parent):
+    lo = ndtr(-parent / scale)
+    return lo, float(ndtr((1.0 - parent) / scale) - ndtr(-parent / scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale=st.floats(1e-3, 2.0), parent=_UNIT, child=_UNIT, u=_LEVEL, x=_UNIT)
+def test_gaussian_memo_gives_the_uncached_formula_bit_for_bit(scale, parent, child, u, x):
+    k = TruncatedGaussianKernel(scale=scale)
+    lo, mass = _uncached_window(scale, parent)
+    z = (child - parent) / scale
+    density = math.exp(-0.5 * z * z) / (_SQRT_2PI * scale * mass)
+    sample = min(max(parent + scale * float(ndtri(lo + u * mass)), 0.0), 1.0)
+    cdf = 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else float(
+        (ndtr((x - parent) / scale) - lo) / mass)
+    # the first call fills the memo, the second reads it
+    for _ in range(2):
+        assert k.density(parent, child).hex() == density.hex()
+        assert k.sample(parent, _Fixed(u)).hex() == sample.hex()
+        assert k.cdf(parent, x).hex() == cdf.hex()
+
+
+def test_gaussian_memo_is_bounded_and_leaves_equality_hash_and_repr_alone():
+    used, fresh = TruncatedGaussianKernel(scale=0.1), TruncatedGaussianKernel(scale=0.1)
+    for i in range(_WINDOWS + 10):
+        used.density(i / (_WINDOWS + 10), 0.5)
+    assert 0 < len(used._windows) <= _WINDOWS
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == "TruncatedGaussianKernel(scale=0.1)"
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel=st.one_of(st.just(UniformKernel()),
+                        st.floats(1e-3, 2.0).map(TruncatedGaussianKernel)),
+       pairs=st.lists(st.tuples(_UNIT, _LEVEL), min_size=1, max_size=30))
+def test_inverse_cdf_on_arrays_is_sample_on_each_uniform(kernel, pairs):
+    parents = np.array([p for p, _ in pairs])
+    u = np.array([v for _, v in pairs])
+    got = kernel.inverse_cdf(parents, u)
+    assert [x.hex() for x in got.tolist()] == [kernel.sample(p, _Fixed(v)).hex()
+                                               for p, v in pairs]

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from qsdsim.configuration import Configuration
-from qsdsim.rates import UniformModel
+from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import UniformKernel
 from qsdsim.validation import (BoundedCustom, ExpMass, Indicator, LyapunovPoint,
@@ -217,3 +218,36 @@ def test_validation_battery_passes(uniform_model, logistic_model):
     for check in logistic_checks:
         assert check["model"] == "logistic"
         assert check["pass"], check
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountingDeaths(LogisticModel):
+    """Logistic rates that log every mass at which d(n) is evaluated."""
+
+    masses: list = dataclasses.field(default_factory=list, compare=False, repr=False)
+
+    def per_capita_death(self, n):
+        self.masses.append(n)
+        return super().per_capita_death(n)
+
+
+def _counting_model():
+    return _CountingDeaths(b=1.0, rho=0.3, d=2.0, c=0.1, kernel=UniformKernel())
+
+
+@pytest.mark.parametrize("f", [Mass(), Indicator(1)])
+def test_a_martingale_check_evaluates_the_death_rate_once_per_mass(f):
+    model = _counting_model()
+    martingale_residual(model, f, FIVE, 1.0, 300, RandomStream(8))
+    # 300 replicas of a few jumps each, all on one rate table
+    assert len(set(model.masses)) > 3
+    assert len(model.masses) == len(set(model.masses))
+
+
+def test_a_moment_bound_check_evaluates_the_death_rate_once_per_mass():
+    model = _counting_model()
+    lyapunov_check(model, Configuration.from_pairs(((0.5, 3),)), 0.3, (0.5, 1.0), 300,
+                   RandomStream(9))
+    assert len(set(model.masses)) > 3
+    # death_inf reads d(1) once more before the replicas run
+    assert len(model.masses) <= len(set(model.masses)) + 1
