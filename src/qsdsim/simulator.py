@@ -396,7 +396,9 @@ def _urns(model: RateModel, starts, masses: np.ndarray, steps: np.ndarray,
     traits = traits[runs]
     validate_trait(float(traits.min()))
     validate_trait(float(traits.max()))
-    pairs = list(zip(traits.tolist(), np.diff(runs, append=len(new)).tolist()))
+    # a start trait keeps its float object, as the clones of one do
+    values, own = traits.tolist(), {trait: trait for trait, _ in entries}
+    pairs = list(zip(map(own.get, values, values), np.diff(runs, append=len(new)).tolist()))
     per_row = np.add.reduceat(new, row_first, dtype=np.int64)
     run_end = np.cumsum(per_row)
     spans = zip((run_end - per_row)[rank].tolist(), run_end[rank].tolist(), finals.tolist())

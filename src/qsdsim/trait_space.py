@@ -23,7 +23,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Parents a Gaussian kernel keeps its normalisation for; the memo starts
 # over when full, so a long run with many distinct traits stays small.
-_WINDOWS = 1024
+_WINDOWS = 256
 
 
 def validate_trait(x: float) -> float:
