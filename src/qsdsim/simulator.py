@@ -262,16 +262,16 @@ class MassPaths(NamedTuple):
     survivors: tuple[Configuration, ...]
 
 
-# Uniforms the urn draws at a time. It draws a chunk's uniforms twice, once
-# for the mutation flags and once for the picks and kernel uniforms, so
-# that no more than this many of them are held at once.
+# Uniforms the urn draws at a time, and steps it takes in one batch of
+# survivors: bounds on what one chunk's urn holds at once.
 _PIECE = 8192
+_BATCH = 32768
 
 
 def _urns(model: RateModel, starts, masses: np.ndarray, steps: np.ndarray,
           lengths: np.ndarray, finals: np.ndarray,
           rng: np.random.Generator) -> tuple[Configuration, ...]:
-    """Traits along the mass paths of a chunk's survivors, in one numpy lockstep urn.
+    """Traits along the mass paths of a chunk's survivors, in numpy lockstep urns.
 
     Survivor s starts from ``starts``, one configuration for all or a
     sequence with one per survivor, at mass ``masses[s]``, takes the
@@ -283,19 +283,40 @@ def _urns(model: RateModel, starts, masses: np.ndarray, steps: np.ndarray,
     the mass path these are the exact conditional laws, since every
     individual carries the same rates.
 
-    The uniforms are those of running the survivors one after another
-    (:func:`_urn_uniforms`). Every mass along the paths is known
-    beforehand, so every step's slots in the list are too. All survivors
-    take step k at once, longest path first so that those still stepping
-    form a prefix, moving ids of trait nodes: one node per start entry
-    and one per mutant child, each child valued from its parent's value
-    afterwards, a generation at a time, through the kernel's
-    ``inverse_cdf``. The trait lists are then sorted and run-length
-    encoded together.
+    The urn draws from ``rng`` exactly the uniforms of running the
+    survivors one after another (:func:`_urn_uniforms`). It runs the
+    survivors in batches of consecutive ones with about :data:`_BATCH`
+    steps together (:func:`_urn_batch`), so that what it holds at once
+    stays bounded however long the paths are.
+    """
+    if not len(lengths):
+        return ()
+    edge = np.concatenate(([0], np.cumsum(lengths)))
+    cuts = np.searchsorted(edge[1:], np.arange(_BATCH, edge[-1], _BATCH), "right")
+    bounds = [0, *np.unique(cuts).tolist(), len(lengths)]
+    kept: list[Configuration] = []
+    for a, b in zip(bounds, bounds[1:]):
+        kept += _urn_batch(model, starts if isinstance(starts, Configuration) else starts[a:b],
+                           masses[a:b], steps[edge[a]:edge[b]], lengths[a:b], finals[a:b], rng)
+    return tuple(kept)
+
+
+def _urn_batch(model: RateModel, starts, masses: np.ndarray, steps: np.ndarray,
+               lengths: np.ndarray, finals: np.ndarray,
+               rng: np.random.Generator) -> list[Configuration]:
+    """:func:`_urns` on a batch of survivors at once.
+
+    Every mass along the paths is known beforehand, so every step's
+    slots in the lists are too. All survivors take step k at once,
+    longest path first so that those still stepping form a prefix,
+    moving ids of trait nodes: one node per start entry and one per
+    mutant child, each child valued from its parent's value afterwards,
+    a generation at a time, through the kernel's ``inverse_cdf``. The
+    trait lists are then sorted and run-length encoded together.
     """
     count = len(lengths)
     if not count:
-        return ()
+        return []
     # positions in the uniforms and in the rows of node ids fit this type
     bound = max(3 * len(steps), count * int(masses.max() + lengths.max()))
     index = np.int32 if bound < 2**31 else np.int64
@@ -402,7 +423,7 @@ def _urns(model: RateModel, starts, masses: np.ndarray, steps: np.ndarray,
     per_row = np.add.reduceat(new, row_first, dtype=np.int64)
     run_end = np.cumsum(per_row)
     spans = zip((run_end - per_row)[rank].tolist(), run_end[rank].tolist(), finals.tolist())
-    return tuple([_successor(tuple(pairs[i:j]), n) for i, j, n in spans])
+    return [_successor(tuple(pairs[i:j]), n) for i, j, n in spans]
 
 
 def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndarray,
@@ -413,13 +434,13 @@ def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndar
     one kernel uniform per mutating birth; its steps are ``up`` (births)
     and the ``mass`` before each. Returns, per step, the rank of the
     picked individual, truncated as int() does, and whether the step is
-    a mutating birth, and the kernel uniforms in step order. The urn
-    draws a block of uniforms long enough for every survivor twice from
-    the same generator state: once for the flags, from which one scan
-    over the survivors finds where each one's uniforms start, and once
-    for the picks and kernel uniforms. The block may run past the last
-    uniform used; that is harmless, since ``rng`` is the chunk's own
-    generator and nothing draws from it afterwards.
+    a mutating birth, and the kernel uniforms in step order. A first
+    pass reads a block long enough for every survivor for the flags, from
+    which one scan over the survivors finds where each one's uniforms
+    start; reading past the last one used is harmless, since the
+    generator is then set back. A second pass from the same state draws
+    exactly the uniforms used, for the picks and kernel uniforms, and
+    leaves ``rng`` where running the survivors one at a time would.
     """
     total = len(up)
     size = 2 * total + int(np.count_nonzero(up))
@@ -457,12 +478,12 @@ def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndar
     mutates = flag[flagged]
     mutates &= up
     del flag, flagged
-    # the same block again; each pick turns into a rank in place
+    # the uniforms again, exactly those used; each pick turns into a rank in place
     rng.bit_generator.state = state
     pick, kernel_u = at, np.empty(len(kernel_at))
     lo = low = 0
-    for i in range(0, size, _PIECE):
-        piece = rng.random(min(_PIECE, size - i))
+    for i in range(0, here, _PIECE):
+        piece = rng.random(min(_PIECE, here - i))
         hi = lo + int(np.searchsorted(at[lo:], i + _PIECE))
         pick[lo:hi] = piece[at[lo:hi] - i] * mass[lo:hi]
         high = low + int(np.searchsorted(kernel_at[low:], i + _PIECE))

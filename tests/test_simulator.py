@@ -1,12 +1,14 @@
 import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsdsim import simulator
 from qsdsim.configuration import Configuration
 from qsdsim.errors import InvalidRegime
 from qsdsim.oracle import build_mass_chain
@@ -607,9 +609,10 @@ def _survivor_path(start: Configuration, ups: list[bool]) -> list[int]:
                         st.floats(0.005, 0.5).map(TruncatedGaussianKernel)),
        rho=st.floats(0.01, 0.99), shared=st.booleans(),
        chunk=st.lists(st.tuples(_STARTS, st.lists(st.booleans(), max_size=40)), max_size=8),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([simulator._BATCH, 1, 7, 30]))
 def test_lockstep_urns_give_the_one_at_a_time_urn_bit_for_bit(kernel, rho, shared, chunk,
-                                                               seed):
+                                                               seed, batch):
+    # small batches split the survivors, and paths longer than a batch run alone
     model = UniformModel(lam=2.0, b=1.0, rho=rho, kernel=kernel)
     if shared and chunk:
         chunk = [(chunk[0][0], ups) for _, ups in chunk]
@@ -619,9 +622,13 @@ def test_lockstep_urns_give_the_one_at_a_time_urn_bit_for_bit(kernel, rho, share
     finals = masses + np.array([p.sum() for p in paths], dtype=np.int64)
     lengths = np.array([len(p) for p in paths], dtype=np.int64)
     steps = np.concatenate([np.zeros(0, dtype=np.int8), *paths])
-    got = _urns(model, starts[0] if shared and chunk else starts, masses, steps, lengths,
-                finals, np.random.default_rng(seed))
+    lockstep = np.random.default_rng(seed)
+    with mock.patch.object(simulator, "_BATCH", batch):
+        got = _urns(model, starts[0] if shared and chunk else starts, masses, steps, lengths,
+                    finals, lockstep)
     rng = np.random.default_rng(seed)
     want = [urn(model, start, path, rng) for start, path in zip(starts, paths)]
     assert [c.serialize() for c in got] == [c.serialize() for c in want]
     assert [c.total_mass for c in got] == finals.tolist()
+    # the lockstep urn leaves the generator where the one-at-a-time urn does
+    assert lockstep.random() == rng.random()
