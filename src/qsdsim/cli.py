@@ -45,11 +45,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(names: tuple[str, ...]) -> _Parser:
+    """The argument parser, with a subparser for each of ``names``."""
     parser = _Parser(prog="qsdsim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in names:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", metavar="PATH")
         for key in _FLAGGED:
@@ -292,8 +293,13 @@ def run_subcommand(name: str, config: ExperimentConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # a known subcommand needs only its own subparser; anything else gets
+    # them all, for argparse's usage errors and --version
+    names = (argv[0],) if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(names).parse_args(argv)
         raw = {}
         if args.config is not None:
             raw = parse_config_text(Path(args.config).read_text())

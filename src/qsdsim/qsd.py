@@ -3,7 +3,8 @@
 A quasi-stationary estimate is a weighted collection of configurations.
 Two routes produce one: conditioning an ensemble on survival at a fixed
 time (Yaglom, with the survivors split once on the way), or running
-interacting particles that resurrect on absorption (Fleming-Viot).
+interacting particles that resurrect on absorption (Fleming-Viot), each
+particle on its own exponential clock, the clocks kept in a binary heap.
 Decay-rate estimators come in two flavors too, a survival-curve slope
 and the singleton-mass death-rate integral, so independent routes can be
 cross-checked against the finite-state oracle.
@@ -11,6 +12,7 @@ cross-checked against the finite-state oracle.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -36,7 +38,9 @@ class QsdEstimate:
     ensembles (see :func:`yaglom_estimate`) and the particle count for
     interacting-particle runs; ``burn_in`` is 0 for the former.
     ``events`` counts the jumps the estimator simulated: of every
-    replica's mass path, or of every particle.
+    replica's mass path, or of every particle. ``resurrections`` counts
+    the absorbed particles an interacting-particle run resurrected, and
+    is None for conditioned ensembles.
     """
 
     configurations: tuple[Configuration, ...]
@@ -44,6 +48,7 @@ class QsdEstimate:
     burn_in: float
     particles: int
     events: int = 0
+    resurrections: int | None = None
     _masses: np.ndarray = field(init=False, repr=False)
     _cumw: np.ndarray = field(init=False, repr=False)
 
@@ -93,12 +98,14 @@ class QsdEstimate:
 
 
 def _estimate_from_counts(counts: dict[Configuration, int], burn_in: float,
-                          particles: int, events: int) -> QsdEstimate:
+                          particles: int, events: int,
+                          resurrections: int | None = None) -> QsdEstimate:
     configs = sorted(counts, key=lambda c: c.entries)
     total = float(sum(counts.values()))
     weights = np.array([counts[c] / total for c in configs])
     return QsdEstimate(configurations=tuple(configs), weights=weights,
-                       burn_in=burn_in, particles=particles, events=events)
+                       burn_in=burn_in, particles=particles, events=events,
+                       resurrections=resurrections)
 
 
 # The Yaglom horizon is cut into this many equal stages, and the survivors
@@ -148,78 +155,29 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
                                  particles=len(np.unique(lineage)), events=events)
 
 
-class SumTree:
-    """Nonnegative rates with O(log n) total, prefix search and point update.
-
-    A heap-ordered binary tree in one flat list of floats: the leaves
-    sit at ``[size, size + n)`` with zeros padding them to a power of
-    two, and every inner node holds the sum of its two children. An
-    update carries the new sum of each node up to its parent, adding the
-    sibling, rather than adding a difference; IEEE addition commutes, so
-    every node stays the sum of its children, a function of the current
-    rates, and no rounding error builds up over many updates. An update
-    that leaves a rate as it was returns at once.
-    Where all partial sums are exact, as with small dyadic rates,
-    ``total`` and ``find`` agree exactly with a cumulative sum.
-    """
-
-    __slots__ = ("_n", "_size", "_tree")
-
-    def __init__(self, rates: Sequence[float]) -> None:
-        n = len(rates)
-        size = 1 << (n - 1).bit_length()
-        tree = [0.0] * (2 * size)
-        tree[size:size + n] = map(float, rates)
-        for k in range(size - 1, 0, -1):
-            tree[k] = tree[2 * k] + tree[2 * k + 1]
-        self._n, self._size, self._tree = n, size, tree
-
-    @property
-    def total(self) -> float:
-        return self._tree[1]
-
-    def update(self, i: int, rate: float) -> None:
-        tree = self._tree
-        k = i + self._size
-        if tree[k] == rate:
-            return
-        tree[k] = rate = float(rate)
-        while k > 1:
-            rate += tree[k ^ 1]
-            k >>= 1
-            tree[k] = rate
-
-    def find(self, x: float) -> int:
-        """First index whose prefix sum exceeds x, clipped to the last.
-
-        The same as ``min(searchsorted(cumsum(rates), x, "right"), n - 1)``.
-        """
-        tree = self._tree
-        size = self._size
-        k = 1
-        while k < size:
-            k <<= 1
-            left = tree[k]
-            if x >= left:
-                x -= left
-                k += 1
-        i, n = k - size, self._n
-        return i if i < n else n - 1
-
-
 def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
                           horizon: float, rng: RandomStream,
                           snapshot_interval: float = 0.5) -> QsdEstimate:
     """Interacting copies with resurrection from a surviving copy.
 
-    Copies evolve by the exact dynamics under a single global race for
-    the next event; an absorbed copy instantly adopts the state of a
-    uniformly chosen survivor. The estimate is the empirical measure
-    time-averaged over snapshots every ``snapshot_interval`` in
-    [burn_in, horizon]. Particles start as independent singletons at
-    base-measure draws. Each event reads the rates of two masses from
-    ``model.rate_table()``: the moving copy's, for its branch, and its
-    successor's, for its selection weight.
+    Every copy carries its own exponential clock at its total jump rate,
+    and the clocks sit in a binary heap of ``(ring time, index)``. The
+    earliest clock rings, its copy jumps by the exact dynamics, and an
+    absorbed copy instantly adopts the state of a uniformly chosen
+    other copy. Only the moving copy's rate changes, so only its clock
+    is drawn anew; by memorylessness every other clock stays valid, and
+    the earliest ring is the global race of the Fleming-Viot system
+    (the next-reaction method of Gibson & Bruck 2000).
+
+    Particles start as independent singletons at base-measure draws,
+    then draw their first clocks in index order. Each event draws the
+    branch of :func:`~qsdsim.simulator._gillespie_branch`, a donor
+    uniform if the copy was absorbed, and the copy's next holding time,
+    in that order, reading the rates from ``model.rate_table()``. The
+    estimate is the empirical measure time-averaged over snapshots every
+    ``snapshot_interval`` in [burn_in, horizon], each counting the copies
+    just before the first ring past the snapshot time; its
+    ``resurrections`` counts the absorptions.
     """
     if particles < 2:
         raise InvalidRegime(f"need at least 2 particles, got {particles!r}")
@@ -230,27 +188,26 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
     gen = Uniforms(rng.generator())
     configs = [Configuration.singleton(sample_base(gen)) for _ in range(particles)]
     rows = model.rate_table()
-    rates = SumTree([rows[c.total_mass][3] for c in configs])
+    clocks = [(holding_time(gen, rows[c.total_mass][3]), i) for i, c in enumerate(configs)]
+    heapq.heapify(clocks)
     counts: Counter[Configuration] = Counter()
-    t = 0.0
     events = 0
+    resurrections = 0
     snaps = 0
     next_snap = burn_in
     while True:
-        total = rates.total
-        t_next = t + holding_time(gen, total)
-        while next_snap <= horizon and next_snap < t_next:
+        t, i = clocks[0]
+        while next_snap <= horizon and next_snap < t:
             counts.update(configs)
             snaps += 1
             next_snap = burn_in + snaps * snapshot_interval
-        if t_next > horizon:
+        if t > horizon:
             break
-        t = t_next
         events += 1
-        i = rates.find(gen.random() * total)
         config = configs[i]
         *_, nxt = _gillespie_branch(model, config, gen, rows[config.total_mass])
         if nxt.is_void:
+            resurrections += 1
             j = int(gen.random() * (particles - 1))
             if j >= i:
                 j += 1
@@ -258,11 +215,11 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
             if nxt.is_void:
                 raise Degenerate("resampling donor is extinct")
         configs[i] = nxt
-        rates.update(i, rows[nxt.total_mass][3])
+        heapq.heapreplace(clocks, (t + holding_time(gen, rows[nxt.total_mass][3]), i))
     if not counts:
         raise InvalidRegime("no snapshot fell inside [burn_in, horizon]")
     return _estimate_from_counts(counts, burn_in=burn_in, particles=particles,
-                                 events=events)
+                                 events=events, resurrections=resurrections)
 
 
 def decay_rate_from_survival(curve: Iterable[tuple[float, float, float]]) -> tuple[float, float]:
@@ -336,8 +293,11 @@ def tv_distance(p: Sequence[float], q: Sequence[float]) -> float:
 
 
 def estimate_report(est: QsdEstimate) -> dict:
-    """JSON-ready summary; marginal vectors start at mass / size 1."""
-    return {
+    """JSON-ready summary; marginal vectors start at mass / size 1.
+
+    ``resurrections`` appears only for an estimate that counts them.
+    """
+    report = {
         "mass_marginal": [float(x) for x in est.mass_marginal[1:]],
         "support_marginal": [float(x) for x in est.support_marginal[1:]],
         "ess": est.ess,
@@ -345,6 +305,9 @@ def estimate_report(est: QsdEstimate) -> dict:
         "particles": est.particles,
         "events": est.events,
     }
+    if est.resurrections is not None:
+        report["resurrections"] = est.resurrections
+    return report
 
 
 def write_sample_csv(est: QsdEstimate, out: IO[str]) -> None:

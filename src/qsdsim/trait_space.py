@@ -21,8 +21,9 @@ TraitPoint = float
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Parents a Gaussian kernel keeps its normalisation for; the memo starts
-# over when full, so a long run with many distinct traits stays small.
+# Parents a Gaussian kernel keeps its normalisation for in density and
+# cdf; the memo starts over when full, so a long run with many distinct
+# traits stays small.
 _WINDOWS = 256
 
 
@@ -100,8 +101,8 @@ class TruncatedGaussianKernel(MutationKernel):
     """
 
     scale: float
-    # (Phi(-parent/scale), window mass) by parent, up to _WINDOWS entries;
-    # a memo only, left out of equality, hashing and repr
+    # (Phi(-parent/scale), window mass) by parent, up to _WINDOWS entries,
+    # for density and cdf; a memo only, left out of equality, hashing and repr
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -144,7 +145,9 @@ class TruncatedGaussianKernel(MutationKernel):
     def sample(self, parent: TraitPoint, rng: np.random.Generator) -> TraitPoint:
         # Inverse-CDF transform of a single uniform draw; clipping guards
         # against the last-ulp excursions of ndtri near the endpoints.
-        z = float(self._quantile(parent, rng.random(), *self._window_at(parent)))
+        # The window is computed afresh: draws rarely repeat a parent, while
+        # thinning's density reads do, so only density and cdf memoise it.
+        z = float(self._quantile(parent, rng.random(), *self._window(parent)))
         return min(max(z, 0.0), 1.0)
 
     def inverse_cdf(self, parents: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -176,6 +176,7 @@ def test_yaglom_artifacts(tmp_path, capsys):
     assert payload["burn_in"] == 0.0
     assert isinstance(payload["events"], int)
     assert payload["events"] >= 2000 - payload["particles"]
+    assert "resurrections" not in payload
     lines = (out / "qsd_sample.csv").read_text().splitlines()
     assert "weight,configuration" in lines
 
@@ -213,6 +214,7 @@ def test_fleming_viot_artifacts(tmp_path):
     assert payload["estimator"] == "fleming-viot"
     assert payload["particles"] == 50
     assert payload["events"] > 0
+    assert 0 < payload["resurrections"] <= payload["events"]
     assert payload["burn_in"] == 1.0
 
 
@@ -311,6 +313,27 @@ def test_each_flag_sets_its_key(key, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_subcommand", lambda name, cfg: seen.append(cfg) or 0)
     assert main(["oracle", "--config", str(config), FLAGS[key.name], full[key.name]]) == 0
     assert seen == [resolve_config(full)]
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_every_subcommand_accepts_each_of_its_flags(subcommand, tmp_path, monkeypatch):
+    # main builds the invoked subcommand's parser alone; it must still take every flag
+    config = tmp_path / "empty.cfg"
+    config.write_text("")
+    flagged = [key for key in SCHEMA if key.flag is not None]
+    argv = [subcommand, "--config", str(config)]
+    for k, key in enumerate(flagged):
+        argv += [key.flag, f"value{k}"]
+    expected = {key.name: f"value{k}" for k, key in enumerate(flagged)}
+    if subcommand == "compare":
+        argv += ["a.json", "b.json"]
+        expected.update({"compare.a": "a.json", "compare.b": "b.json"})
+    seen = []
+    monkeypatch.setattr(cli, "resolve_config", lambda raw, overrides: overrides)
+    monkeypatch.setattr(cli, "run_subcommand",
+                        lambda name, cfg: seen.append((name, cfg)) or 0)
+    assert main(argv) == 0
+    assert seen == [(subcommand, expected)]
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -3,22 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qsdsim import qsd
 from qsdsim.configuration import Configuration
 from qsdsim.errors import (AllExtinct, InvalidRegime,
                            NoSingletonMass, NotNormalized, WindowTooSmall)
 from qsdsim.oracle import build_mass_chain, principal_left_eigenpair
-from qsdsim.qsd import (YAGLOM_STAGES, QsdEstimate, SumTree, _estimate_from_counts,
+from qsdsim.qsd import (YAGLOM_STAGES, QsdEstimate, _estimate_from_counts,
                         decay_rate_from_singletons, decay_rate_from_survival,
                         estimate_report, fleming_viot_estimate, tv_distance,
                         write_sample_csv, yaglom_estimate)
 from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.simulator import _gillespie_branch, mass_paths
 from qsdsim.streams import RandomStream
-from qsdsim.trait_space import UniformKernel, make_kernel, sample_base
+from qsdsim.trait_space import make_kernel, sample_base
 
 from closed_forms import bd_qsd
 
@@ -168,55 +166,6 @@ def test_fleming_viot_matches_mass_chain_oracle(logistic_model):
     assert tv_distance(est.mass_marginal, pair.nu) <= 0.05
 
 
-def _tree_cases(rate):
-    """Rate vectors of length 2-300 with point updates drawn from ``rate``."""
-    return st.lists(rate, min_size=2, max_size=300).flatmap(
-        lambda rates: st.tuples(
-            st.just(rates),
-            st.lists(st.tuples(st.integers(0, len(rates) - 1), rate), max_size=40)))
-
-
-def _updated(case):
-    rates, updates = case
-    tree = SumTree(rates)
-    plain = list(rates)
-    for i, rate in updates:
-        tree.update(i, rate)
-        plain[i] = rate
-    return tree, plain
-
-
-def _searchsorted(cum, x):
-    return min(int(np.searchsorted(cum, x, side="right")), len(cum) - 1)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_tree_cases(st.integers(1, 4000).map(lambda k: k / 2)))
-def test_sum_tree_is_exact_on_half_integer_rates(case):
-    tree, plain = _updated(case)
-    cum = np.cumsum(plain)
-    assert tree.total == math.fsum(plain) == cum[-1]
-    edges = [0.0, *cum]
-    probes = edges + [(a + b) / 2 for a, b in zip(edges, edges[1:])] + [cum[-1] + 1.0]
-    for x in probes:
-        assert tree.find(x) == _searchsorted(cum, x), x
-
-
-@settings(max_examples=150, deadline=None)
-@given(_tree_cases(st.floats(1e-3, 1e3)))
-def test_sum_tree_total_and_find_on_arbitrary_rates(case):
-    tree, plain = _updated(case)
-    exact = math.fsum(plain)
-    depth = (len(plain) - 1).bit_length()
-    assert abs(tree.total - exact) <= (depth + 1) * math.ulp(exact)
-    # between prefix boundaries rounding cannot move the answer
-    cum = np.cumsum(plain)
-    edges = [0.0, *cum]
-    for a, b in zip(edges, edges[1:]):
-        x = (a + b) / 2
-        assert tree.find(x) == _searchsorted(cum, x), x
-
-
 def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
                          snapshot_interval=0.5):
     """Fleming-Viot selection by a cumulative sum over all particles per event."""
@@ -255,14 +204,96 @@ def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
                                  events=events)
 
 
+def _scan_fleming_viot(model, particles, burn_in, horizon, rng,
+                       snapshot_interval=0.5):
+    """Fleming-Viot on one clock per particle, the earliest found by a linear scan."""
+    gen = rng.generator()
+    configs = [Configuration.singleton(sample_base(gen)) for _ in range(particles)]
+    rings = [-math.log(1.0 - gen.random()) / model.state_rates(c)[3] for c in configs]
+    counts = {}
+    events = 0
+    resurrections = 0
+    snaps = 0
+    next_snap = burn_in
+    while True:
+        # the first index among equal ring times, as (time, index) order gives
+        i = min(range(particles), key=rings.__getitem__)
+        t = rings[i]
+        while next_snap <= horizon and next_snap < t:
+            for c in configs:
+                counts[c] = counts.get(c, 0) + 1
+            snaps += 1
+            next_snap = burn_in + snaps * snapshot_interval
+        if t > horizon:
+            break
+        events += 1
+        *_, nxt = _gillespie_branch(model, configs[i], gen)
+        if nxt.is_void:
+            resurrections += 1
+            j = int(gen.random() * (particles - 1))
+            if j >= i:
+                j += 1
+            nxt = configs[j]
+        configs[i] = nxt
+        rings[i] = t + -math.log(1.0 - gen.random()) / model.state_rates(nxt)[3]
+    return _estimate_from_counts(counts, burn_in=burn_in, particles=particles,
+                                 events=events, resurrections=resurrections)
+
+
+def _fv_model(family):
+    return LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.5, kernel=make_kernel(family, 0.05))
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_fleming_viot_selection_matches_a_cumulative_sum(seed):
-    model = LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.5, kernel=UniformKernel())
+@pytest.mark.parametrize("family", ["uniform", "truncated_gaussian"])
+def test_fleming_viot_heap_matches_a_linear_scan_of_the_clocks(family, seed):
+    model = _fv_model(family)
     est = fleming_viot_estimate(model, 300, 1.0, 3.0, RandomStream(seed))
-    ref = _cumsum_fleming_viot(model, 300, 1.0, 3.0, RandomStream(seed))
+    ref = _scan_fleming_viot(model, 300, 1.0, 3.0, RandomStream(seed))
     assert est.configurations == ref.configurations
     assert np.array_equal(est.weights, ref.weights)
     assert est.events == ref.events > 0
+    assert est.resurrections == ref.resurrections > 0
+
+
+# FV_ROUTE_TV bounds the TV between the marginals of the per-particle
+# clocks and of the global cumulative-sum race, each at 600 particles
+# over [2, 12] on the logistic model. Over seeds 1-30 the mass TV was
+# 0.0078 +- 0.0041 (max 0.0188) and the support TV 0.0050 +- 0.0026
+# (max 0.0119); each bound sits more than 4 SD above its mean. The test
+# runs seed 31, fixed before the sweep.
+FV_ROUTE_TV = {"mass": 0.025, "support": 0.016}
+
+
+def test_fleming_viot_clocks_and_the_global_race_share_their_marginals():
+    model = _fv_model("uniform")
+    est = fleming_viot_estimate(model, 600, 2.0, 12.0, RandomStream(31))
+    ref = _cumsum_fleming_viot(model, 600, 2.0, 12.0, RandomStream(31))
+    assert tv_distance(est.mass_marginal, ref.mass_marginal) <= FV_ROUTE_TV["mass"]
+    assert tv_distance(est.support_marginal,
+                       ref.support_marginal) <= FV_ROUTE_TV["support"]
+
+
+# sha256 of a small Fleming-Viot sample with its event and resurrection
+# counts, pinned when the per-particle clocks came in. A refactor must
+# keep every bit; only a deliberate change of the random stream may
+# move them.
+FV_DIGESTS = {
+    "uniform": "424832da6e18d372fa06826875da00466345b83aad8c0f4745571966970121fa",
+    "truncated_gaussian": "cc8d9fe82195b78e0cd3b59a716724d5065dbc48169227890c6afa7cfb614d78",
+}
+
+
+def _fv_text(est):
+    lines = [f"{est.events} {est.resurrections}"]
+    lines += [f"{w!r} {c.serialize()}" for c, w in est.sample]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("family", sorted(FV_DIGESTS))
+def test_fleming_viot_sample_keeps_its_bits(family):
+    est = fleming_viot_estimate(_fv_model(family), 60, 0.5, 2.0, RandomStream(2024))
+    assert hashlib.sha256(_fv_text(est).encode()).hexdigest() == FV_DIGESTS[family]
 
 
 def test_fleming_viot_takes_every_snapshot_of_a_non_dyadic_interval(logistic_model):
