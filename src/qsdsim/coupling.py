@@ -109,10 +109,12 @@ def coupled_path(model: RateModel, start: CoupledState, horizon: float,
     """Jump times and states up to the horizon, starting entry included.
 
     Every constructed state revalidates mass <= counter, so a run of
-    this function doubles as an order-invariance check.
+    this function doubles as an order-invariance check. Like every engine
+    it checks ``b`` and ``rho`` before it draws (``check_regime``).
     """
     if horizon < 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
+    model.check_regime()
     t = 0.0
     state = start
     path = [(0.0, state)]

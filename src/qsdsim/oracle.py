@@ -48,9 +48,13 @@ def _mass_rates(model: RateModel, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_mass_chain(model: RateModel, N: int) -> MassChainOracle:
-    """Tabulate the truncated chain's rates from the model's mass rates."""
+    """Tabulate the truncated chain's rates from the model's mass rates.
+
+    Raises InvalidRegime as :meth:`~qsdsim.rates.RateModel.check_regime` does.
+    """
     if N < 2:
         raise InvalidRegime(f"truncation must be at least 2, got {N!r}")
+    model.check_regime()
     return MassChainOracle(N, *_mass_rates(model, N))
 
 

@@ -20,7 +20,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .configuration import Configuration
+from .configuration import Configuration, _successor
 from .errors import (AllExtinct, Degenerate, InvalidRegime, NoSingletonMass,
                      NotNormalized, WindowTooSmall)
 from .rates import RateModel, holding_time
@@ -186,7 +186,8 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
     if snapshot_interval <= 0.0:
         raise InvalidRegime(f"snapshot interval must be positive, got {snapshot_interval!r}")
     gen = Uniforms(rng.generator())
-    configs = [Configuration.singleton(sample_base(gen)) for _ in range(particles)]
+    # a base-measure draw lies in [0, 1), so the singletons need no check
+    configs = [_successor(((sample_base(gen), 1),), 1) for _ in range(particles)]
     rows = model.rate_table()
     clocks = [(holding_time(gen, rows[c.total_mass][3]), i) for i, c in enumerate(configs)]
     heapq.heapify(clocks)

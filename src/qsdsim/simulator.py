@@ -3,8 +3,10 @@
 Two engines produce the same law. The Gillespie engine is the
 reference: exponential holding time at the total jump rate, then a
 branch that picks the jump's kind from the per-kind totals and the
-individual it moves by rank; its kernel ``_jumps`` is also what the
-validation battery steps. The thinning engine realizes the paper's
+individual it moves by rank; the validation battery's martingale and
+moment-bound checks replay its kernel ``_jumps`` on the mass alone, a
+chunk of replicas in numpy lockstep, each on the uniforms its own run
+would draw (``_mass_jumps``). The thinning engine realizes the paper's
 construction from three Poisson point measures per individual instead:
 clonal births at rate b(1 - rho) and deaths at rate d(n), every point
 accepted, and mutations at the bounding rate b rho g*, each point
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -165,6 +168,85 @@ def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random
         t += hold
         kind, parent, child, config = _gillespie_branch(model, config, rng, row)
         yield t, hold, kind, parent, child, config
+
+
+# Uniforms each lockstep replica of _mass_jumps holds at a time; a round
+# takes at most _ROUND of them.
+_BLOCK = 64
+_ROUND = 4
+
+
+def _mass_jumps(start: int, t_end: float, gens: Sequence[np.random.Generator], rows: dict
+                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`_jumps` on the total mass alone, for replicas in numpy lockstep.
+
+    Replica i starts at mass ``start``, draws from ``gens[i]`` and takes
+    the masses, jump times and holding times its run of :func:`_jumps`
+    would take, from the same uniforms: one for the holding time, one for
+    the band and, on a mutation, one for the parent and one for the
+    kernel, whose ``sample`` draws exactly one. Each round yields (lane,
+    t, hold, mass): the replicas that jump, their jump times, the holding
+    times that ended there and their masses after the jump. The rates
+    come from ``rows``, a ``model.rate_table()``, read once per mass
+    reached, as :func:`_jumps` reads them; afterwards it holds the row of
+    every mass a replica reached.
+
+    Each replica holds its own block of :data:`_BLOCK` uniforms from
+    ``gen.random``, and refills it once its cursor comes within a round
+    of the end. Holding times go through ``math.log``, as
+    :func:`~qsdsim.rates.holding_time` does, since ``np.log`` can differ
+    from it in the last bit.
+    """
+    size = len(gens)
+    block = np.empty((size, _BLOCK))
+    for row, gen in zip(block, gens):
+        gen.random(out=row)
+    cursor = np.zeros(size, dtype=np.intp)
+    # clonal, death and total rate by mass, filled over the masses reached
+    lo = hi = start
+    rates = np.zeros((2 * start + 2, 3))
+    if start:
+        rates[start] = itemgetter(0, 1, 3)(rows[start])
+    mass = np.full(size, start)
+    t = np.zeros(size)
+    lane = np.arange(size if start else 0)
+    while lane.size:
+        for i in lane[cursor[lane] > _BLOCK - _ROUND].tolist():
+            used = int(cursor[i])
+            block[i, :_BLOCK - used] = block[i, used:]
+            gens[i].random(out=block[i, _BLOCK - used:])
+            cursor[i] = 0
+        n = mass[lane]
+        clonal, death, total = rates[n].T
+        at = cursor[lane]
+        hold = -np.array(list(map(math.log, (1.0 - block[lane, at]).tolist()))) / total
+        now = t[lane] + hold
+        go = now <= t_end
+        if not go.all():
+            lane, n, at, hold, now, clonal, death, total = (
+                x[go] for x in (lane, n, at, hold, now, clonal, death, total))
+            if not lane.size:
+                return
+        x = block[lane, at + 1] * total
+        up = x < clonal
+        x -= clonal
+        down = ~up & (x < death)
+        # a mutation reads the parent and kernel uniforms too
+        cursor[lane] = at + np.where(up | down, 2, 4)
+        n = np.where(down, n - 1, n + 1)
+        mass[lane] = n
+        t[lane] = now
+        top, bottom = int(n.max()), int(n.min())
+        if top > hi:
+            if top >= len(rates):
+                rates = np.concatenate((rates, np.zeros_like(rates)))
+            hi = top
+            rates[top] = itemgetter(0, 1, 3)(rows[top])
+        if 0 < bottom < lo:
+            lo = bottom
+            rates[bottom] = itemgetter(0, 1, 3)(rows[bottom])
+        yield lane, now, hold, n
+        lane = lane[n > 0]
 
 
 def simulate_gillespie(model: RateModel, initial: Configuration, horizon: float,

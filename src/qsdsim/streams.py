@@ -184,15 +184,18 @@ class Uniforms:
 
 
 def _run_chunk(args: tuple) -> list:
-    fn, stream, start, stop, items = args
+    fn, stream, start, stop, items, batched = args
     gens = stream.replica_generators(start, stop)
+    if batched:
+        return [fn(list(gens))]
     if items is None:
         return [fn(gen) for gen in gens]
     return [fn(gen, item) for gen, item in zip(gens, items)]
 
 
 def map_replicas(fn, n_replicas: int, stream: RandomStream, workers: int = 1,
-                 chunk_size: int = 4096, items: Sequence | None = None) -> list:
+                 chunk_size: int = 4096, items: Sequence | None = None,
+                 batched: bool = False) -> list:
     """Evaluate ``fn(generator)`` for replica substreams 0..n-1.
 
     Replicas run in chunks of ``chunk_size``, each seeded by one hash pass;
@@ -201,7 +204,9 @@ def map_replicas(fn, n_replicas: int, stream: RandomStream, workers: int = 1,
     function or functools.partial over one). Results are returned in
     replica order, so the merge is independent of worker count, chunk size
     and scheduling. With ``items``, one per replica, replica r evaluates
-    ``fn(generator, items[r])``.
+    ``fn(generator, items[r])``. With ``batched``, ``fn`` takes the list
+    of a whole chunk's generators in replica order instead, and the result
+    is the list of its values, one per chunk in chunk order.
     """
     if n_replicas < 0:
         raise ValueError("n_replicas must be nonnegative")
@@ -209,8 +214,10 @@ def map_replicas(fn, n_replicas: int, stream: RandomStream, workers: int = 1,
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     if items is not None and len(items) != n_replicas:
         raise ValueError(f"need one item per replica, got {len(items)} for {n_replicas}")
+    if items is not None and batched:
+        raise ValueError("batched replicas take no items")
     chunks = [(fn, stream, a, min(a + chunk_size, n_replicas),
-               None if items is None else items[a:a + chunk_size])
+               None if items is None else items[a:a + chunk_size], batched)
               for a in range(0, n_replicas, chunk_size)]
     if workers <= 1 or len(chunks) <= 1:
         return [y for chunk in chunks for y in _run_chunk(chunk)]

@@ -7,6 +7,9 @@ to one against the base measure. On top of that sit three families of
 checks: pointwise generator identities and bounds, martingale residuals
 with the time integral computed exactly along piecewise-constant paths,
 and the exponential-moment inequality driven by the comparison ODE.
+Since the test functions read the mass alone, the martingale and
+moment-bound replicas run on the mass paths of the Gillespie engine,
+replayed a chunk at a time in lockstep from each replica's own stream.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from scipy.stats import chi2
 from .configuration import Configuration
 from .oracle import ode_trajectory
 from .rates import LogisticModel, RateModel, UniformModel
-from .simulator import _jumps, mass_moments
-from .streams import RandomStream, Uniforms, map_replicas
+from .simulator import _mass_jumps, mass_moments
+from .streams import RandomStream, map_replicas
 
 
 class TestFunction(ABC):
@@ -116,18 +119,40 @@ def exp_mass_drift_bound(model: RateModel, a: float) -> float:
     return model.birth_sup * (math.exp(a) - 1.0) + model.death_inf * (math.exp(-a) - 1.0)
 
 
-def _martingale_replica(model: RateModel, f: TestFunction, initial: Configuration,
-                        t: float, rows, rng: np.random.Generator) -> float:
-    # L f is constant between jumps, so the integral is exact
-    config = initial
-    now = 0.0
-    integral = 0.0
-    for now, hold, _, _, _, after in _jumps(model, initial, t, Uniforms(rng), rows):
-        integral += hold * generator_apply(model, f, config, rows)
-        config = after
-    if not config.is_void:
-        integral += (t - now) * generator_apply(model, f, config, rows)
-    return f(config) - f(initial) - integral
+def _per_mass(model: RateModel, f: TestFunction, rows) -> tuple[np.ndarray, np.ndarray]:
+    """f and L f by mass over the masses ``rows``, a rate table, holds.
+
+    L f is evaluated once per mass, on a one-entry configuration; at mass
+    0 both tables read 0 and f's void value.
+    """
+    top = max(rows, default=0)
+    values = np.array([f.value_at_mass(k) for k in range(top + 1)])
+    drift = np.zeros(top + 1)
+    for k in rows:
+        if k:
+            drift[k] = generator_apply(model, f, Configuration(((0.5, k),)), rows)
+    return values, drift
+
+
+def _martingale_chunk(model: RateModel, f: TestFunction, initial: Configuration,
+                      t: float, rows, gens: list) -> np.ndarray:
+    # L f is constant between jumps, so the integral is exact; it is summed
+    # per replica in jump order once the masses reached are known
+    start = initial.total_mass
+    mass = np.full(len(gens), start)
+    last = np.zeros(len(gens))
+    steps = []
+    for lane, now, hold, after in _mass_jumps(start, t, gens, rows):
+        steps.append((lane, hold, mass[lane]))
+        mass[lane] = after
+        last[lane] = now
+    values, drift = _per_mass(model, f, rows)
+    integral = np.zeros(len(gens))
+    for lane, hold, before in steps:
+        integral[lane] += hold * drift[before]
+    alive = mass > 0
+    integral[alive] += (t - last[alive]) * drift[mass[alive]]
+    return values[mass] - f(initial) - integral
 
 
 def martingale_residual(model: RateModel, f: TestFunction, initial: Configuration,
@@ -137,14 +162,15 @@ def martingale_residual(model: RateModel, f: TestFunction, initial: Configuratio
 
     The residual is zero in expectation; the return pairs the estimate
     with its standard error so callers can judge it as noise. The
-    replicas share one ``model.rate_table()``.
+    replicas share one ``model.rate_table()`` and run a chunk of
+    :func:`~qsdsim.streams.map_replicas` at a time.
     """
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    fn = partial(_martingale_replica, model, f, initial, t, model.rate_table())
-    draws = np.array(map_replicas(fn, replicas, rng, workers))
+    fn = partial(_martingale_chunk, model, f, initial, t, model.rate_table())
+    draws = np.concatenate(map_replicas(fn, replicas, rng, workers, batched=True))
     stderr = float(draws.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return float(draws.mean()), stderr
 
@@ -157,20 +183,25 @@ class LyapunovPoint(NamedTuple):
     flagged: bool
 
 
-def _lyapunov_replica(model: RateModel, initial: Configuration, grid: tuple[float, ...],
-                      a_at: tuple[float, ...], lam_star: float, rows,
-                      rng: np.random.Generator) -> np.ndarray:
+def _lyapunov_chunk(initial: Configuration, grid: tuple[float, ...], a_at: tuple[float, ...],
+                    lam_star: float, rows, gens: list) -> np.ndarray:
     # a grid time at a jump sees the mass after it; extinct before a grid
     # time, that time contributes 0
-    masses: list[int] = []
-    n = initial.total_mass
-    for t, _, _, _, _, after in _jumps(model, initial, grid[-1], Uniforms(rng), rows):
-        while len(masses) < len(grid) and grid[len(masses)] < t:
-            masses.append(n)
-        n = after.total_mass
-    masses += [n] * (len(grid) - len(masses))
-    return np.array([math.exp(a * n - lam_star * g) if n else 0.0
-                     for a, n, g in zip(a_at, masses, grid)])
+    start = initial.total_mass
+    mass = np.full(len(gens), start)
+    last = np.zeros(len(gens))
+    seen = np.full((len(gens), len(grid)), -1)
+    for lane, now, _, after in _mass_jumps(start, grid[-1], gens, rows):
+        before, prev = mass[lane], last[lane]
+        for j, g in enumerate(grid):
+            cross = (prev <= g) & (g < now)
+            seen[lane[cross], j] = before[cross]
+        mass[lane] = after
+        last[lane] = now
+    seen = np.where(seen < 0, mass[:, None], seen)
+    values = np.array([[math.exp(a * n - lam_star * g) if n else 0.0 for a, g in zip(a_at, grid)]
+                       for n in range(int(seen.max()) + 1)])
+    return values[seen, np.arange(len(grid))]
 
 
 def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
@@ -192,8 +223,8 @@ def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
     ts = np.array([p[0] for p in traj])
     avals = np.array([p[1] for p in traj])
     a_at = tuple(float(x) for x in np.interp(grid, ts, avals))
-    fn = partial(_lyapunov_replica, model, initial, grid, a_at, lam_star, model.rate_table())
-    rows = np.stack(map_replicas(fn, replicas, rng, workers))
+    fn = partial(_lyapunov_chunk, initial, grid, a_at, lam_star, model.rate_table())
+    rows = np.concatenate(map_replicas(fn, replicas, rng, workers, batched=True))
     bound = math.exp(a0 * initial.total_mass)
     points = []
     for j, t in enumerate(grid):

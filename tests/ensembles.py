@@ -1,5 +1,11 @@
-"""Ensemble helpers the tests share: hitting tails and the reference urn."""
+"""Ensemble helpers the tests share: hitting tails and the one-at-a-time references.
 
+The references run one replica or survivor at a time through the full
+per-configuration engine; the package's lockstep routes must give what
+they give.
+"""
+
+import math
 from collections import Counter
 from typing import Sequence
 
@@ -7,8 +13,9 @@ import numpy as np
 
 from qsdsim.configuration import Configuration
 from qsdsim.rates import RateModel
-from qsdsim.simulator import mass_paths
-from qsdsim.streams import RandomStream
+from qsdsim.simulator import _jumps, mass_paths
+from qsdsim.streams import RandomStream, Uniforms
+from qsdsim.validation import TestFunction, generator_apply
 
 
 def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
@@ -45,3 +52,40 @@ def urn(model: RateModel, start: Configuration, steps: np.ndarray,
             traits[i] = traits[-1]
             traits.pop()
     return Configuration(tuple(sorted(Counter(traits).items())))
+
+
+def martingale_replica(model: RateModel, f: TestFunction, initial: Configuration,
+                       t: float, rows, rng: np.random.Generator) -> float:
+    """One draw of f(Y_t) - f(initial) - int L f, stepping ``_jumps`` on the configuration.
+
+    L f is constant between jumps, so the integral is exact; it is summed
+    entry by entry over each configuration the path visits.
+    """
+    config = initial
+    now = 0.0
+    integral = 0.0
+    for now, hold, _, _, _, after in _jumps(model, initial, t, Uniforms(rng), rows):
+        integral += hold * generator_apply(model, f, config, rows)
+        config = after
+    if not config.is_void:
+        integral += (t - now) * generator_apply(model, f, config, rows)
+    return f(config) - f(initial) - integral
+
+
+def lyapunov_replica(model: RateModel, initial: Configuration, grid: tuple[float, ...],
+                     a_at: tuple[float, ...], lam_star: float, rows,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One replica's e^{a(t) mass - lam_star t} on survival at each grid time, by ``_jumps``.
+
+    A grid time at a jump sees the mass after it; extinct before a grid
+    time, that time contributes 0.
+    """
+    masses: list[int] = []
+    n = initial.total_mass
+    for t, _, _, _, _, after in _jumps(model, initial, grid[-1], Uniforms(rng), rows):
+        while len(masses) < len(grid) and grid[len(masses)] < t:
+            masses.append(n)
+        n = after.total_mass
+    masses += [n] * (len(grid) - len(masses))
+    return np.array([math.exp(a * n - lam_star * g) if n else 0.0
+                     for a, n, g in zip(a_at, masses, grid)])

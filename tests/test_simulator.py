@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qsdsim import simulator
 from qsdsim.configuration import Configuration
+from qsdsim.coupling import CoupledState, coupled_path
 from qsdsim.errors import InvalidRegime
 from qsdsim.oracle import build_mass_chain
 from qsdsim.qsd import QsdEstimate, fleming_viot_estimate
@@ -20,8 +21,8 @@ from qsdsim.simulator import (CHUNK, ENGINES, Event, EventKind, Trajectory,
                               survival_curve, write_trajectory_csv)
 from qsdsim.streams import RandomStream, Uniforms
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, sample_base
-from qsdsim.validation import (Mass, chi2_threshold, martingale_residual, mass_histogram,
-                               two_sample_chi2)
+from qsdsim.validation import (Mass, chi2_threshold, lyapunov_check, martingale_residual,
+                               mass_histogram, two_sample_chi2)
 
 import strategies
 from ensembles import hitting_tail, urn
@@ -537,6 +538,12 @@ def test_every_run_refuses_a_model_outside_the_regime_before_drawing(broken):
         fleming_viot_estimate(model, 20, 0.5, 1.0, RandomStream(5))
     with pytest.raises(InvalidRegime):
         martingale_residual(model, Mass(), start, 1.0, 3, RandomStream(5))
+    with pytest.raises(InvalidRegime):
+        lyapunov_check(model, start, 0.3, (0.5, 1.0), 3, RandomStream(5))
+    with pytest.raises(InvalidRegime):
+        coupled_path(model, CoupledState(start, 3), 1.0, RandomStream(5).generator())
+    with pytest.raises(InvalidRegime):
+        build_mass_chain(model, 5)
 
 
 @dataclasses.dataclass(frozen=True)

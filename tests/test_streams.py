@@ -64,6 +64,22 @@ def test_map_replicas_passes_one_item_per_replica():
         map_replicas(_shifted_uniform, 70, stream, items=items[:-1])
 
 
+def _third_uniforms(gens):
+    return [_third_uniform(gen) for gen in gens]
+
+
+def test_batched_map_replicas_hands_each_chunk_its_generators():
+    stream = RandomStream(12)
+    ref = [_third_uniform(stream.substream(r).generator()) for r in range(70)]
+    for workers in (1, 2):
+        chunks = map_replicas(_third_uniforms, 70, stream, workers=workers, chunk_size=16,
+                              batched=True)
+        assert [len(c) for c in chunks] == [16, 16, 16, 16, 6]
+        assert [x for c in chunks for x in c] == ref
+    with pytest.raises(ValueError, match="no items"):
+        map_replicas(_third_uniforms, 70, stream, items=list(range(70)), batched=True)
+
+
 def test_map_replicas_rejects_a_chunk_size_below_one():
     for workers in (1, 2):
         with pytest.raises(ValueError, match="chunk_size"):

@@ -1,17 +1,23 @@
 import dataclasses
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 
+from qsdsim import simulator
 from qsdsim.configuration import Configuration
+from qsdsim.oracle import ode_trajectory
 from qsdsim.rates import LogisticModel, UniformModel
-from qsdsim.streams import RandomStream
-from qsdsim.trait_space import UniformKernel
+from qsdsim.streams import RandomStream, Uniforms, map_replicas
+from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
 from qsdsim.validation import (BoundedCustom, ExpMass, Indicator, LyapunovPoint,
-                               Mass, chi2_threshold, exp_mass_drift_bound,
-                               generator_apply, lyapunov_check, mass_histogram,
-                               martingale_residual, run_validation_checks,
+                               Mass, _lyapunov_chunk, _martingale_chunk, chi2_threshold,
+                               exp_mass_drift_bound, generator_apply, lyapunov_check,
+                               mass_histogram, martingale_residual, run_validation_checks,
                                two_sample_chi2)
+
+from ensembles import lyapunov_replica, martingale_replica
 
 FIVE = Configuration.from_pairs(((0.5, 5),))
 ONE = Configuration.singleton(0.5)
@@ -251,3 +257,97 @@ def test_a_moment_bound_check_evaluates_the_death_rate_once_per_mass():
     assert len(set(model.masses)) > 3
     # death_inf reads d(1) once more before the replicas run
     assert len(model.masses) <= len(set(model.masses)) + 1
+
+
+# dyadic rates keep L f exact on both routes; the non-dyadic model sums it
+# entry by entry on one route and once per mass on the other
+GAUSSIAN = LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.5, kernel=TruncatedGaussianKernel(0.1))
+AWKWARD = LogisticModel(b=1.3, rho=0.3, d=1.7, c=0.13, kernel=TruncatedGaussianKernel(0.1))
+SPREAD = Configuration.from_pairs(((0.2, 2), (0.5, 2), (0.8, 1)))
+GRID = (0.5, 1.0, 3.0)
+A_AT = (0.3, 0.29, 0.27)
+
+
+def _lockstep_models(uniform_model, logistic_model):
+    return {"uniform": uniform_model, "logistic": logistic_model, "gaussian": GAUSSIAN}
+
+
+def _generators(seed, replicas=300):
+    return list(RandomStream(seed).replica_generators(0, replicas))
+
+
+@pytest.mark.parametrize("name", ["uniform", "logistic", "gaussian"])
+@pytest.mark.parametrize("f", [Mass(), Indicator(1), ExpMass(0.3)])
+@pytest.mark.parametrize("t", [0.5, 3.0])
+def test_lockstep_martingale_draws_are_the_one_at_a_time_draws(uniform_model, logistic_model,
+                                                               name, f, t):
+    model = _lockstep_models(uniform_model, logistic_model)[name]
+    ref = [martingale_replica(model, f, SPREAD, t, model.rate_table(), gen)
+           for gen in _generators(31)]
+    got = _martingale_chunk(model, f, SPREAD, t, model.rate_table(), _generators(31))
+    assert got.tolist() == ref
+
+
+@pytest.mark.parametrize("name", ["uniform", "logistic", "gaussian"])
+def test_lockstep_moment_bound_rows_are_the_one_at_a_time_rows(uniform_model, logistic_model,
+                                                               name):
+    model = _lockstep_models(uniform_model, logistic_model)[name]
+    ref = np.stack([lyapunov_replica(model, SPREAD, GRID, A_AT, 2.0, model.rate_table(), gen)
+                    for gen in _generators(32)])
+    got = _lyapunov_chunk(SPREAD, GRID, A_AT, 2.0, model.rate_table(), _generators(32))
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name", ["uniform", "logistic", "gaussian", "awkward"])
+def test_lockstep_mass_jumps_are_the_jumps_of_the_full_engine(uniform_model, logistic_model,
+                                                              name):
+    model = {**_lockstep_models(uniform_model, logistic_model), "awkward": AWKWARD}[name]
+    ref = [[(t, hold, after.total_mass) for t, hold, *_, after
+            in simulator._jumps(model, SPREAD, 3.0, Uniforms(gen), model.rate_table())]
+           for gen in _generators(37)]
+    got = [[] for _ in ref]
+    for lane, t, hold, mass in simulator._mass_jumps(5, 3.0, _generators(37),
+                                                     model.rate_table()):
+        for i, *jump in zip(lane.tolist(), t.tolist(), hold.tolist(), mass.tolist()):
+            got[i].append(tuple(jump))
+    assert got == ref
+
+
+def test_lockstep_replicas_refill_their_blocks(uniform_model):
+    # some replica draws past its first block of uniforms by t = 3 from mass 5
+    jumps = np.bincount(np.concatenate([
+        lane for lane, *_ in simulator._mass_jumps(5, 3.0, _generators(31),
+                                                   uniform_model.rate_table())]))
+    assert 2 * jumps.max() + 1 > simulator._BLOCK
+
+
+def test_lockstep_checks_at_non_dyadic_rates_agree_to_rounding():
+    for f in (Mass(), ExpMass(0.3)):
+        ref = [martingale_replica(AWKWARD, f, SPREAD, 3.0, AWKWARD.rate_table(), gen)
+               for gen in _generators(33)]
+        got = _martingale_chunk(AWKWARD, f, SPREAD, 3.0, AWKWARD.rate_table(), _generators(33))
+        assert got.tolist() == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    ref = np.stack([lyapunov_replica(AWKWARD, SPREAD, GRID, A_AT, 1.7, AWKWARD.rate_table(), gen)
+                    for gen in _generators(34)])
+    got = _lyapunov_chunk(SPREAD, GRID, A_AT, 1.7, AWKWARD.rate_table(), _generators(34))
+    assert np.array_equal(got, ref)
+
+
+def test_lockstep_checks_with_two_workers_give_the_one_at_a_time_results(logistic_model):
+    # more replicas than one chunk of map_replicas, so two chunks run in the pool
+    replicas, model = 5000, logistic_model
+    draws = np.array(map_replicas(partial(martingale_replica, model, Indicator(1), SPREAD, 0.5,
+                                          model.rate_table()), replicas, RandomStream(35)))
+    assert martingale_residual(model, Indicator(1), SPREAD, 0.5, replicas, RandomStream(35),
+                               workers=2) == (float(draws.mean()),
+                                              float(draws.std(ddof=1) / math.sqrt(replicas)))
+
+    grid, lam_star = (0.5, 1.0), model.death_inf
+    path = ode_trajectory(lam_star, model.birth_sup, 0.3, max(grid), 1e-3)
+    a_at = tuple(float(a) for a in np.interp(grid, [p[0] for p in path], [p[1] for p in path]))
+    rows = np.stack(map_replicas(partial(lyapunov_replica, model, SPREAD, grid, a_at, lam_star,
+                                         model.rate_table()), replicas, RandomStream(36)))
+    points = lyapunov_check(model, SPREAD, 0.3, grid, replicas, RandomStream(36), workers=2)
+    assert [(p.lhs, p.stderr) for p in points] == [
+        (float(rows[:, j].mean()), float(rows[:, j].std(ddof=1) / math.sqrt(replicas)))
+        for j in range(len(grid))]
