@@ -46,8 +46,8 @@ class RateModel(ABC):
         """Death rate of one individual among n >= 1, elementwise on arrays.
 
         It must be positive and nondecreasing in n, so its value at
-        n = 1 is both :attr:`death_inf` and :attr:`singleton_death_sup`.
-        A constant may come back as a scalar; it broadcasts.
+        n = 1 is :attr:`death_inf`. A constant may come back as a scalar;
+        it broadcasts.
         """
 
     def death_at(self, n):
@@ -89,8 +89,6 @@ class RateModel(ABC):
     def death_inf(self) -> float:
         """Lower bound for death_rate over nonempty states, and its value at mass 1."""
         return self.per_capita_death(1)
-
-    singleton_death_sup = death_inf
 
     def check_regime(self) -> None:
         """Raise InvalidRegime unless b > 0 and 0 < rho < 1; engines call it as a run starts."""

@@ -114,21 +114,20 @@ def path_times(initial: Configuration,
 
 
 def _gillespie_branch(model: RateModel, config: Configuration, rng: np.random.Generator,
-                      row: tuple[float, float, float, float] | None = None
+                      row: tuple[float, float, float, float]
                       ) -> tuple[EventKind, float, float | None, Configuration]:
     """Pick one jump out of the configuration with the exact probabilities.
 
     Returns (kind, parent, child, after), ``after`` being the
-    configuration after the jump. ``row`` is ``model.state_rates(config)``
-    where the caller has it already, read from ``model.rate_table()``;
-    without it the branch reads it. One uniform times the total rate falls
-    into the clonal, the death or the mutation band, in that order, so
-    the mutation band absorbs float slack. Every individual carries the
-    same rates, so the uniform rescaled within the clonal or death band
-    ranks the individual that jumps; a mutation draws its parent with a
-    fresh uniform.
+    configuration after the jump. ``row`` is ``model.state_rates(config)``,
+    as the callers read it from ``model.rate_table()``. One uniform times
+    the total rate falls into the clonal, the death or the mutation band,
+    in that order, so the mutation band absorbs float slack. Every
+    individual carries the same rates, so the uniform rescaled within the
+    clonal or death band ranks the individual that jumps; a mutation
+    draws its parent with a fresh uniform.
     """
-    clonal, death, _, total = model.state_rates(config) if row is None else row
+    clonal, death, _, total = row
     x = rng.random() * total
     if x < clonal:
         trait = individual_at(config, x / clonal)
@@ -143,7 +142,7 @@ def _gillespie_branch(model: RateModel, config: Configuration, rng: np.random.Ge
 
 
 def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random.Generator,
-           rows: dict | None = None
+           rows: dict
            ) -> Iterator[tuple[float, float, EventKind, float, float | None, Configuration]]:
     """The exact jumps from ``config`` up to t_end or extinction.
 
@@ -152,13 +151,11 @@ def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random
     :func:`_gillespie_branch` and the configuration after the jump.
     Holding times are drawn at the total jump rate, and each step reads
     one row of ``rows``, a ``model.rate_table()`` that callers running
-    many short paths share, for both the holding time and the branch;
-    without it the run builds its own. The run stops before branching
-    once ``t + hold > t_end``, so its last draw is one holding time past
-    the horizon; every consumer relies on that order.
+    many short paths share, for both the holding time and the branch.
+    The run stops before branching once ``t + hold > t_end``, so its last
+    draw is one holding time past the horizon; every consumer relies on
+    that order.
     """
-    if rows is None:
-        rows = model.rate_table()
     t = 0.0
     while not config.is_void:
         row = rows[config.total_mass]
@@ -256,7 +253,8 @@ def simulate_gillespie(model: RateModel, initial: Configuration, horizon: float,
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     final = initial
     events = []
-    for t, _, kind, parent, child, final in _jumps(model, initial, horizon, rng):
+    rows = model.rate_table()
+    for t, _, kind, parent, child, final in _jumps(model, initial, horizon, rng, rows):
         events.append(Event(t, kind, parent, child))
     return Trajectory(initial, tuple(events), horizon, final, *path_times(initial, events))
 
@@ -344,19 +342,17 @@ class MassPaths(NamedTuple):
     survivors: tuple[Configuration, ...]
 
 
-# Uniforms the urn draws at a time, and steps it takes in one batch of
-# survivors: bounds on what one chunk's urn holds at once.
-_PIECE = 8192
+# Steps the urn takes in one batch of survivors: a bound on what one
+# chunk's urn holds at once.
 _BATCH = 32768
 
 
-def _urns(model: RateModel, starts, masses: np.ndarray, steps: np.ndarray,
-          lengths: np.ndarray, finals: np.ndarray,
+def _urns(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
+          steps: np.ndarray, lengths: np.ndarray, finals: np.ndarray,
           rng: np.random.Generator) -> tuple[Configuration, ...]:
     """Traits along the mass paths of a chunk's survivors, in numpy lockstep urns.
 
-    Survivor s starts from ``starts``, one configuration for all or a
-    sequence with one per survivor, at mass ``masses[s]``, takes the
+    Survivor s starts from ``starts[s]`` at mass ``masses[s]``, takes the
     ``lengths[s]`` ±1 ``steps`` that follow those of survivors 0..s-1 and
     ends at mass ``finals[s]``. Its individuals form a list in entry
     order. At +1 a uniform individual is the parent, and the child, put
@@ -378,13 +374,13 @@ def _urns(model: RateModel, starts, masses: np.ndarray, steps: np.ndarray,
     bounds = [0, *np.unique(cuts).tolist(), len(lengths)]
     kept: list[Configuration] = []
     for a, b in zip(bounds, bounds[1:]):
-        kept += _urn_batch(model, starts if isinstance(starts, Configuration) else starts[a:b],
-                           masses[a:b], steps[edge[a]:edge[b]], lengths[a:b], finals[a:b], rng)
+        kept += _urn_batch(model, starts[a:b], masses[a:b], steps[edge[a]:edge[b]],
+                           lengths[a:b], finals[a:b], rng)
     return tuple(kept)
 
 
-def _urn_batch(model: RateModel, starts, masses: np.ndarray, steps: np.ndarray,
-               lengths: np.ndarray, finals: np.ndarray,
+def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
+               steps: np.ndarray, lengths: np.ndarray, finals: np.ndarray,
                rng: np.random.Generator) -> list[Configuration]:
     """:func:`_urns` on a batch of survivors at once.
 
@@ -443,17 +439,13 @@ def _urn_batch(model: RateModel, starts, masses: np.ndarray, steps: np.ndarray,
     mutates = _scatter(mutates, slot)
     del slot
 
-    entries = (starts.entries if isinstance(starts, Configuration)
-               else [entry for c in starts for entry in c.entries])
+    entries = [entry for c in starts for entry in c.entries]
     nodes = len(entries)
     firsts = np.repeat(np.arange(nodes, dtype=index), [w for _, w in entries])
     lists = np.empty((count, width), dtype=index)
-    if isinstance(starts, Configuration):
-        lists[:, :len(firsts)] = firsts
-    else:
-        cols = np.arange(len(firsts)) - np.repeat(np.cumsum(masses) - masses, masses)
-        lists[np.repeat(rank, masses), cols] = firsts
-        del cols
+    cols = np.arange(len(firsts)) - np.repeat(np.cumsum(masses) - masses, masses)
+    lists[np.repeat(rank, masses), cols] = firsts
+    del cols
     flat = lists.reshape(-1)
     parent_of = np.empty(len(kernel_u), dtype=index)
     cut = cum.tolist()
@@ -516,20 +508,18 @@ def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndar
     one kernel uniform per mutating birth; its steps are ``up`` (births)
     and the ``mass`` before each. Returns, per step, the rank of the
     picked individual, truncated as int() does, and whether the step is
-    a mutating birth, and the kernel uniforms in step order. A first
-    pass reads a block long enough for every survivor for the flags, from
-    which one scan over the survivors finds where each one's uniforms
-    start; reading past the last one used is harmless, since the
-    generator is then set back. A second pass from the same state draws
-    exactly the uniforms used, for the picks and kernel uniforms, and
-    leaves ``rng`` where running the survivors one at a time would.
+    a mutating birth, and the kernel uniforms in step order. One block
+    long enough for every survivor, two uniforms a step and one a birth,
+    is read at once, and one scan over its flags finds where each
+    survivor's uniforms start. The generator is then set back and
+    advanced past exactly the uniforms used, one PCG64 output per
+    double, so that ``rng`` is left where running the survivors one at a
+    time would leave it.
     """
     total = len(up)
-    size = 2 * total + int(np.count_nonzero(up))
     state = rng.bit_generator.state
-    flag = np.empty(size, dtype=bool)
-    for i in range(0, size, _PIECE):
-        np.less(rng.random(min(_PIECE, size - i)), rho, out=flag[i:i + _PIECE])
+    uniforms = rng.random(2 * total + int(np.count_nonzero(up)))
+    flag = uniforms < rho
     # survivor s takes 2 lengths[s] uniforms and one per mutating birth,
     # counted as the set bits of its birth bytes ANDed with its flag bytes
     below, births = memoryview(flag.view(np.uint8)), memoryview(up.view(np.uint8))
@@ -544,6 +534,8 @@ def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndar
         lo += n
     mark(here)
     del below, births
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(here)
     # step k of survivor s reads its pick at offsets[s] + k and its flag
     # lengths[s] later; its i-th mutating birth reads the kernel uniform
     # at offsets[s] + 2 lengths[s] + i
@@ -560,18 +552,9 @@ def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndar
     mutates = flag[flagged]
     mutates &= up
     del flag, flagged
-    # the uniforms again, exactly those used; each pick turns into a rank in place
-    rng.bit_generator.state = state
-    pick, kernel_u = at, np.empty(len(kernel_at))
-    lo = low = 0
-    for i in range(0, here, _PIECE):
-        piece = rng.random(min(_PIECE, here - i))
-        hi = lo + int(np.searchsorted(at[lo:], i + _PIECE))
-        pick[lo:hi] = piece[at[lo:hi] - i] * mass[lo:hi]
-        high = low + int(np.searchsorted(kernel_at[low:], i + _PIECE))
-        kernel_u[low:high] = piece[kernel_at[low:high] - i]
-        lo, low = hi, high
-    return pick, mutates, kernel_u
+    # each pick turns into a rank, truncated as int() does
+    pick = (uniforms[at] * mass).astype(index)
+    return pick, mutates, uniforms[kernel_at]
 
 
 def _scatter(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -581,27 +564,24 @@ def _scatter(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
 
 
 def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
-                survivors: bool, rng: np.random.Generator, part: tuple) -> MassPaths:
+                survivors: bool, gens: list, parts: list) -> MassPaths:
     """One chunk of replicas advanced together on the mass chain alone.
 
-    ``part`` is ``(size, initial)``, the chunk's replica count and its
-    start as :func:`mass_paths` takes it. Each round, every live replica
-    draws a holding time at b(n) + d(n) and stops once ``t + hold >
-    t_end``, as :func:`_jumps` does; the others step +1 with probability
-    b(n) / (b(n) + d(n)), else -1. With ``survivors`` the steps are kept,
-    and the replicas alive at t_end get their traits from one
-    :func:`_urns` call, which draws from ``rng`` after the mass chain,
-    in the order of running the survivors one after another in replica
-    order.
+    ``gens`` holds the chunk's one generator ``rng`` and ``parts`` its one
+    ``(size, initial)``: the replica count and either a tuple of one start
+    per replica or a law whose ``draw(rng)`` gives each start. Each
+    round, every live replica draws a holding time at b(n) + d(n) and
+    stops once ``t + hold > t_end``, as :func:`_jumps` does; the others
+    step +1 with probability b(n) / (b(n) + d(n)), else -1. With
+    ``survivors`` the steps are kept, and the replicas alive at t_end get
+    their traits from one :func:`_urns` call, which draws from ``rng``
+    after the mass chain, in the order of running the survivors one after
+    another in replica order.
     """
-    size, initial = part
-    if isinstance(initial, Configuration):
-        starts = [initial] * size
-        start = np.full(size, initial.total_mass, dtype=np.int64)
-    else:
-        starts = (list(initial) if isinstance(initial, tuple)
-                  else [initial.draw(rng) for _ in range(size)])
-        start = np.array([c.total_mass for c in starts], dtype=np.int64)
+    (rng,), ((size, initial),) = gens, parts
+    starts = (list(initial) if isinstance(initial, tuple)
+              else [initial.draw(rng) for _ in range(size)])
+    start = np.array([c.total_mass for c in starts], dtype=np.int64)
     mass = start.copy()
     maximum = start.copy()
     extinction = np.where(start == 0, 0.0, math.inf)
@@ -646,9 +626,8 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         lanes = np.flatnonzero(mass)
         lengths = np.bincount(ids, minlength=size)[lanes]
         del ids
-        firsts = (initial if isinstance(initial, Configuration)
-                  else [starts[i] for i in lanes.tolist()])
-        kept = _urns(model, firsts, start[lanes], steps, lengths, mass[lanes], rng)
+        kept = _urns(model, [starts[i] for i in lanes.tolist()], start[lanes], steps,
+                     lengths, mass[lanes], rng)
     return MassPaths(start, mass, extinction, at, maximum, events, kept)
 
 
@@ -675,6 +654,8 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     if isinstance(initial, tuple) and len(initial) != replicas:
         raise ValueError(f"need one start per replica, got {len(initial)} for {replicas}")
     model.check_regime()
+    if isinstance(initial, Configuration):
+        initial = (initial,) * replicas
     chunk = partial(_mass_chunk, model, float(t_end),
                     tuple(float(c) for c in checkpoints), survivors)
     work = [(min(CHUNK, replicas - a),

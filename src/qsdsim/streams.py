@@ -183,30 +183,25 @@ class Uniforms:
         return value
 
 
-def _run_chunk(args: tuple) -> list:
-    fn, stream, start, stop, items, batched = args
-    gens = stream.replica_generators(start, stop)
-    if batched:
-        return [fn(list(gens))]
-    if items is None:
-        return [fn(gen) for gen in gens]
-    return [fn(gen, item) for gen, item in zip(gens, items)]
+def _run_chunk(args: tuple):
+    fn, stream, start, stop, items = args
+    gens = list(stream.replica_generators(start, stop))
+    return fn(gens) if items is None else fn(gens, items)
 
 
 def map_replicas(fn, n_replicas: int, stream: RandomStream, workers: int = 1,
-                 chunk_size: int = 4096, items: Sequence | None = None,
-                 batched: bool = False) -> list:
-    """Evaluate ``fn(generator)`` for replica substreams 0..n-1.
+                 chunk_size: int = 4096, items: Sequence | None = None) -> list:
+    """Evaluate ``fn(generators)`` on the chunks of replica substreams 0..n-1.
 
     Replicas run in chunks of ``chunk_size``, each seeded by one hash pass;
-    the chunk size bounds the seed memory and is the unit of work sent to a
-    worker. ``fn`` must be picklable when workers > 1 (a module-level
-    function or functools.partial over one). Results are returned in
-    replica order, so the merge is independent of worker count, chunk size
-    and scheduling. With ``items``, one per replica, replica r evaluates
-    ``fn(generator, items[r])``. With ``batched``, ``fn`` takes the list
-    of a whole chunk's generators in replica order instead, and the result
-    is the list of its values, one per chunk in chunk order.
+    ``fn`` takes the list of a chunk's generators in replica order, the
+    generator of replica r yielding what ``substream(r).generator()``
+    would. The chunk size bounds the seed memory and is the unit of work
+    sent to a worker. ``fn`` must be picklable when workers > 1 (a
+    module-level function or functools.partial over one). With ``items``,
+    one per replica, a chunk evaluates ``fn(generators, items_of_the_chunk)``.
+    The result holds one value per chunk in chunk order, so the merge is
+    independent of worker count and scheduling.
     """
     if n_replicas < 0:
         raise ValueError("n_replicas must be nonnegative")
@@ -214,15 +209,10 @@ def map_replicas(fn, n_replicas: int, stream: RandomStream, workers: int = 1,
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     if items is not None and len(items) != n_replicas:
         raise ValueError(f"need one item per replica, got {len(items)} for {n_replicas}")
-    if items is not None and batched:
-        raise ValueError("batched replicas take no items")
     chunks = [(fn, stream, a, min(a + chunk_size, n_replicas),
-               None if items is None else items[a:a + chunk_size], batched)
+               None if items is None else items[a:a + chunk_size])
               for a in range(0, n_replicas, chunk_size)]
     if workers <= 1 or len(chunks) <= 1:
-        return [y for chunk in chunks for y in _run_chunk(chunk)]
-    out: list = []
+        return [_run_chunk(chunk) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_run_chunk, chunks):
-            out.extend(part)
-    return out
+        return list(pool.map(_run_chunk, chunks))

@@ -21,9 +21,9 @@ TraitPoint = float
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Parents a Gaussian kernel keeps its normalisation for in density and
-# cdf; the memo starts over when full, so a long run with many distinct
-# traits stays small.
+# Parents a Gaussian kernel keeps its normalisation for in density; the
+# memo starts over when full, so a long run with many distinct traits
+# stays small.
 _WINDOWS = 256
 
 
@@ -42,8 +42,8 @@ def sample_base(rng: np.random.Generator) -> TraitPoint:
 class MutationKernel:
     """Family of child-trait densities indexed by the parent trait.
 
-    Subclasses implement ``density``, ``cdf``, ``sample``,
-    ``inverse_cdf`` and ``sup_density``. Densities are with respect to
+    Subclasses implement ``density``, ``sample``, ``inverse_cdf`` and
+    ``sup_density``. Densities are with respect to
     the base measure and integrate to one over [0, 1] for every parent.
     ``sample`` draws only through ``rng.random()``, one uniform at a
     time, so that ``rng`` may be a Generator or a
@@ -52,9 +52,6 @@ class MutationKernel:
     """
 
     def density(self, parent: TraitPoint, child: TraitPoint) -> float:
-        raise NotImplementedError
-
-    def cdf(self, parent: TraitPoint, x: float) -> float:
         raise NotImplementedError
 
     def sample(self, parent: TraitPoint, rng: np.random.Generator) -> TraitPoint:
@@ -75,9 +72,6 @@ class UniformKernel(MutationKernel):
 
     def density(self, parent: TraitPoint, child: TraitPoint) -> float:
         return 1.0
-
-    def cdf(self, parent: TraitPoint, x: float) -> float:
-        return min(max(x, 0.0), 1.0)
 
     def sample(self, parent: TraitPoint, rng: np.random.Generator) -> TraitPoint:
         return float(rng.random())
@@ -102,7 +96,7 @@ class TruncatedGaussianKernel(MutationKernel):
 
     scale: float
     # (Phi(-parent/scale), window mass) by parent, up to _WINDOWS entries,
-    # for density and cdf; a memo only, left out of equality, hashing and repr
+    # for density; a memo only, left out of equality, hashing and repr
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -134,19 +128,11 @@ class TruncatedGaussianKernel(MutationKernel):
         z = (child - parent) / s
         return math.exp(-0.5 * z * z) / (_SQRT_2PI * s * self._window_at(parent)[1])
 
-    def cdf(self, parent: TraitPoint, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        lo, mass = self._window_at(parent)
-        return float((ndtr((x - parent) / self.scale) - lo) / mass)
-
     def sample(self, parent: TraitPoint, rng: np.random.Generator) -> TraitPoint:
         # Inverse-CDF transform of a single uniform draw; clipping guards
         # against the last-ulp excursions of ndtri near the endpoints.
         # The window is computed afresh: draws rarely repeat a parent, while
-        # thinning's density reads do, so only density and cdf memoise it.
+        # thinning's density reads do, so only density memoises it.
         z = float(self._quantile(parent, rng.random(), *self._window(parent)))
         return min(max(z, 0.0), 1.0)
 

@@ -170,7 +170,7 @@ def martingale_residual(model: RateModel, f: TestFunction, initial: Configuratio
     if replicas < 1:
         raise ValueError("replicas must be positive")
     fn = partial(_martingale_chunk, model, f, initial, t, model.rate_table())
-    draws = np.concatenate(map_replicas(fn, replicas, rng, workers, batched=True))
+    draws = np.concatenate(map_replicas(fn, replicas, rng, workers))
     stderr = float(draws.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return float(draws.mean()), stderr
 
@@ -224,7 +224,7 @@ def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
     avals = np.array([p[1] for p in traj])
     a_at = tuple(float(x) for x in np.interp(grid, ts, avals))
     fn = partial(_lyapunov_chunk, initial, grid, a_at, lam_star, model.rate_table())
-    rows = np.concatenate(map_replicas(fn, replicas, rng, workers, batched=True))
+    rows = np.concatenate(map_replicas(fn, replicas, rng, workers))
     bound = math.exp(a0 * initial.total_mass)
     points = []
     for j, t in enumerate(grid):
@@ -326,7 +326,7 @@ def run_validation_checks(model: RateModel, rng: RandomStream, replicas: int = 1
         record("mass_generator_identity", worst, 1e-12)
 
     nonempty = BoundedCustom((0.0, 1.0))
-    lo = -model.singleton_death_sup
+    lo = -model.death_inf
     worst = 0.0
     for c in configs:
         val = generator_apply(model, nonempty, c)

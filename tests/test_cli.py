@@ -151,6 +151,18 @@ def test_survival_artifacts(tmp_path):
     assert len([l for l in lines if not l.startswith("# ")]) == 1 + 6
 
 
+def test_survival_reports_no_decay_rate_once_every_replica_is_extinct(tmp_path, capsys):
+    # at lambda = 50 every replica dies before the first grid point
+    out = tmp_path / "extinct"
+    assert main(["survival", "--kind", "uniform", "--lambda", "50", "--b", "1",
+                 "--rho", "0.3", "--replicas", "200", "--t-max", "3",
+                 "--out", str(out)]) == 0
+    payload = _read_json(out / "ensemble.json")
+    assert payload["survival"] == [0.0] * 6
+    assert payload["theta_hat"] is None and payload["theta_stderr"] is None
+    assert "no admissible window" in capsys.readouterr().out
+
+
 def test_survival_needs_a_grid_point_within_the_horizon(tmp_path, capsys):
     # the default grid 0.5, 1.0, ... has no point up to a horizon of 0.3
     status = main(["survival", *UNIFORM_FLAGS, "--t-max", "0.3",

@@ -192,7 +192,7 @@ def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
         events += 1
         i = min(int(np.searchsorted(cum, gen.random() * total, side="right")),
                 particles - 1)
-        *_, nxt = _gillespie_branch(model, configs[i], gen)
+        *_, nxt = _gillespie_branch(model, configs[i], gen, model.state_rates(configs[i]))
         if nxt.is_void:
             j = int(gen.random() * (particles - 1))
             if j >= i:
@@ -227,7 +227,7 @@ def _scan_fleming_viot(model, particles, burn_in, horizon, rng,
         if t > horizon:
             break
         events += 1
-        *_, nxt = _gillespie_branch(model, configs[i], gen)
+        *_, nxt = _gillespie_branch(model, configs[i], gen, model.state_rates(configs[i]))
         if nxt.is_void:
             resurrections += 1
             j = int(gen.random() * (particles - 1))
@@ -336,6 +336,12 @@ def test_decay_rate_exact_points_with_errors():
 
 def test_decay_rate_flat_curve_short_circuits():
     assert decay_rate_from_survival([(t, 1.0, 0.0) for t in (1, 2, 3)]) == (0.0, 0.0)
+
+
+def test_decay_rate_of_an_all_extinct_curve_has_no_window():
+    # a curve flat at 0 says nothing about the rate; it is not a zero slope
+    with pytest.raises(WindowTooSmall):
+        decay_rate_from_survival([(t, 0.0, 0.0) for t in (0.5, 1.0, 1.5)])
 
 
 def test_decay_rate_window_too_small():

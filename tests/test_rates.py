@@ -36,14 +36,14 @@ def test_uniform_rates_per_individual(uniform_model):
     assert m.mutation_rate(0.25, ETA) == pytest.approx(0.3)
     assert m.death_rate(0.25, ETA) == 2.0
     assert m.reproduction_rate(0.25, ETA) == 1.0
-    assert m.birth_sup == 1.0 and m.death_inf == 2.0 and m.singleton_death_sup == 2.0
+    assert m.birth_sup == 1.0 and m.death_inf == 2.0
 
 
 def test_logistic_death_grows_with_mass(logistic_model):
     m = logistic_model
     assert m.death_rate(0.25, ETA) == 2.0 + 0.5 * 2
     assert m.death_rate(0.5, Configuration.singleton(0.5)) == 2.0
-    assert m.death_inf == 2.0 and m.singleton_death_sup == 2.0
+    assert m.death_inf == 2.0
 
 
 def test_reproduction_rate_is_exact_sum_of_parts(uniform_model):
@@ -135,7 +135,7 @@ def test_rates_lie_within_their_bounds(m, config):
         assert m.death_inf <= death == m.death_bound(config)
         assert m.reproduction_rate(trait, config) <= m.birth_sup
         single = Configuration.singleton(trait)
-        assert m.death_rate(trait, single) <= m.singleton_death_sup
+        assert m.death_rate(trait, single) == m.death_inf
 
 
 @settings(max_examples=50, deadline=None)

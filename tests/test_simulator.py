@@ -111,7 +111,8 @@ def _per_entry_branch(model, config, rng):
 def test_branch_picks_what_a_per_entry_scan_picks(model, config, seed):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(20):
-        kind, parent, child, after = _gillespie_branch(model, config, ours)
+        kind, parent, child, after = _gillespie_branch(model, config, ours,
+                                                       model.state_rates(config))
         assert (kind, parent, child) == _per_entry_branch(model, config, theirs)
         assert ours.random() == theirs.random()
         config = apply_event(config, Event(0.0, kind, parent, child))
@@ -631,8 +632,7 @@ def test_lockstep_urns_give_the_one_at_a_time_urn_bit_for_bit(kernel, rho, share
     steps = np.concatenate([np.zeros(0, dtype=np.int8), *paths])
     lockstep = np.random.default_rng(seed)
     with mock.patch.object(simulator, "_BATCH", batch):
-        got = _urns(model, starts[0] if shared and chunk else starts, masses, steps, lengths,
-                    finals, lockstep)
+        got = _urns(model, starts, masses, steps, lengths, finals, lockstep)
     rng = np.random.default_rng(seed)
     want = [urn(model, start, path, rng) for start, path in zip(starts, paths)]
     assert [c.serialize() for c in got] == [c.serialize() for c in want]

@@ -32,25 +32,34 @@ def _third_uniform(rng):
     return float(rng.random())
 
 
+def _third_uniforms(gens):
+    return [_third_uniform(gen) for gen in gens]
+
+
+def _flat(chunks):
+    return [x for chunk in chunks for x in chunk]
+
+
 def test_map_replicas_sequential_matches_parallel():
     stream = RandomStream(9)
-    seq = map_replicas(_third_uniform, 300, stream, workers=1)
-    par = map_replicas(_third_uniform, 300, stream, workers=3, chunk_size=32)
-    assert seq == par
-    assert len(seq) == 300
+    seq = map_replicas(_third_uniforms, 300, stream, workers=1)
+    par = map_replicas(_third_uniforms, 300, stream, workers=3, chunk_size=32)
+    assert len(seq) == 1 and len(par) == 10
+    assert _flat(seq) == _flat(par)
+    assert len(_flat(seq)) == 300
     # replica i depends only on (seed, i)
-    assert seq[17] == _third_uniform(stream.substream(17).generator())
+    assert _flat(seq)[17] == _third_uniform(stream.substream(17).generator())
 
 
 def test_map_replicas_chunk_edges():
     stream = RandomStream(10)
-    for n in (1, 2, 31, 32, 33):
-        out = map_replicas(_third_uniform, n, stream, workers=2, chunk_size=16)
-        assert len(out) == n
+    for n, sizes in ((1, [1]), (2, [2]), (31, [16, 15]), (32, [16, 16]), (33, [16, 16, 1])):
+        out = map_replicas(_third_uniforms, n, stream, workers=2, chunk_size=16)
+        assert [len(chunk) for chunk in out] == sizes
 
 
-def _shifted_uniform(rng, item):
-    return item + float(rng.random())
+def _shifted_uniforms(gens, items):
+    return [item + float(gen.random()) for gen, item in zip(gens, items, strict=True)]
 
 
 def test_map_replicas_passes_one_item_per_replica():
@@ -58,32 +67,26 @@ def test_map_replicas_passes_one_item_per_replica():
     items = list(range(70))
     ref = [r + float(stream.substream(r).generator().random()) for r in range(70)]
     for workers in (1, 2):
-        assert map_replicas(_shifted_uniform, 70, stream, workers=workers, chunk_size=16,
-                            items=items) == ref
+        chunks = map_replicas(_shifted_uniforms, 70, stream, workers=workers, chunk_size=16,
+                              items=items)
+        assert _flat(chunks) == ref
     with pytest.raises(ValueError, match="one item per replica"):
-        map_replicas(_shifted_uniform, 70, stream, items=items[:-1])
+        map_replicas(_shifted_uniforms, 70, stream, items=items[:-1])
 
 
-def _third_uniforms(gens):
-    return [_third_uniform(gen) for gen in gens]
-
-
-def test_batched_map_replicas_hands_each_chunk_its_generators():
+def test_map_replicas_hands_each_chunk_its_generators():
     stream = RandomStream(12)
     ref = [_third_uniform(stream.substream(r).generator()) for r in range(70)]
     for workers in (1, 2):
-        chunks = map_replicas(_third_uniforms, 70, stream, workers=workers, chunk_size=16,
-                              batched=True)
+        chunks = map_replicas(_third_uniforms, 70, stream, workers=workers, chunk_size=16)
         assert [len(c) for c in chunks] == [16, 16, 16, 16, 6]
-        assert [x for c in chunks for x in c] == ref
-    with pytest.raises(ValueError, match="no items"):
-        map_replicas(_third_uniforms, 70, stream, items=list(range(70)), batched=True)
+        assert _flat(chunks) == ref
 
 
 def test_map_replicas_rejects_a_chunk_size_below_one():
     for workers in (1, 2):
         with pytest.raises(ValueError, match="chunk_size"):
-            map_replicas(_third_uniform, 10, RandomStream(1), workers=workers, chunk_size=0)
+            map_replicas(_third_uniforms, 10, RandomStream(1), workers=workers, chunk_size=0)
 
 
 def test_seed_words_rejects_indices_past_one_word():
@@ -122,8 +125,10 @@ def test_replica_generators_draw_as_substream_generators(entropy, key, start):
 def test_map_replicas_equals_the_per_replica_reference(entropy, key, n, chunk):
     stream = RandomStream(entropy, key)
     ref = [_third_uniform(stream.substream(r).generator()) for r in range(n)]
-    assert map_replicas(_third_uniform, n, stream, workers=1, chunk_size=chunk) == ref
-    assert map_replicas(_third_uniform, n, stream, workers=2, chunk_size=chunk) == ref
+    for workers in (1, 2):
+        chunks = map_replicas(_third_uniforms, n, stream, workers=workers, chunk_size=chunk)
+        assert [len(c) for c in chunks] == [min(chunk, n - a) for a in range(0, n, chunk)]
+        assert _flat(chunks) == ref
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from qsdsim import simulator
 from qsdsim.configuration import Configuration
 from qsdsim.oracle import ode_trajectory
 from qsdsim.rates import LogisticModel, UniformModel
-from qsdsim.streams import RandomStream, Uniforms, map_replicas
+from qsdsim.streams import RandomStream, Uniforms
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
 from qsdsim.validation import (BoundedCustom, ExpMass, Indicator, LyapunovPoint,
                                Mass, _lyapunov_chunk, _martingale_chunk, chi2_threshold,
@@ -119,7 +118,7 @@ def test_nonempty_indicator_generator_is_exact(uniform_model, logistic_model):
             else:
                 trait = config.entries[0][0]
                 assert val == -model.death_rate(trait, config)
-                assert -model.singleton_death_sup <= val < 0.0
+                assert -model.death_inf <= val < 0.0
 
 
 def test_martingale_residual_at_time_zero(uniform_model):
@@ -336,8 +335,9 @@ def test_lockstep_checks_at_non_dyadic_rates_agree_to_rounding():
 def test_lockstep_checks_with_two_workers_give_the_one_at_a_time_results(logistic_model):
     # more replicas than one chunk of map_replicas, so two chunks run in the pool
     replicas, model = 5000, logistic_model
-    draws = np.array(map_replicas(partial(martingale_replica, model, Indicator(1), SPREAD, 0.5,
-                                          model.rate_table()), replicas, RandomStream(35)))
+    rates = model.rate_table()
+    draws = np.array([martingale_replica(model, Indicator(1), SPREAD, 0.5, rates, gen)
+                      for gen in RandomStream(35).replica_generators(0, replicas)])
     assert martingale_residual(model, Indicator(1), SPREAD, 0.5, replicas, RandomStream(35),
                                workers=2) == (float(draws.mean()),
                                               float(draws.std(ddof=1) / math.sqrt(replicas)))
@@ -345,8 +345,8 @@ def test_lockstep_checks_with_two_workers_give_the_one_at_a_time_results(logisti
     grid, lam_star = (0.5, 1.0), model.death_inf
     path = ode_trajectory(lam_star, model.birth_sup, 0.3, max(grid), 1e-3)
     a_at = tuple(float(a) for a in np.interp(grid, [p[0] for p in path], [p[1] for p in path]))
-    rows = np.stack(map_replicas(partial(lyapunov_replica, model, SPREAD, grid, a_at, lam_star,
-                                         model.rate_table()), replicas, RandomStream(36)))
+    rows = np.stack([lyapunov_replica(model, SPREAD, grid, a_at, lam_star, rates, gen)
+                     for gen in RandomStream(36).replica_generators(0, replicas)])
     points = lyapunov_check(model, SPREAD, 0.3, grid, replicas, RandomStream(36), workers=2)
     assert [(p.lhs, p.stderr) for p in points] == [
         (float(rows[:, j].mean()), float(rows[:, j].std(ddof=1) / math.sqrt(replicas)))
