@@ -16,8 +16,7 @@ from .errors import (AllExtinct, ConfigError, Degenerate, InvalidRegime,
                      InvariantBreach, NoConvergence, NoMutationMass,
                      NoSingletonMass, NotNormalized, QsdsimError, TraitAbsent,
                      WindowTooSmall)
-from .oracle import (MassChainOracle, build_mass_chain, ode_trajectory,
-                     principal_left_eigenpair)
+from .oracle import MassChainOracle, build_mass_chain, principal_left_eigenpair
 from .qsd import (QsdEstimate, decay_rate_from_singletons,
                   decay_rate_from_survival, fleming_viot_estimate, tv_distance,
                   yaglom_estimate)
@@ -28,6 +27,7 @@ from .streams import RandomStream
 from .trait_space import (MutationKernel, TruncatedGaussianKernel, UniformKernel,
                           make_kernel, sample_base)
 from .validation import (BoundedCustom, ExpMass, Indicator, Mass, TestFunction,
-                         generator_apply, lyapunov_check, martingale_residual)
+                         comparison_exponent, generator_apply, lyapunov_check,
+                         martingale_residual)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

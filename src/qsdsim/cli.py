@@ -180,7 +180,7 @@ def _write_estimate(cfg: ExperimentConfig, est, label: str) -> None:
 
 
 def _qsd_model(cfg: ExperimentConfig):
-    """The model of a QSD estimate; a uniform one needs lambda > b for a QSD to exist."""
+    """The model of a QSD estimate or of the oracle; a uniform one needs lambda > b for a QSD."""
     model = cfg.build_model()
     if isinstance(model, UniformModel) and model.lam <= model.b:
         raise InvalidRegime(f"no quasi-stationary law for model.lambda = {model.lam!r}"
@@ -209,7 +209,7 @@ def _run_qsd_fv(cfg: ExperimentConfig) -> int:
 
 
 def _run_oracle(cfg: ExperimentConfig) -> int:
-    model = cfg.build_model()
+    model = _qsd_model(cfg)
     chain = build_mass_chain(model, cfg.truncation)
     result = principal_left_eigenpair(chain, tol=cfg.eigen_tol)
     check = check_truncation(model, chain, result, cfg.eigen_tol)

@@ -7,14 +7,12 @@ state leaves a strict sub-generator whose principal left eigenpair
 gives the decay rate and the mass marginal of the limit law to any
 accuracy the truncation supports. The matrix is tridiagonal, so this
 module keeps only its two rate bands: it solves for the eigenpair
-directly through the symmetric tridiagonal form, checks the
-truncation, and integrates the comparison ODE used by the
-exponential-moment bound.
+directly through the symmetric tridiagonal form and checks the
+truncation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -153,43 +151,3 @@ def eigenpair_report(oracle: MassChainOracle, result: EigenpairResult) -> dict:
         "residual": result.residual,
         "iters": result.iterations,
     }
-
-
-def ode_trajectory(lambda_star: float, b_star: float, a0: float, t_end: float,
-                   dt: float) -> list[tuple[float, float]]:
-    """Fixed-step fourth-order integration of the exponent ODE.
-
-    da/dt = lambda_star (1 - e^{-a}) + b_star (1 - e^{a}), which is
-    increasing on (0, log(lambda_star/b_star)) and fixes the right
-    endpoint; a0 at the endpoint itself is accepted and stays put.
-    """
-    if lambda_star <= b_star:
-        raise InvalidRegime(
-            f"need lambda_star > b_star, got {lambda_star!r} <= {b_star!r}"
-        )
-    if b_star <= 0.0:
-        raise InvalidRegime(f"b_star must be positive, got {b_star!r}")
-    ceiling = math.log(lambda_star / b_star)
-    if not 0.0 < a0 <= ceiling:
-        raise InvalidRegime(f"a0 must lie in (0, {ceiling!r}], got {a0!r}")
-    if dt <= 0.0 or t_end < 0.0:
-        raise InvalidRegime(f"need dt > 0 and t_end >= 0, got {dt!r}, {t_end!r}")
-
-    def f(a: float) -> float:
-        return lambda_star * (1.0 - math.exp(-a)) + b_star * (1.0 - math.exp(a))
-
-    def step(a: float, h: float) -> float:
-        k1 = f(a)
-        k2 = f(a + 0.5 * h * k1)
-        k3 = f(a + 0.5 * h * k2)
-        k4 = f(a + h * k3)
-        return a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    out = [(0.0, a0)]
-    steps = int(math.floor(t_end / dt + 1e-12))
-    for i in range(1, steps + 1):
-        out.append((i * dt, step(out[-1][1], dt)))
-    t = out[-1][0]
-    if t < t_end:
-        out.append((t_end, step(out[-1][1], t_end - t)))
-    return out

@@ -269,25 +269,22 @@ def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
     base-measure child mark and a level under b rho g*, and is accepted
     when the level falls under b rho times the kernel density. Candidate
     clocks are regenerated after every point, which is equivalent in law
-    to any other schedule by memorylessness. The candidate rate per
-    individual is computed once per mass reached.
+    to any other schedule by memorylessness. d(n) is read from
+    ``model.rate_table()``, so it is evaluated once per mass reached.
     """
     if horizon < 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
-    model.check_regime()
+    rows = model.rate_table()
     config = initial
     clonal, mutation = model.b * (1.0 - model.rho), model.b * model.rho
     mutation_level = mutation * model.kernel.sup_density()
     births = clonal + mutation_level
-    levels: dict[int, float] = {}
     t = 0.0
     events: list[Event] = []
     candidates = 0
     while not config.is_void:
         n = config.total_mass
-        per_index = levels.get(n)
-        if per_index is None:
-            per_index = levels[n] = births + model.death_at(n)
+        per_index = births + rows.death(n)
         t_next = t + holding_time(rng, n * per_index)
         if t_next > horizon:
             break
@@ -714,6 +711,8 @@ def mass_moments(model: RateModel, initial, times: Sequence[float], replicas: in
     times = tuple(float(t) for t in times)
     if any(t < 0.0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be nonnegative and strictly increasing")
+    if replicas < 2:
+        raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
     rows = mass_paths(model, initial, max(times), replicas, rng, workers, checkpoints=times).at
     means = rows.mean(axis=0)
     errs = rows.std(axis=0, ddof=1) / math.sqrt(replicas)

@@ -6,7 +6,8 @@ mutation integral collapses because every mutation density integrates
 to one against the base measure. On top of that sit three families of
 checks: pointwise generator identities and bounds, martingale residuals
 with the time integral computed exactly along piecewise-constant paths,
-and the exponential-moment inequality driven by the comparison ODE.
+and the exponential-moment inequality driven by the closed-form
+exponent of the comparison chain.
 Since the test functions read the mass alone, the martingale and
 moment-bound replicas run on the mass paths of the Gillespie engine,
 replayed a chunk at a time in lockstep from each replica's own stream.
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .configuration import Configuration
-from .oracle import ode_trajectory
+from .errors import InvalidRegime
 from .rates import LogisticModel, RateModel, UniformModel
 from .simulator import _mass_jumps, mass_moments
 from .streams import RandomStream, map_replicas
@@ -167,12 +168,11 @@ def martingale_residual(model: RateModel, f: TestFunction, initial: Configuratio
     """
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
+    if replicas < 2:
+        raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
     fn = partial(_martingale_chunk, model, f, initial, t, model.rate_table())
     draws = np.concatenate(map_replicas(fn, replicas, rng, workers))
-    stderr = float(draws.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    return float(draws.mean()), stderr
+    return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(replicas))
 
 
 class LyapunovPoint(NamedTuple):
@@ -204,25 +204,47 @@ def _lyapunov_chunk(initial: Configuration, grid: tuple[float, ...], a_at: tuple
     return values[seen, np.arange(len(grid))]
 
 
+def comparison_exponent(lambda_star: float, b_star: float, a0: float, t: float) -> float:
+    """The exponent a(t) of the moment bound, in closed form.
+
+    a solves da/dt = lambda_star (1 - e^{-a}) + b_star (1 - e^{a}) from
+    a(0) = a0, which is increasing on (0, log(lambda_star/b_star)) and
+    fixes the right endpoint; a0 at the endpoint itself is accepted and
+    stays put. With u = e^a the ODE is the Riccati equation
+    du/dt = -b_star (u - 1)(u - r), r = lambda_star / b_star, so
+    v = e^a - 1 grows logistically to g = r - 1 at rate lambda_star - b_star.
+    """
+    if lambda_star <= b_star:
+        raise InvalidRegime(f"need lambda_star > b_star, got {lambda_star!r} <= {b_star!r}")
+    if b_star <= 0.0:
+        raise InvalidRegime(f"b_star must be positive, got {b_star!r}")
+    ceiling = math.log(lambda_star / b_star)
+    if not 0.0 < a0 <= ceiling:
+        raise InvalidRegime(f"a0 must lie in (0, {ceiling!r}], got {a0!r}")
+    if t < 0.0:
+        raise InvalidRegime(f"need t >= 0, got {t!r}")
+    g = lambda_star / b_star - 1.0
+    return math.log1p(g / (1.0 + (g / math.expm1(a0) - 1.0)
+                           * math.exp(-(lambda_star - b_star) * t)))
+
+
 def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
                    grid: Sequence[float], replicas: int, rng: RandomStream,
-                   workers: int = 1, dt: float = 1e-3) -> list[LyapunovPoint]:
+                   workers: int = 1) -> list[LyapunovPoint]:
     """Monte Carlo test of the damped exponential-moment bound.
 
     Estimates E[e^{-death_inf t} e^{a(t) mass} on survival] at each grid
-    time, with a(t) integrated from a0, and flags any point whose
-    estimate exceeds e^{a0 mass(initial)} by more than 3 standard
+    time, with a(t) from :func:`comparison_exponent`, and flags any point
+    whose estimate exceeds e^{a0 mass(initial)} by more than 3 standard
     errors. The replicas share one ``model.rate_table()``.
     """
     grid = tuple(float(t) for t in grid)
     if any(t <= 0.0 for t in grid) or any(y <= x for x, y in zip(grid, grid[1:])):
         raise ValueError("grid must be positive and strictly increasing")
+    if replicas < 2:
+        raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
     lam_star = model.death_inf
-    b_star = model.birth_sup
-    traj = ode_trajectory(lam_star, b_star, a0, max(grid), dt)
-    ts = np.array([p[0] for p in traj])
-    avals = np.array([p[1] for p in traj])
-    a_at = tuple(float(x) for x in np.interp(grid, ts, avals))
+    a_at = tuple(comparison_exponent(lam_star, model.birth_sup, a0, t) for t in grid)
     fn = partial(_lyapunov_chunk, initial, grid, a_at, lam_star, model.rate_table())
     rows = np.concatenate(map_replicas(fn, replicas, rng, workers))
     bound = math.exp(a0 * initial.total_mass)
@@ -288,10 +310,14 @@ def _describe(model: RateModel) -> tuple[str, dict]:
     return type(model).__name__, {}
 
 
-def _random_configuration(rng: np.random.Generator, max_support: int = 4,
-                          max_weight: int = 4) -> Configuration:
-    size = int(rng.integers(1, max_support + 1))
-    pairs = [(float(rng.random()), int(rng.integers(1, max_weight + 1)))
+# Largest support size and weight of the pointwise checks' random configurations
+_MAX_SUPPORT = 4
+_MAX_WEIGHT = 4
+
+
+def _random_configuration(rng: np.random.Generator) -> Configuration:
+    size = int(rng.integers(1, _MAX_SUPPORT + 1))
+    pairs = [(float(rng.random()), int(rng.integers(1, _MAX_WEIGHT + 1)))
              for _ in range(size)]
     return Configuration.from_pairs(pairs)
 
@@ -301,8 +327,13 @@ def run_validation_checks(model: RateModel, rng: RandomStream, replicas: int = 1
     """The check battery behind the validate subcommand.
 
     Every entry reports {check, model, params, statistic, threshold,
-    pass}; a check passes when statistic <= threshold.
+    pass}; a check passes when statistic <= threshold. The Monte Carlo
+    checks judge their estimates by standard errors, which need at least
+    2 replicas; fewer raise InvalidRegime.
     """
+    if replicas < 2:
+        raise InvalidRegime(f"validate needs at least 2 replicas for its standard errors,"
+                            f" got run.replicas = {replicas!r}")
     kind, params = _describe(model)
     checks: list[dict] = []
 

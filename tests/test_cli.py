@@ -76,11 +76,12 @@ def test_oracle_warns_on_a_truncation_that_is_too_low(tmp_path, capsys):
     assert main(["oracle", *UNIFORM_FLAGS, "--truncation", "60",
                  "--out", str(tmp_path / "ok")]) == 0
     assert "warning" not in capsys.readouterr().err
-    # lambda = 0.5 < b is supercritical: the mass escapes to the truncation
-    assert main(["oracle", "--kind", "uniform", "--lambda", "0.5", "--b", "1.0",
-                 "--rho", "0.3", "--out", str(tmp_path / "low")]) == 0
+    # lambda = 1.1 is near-critical: the limit law is too wide for N = 20
+    assert main(["oracle", "--kind", "uniform", "--lambda", "1.1", "--b", "1.0",
+                 "--rho", "0.3", "--truncation", "20", "--out", str(tmp_path / "low")]) == 0
     err = capsys.readouterr().err
     assert "warning: nu[N]" in err
+    assert "at 2N; raise the truncation" in err
     assert _read_json(tmp_path / "low" / "oracle.json")["tail_mass"] > 1e-12
 
 
@@ -193,7 +194,7 @@ def test_yaglom_artifacts(tmp_path, capsys):
     assert "weight,configuration" in lines
 
 
-@pytest.mark.parametrize("subcommand", ["qsd-yaglom", "qsd-fv"])
+@pytest.mark.parametrize("subcommand", ["qsd-yaglom", "qsd-fv", "oracle"])
 def test_qsd_estimates_need_a_subcritical_uniform_model(tmp_path, capsys, subcommand):
     for lam in ("1.0", "0.5"):
         status = main([subcommand, "--kind", "uniform", "--lambda", lam, "--b", "1.0",
@@ -203,11 +204,18 @@ def test_qsd_estimates_need_a_subcritical_uniform_model(tmp_path, capsys, subcom
         err = capsys.readouterr().err
         assert "error: no quasi-stationary law" in err
         assert "model.lambda" in err and "model.b" in err
-        assert not (tmp_path / lam / "qsd.json").exists()
+        assert not list((tmp_path / lam).glob("*.json"))
     # survival is still allowed there
     assert main(["survival", "--kind", "uniform", "--lambda", "1.0", "--b", "1.0",
                  "--rho", "0.3", "--replicas", "20", "--t-max", "1.0",
                  "--out", str(tmp_path / "survival")]) == 0
+
+
+def test_validate_needs_two_replicas_for_its_standard_errors(tmp_path, capsys):
+    assert main(["validate", *UNIFORM_FLAGS, "--replicas", "1",
+                 "--out", str(tmp_path)]) == 1
+    assert "error: validate needs at least 2 replicas" in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
 
 
 def test_fleming_viot_artifacts(tmp_path):

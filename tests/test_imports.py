@@ -1,14 +1,18 @@
-"""Every name a module imports is used in it, and every function is called.
+"""Every name a module imports is used in it, every function is called,
+and every option is set.
 
-No linter is installed with the package, so two scans stand in for one.
-The first parses each module under ``src/`` and ``tests/`` and reports
-an imported name that the module never reads. An import marked
+No linter is installed with the package, so three scans stand in for
+one. The first parses each module under ``src/`` and ``tests/`` and
+reports an imported name that the module never reads. An import marked
 ``# noqa: F401`` is kept on purpose and is skipped. Package
 ``__init__`` modules are skipped too, since their imports are the
 package's exports. The second reports a function or method defined
 under ``src/`` whose name no module there reads, the package
 ``__init__`` exports counting as reads; :data:`KEPT` lists the ones
-kept on purpose, each with its reason.
+kept on purpose, each with its reason. The third reports a defaulted
+parameter of a function under ``src/`` that no call there sets: a
+default that every caller takes is a constant, not an option.
+:data:`KNOBS` lists the ones kept on purpose, each with its reason.
 """
 
 import ast
@@ -37,6 +41,13 @@ KEPT = {
     "validation.chi2_threshold": _ITEM_1,
     "validation.mass_histogram": _ITEM_1,
     "validation.two_sample_chi2": _ITEM_1,
+}
+# Defaulted parameters under src/ that no call there sets, kept on purpose.
+KNOBS = {
+    "cli.main(argv)": "the console-script entry point calls it with no argument",
+    "streams._PrecomputedSeed.generate_state(dtype)": "numpy's ISeedSequence protocol",
+    "validation.chi2_threshold(quantile)": _ITEM_1,
+    "validation.mass_histogram(kmax)": _ITEM_1,
 }
 
 
@@ -137,3 +148,100 @@ def test_the_function_scan_finds_an_unread_function_and_honours_exports():
               "    def __len__(self):\n        return 0\n")
     sources = {"m": module, "__init__": "from .m import exported\n"}
     assert unreferenced_functions(sources) == ["m.K.method"]
+
+
+def _options(body: list[ast.stmt], prefix: str, in_class: bool = False):
+    """(qualified name, name, parameter, position) of every defaulted parameter.
+
+    The position counts the positional parameters before it, a method's
+    ``self`` or ``cls`` excluded; it is None for a keyword-only one.
+    """
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if in_class and not static else 0
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield prefix + node.name, node.name, arg.arg, i - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield prefix + node.name, node.name, arg.arg, None
+            yield from _options(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _options(node.body, f"{prefix}{node.name}.", in_class=True)
+
+
+def _calls(tree: ast.AST):
+    """(callee name, positional count or None for ``*args``, keywords or None for ``**kwargs``).
+
+    ``functools.partial(f, ...)`` counts as a call of f with the bound
+    arguments.
+    """
+    def name(func: ast.expr) -> str | None:
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        called, args = name(node.func), node.args
+        if called == "partial" and args:
+            called, args = name(args[0]), args[1:]
+        if called is None:
+            continue
+        count = None if any(isinstance(a, ast.Starred) for a in args) else len(args)
+        keywords = {k.arg for k in node.keywords}
+        yield called, count, None if None in keywords else keywords
+
+
+def unset_options(sources: dict[str, str]) -> list[str]:
+    """``module.function(parameter)`` of every defaulted parameter no call sets.
+
+    A call matches a function by name, a class name standing for its
+    ``__init__``. It sets a parameter by keyword, by enough positional
+    arguments, or by ``*args`` or ``**kwargs``.
+    """
+    options, calls = [], []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        if module != "__init__":
+            options += [(f"{module}.{qual}", name, param, pos)
+                        for qual, name, param, pos in _options(tree.body, "")]
+        calls += _calls(tree)
+
+    def callee(qual: str, name: str) -> str:
+        return qual.split(".")[-2] if name == "__init__" else name
+
+    def sets(call, name, param, pos) -> bool:
+        called, count, keywords = call
+        if called != name:
+            return False
+        return (keywords is None or param in keywords or count is None
+                or (pos is not None and pos < count))
+
+    return sorted(f"{qual}({param})" for qual, name, param, pos in options
+                  if not any(sets(call, callee(qual, name), param, pos) for call in calls))
+
+
+def test_every_option_under_src_is_set_there():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unset_options(sources) == sorted(KNOBS)
+
+
+def test_the_option_scan_finds_an_unset_default():
+    module = ("from functools import partial\n"
+              "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+              "def g(x=0, y=0):\n    pass\n"
+              "def h(z=0):\n    pass\n"
+              "def q(r=0):\n    pass\n"
+              "class K:\n"
+              "    def __init__(self, w=0):\n        pass\n"
+              "    def m(self, u=0, v=0):\n        pass\n"
+              "f(0, 1, e=5)\n"
+              "g(*[1, 2])\n"
+              "partial(h, z=1)\n"
+              "q(**{})\n"
+              "K(1).m(2)\n")
+    assert unset_options({"m": module}) == ["m.K.m(v)", "m.f(c)", "m.f(d)"]

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from qsdsim.errors import InvalidRegime, NoConvergence
 from qsdsim.oracle import (build_mass_chain, check_truncation, eigenpair_report,
-                           ode_trajectory, principal_left_eigenpair)
+                           principal_left_eigenpair)
 from qsdsim.qsd import tv_distance
 from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.trait_space import UniformKernel
@@ -153,52 +152,3 @@ def test_eigenpair_report_shape(oracle60):
     assert report["theta"] == result.theta
     assert report["residual"] <= 1e-10
     assert report["iters"] == result.iterations
-
-
-def test_ode_fixed_point_stays_put():
-    ceiling = math.log(2.0)
-    path = ode_trajectory(2.0, 1.0, ceiling, 10.0, 0.01)
-    assert all(abs(a - ceiling) <= 1e-12 for _, a in path)
-
-
-def test_ode_converges_to_log_ratio():
-    path = ode_trajectory(2.0, 1.0, 0.1, 50.0, 0.01)
-    assert path[0] == (0.0, 0.1)
-    assert abs(path[-1][1] - math.log(2.0)) <= 1e-6
-    values = [a for _, a in path]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-    early = [a for t, a in path if t <= 20.0]
-    assert all(b > a for a, b in zip(early, early[1:]))
-
-
-def test_ode_partial_final_step():
-    path = ode_trajectory(2.0, 1.0, 0.1, 1.05, 0.1)
-    times = [t for t, _ in path]
-    assert times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
-                                   0.8, 0.9, 1.0, 1.05])
-
-
-def test_ode_fourth_order_step_scaling():
-    def endpoint(dt):
-        return ode_trajectory(2.0, 1.0, 0.1, 2.0, dt)[-1][1]
-
-    coarse = abs(endpoint(0.1) - endpoint(0.05))
-    fine = abs(endpoint(0.05) - endpoint(0.025))
-    assert 10.0 <= coarse / fine <= 20.0
-
-
-def test_ode_regime_checks():
-    with pytest.raises(InvalidRegime):
-        ode_trajectory(1.0, 1.0, 0.1, 1.0, 0.1)
-    with pytest.raises(InvalidRegime):
-        ode_trajectory(1.0, 2.0, 0.1, 1.0, 0.1)
-    with pytest.raises(InvalidRegime):
-        ode_trajectory(2.0, -1.0, 0.1, 1.0, 0.1)
-    with pytest.raises(InvalidRegime):
-        ode_trajectory(2.0, 1.0, 0.0, 1.0, 0.1)
-    with pytest.raises(InvalidRegime):
-        ode_trajectory(2.0, 1.0, math.log(2.0) + 0.01, 1.0, 0.1)
-    with pytest.raises(InvalidRegime):
-        ode_trajectory(2.0, 1.0, 0.1, 1.0, 0.0)
-    with pytest.raises(InvalidRegime):
-        ode_trajectory(2.0, 1.0, 0.1, -1.0, 0.1)

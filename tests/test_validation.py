@@ -6,15 +6,15 @@ import pytest
 
 from qsdsim import simulator
 from qsdsim.configuration import Configuration
-from qsdsim.oracle import ode_trajectory
+from qsdsim.errors import InvalidRegime
 from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.streams import RandomStream, Uniforms
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
 from qsdsim.validation import (BoundedCustom, ExpMass, Indicator, LyapunovPoint,
                                Mass, _lyapunov_chunk, _martingale_chunk, chi2_threshold,
-                               exp_mass_drift_bound, generator_apply, lyapunov_check,
-                               mass_histogram, martingale_residual, run_validation_checks,
-                               two_sample_chi2)
+                               comparison_exponent, exp_mass_drift_bound, generator_apply,
+                               lyapunov_check, mass_histogram, martingale_residual,
+                               run_validation_checks, two_sample_chi2)
 
 from ensembles import lyapunov_replica, martingale_replica
 
@@ -147,6 +147,76 @@ def test_lyapunov_grid_validation(uniform_model):
         lyapunov_check(uniform_model, FIVE, 0.3, (0.0, 1.0), 10, RandomStream(1))
     with pytest.raises(ValueError):
         lyapunov_check(uniform_model, FIVE, 0.3, (1.0, 1.0), 10, RandomStream(1))
+
+
+def test_comparison_exponent_fixed_point_stays_put():
+    ceiling = math.log(2.0)
+    assert all(abs(comparison_exponent(2.0, 1.0, ceiling, i * 0.01) - ceiling) <= 1e-12
+               for i in range(1001))
+
+
+def test_comparison_exponent_converges_to_log_ratio():
+    times = [i * 0.01 for i in range(5001)]
+    values = [comparison_exponent(2.0, 1.0, 0.1, t) for t in times]
+    assert values[0] == 0.1
+    assert abs(values[-1] - math.log(2.0)) <= 1e-6
+    assert all(b >= a for a, b in zip(values, values[1:]))
+    early = [a for t, a in zip(times, values) if t <= 20.0]
+    assert all(b > a for a, b in zip(early, early[1:]))
+
+
+@pytest.mark.parametrize("lam_star, b_star, a0", [
+    (2.0, 1.0, 0.1), (2.0, 1.0, 0.3), (5.0, 1.3, 0.01), (3.0, 1.0, 1e-6),
+    # near-critical: lambda_star / b_star close to 1
+    (1.05, 1.0, 0.04), (1.001, 1.0, 0.0005),
+])
+def test_comparison_exponent_solves_the_ode(lam_star, b_star, a0):
+    def a(t):
+        return comparison_exponent(lam_star, b_star, a0, t)
+
+    assert abs(a(0.0) - a0) <= 1e-15 * a0
+    h = 1e-4
+    slopes, rhs = [], []
+    for i in range(1, 1001):
+        t = i * 0.01
+        slopes.append((a(t + h) - a(t - h)) / (2.0 * h))
+        rhs.append(lam_star * (1.0 - math.exp(-a(t))) + b_star * (1.0 - math.exp(a(t))))
+    # a central difference errs by h^2/6 times the third derivative, far
+    # below 1e-6 of the largest slope on these cases
+    scale = max(abs(r) for r in rhs)
+    assert max(abs(s - r) for s, r in zip(slopes, rhs)) <= 1e-6 * scale
+
+
+def test_comparison_exponent_regime_checks():
+    with pytest.raises(InvalidRegime):
+        comparison_exponent(1.0, 1.0, 0.1, 1.0)
+    with pytest.raises(InvalidRegime):
+        comparison_exponent(1.0, 2.0, 0.1, 1.0)
+    with pytest.raises(InvalidRegime):
+        comparison_exponent(2.0, -1.0, 0.1, 1.0)
+    with pytest.raises(InvalidRegime):
+        comparison_exponent(2.0, 1.0, 0.0, 1.0)
+    with pytest.raises(InvalidRegime):
+        comparison_exponent(2.0, 1.0, math.log(2.0) + 0.01, 1.0)
+    with pytest.raises(InvalidRegime):
+        comparison_exponent(2.0, 1.0, 0.1, -1.0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda model, n: martingale_residual(model, Mass(), FIVE, 0.5, n, RandomStream(1)),
+    lambda model, n: lyapunov_check(model, FIVE, 0.3, (0.5, 1.0), n, RandomStream(1)),
+    lambda model, n: simulator.mass_moments(model, FIVE, (0.5, 1.0), n, RandomStream(1)),
+], ids=["martingale_residual", "lyapunov_check", "mass_moments"])
+def test_a_standard_error_needs_two_replicas(uniform_model, check):
+    for replicas in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 replicas"):
+            check(uniform_model, replicas)
+    check(uniform_model, 2)
+
+
+def test_the_battery_needs_two_replicas(uniform_model):
+    with pytest.raises(InvalidRegime, match="at least 2 replicas"):
+        run_validation_checks(uniform_model, RandomStream(1), replicas=1)
 
 
 def test_lyapunov_bound_holds(uniform_model):
@@ -343,8 +413,7 @@ def test_lockstep_checks_with_two_workers_give_the_one_at_a_time_results(logisti
                                               float(draws.std(ddof=1) / math.sqrt(replicas)))
 
     grid, lam_star = (0.5, 1.0), model.death_inf
-    path = ode_trajectory(lam_star, model.birth_sup, 0.3, max(grid), 1e-3)
-    a_at = tuple(float(a) for a in np.interp(grid, [p[0] for p in path], [p[1] for p in path]))
+    a_at = tuple(comparison_exponent(lam_star, model.birth_sup, 0.3, t) for t in grid)
     rows = np.stack([lyapunov_replica(model, SPREAD, grid, a_at, lam_star, rates, gen)
                      for gen in RandomStream(36).replica_generators(0, replicas)])
     points = lyapunov_check(model, SPREAD, 0.3, grid, replicas, RandomStream(36), workers=2)
