@@ -12,6 +12,7 @@ configuration problems, 2 a failed validate/compare check.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -32,6 +33,11 @@ from .rates import UniformModel
 from .simulator import ENGINES, survival_curve, write_trajectory_csv
 from .streams import RandomStream, Uniforms
 from .validation import run_validation_checks
+
+# What the imports built (scipy's modules above all) lives as long as the
+# process, so the cyclic collector is told to stop walking it on every
+# full collection. A library import of qsdsim does not load this module.
+gc.freeze()
 
 _FLAGGED = tuple(key for key in SCHEMA if key.flag is not None)
 

@@ -167,6 +167,41 @@ def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random
         yield t, hold, kind, parent, child, config
 
 
+class _MassRates:
+    """Rates by total mass for the lockstep mass steppers, one row per rate.
+
+    Called with the masses of the live lanes, it gives each rate at each
+    lane. ``fill(masses)`` gives the same rows at a sorted array of
+    distinct masses; it runs, with the ``death_at`` guard inside it, only
+    on masses read for the first time, so a chunk evaluates d(n) once per
+    mass it reaches, whatever set of masses it starts from. A total (the
+    last row) of 0 marks a mass not filled yet, as the total is positive
+    at every mass n >= 1. Lanes move by one between reads, so the table
+    keeps room for one mass past the largest filled.
+    """
+
+    def __init__(self, fill, width: int, top: int) -> None:
+        self._fill = fill
+        self._cols = np.zeros((width, 2 * top + 2))
+
+    def __call__(self, n: np.ndarray) -> np.ndarray:
+        rates = self._cols.take(n, axis=1)
+        if not _every(rates[-1]):
+            new = np.unique(n[rates[-1] == 0])
+            top, size = int(new[-1]), self._cols.shape[1]
+            if top + 2 > size:
+                self._cols = np.pad(self._cols, ((0, 0), (0, 2 * top + 2 - size)))
+            self._cols[:, new] = self._fill(new)
+            rates = self._cols.take(n, axis=1)
+        return rates
+
+
+def _every(x: np.ndarray) -> bool:
+    # x.all() without the Python wrapper numpy puts around it; the lockstep
+    # loops ask this every round
+    return np.count_nonzero(x) == x.size
+
+
 # Uniforms each lockstep replica of _mass_jumps holds at a time; a round
 # takes at most _ROUND of them.
 _BLOCK = 64
@@ -185,8 +220,8 @@ def _mass_jumps(start: int, t_end: float, gens: Sequence[np.random.Generator], r
     t, hold, mass): the replicas that jump, their jump times, the holding
     times that ended there and their masses after the jump. The rates
     come from ``rows``, a ``model.rate_table()``, read once per mass
-    reached, as :func:`_jumps` reads them; afterwards it holds the row of
-    every mass a replica reached.
+    reached into a :class:`_MassRates`; afterwards ``rows`` holds the row
+    of every mass a replica reached.
 
     Each replica holds its own block of :data:`_BLOCK` uniforms from
     ``gen.random``, and refills it once its cursor comes within a round
@@ -199,11 +234,12 @@ def _mass_jumps(start: int, t_end: float, gens: Sequence[np.random.Generator], r
     for row, gen in zip(block, gens):
         gen.random(out=row)
     cursor = np.zeros(size, dtype=np.intp)
-    # clonal, death and total rate by mass, filled over the masses reached
-    lo = hi = start
-    rates = np.zeros((2 * start + 2, 3))
-    if start:
-        rates[start] = itemgetter(0, 1, 3)(rows[start])
+
+    def fill(masses):
+        # clonal, death and total rate from each mass's row of the table
+        return np.transpose([itemgetter(0, 1, 3)(rows[k]) for k in masses.tolist()])
+
+    rates = _MassRates(fill, 3, start)
     mass = np.full(size, start)
     t = np.zeros(size)
     lane = np.arange(size if start else 0)
@@ -214,12 +250,12 @@ def _mass_jumps(start: int, t_end: float, gens: Sequence[np.random.Generator], r
             gens[i].random(out=block[i, _BLOCK - used:])
             cursor[i] = 0
         n = mass[lane]
-        clonal, death, total = rates[n].T
+        clonal, death, total = rates(n)
         at = cursor[lane]
         hold = -np.array(list(map(math.log, (1.0 - block[lane, at]).tolist()))) / total
         now = t[lane] + hold
         go = now <= t_end
-        if not go.all():
+        if not _every(go):
             lane, n, at, hold, now, clonal, death, total = (
                 x[go] for x in (lane, n, at, hold, now, clonal, death, total))
             if not lane.size:
@@ -233,15 +269,6 @@ def _mass_jumps(start: int, t_end: float, gens: Sequence[np.random.Generator], r
         n = np.where(down, n - 1, n + 1)
         mass[lane] = n
         t[lane] = now
-        top, bottom = int(n.max()), int(n.min())
-        if top > hi:
-            if top >= len(rates):
-                rates = np.concatenate((rates, np.zeros_like(rates)))
-            hi = top
-            rates[top] = itemgetter(0, 1, 3)(rows[top])
-        if 0 < bottom < lo:
-            lo = bottom
-            rates[bottom] = itemgetter(0, 1, 3)(rows[bottom])
         yield lane, now, hold, n
         lane = lane[n > 0]
 
@@ -431,8 +458,9 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
     slot = cum[slot]
     slot += np.repeat(rank, lengths)
     kernel_u = kernel_u[np.argsort(slot[mutates])]
-    source = _scatter(source, slot)
-    target = _scatter(target, slot)
+    # the loop below gathers and scatters by these every step, faster by intp
+    source = _scatter(source.astype(np.intp), slot)
+    target = _scatter(target.astype(np.intp), slot)
     mutates = _scatter(mutates, slot)
     del slot
 
@@ -567,10 +595,13 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     ``gens`` holds the chunk's one generator ``rng`` and ``parts`` its one
     ``(size, initial)``: the replica count and either a tuple of one start
     per replica or a law whose ``draw(rng)`` gives each start. Each
-    round, every live replica draws a holding time at b(n) + d(n) and
-    stops once ``t + hold > t_end``, as :func:`_jumps` does; the others
-    step +1 with probability b(n) / (b(n) + d(n)), else -1. With
-    ``survivors`` the steps are kept, and the replicas alive at t_end get
+    round, every live replica draws a holding time at the mass chain's
+    total rate and stops once ``t + hold > t_end``, as :func:`_jumps`
+    does; the others step +1 with probability birth / total, else -1.
+    The birth rate n b and the total rate n b + n d(n) at mass n come
+    from ``model.mass_birth_death_rates``, evaluated once per mass the
+    chunk reaches and kept in a :class:`_MassRates`. With ``survivors``
+    the steps are kept, and the replicas alive at t_end get
     their traits from one :func:`_urns` call, which draws from ``rng``
     after the mass chain, in the order of running the survivors one after
     another in replica order.
@@ -583,18 +614,24 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     maximum = start.copy()
     extinction = np.where(start == 0, 0.0, math.inf)
     at = np.full((size, len(checkpoints)), -1, dtype=np.int64)
-    # narrow dtypes keep the step log of survivors small: 5 bytes a jump
-    lane = np.flatnonzero(start).astype(np.int32)
+    lane = np.flatnonzero(start)
     t = np.zeros(lane.size)
     events = 0
-    log = [(lane[:0], np.zeros(0, dtype=np.int8))]
+    # narrow dtypes keep the step log of survivors small: 5 bytes a jump
+    log = [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int8))]
+
+    def fill(masses):
+        birth, death = model.mass_birth_death_rates(masses)
+        return birth, birth + death
+
+    rates = _MassRates(fill, 2, int(start.max(initial=0)))
     while lane.size:
         n = mass[lane]
-        birth, death = model.mass_birth_death_rates(n)
-        total = birth + death
+        birth, total = rates(n)
         after = t + rng.standard_exponential(lane.size) / total
         go = after <= t_end
-        lane, n, t, after, birth, total = (x[go] for x in (lane, n, t, after, birth, total))
+        if not _every(go):
+            lane, n, t, after, birth, total = (x[go] for x in (lane, n, t, after, birth, total))
         for k, c in enumerate(checkpoints):
             cross = (t <= c) & (c < after)
             at[lane[cross], k] = n[cross]
@@ -604,10 +641,12 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         maximum[lane] = np.maximum(maximum[lane], n)
         events += lane.size
         if survivors:
-            log.append((lane, step))
-        alive = n > 0
-        extinction[lane[~alive]] = after[~alive]
-        lane, t = lane[alive], after[alive]
+            log.append((lane.astype(np.int32), step))
+        t = after
+        if not _every(n):
+            alive = n > 0
+            extinction[lane[~alive]] = after[~alive]
+            lane, t = lane[alive], after[alive]
     # a checkpoint that no jump passed sees the mass the path ended with
     at = np.where(at < 0, mass[:, None], at)
     kept: tuple[Configuration, ...] = ()

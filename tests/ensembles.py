@@ -1,8 +1,9 @@
-"""Ensemble helpers the tests share: hitting tails and the one-at-a-time references.
+"""Ensemble helpers the tests share: hitting tails and the lockstep routes' references.
 
-The references run one replica or survivor at a time through the full
-per-configuration engine; the package's lockstep routes must give what
-they give.
+Most references run one replica or survivor at a time through the full
+per-configuration engine; ``mass_chunk`` evaluates every live lane's
+rates every round. The package's lockstep routes must give what they
+give.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 
 from qsdsim.configuration import Configuration
 from qsdsim.rates import RateModel
-from qsdsim.simulator import _jumps, mass_paths
+from qsdsim.simulator import MassPaths, _jumps, _urns, mass_paths
 from qsdsim.streams import RandomStream, Uniforms
 from qsdsim.validation import TestFunction, generator_apply
 
@@ -52,6 +53,62 @@ def urn(model: RateModel, start: Configuration, steps: np.ndarray,
             traits[i] = traits[-1]
             traits.pop()
     return Configuration(tuple(sorted(Counter(traits).items())))
+
+
+def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
+               survivors: bool, gens: list, parts: list) -> MassPaths:
+    """``simulator._mass_chunk`` with the rates of every live lane evaluated every round.
+
+    Each round calls ``model.mass_birth_death_rates`` on the masses of all
+    live lanes, and filters the lanes that stop whether or not any does.
+    The package reads the same rates from a table filled once per mass
+    reached; the two must give the same chunk bit for bit.
+    """
+    (rng,), ((size, initial),) = gens, parts
+    starts = (list(initial) if isinstance(initial, tuple)
+              else [initial.draw(rng) for _ in range(size)])
+    start = np.array([c.total_mass for c in starts], dtype=np.int64)
+    mass = start.copy()
+    maximum = start.copy()
+    extinction = np.where(start == 0, 0.0, math.inf)
+    at = np.full((size, len(checkpoints)), -1, dtype=np.int64)
+    lane = np.flatnonzero(start).astype(np.int32)
+    t = np.zeros(lane.size)
+    events = 0
+    log = [(lane[:0], np.zeros(0, dtype=np.int8))]
+    while lane.size:
+        n = mass[lane]
+        birth, death = model.mass_birth_death_rates(n)
+        total = birth + death
+        after = t + rng.standard_exponential(lane.size) / total
+        go = after <= t_end
+        lane, n, t, after, birth, total = (x[go] for x in (lane, n, t, after, birth, total))
+        for k, c in enumerate(checkpoints):
+            cross = (t <= c) & (c < after)
+            at[lane[cross], k] = n[cross]
+        step = np.where(rng.random(lane.size) * total < birth, np.int8(1), np.int8(-1))
+        n += step
+        mass[lane] = n
+        maximum[lane] = np.maximum(maximum[lane], n)
+        events += lane.size
+        if survivors:
+            log.append((lane, step))
+        alive = n > 0
+        extinction[lane[~alive]] = after[~alive]
+        lane, t = lane[alive], after[alive]
+    at = np.where(at < 0, mass[:, None], at)
+    kept: tuple[Configuration, ...] = ()
+    if survivors:
+        ids = np.concatenate([x for x, _ in log])
+        steps = np.concatenate([s for _, s in log])
+        keep = mass[ids] > 0
+        ids, steps = ids[keep], steps[keep]
+        steps = steps[np.argsort(ids, kind="stable")]
+        lanes = np.flatnonzero(mass)
+        lengths = np.bincount(ids, minlength=size)[lanes]
+        kept = _urns(model, [starts[i] for i in lanes.tolist()], start[lanes], steps,
+                     lengths, mass[lanes], rng)
+    return MassPaths(start, mass, extinction, at, maximum, events, kept)
 
 
 def martingale_replica(model: RateModel, f: TestFunction, initial: Configuration,

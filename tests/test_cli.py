@@ -399,3 +399,14 @@ def test_importing_the_cli_loads_every_module_the_benchmark_times():
     imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert timed and timed <= imported, sorted(timed - imported)
+
+
+@pytest.mark.parametrize("module, frozen", [("qsdsim.cli", True), ("qsdsim", False)])
+def test_only_the_cli_freezes_the_heap_its_imports_built(module, frozen):
+    # the CLI owns its process; a library import leaves the collector alone
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = f"import gc, {module}; print(gc.get_freeze_count())"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert (int(proc.stdout) > 0) is frozen

@@ -25,7 +25,7 @@ from qsdsim.validation import (Mass, chi2_threshold, lyapunov_check, martingale_
                                mass_histogram, two_sample_chi2)
 
 import strategies
-from ensembles import hitting_tail, urn
+from ensembles import hitting_tail, mass_chunk, urn
 
 START = Configuration.from_pairs(((0.2, 2), (0.6, 1)))
 MODELS = (
@@ -459,6 +459,36 @@ def test_mass_paths_start_each_replica_from_its_own_configuration(uniform_model)
         mass_paths(uniform_model, starts[:-1], 1.0, replicas, RandomStream(3))
 
 
+_POOL = (Configuration.void(), START, Configuration.singleton(0.9),
+         Configuration.from_pairs(((0.4, 7), (0.8, 2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(MODELS), seed=st.integers(0, 2**32 - 1),
+       replicas=st.one_of(st.sampled_from([1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
+                          st.integers(1, 300)),
+       horizon=st.floats(0.0, 3.0), form=st.sampled_from(["one", "mixed", "law"]),
+       picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=12),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=3), survivors=st.booleans())
+def test_mass_paths_give_the_per_lane_rate_rounds_bit_for_bit(model, seed, replicas, horizon,
+                                                              form, picks, cuts, survivors):
+    # a mixed start puts masses 0, 1, 3 and 9 side by side, so the masses a
+    # chunk reaches need not form one range
+    initial = {"one": START, "law": ESTIMATE,
+               "mixed": tuple(_POOL[picks[r % len(picks)]] for r in range(replicas))}[form]
+    checkpoints = tuple(sorted(c * horizon for c in cuts))
+    runs = []
+    for chunk in (simulator._mass_chunk, mass_chunk):
+        with mock.patch.object(simulator, "_mass_chunk", chunk):
+            runs.append(mass_paths(model, initial, horizon, replicas, RandomStream(seed),
+                                   checkpoints=checkpoints, survivors=survivors))
+    got, want = runs
+    for one, two in zip(got[:5], want[:5]):
+        assert one.dtype == two.dtype and np.array_equal(one, two)
+    assert got.events == want.events
+    assert [c.entries for c in got.survivors] == [c.entries for c in want.survivors]
+
+
 def _joint_law(configs, kmax=15):
     """Counts over (mass, support size), both clamped at kmax, one flat bin each."""
     counts = np.zeros((kmax + 1) ** 2, dtype=int)
@@ -575,6 +605,18 @@ def test_a_run_evaluates_the_death_rate_once_per_mass_it_reaches(engine):
     assert len(trajectory.events) > 50
     assert len(model.masses) == len(set(model.masses))
     assert set(model.masses) <= reached
+
+
+def test_a_mass_chain_evaluates_the_death_rate_once_per_mass_it_reaches():
+    model = _counting_model()
+    start = Configuration.from_pairs(((0.3, 2), (0.7, 1)))
+    paths = mass_paths(model, start, 5.0, 500, RandomStream(3), checkpoints=(1.0,),
+                       survivors=True)
+    masses = [m for n in model.masses for m in np.ravel(n).tolist()]
+    # every replica starts at 3 and moves by one, and some die out, so
+    # together they reach every mass from 1 to the highest maximum
+    assert np.isfinite(paths.extinction).any() and paths.events > 5000
+    assert sorted(masses) == list(range(1, int(paths.maximum.max()) + 1))
 
 
 def test_fleming_viot_evaluates_the_death_rate_once_per_mass_it_reaches():

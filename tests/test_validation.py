@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim import simulator
 from qsdsim.configuration import Configuration
@@ -380,6 +382,27 @@ def test_lockstep_mass_jumps_are_the_jumps_of_the_full_engine(uniform_model, log
         for i, *jump in zip(lane.tolist(), t.tolist(), hold.tolist(), mass.tolist()):
             got[i].append(tuple(jump))
     assert got == ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["uniform", "logistic", "gaussian", "awkward"]),
+       start=st.integers(0, 12), t=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_lockstep_mass_jumps_from_any_start_mass_are_the_jumps_of_the_full_engine(
+        uniform_model, logistic_model, name, start, t, seed):
+    model = {**_lockstep_models(uniform_model, logistic_model), "awkward": AWKWARD}[name]
+    initial = Configuration.from_pairs(((0.5, start),)) if start else Configuration.void()
+    want_rows, got_rows = model.rate_table(), model.rate_table()
+    ref = [[(now, hold, after.total_mass) for now, hold, *_, after
+            in simulator._jumps(model, initial, t, Uniforms(gen), want_rows)]
+           for gen in RandomStream(seed).replica_generators(0, 50)]
+    got = [[] for _ in ref]
+    for lane, now, hold, mass in simulator._mass_jumps(
+            start, t, list(RandomStream(seed).replica_generators(0, 50)), got_rows):
+        for i, *jump in zip(lane.tolist(), now.tolist(), hold.tolist(), mass.tolist()):
+            got[i].append(tuple(jump))
+    assert got == ref
+    # the rate table ends up holding the masses the full engine read
+    assert sorted(got_rows) == sorted(want_rows)
 
 
 def test_lockstep_replicas_refill_their_blocks(uniform_model):
