@@ -6,9 +6,10 @@ with 0 absorbing. Truncating at N and dropping births from the top
 state leaves a strict sub-generator whose principal left eigenpair
 gives the decay rate and the mass marginal of the limit law to any
 accuracy the truncation supports. The matrix is tridiagonal, so this
-module keeps only its two rate bands: it solves for the eigenpair
-directly through the symmetric tridiagonal form and checks the
-truncation.
+module keeps only its two rate bands, read from the model's mass-chain
+rates in one array call on the states 1..N: it solves for the
+eigenpair directly through the symmetric tridiagonal form and checks
+the truncation.
 """
 
 from __future__ import annotations
@@ -38,11 +39,9 @@ class MassChainOracle:
 
 
 def _mass_rates(model: RateModel, N: int) -> tuple[np.ndarray, np.ndarray]:
-    births = np.zeros(N + 1)
-    deaths = np.zeros(N + 1)
-    for k in range(1, N + 1):
-        births[k], deaths[k] = model.mass_birth_death_rates(k)
-    return births, deaths
+    # one array call on the states 1..N; mass 0 is never evaluated
+    births, deaths = model.mass_birth_death_rates(np.arange(1, N + 1))
+    return np.pad(births, (1, 0)), np.pad(deaths, (1, 0))
 
 
 def build_mass_chain(model: RateModel, N: int) -> MassChainOracle:

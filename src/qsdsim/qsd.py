@@ -229,13 +229,11 @@ def decay_rate_from_survival(curve: Iterable[tuple[float, float, float]]) -> tup
     Points with survival outside [0.05, 0.95] are dropped: early points
     carry transient bias, late ones log-of-small-counts noise. Weighted
     least squares with delta-method variances; unweighted when the
-    curve is noiseless. A curve at survival 1 everywhere short-circuits
-    to slope 0, since nothing has died; any other curve without a window,
-    one at survival 0 everywhere included, raises WindowTooSmall.
+    curve is noiseless. A curve without 3 points in the window raises
+    WindowTooSmall, one at survival 1 or 0 everywhere included: nothing
+    dying, or everything dead, says nothing about the rate.
     """
     points = [(float(t), float(p), float(se)) for t, p, se in curve]
-    if points and all(p == 1.0 for _, p, _ in points):
-        return 0.0, 0.0
     admissible = [(t, p, se) for t, p, se in points if 0.05 <= p <= 0.95]
     if len(admissible) < 3:
         raise WindowTooSmall(

@@ -3,10 +3,7 @@
 Two engines produce the same law. The Gillespie engine is the
 reference: exponential holding time at the total jump rate, then a
 branch that picks the jump's kind from the per-kind totals and the
-individual it moves by rank; the validation battery's martingale and
-moment-bound checks replay its kernel ``_jumps`` on the mass alone, a
-chunk of replicas in numpy lockstep, each on the uniforms its own run
-would draw (``_mass_jumps``). The thinning engine realizes the paper's
+individual it moves by rank. The thinning engine realizes the paper's
 construction from three Poisson point measures per individual instead:
 clonal births at rate b(1 - rho) and deaths at rate d(n), every point
 accepted, and mutations at the bounding rate b rho g*, each point
@@ -17,11 +14,13 @@ strongest correctness checks. Both draw one uniform at a time through
 :class:`~qsdsim.streams.Uniforms` over one, with the same trajectory.
 
 Ensembles take a third route, mass first. Every rate model is
-trait-blind, so the total mass is a birth-death chain on its own:
-``mass_paths`` advances a chunk of replicas in numpy lockstep on the
-mass alone, and draws traits afterwards, by an urn along each mass path
-run for the whole chunk in lockstep too, only for the replicas whose
-configuration is reported.
+trait-blind, so the total mass is a birth-death chain on its own. One
+stepper, ``_lockstep``, advances a chunk of replicas on it in numpy
+lockstep on a per-mass rate table, its callers supplying the draws:
+``mass_paths`` those of the chunk's generator, with traits drawn
+afterwards by an urn along each survivor's mass path, in lockstep too;
+the validation checks the uniforms each replica's run of ``_jumps``
+would draw (``_Replay``).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -168,31 +166,33 @@ def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random
 
 
 class _MassRates:
-    """Rates by total mass for the lockstep mass steppers, one row per rate.
+    """The mass chain's rates by total mass, for :func:`_lockstep`.
 
-    Called with the masses of the live lanes, it gives each rate at each
-    lane. ``fill(masses)`` gives the same rows at a sorted array of
-    distinct masses; it runs, with the ``death_at`` guard inside it, only
-    on masses read for the first time, so a chunk evaluates d(n) once per
-    mass it reaches, whatever set of masses it starts from. A total (the
-    last row) of 0 marks a mass not filled yet, as the total is positive
-    at every mass n >= 1. Lanes move by one between reads, so the table
-    keeps room for one mass past the largest filled.
+    ``by_mass`` has the rows n b, n b (1 - rho), n d(n) and n b + n d(n)
+    (birth, clonal, death, total; the last three are ``rate_table()``'s
+    bit for bit) and one column per mass n. Called with the lanes'
+    masses, it gives their columns, filling the masses read for the first
+    time by one array call of ``model.mass_birth_death_rates``: a chunk
+    evaluates d(n), and its guard, once per mass it reaches. A total of 0
+    marks a mass not filled yet. Lanes move by one between reads, so the
+    table keeps room for one mass past the largest filled.
     """
 
-    def __init__(self, fill, width: int, top: int) -> None:
-        self._fill = fill
-        self._cols = np.zeros((width, 2 * top + 2))
+    def __init__(self, model: RateModel, top: int) -> None:
+        self._model = model
+        self._clonal = model.b * (1.0 - model.rho)
+        self.by_mass = np.zeros((4, 2 * top + 2))
 
     def __call__(self, n: np.ndarray) -> np.ndarray:
-        rates = self._cols.take(n, axis=1)
-        if not _every(rates[-1]):
-            new = np.unique(n[rates[-1] == 0])
-            top, size = int(new[-1]), self._cols.shape[1]
+        rates = self.by_mass.take(n, axis=1)
+        if not _every(rates[3]):
+            new = np.unique(n[rates[3] == 0])
+            top, size = int(new[-1]), self.by_mass.shape[1]
             if top + 2 > size:
-                self._cols = np.pad(self._cols, ((0, 0), (0, 2 * top + 2 - size)))
-            self._cols[:, new] = self._fill(new)
-            rates = self._cols.take(n, axis=1)
+                self.by_mass = np.pad(self.by_mass, ((0, 0), (0, 2 * top + 2 - size)))
+            birth, death = self._model.mass_birth_death_rates(new)
+            self.by_mass[:, new] = birth, new * self._clonal, death, birth + death
+            rates = self.by_mass.take(n, axis=1)
         return rates
 
 
@@ -202,75 +202,92 @@ def _every(x: np.ndarray) -> bool:
     return np.count_nonzero(x) == x.size
 
 
-# Uniforms each lockstep replica of _mass_jumps holds at a time; a round
-# takes at most _ROUND of them.
+def _lockstep(start: np.ndarray, t_end: float, rates: _MassRates, hold, up
+              ) -> Iterator[tuple[np.ndarray, ...]]:
+    """The mass chain of many replicas in numpy lockstep, up to t_end or extinction.
+
+    Lane i starts at mass ``start[i]``, read before the first round. Each
+    round, every live lane reads its rates ``r`` (one row per rate) and
+    draws its holding time ``hold(lane, r)``, and stops once
+    ``t + hold > t_end``, as :func:`_jumps` does; the others step +1
+    where ``up(lane, r)``, else -1. Each round yields (lane, t, hold,
+    now, before, after) for the lanes that jump. Lanes that stop or die
+    out leave; the lane filters run only in rounds where some lane does.
+    """
+    lane = np.flatnonzero(start)
+    n = start[lane]
+    t = np.zeros(lane.size)
+    while lane.size:
+        r = rates(n)
+        dt = hold(lane, r)
+        now = t + dt
+        go = now <= t_end
+        if not _every(go):
+            lane, n, t, dt, now = (x[go] for x in (lane, n, t, dt, now))
+            if not lane.size:
+                return
+            r = r.compress(go, axis=1)
+        after = np.where(up(lane, r), n + 1, n - 1)
+        yield lane, t, dt, now, n, after
+        if _every(after):
+            n, t = after, now
+        else:
+            alive = after > 0
+            lane, n, t = lane[alive], after[alive], now[alive]
+
+
+def _checkpoints(at: np.ndarray, times: Sequence[float], lane, t, now, before) -> None:
+    # a lane holds ``before`` on [t, now), so a checkpoint at a jump time sees
+    # the mass after it; at[i, k] stays -1 where no jump passes times[k]
+    for k, c in enumerate(times):
+        cross = (t <= c) & (c < now)
+        at[lane[cross], k] = before[cross]
+
+
+# Uniforms each lockstep replica of _Replay holds at a time; a round takes
+# at most _ROUND of them.
 _BLOCK = 64
 _ROUND = 4
 
 
-def _mass_jumps(start: int, t_end: float, gens: Sequence[np.random.Generator], rows: dict
-                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """:func:`_jumps` on the total mass alone, for replicas in numpy lockstep.
+class _Replay:
+    """The draws of :func:`_lockstep` that replay each replica's run of :func:`_jumps`.
 
-    Replica i starts at mass ``start``, draws from ``gens[i]`` and takes
-    the masses, jump times and holding times its run of :func:`_jumps`
-    would take, from the same uniforms: one for the holding time, one for
-    the band and, on a mutation, one for the parent and one for the
-    kernel, whose ``sample`` draws exactly one. Each round yields (lane,
-    t, hold, mass): the replicas that jump, their jump times, the holding
-    times that ended there and their masses after the jump. The rates
-    come from ``rows``, a ``model.rate_table()``, read once per mass
-    reached into a :class:`_MassRates`; afterwards ``rows`` holds the row
-    of every mass a replica reached.
-
-    Each replica holds its own block of :data:`_BLOCK` uniforms from
-    ``gen.random``, and refills it once its cursor comes within a round
-    of the end. Holding times go through ``math.log``, as
-    :func:`~qsdsim.rates.holding_time` does, since ``np.log`` can differ
-    from it in the last bit.
+    Replica i reads from ``gens[i]`` the uniforms its run would: one for
+    the holding time, one for the band and, on a mutation, the parent's
+    and the kernel's. It holds a block of :data:`_BLOCK` of them and
+    refills it once its cursor comes within a round of the end. Holding
+    times go through ``math.log``, as :func:`~qsdsim.rates.holding_time`
+    does, since ``np.log`` can differ from it in the last bit.
     """
-    size = len(gens)
-    block = np.empty((size, _BLOCK))
-    for row, gen in zip(block, gens):
-        gen.random(out=row)
-    cursor = np.zeros(size, dtype=np.intp)
 
-    def fill(masses):
-        # clonal, death and total rate from each mass's row of the table
-        return np.transpose([itemgetter(0, 1, 3)(rows[k]) for k in masses.tolist()])
+    def __init__(self, gens: Sequence[np.random.Generator]) -> None:
+        self._gens = gens
+        self._block = np.empty((len(gens), _BLOCK))
+        for row, gen in zip(self._block, gens):
+            gen.random(out=row)
+        self._cursor = np.zeros(len(gens), dtype=np.intp)
 
-    rates = _MassRates(fill, 3, start)
-    mass = np.full(size, start)
-    t = np.zeros(size)
-    lane = np.arange(size if start else 0)
-    while lane.size:
+    def hold(self, lane: np.ndarray, r: np.ndarray) -> np.ndarray:
+        block, cursor = self._block, self._cursor
         for i in lane[cursor[lane] > _BLOCK - _ROUND].tolist():
             used = int(cursor[i])
             block[i, :_BLOCK - used] = block[i, used:]
-            gens[i].random(out=block[i, _BLOCK - used:])
+            self._gens[i].random(out=block[i, _BLOCK - used:])
             cursor[i] = 0
-        n = mass[lane]
-        clonal, death, total = rates(n)
-        at = cursor[lane]
-        hold = -np.array(list(map(math.log, (1.0 - block[lane, at]).tolist()))) / total
-        now = t[lane] + hold
-        go = now <= t_end
-        if not _every(go):
-            lane, n, at, hold, now, clonal, death, total = (
-                x[go] for x in (lane, n, at, hold, now, clonal, death, total))
-            if not lane.size:
-                return
-        x = block[lane, at + 1] * total
-        up = x < clonal
+        u = block[lane, cursor[lane]]
+        return -np.array(list(map(math.log, (1.0 - u).tolist()))) / r[3]
+
+    def up(self, lane: np.ndarray, r: np.ndarray) -> np.ndarray:
+        _, clonal, death, total = r
+        at = self._cursor[lane]
+        x = self._block[lane, at + 1] * total
+        clone = x < clonal
         x -= clonal
-        down = ~up & (x < death)
+        down = ~clone & (x < death)
         # a mutation reads the parent and kernel uniforms too
-        cursor[lane] = at + np.where(up | down, 2, 4)
-        n = np.where(down, n - 1, n + 1)
-        mass[lane] = n
-        t[lane] = now
-        yield lane, now, hold, n
-        lane = lane[n > 0]
+        self._cursor[lane] = at + np.where(clone | down, 2, 4)
+        return ~down
 
 
 def simulate_gillespie(model: RateModel, initial: Configuration, horizon: float,
@@ -594,17 +611,13 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
 
     ``gens`` holds the chunk's one generator ``rng`` and ``parts`` its one
     ``(size, initial)``: the replica count and either a tuple of one start
-    per replica or a law whose ``draw(rng)`` gives each start. Each
-    round, every live replica draws a holding time at the mass chain's
-    total rate and stops once ``t + hold > t_end``, as :func:`_jumps`
-    does; the others step +1 with probability birth / total, else -1.
-    The birth rate n b and the total rate n b + n d(n) at mass n come
-    from ``model.mass_birth_death_rates``, evaluated once per mass the
-    chunk reaches and kept in a :class:`_MassRates`. With ``survivors``
-    the steps are kept, and the replicas alive at t_end get
-    their traits from one :func:`_urns` call, which draws from ``rng``
-    after the mass chain, in the order of running the survivors one after
-    another in replica order.
+    per replica or a law whose ``draw(rng)`` gives each start. Each round
+    of :func:`_lockstep` draws the live replicas' holding times, then a
+    uniform each for the up steps, from ``rng``. With ``survivors`` the
+    steps are kept, and the replicas alive at t_end get their traits
+    from one :func:`_urns` call, which draws from ``rng`` after the mass
+    chain, in the order of running the survivors one after another in
+    replica order.
     """
     (rng,), ((size, initial),) = gens, parts
     starts = (list(initial) if isinstance(initial, tuple)
@@ -614,51 +627,36 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     maximum = start.copy()
     extinction = np.where(start == 0, 0.0, math.inf)
     at = np.full((size, len(checkpoints)), -1, dtype=np.int64)
-    lane = np.flatnonzero(start)
-    t = np.zeros(lane.size)
     events = 0
-    # narrow dtypes keep the step log of survivors small: 5 bytes a jump
-    log = [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int8))]
-
-    def fill(masses):
-        birth, death = model.mass_birth_death_rates(masses)
-        return birth, birth + death
-
-    rates = _MassRates(fill, 2, int(start.max(initial=0)))
-    while lane.size:
-        n = mass[lane]
-        birth, total = rates(n)
-        after = t + rng.standard_exponential(lane.size) / total
-        go = after <= t_end
-        if not _every(go):
-            lane, n, t, after, birth, total = (x[go] for x in (lane, n, t, after, birth, total))
-        for k, c in enumerate(checkpoints):
-            cross = (t <= c) & (c < after)
-            at[lane[cross], k] = n[cross]
-        step = np.where(rng.random(lane.size) * total < birth, np.int8(1), np.int8(-1))
-        n += step
-        mass[lane] = n
-        maximum[lane] = np.maximum(maximum[lane], n)
+    # narrow dtypes keep the step log of survivors small: 5 bytes a jump,
+    # the lane and whether the step is up
+    log = [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool))]
+    rounds = _lockstep(start, t_end, _MassRates(model, int(start.max(initial=0))),
+                       lambda lane, r: rng.standard_exponential(lane.size) / r[3],
+                       lambda lane, r: rng.random(lane.size) * r[3] < r[0])
+    for lane, t, _, now, before, after in rounds:
+        _checkpoints(at, checkpoints, lane, t, now, before)
+        mass[lane] = after
+        maximum[lane] = np.maximum(maximum[lane], after)
         events += lane.size
         if survivors:
-            log.append((lane.astype(np.int32), step))
-        t = after
-        if not _every(n):
-            alive = n > 0
-            extinction[lane[~alive]] = after[~alive]
-            lane, t = lane[alive], after[alive]
+            log.append((lane.astype(np.int32), after > before))
+        if not _every(after):
+            gone = after == 0
+            extinction[lane[gone]] = now[gone]
     # a checkpoint that no jump passed sees the mass the path ended with
     at = np.where(at < 0, mass[:, None], at)
     kept: tuple[Configuration, ...] = ()
     if survivors:
         ids = np.concatenate([x for x, _ in log])
-        steps = np.concatenate([s for _, s in log])
+        ups = np.concatenate([u for _, u in log])
         del log
         keep = mass[ids] > 0
-        ids, steps = ids[keep], steps[keep]
+        ids, ups = ids[keep], ups[keep]
         del keep
         # a stable sort by replica keeps each replica's steps in time order
-        steps = steps[np.argsort(ids, kind="stable")]
+        steps = np.where(ups[np.argsort(ids, kind="stable")], np.int8(1), np.int8(-1))
+        del ups
         lanes = np.flatnonzero(mass)
         lengths = np.bincount(ids, minlength=size)[lanes]
         del ids
@@ -680,8 +678,8 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     drawn once per replica.
     Replicas run in chunks of :data:`CHUNK`, all through
     :func:`~qsdsim.streams.map_replicas`, and chunk c draws from
-    ``rng.substream(c)``. Checkpoints must be sorted and lie within
-    [0, t_end]. With ``survivors`` the result also carries the
+    ``rng.substream(c)``. Checkpoints may come in any order but must lie
+    within [0, t_end]. With ``survivors`` the result also carries the
     configurations of the replicas alive at t_end, their traits drawn by
     the urn.
     """
@@ -689,11 +687,13 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
         raise ValueError("replicas must be positive")
     if isinstance(initial, tuple) and len(initial) != replicas:
         raise ValueError(f"need one start per replica, got {len(initial)} for {replicas}")
+    checkpoints = tuple(float(c) for c in checkpoints)
+    if not all(0.0 <= c <= t_end for c in checkpoints):
+        raise ValueError(f"checkpoints must lie within [0, {t_end!r}], got {checkpoints!r}")
     model.check_regime()
     if isinstance(initial, Configuration):
         initial = (initial,) * replicas
-    chunk = partial(_mass_chunk, model, float(t_end),
-                    tuple(float(c) for c in checkpoints), survivors)
+    chunk = partial(_mass_chunk, model, float(t_end), checkpoints, survivors)
     work = [(min(CHUNK, replicas - a),
              initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
             for a in range(0, replicas, CHUNK)]

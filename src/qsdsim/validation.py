@@ -10,7 +10,9 @@ and the exponential-moment inequality driven by the closed-form
 exponent of the comparison chain.
 Since the test functions read the mass alone, the martingale and
 moment-bound replicas run on the mass paths of the Gillespie engine,
-replayed a chunk at a time in lockstep from each replica's own stream.
+replayed a chunk at a time on the simulator's lockstep mass-chain
+stepper from each replica's own stream, with L f per mass read from the
+columns of its per-mass rate table.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from scipy.stats import chi2
 from .configuration import Configuration
 from .errors import InvalidRegime
 from .rates import LogisticModel, RateModel, UniformModel
-from .simulator import _mass_jumps, mass_moments
+from .simulator import _checkpoints, _lockstep, _MassRates, _Replay, mass_moments
 from .streams import RandomStream, map_replicas
 
 
@@ -88,8 +90,7 @@ class BoundedCustom(TestFunction):
         return self.values[min(k, len(self.values) - 1)]
 
 
-def generator_apply(model: RateModel, f: TestFunction, config: Configuration,
-                    rows=None) -> float:
+def generator_apply(model: RateModel, f: TestFunction, config: Configuration) -> float:
     """Exact generator action on a mass-only observable.
 
     Every individual reproduces at ``b`` and dies at d(n). Reproduction
@@ -98,15 +99,14 @@ def generator_apply(model: RateModel, f: TestFunction, config: Configuration,
     unsplit preserves the closed-form identities bit for bit. The sums
     run entry by entry; a product with n would round differently in the
     last digits. The void value of f being 0 makes the absorption term
-    at mass 1 come out automatically. With ``rows``, a
-    ``model.rate_table()``, d(n) is read from it, once per mass.
+    at mass 1 come out automatically.
     """
     if config.is_void:
         return 0.0
     n = config.total_mass
     up = f.value_at_mass(n + 1) - f.value_at_mass(n)
     down = f.value_at_mass(n - 1) - f.value_at_mass(n)
-    b, d = model.b, model.per_capita_death(n) if rows is None else rows.death(n)
+    b, d = model.b, model.per_capita_death(n)
     birth = 0.0
     death = 0.0
     for _, weight in config.entries:
@@ -120,34 +120,36 @@ def exp_mass_drift_bound(model: RateModel, a: float) -> float:
     return model.birth_sup * (math.exp(a) - 1.0) + model.death_inf * (math.exp(-a) - 1.0)
 
 
-def _per_mass(model: RateModel, f: TestFunction, rows) -> tuple[np.ndarray, np.ndarray]:
-    """f and L f by mass over the masses ``rows``, a rate table, holds.
+def _by_mass(f: TestFunction, rates: _MassRates) -> tuple[np.ndarray, np.ndarray]:
+    """f and L f by mass, up to the largest mass ``rates`` has filled.
 
-    L f is evaluated once per mass, on a one-entry configuration; at mass
-    0 both tables read 0 and f's void value.
+    L f at mass n is birth (f(n+1) - f(n)) + death (f(n-1) - f(n)) from
+    the table's columns, which is :func:`generator_apply` on a one-entry
+    configuration bit for bit. It reads 0 at mass 0 and at every mass not
+    filled, where both rates are 0.
     """
-    top = max(rows, default=0)
-    values = np.array([f.value_at_mass(k) for k in range(top + 1)])
+    birth, _, death, total = rates.by_mass
+    top = int(np.flatnonzero(total).max(initial=0))
+    values = np.array([f.value_at_mass(k) for k in range(top + 2)])
     drift = np.zeros(top + 1)
-    for k in rows:
-        if k:
-            drift[k] = generator_apply(model, f, Configuration(((0.5, k),)), rows)
+    drift[1:] = (birth[1:top + 1] * (values[2:] - values[1:-1])
+                 + death[1:top + 1] * (values[:-2] - values[1:-1]))
     return values, drift
 
 
 def _martingale_chunk(model: RateModel, f: TestFunction, initial: Configuration,
-                      t: float, rows, gens: list) -> np.ndarray:
+                      t: float, gens: list) -> np.ndarray:
     # L f is constant between jumps, so the integral is exact; it is summed
     # per replica in jump order once the masses reached are known
-    start = initial.total_mass
-    mass = np.full(len(gens), start)
+    mass = np.full(len(gens), initial.total_mass)
     last = np.zeros(len(gens))
     steps = []
-    for lane, now, hold, after in _mass_jumps(start, t, gens, rows):
-        steps.append((lane, hold, mass[lane]))
+    rates, replay = _MassRates(model, initial.total_mass), _Replay(gens)
+    for lane, _, hold, now, before, after in _lockstep(mass, t, rates, replay.hold, replay.up):
+        steps.append((lane, hold, before))
         mass[lane] = after
         last[lane] = now
-    values, drift = _per_mass(model, f, rows)
+    values, drift = _by_mass(f, rates)
     integral = np.zeros(len(gens))
     for lane, hold, before in steps:
         integral[lane] += hold * drift[before]
@@ -163,14 +165,15 @@ def martingale_residual(model: RateModel, f: TestFunction, initial: Configuratio
 
     The residual is zero in expectation; the return pairs the estimate
     with its standard error so callers can judge it as noise. The
-    replicas share one ``model.rate_table()`` and run a chunk of
-    :func:`~qsdsim.streams.map_replicas` at a time.
+    replicas run a chunk of :func:`~qsdsim.streams.map_replicas` at a
+    time, each chunk on one per-mass rate table.
     """
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     if replicas < 2:
         raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
-    fn = partial(_martingale_chunk, model, f, initial, t, model.rate_table())
+    model.check_regime()
+    fn = partial(_martingale_chunk, model, f, initial, t)
     draws = np.concatenate(map_replicas(fn, replicas, rng, workers))
     return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(replicas))
 
@@ -183,21 +186,16 @@ class LyapunovPoint(NamedTuple):
     flagged: bool
 
 
-def _lyapunov_chunk(initial: Configuration, grid: tuple[float, ...], a_at: tuple[float, ...],
-                    lam_star: float, rows, gens: list) -> np.ndarray:
-    # a grid time at a jump sees the mass after it; extinct before a grid
-    # time, that time contributes 0
-    start = initial.total_mass
-    mass = np.full(len(gens), start)
-    last = np.zeros(len(gens))
+def _lyapunov_chunk(model: RateModel, initial: Configuration, grid: tuple[float, ...],
+                    a_at: tuple[float, ...], lam_star: float, gens: list) -> np.ndarray:
+    # extinct before a grid time, that time contributes 0
+    mass = np.full(len(gens), initial.total_mass)
     seen = np.full((len(gens), len(grid)), -1)
-    for lane, now, _, after in _mass_jumps(start, grid[-1], gens, rows):
-        before, prev = mass[lane], last[lane]
-        for j, g in enumerate(grid):
-            cross = (prev <= g) & (g < now)
-            seen[lane[cross], j] = before[cross]
+    rates, replay = _MassRates(model, initial.total_mass), _Replay(gens)
+    for lane, t, _, now, before, after in _lockstep(mass, grid[-1], rates, replay.hold,
+                                                    replay.up):
+        _checkpoints(seen, grid, lane, t, now, before)
         mass[lane] = after
-        last[lane] = now
     seen = np.where(seen < 0, mass[:, None], seen)
     values = np.array([[math.exp(a * n - lam_star * g) if n else 0.0 for a, g in zip(a_at, grid)]
                        for n in range(int(seen.max()) + 1)])
@@ -236,7 +234,7 @@ def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
     Estimates E[e^{-death_inf t} e^{a(t) mass} on survival] at each grid
     time, with a(t) from :func:`comparison_exponent`, and flags any point
     whose estimate exceeds e^{a0 mass(initial)} by more than 3 standard
-    errors. The replicas share one ``model.rate_table()``.
+    errors. Each chunk of replicas runs on one per-mass rate table.
     """
     grid = tuple(float(t) for t in grid)
     if any(t <= 0.0 for t in grid) or any(y <= x for x, y in zip(grid, grid[1:])):
@@ -245,7 +243,8 @@ def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
         raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
     lam_star = model.death_inf
     a_at = tuple(comparison_exponent(lam_star, model.birth_sup, a0, t) for t in grid)
-    fn = partial(_lyapunov_chunk, initial, grid, a_at, lam_star, model.rate_table())
+    model.check_regime()
+    fn = partial(_lyapunov_chunk, model, initial, grid, a_at, lam_star)
     rows = np.concatenate(map_replicas(fn, replicas, rng, workers))
     bound = math.exp(a0 * initial.total_mass)
     points = []

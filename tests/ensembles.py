@@ -1,4 +1,5 @@
-"""Ensemble helpers the tests share: hitting tails and the lockstep routes' references.
+"""Ensemble helpers the tests share: hitting tails, the lockstep routes' references
+and a rate model that logs its death-rate evaluations.
 
 Most references run one replica or survivor at a time through the full
 per-configuration engine; ``mass_chunk`` evaluates every live lane's
@@ -6,6 +7,7 @@ rates every round. The package's lockstep routes must give what they
 give.
 """
 
+import dataclasses
 import math
 from collections import Counter
 from typing import Sequence
@@ -13,10 +15,25 @@ from typing import Sequence
 import numpy as np
 
 from qsdsim.configuration import Configuration
-from qsdsim.rates import RateModel
+from qsdsim.rates import LogisticModel, RateModel
 from qsdsim.simulator import MassPaths, _jumps, _urns, mass_paths
 from qsdsim.streams import RandomStream, Uniforms
 from qsdsim.validation import TestFunction, generator_apply
+
+
+@dataclasses.dataclass(frozen=True)
+class CountingDeaths(LogisticModel):
+    """Logistic rates that log every mass at which d(n) is evaluated.
+
+    ``masses`` gets one entry per mass, whether d(n) is called on one mass
+    or on an array of them.
+    """
+
+    masses: list = dataclasses.field(default_factory=list, compare=False, repr=False)
+
+    def per_capita_death(self, n):
+        self.masses.extend(np.ravel(n).tolist())
+        return super().per_capita_death(n)
 
 
 def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
@@ -122,10 +139,10 @@ def martingale_replica(model: RateModel, f: TestFunction, initial: Configuration
     now = 0.0
     integral = 0.0
     for now, hold, _, _, _, after in _jumps(model, initial, t, Uniforms(rng), rows):
-        integral += hold * generator_apply(model, f, config, rows)
+        integral += hold * generator_apply(model, f, config)
         config = after
     if not config.is_void:
-        integral += (t - now) * generator_apply(model, f, config, rows)
+        integral += (t - now) * generator_apply(model, f, config)
     return f(config) - f(initial) - integral
 
 

@@ -164,6 +164,18 @@ def test_survival_reports_no_decay_rate_once_every_replica_is_extinct(tmp_path, 
     assert "no admissible window" in capsys.readouterr().out
 
 
+def test_survival_reports_no_decay_rate_while_no_replica_has_died(tmp_path, capsys):
+    # all three replicas outlive the horizon, so the curve stays at 1
+    out = tmp_path / "alive"
+    assert main(["survival", "--kind", "uniform", "--lambda", "2", "--b", "1",
+                 "--rho", "0.3", "--replicas", "3", "--t-max", "1", "--seed", "4",
+                 "--out", str(out)]) == 0
+    payload = _read_json(out / "ensemble.json")
+    assert payload["survival"] == [1.0] * len(payload["grid"])
+    assert payload["theta_hat"] is None and payload["theta_stderr"] is None
+    assert "no admissible window" in capsys.readouterr().out
+
+
 def test_survival_needs_a_grid_point_within_the_horizon(tmp_path, capsys):
     # the default grid 0.5, 1.0, ... has no point up to a horizon of 0.3
     status = main(["survival", *UNIFORM_FLAGS, "--t-max", "0.3",

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from qsdsim.errors import InvalidRegime, NoConvergence
-from qsdsim.oracle import (build_mass_chain, check_truncation, eigenpair_report,
+from qsdsim.oracle import (_mass_rates, build_mass_chain, check_truncation, eigenpair_report,
                            principal_left_eigenpair)
 from qsdsim.qsd import tv_distance
 from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.trait_space import UniformKernel
 
 from closed_forms import bd_qsd
+from ensembles import CountingDeaths
 
 
 def _sub_generator(chain):
@@ -35,6 +36,26 @@ def test_build_logistic_death_rate():
     model = LogisticModel(b=1.0, rho=0.3, d=0.5, c=0.5, kernel=UniformKernel())
     chain = build_mass_chain(model, 3)
     assert chain.deaths[3] == 4.5
+
+
+@pytest.mark.parametrize("model", [
+    UniformModel(lam=2.3, b=0.7, rho=0.3, kernel=UniformKernel()),
+    LogisticModel(b=1.3, rho=0.3, d=1.7, c=0.13, kernel=UniformKernel()),
+    # d < c makes d(0) = d - c negative, so evaluating mass 0 would raise
+    CountingDeaths(b=1.0, rho=0.3, d=0.2, c=0.5, kernel=UniformKernel()),
+])
+def test_array_built_rates_are_the_scalar_mass_rates_bit_for_bit(model):
+    N = 40
+    chain = build_mass_chain(model, N)
+    check_truncation(model, chain, principal_left_eigenpair(chain), 1e-10)
+    births, deaths = _mass_rates(model, 2 * N)
+    assert births[0] == deaths[0] == 0.0
+    assert np.array_equal(chain.births, births[:N + 1])
+    assert np.array_equal(chain.deaths, deaths[:N + 1])
+    want = [model.mass_birth_death_rates(k) for k in range(1, 2 * N + 1)]
+    assert list(zip(births[1:].tolist(), deaths[1:].tolist())) == want
+    if isinstance(model, CountingDeaths):
+        assert min(model.masses) == 1
 
 
 def test_build_rejects_degenerate_truncation(uniform_model):

@@ -334,8 +334,10 @@ def test_decay_rate_exact_points_with_errors():
     assert stderr > 0.0
 
 
-def test_decay_rate_flat_curve_short_circuits():
-    assert decay_rate_from_survival([(t, 1.0, 0.0) for t in (1, 2, 3)]) == (0.0, 0.0)
+def test_decay_rate_of_a_curve_with_no_deaths_has_no_window():
+    # a curve flat at 1 says nothing about the rate; it is not a slope of 0 +- 0
+    with pytest.raises(WindowTooSmall):
+        decay_rate_from_survival([(t, 1.0, 0.0) for t in (1, 2, 3)])
 
 
 def test_decay_rate_of_an_all_extinct_curve_has_no_window():

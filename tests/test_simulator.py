@@ -25,7 +25,7 @@ from qsdsim.validation import (Mass, chi2_threshold, lyapunov_check, martingale_
                                mass_histogram, two_sample_chi2)
 
 import strategies
-from ensembles import hitting_tail, mass_chunk, urn
+from ensembles import CountingDeaths, hitting_tail, mass_chunk, urn
 
 START = Configuration.from_pairs(((0.2, 2), (0.6, 1)))
 MODELS = (
@@ -459,6 +459,20 @@ def test_mass_paths_start_each_replica_from_its_own_configuration(uniform_model)
         mass_paths(uniform_model, starts[:-1], 1.0, replicas, RandomStream(3))
 
 
+@pytest.mark.parametrize("checkpoints", [(-1.0, 0.5), (0.5, 5.0), (math.nan,)])
+def test_mass_paths_refuse_checkpoints_outside_the_horizon(uniform_model, checkpoints):
+    with pytest.raises(ValueError, match="checkpoints must lie within"):
+        mass_paths(uniform_model, START, 1.0, 10, RandomStream(3), checkpoints=checkpoints)
+
+
+def test_mass_paths_take_checkpoints_in_any_order(uniform_model):
+    def at(checkpoints):
+        return mass_paths(uniform_model, START, 1.0, 300, RandomStream(3),
+                          checkpoints=checkpoints).at
+
+    assert np.array_equal(at((1.0, 0.0, 0.5)), at((0.0, 0.5, 1.0))[:, [2, 0, 1]])
+
+
 _POOL = (Configuration.void(), START, Configuration.singleton(0.9),
          Configuration.from_pairs(((0.4, 7), (0.8, 2))))
 
@@ -577,19 +591,8 @@ def test_every_run_refuses_a_model_outside_the_regime_before_drawing(broken):
         build_mass_chain(model, 5)
 
 
-@dataclasses.dataclass(frozen=True)
-class _CountingDeaths(LogisticModel):
-    """Logistic rates that log every mass at which d(n) is evaluated."""
-
-    masses: list = dataclasses.field(default_factory=list, compare=False, repr=False)
-
-    def per_capita_death(self, n):
-        self.masses.append(n)
-        return super().per_capita_death(n)
-
-
 def _counting_model():
-    return _CountingDeaths(b=1.5, rho=0.3, d=1.0, c=0.05, kernel=UniformKernel())
+    return CountingDeaths(b=1.5, rho=0.3, d=1.0, c=0.05, kernel=UniformKernel())
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
@@ -612,11 +615,10 @@ def test_a_mass_chain_evaluates_the_death_rate_once_per_mass_it_reaches():
     start = Configuration.from_pairs(((0.3, 2), (0.7, 1)))
     paths = mass_paths(model, start, 5.0, 500, RandomStream(3), checkpoints=(1.0,),
                        survivors=True)
-    masses = [m for n in model.masses for m in np.ravel(n).tolist()]
     # every replica starts at 3 and moves by one, and some die out, so
     # together they reach every mass from 1 to the highest maximum
     assert np.isfinite(paths.extinction).any() and paths.events > 5000
-    assert sorted(masses) == list(range(1, int(paths.maximum.max()) + 1))
+    assert sorted(model.masses) == list(range(1, int(paths.maximum.max()) + 1))
 
 
 def test_fleming_viot_evaluates_the_death_rate_once_per_mass_it_reaches():

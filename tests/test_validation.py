@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -13,12 +12,13 @@ from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.streams import RandomStream, Uniforms
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
 from qsdsim.validation import (BoundedCustom, ExpMass, Indicator, LyapunovPoint,
-                               Mass, _lyapunov_chunk, _martingale_chunk, chi2_threshold,
-                               comparison_exponent, exp_mass_drift_bound, generator_apply,
-                               lyapunov_check, mass_histogram, martingale_residual,
-                               run_validation_checks, two_sample_chi2)
+                               Mass, _by_mass, _lyapunov_chunk, _martingale_chunk,
+                               chi2_threshold, comparison_exponent, exp_mass_drift_bound,
+                               generator_apply, lyapunov_check, mass_histogram,
+                               martingale_residual, run_validation_checks, two_sample_chi2)
 
-from ensembles import lyapunov_replica, martingale_replica
+import strategies
+from ensembles import CountingDeaths, lyapunov_replica, martingale_replica
 
 FIVE = Configuration.from_pairs(((0.5, 5),))
 ONE = Configuration.singleton(0.5)
@@ -121,6 +121,49 @@ def test_nonempty_indicator_generator_is_exact(uniform_model, logistic_model):
                 trait = config.entries[0][0]
                 assert val == -model.death_rate(trait, config)
                 assert -model.death_inf <= val < 0.0
+
+
+# ten entries of weight up to 5 reach every mass from 1 to 50
+_UP_TO_50 = strategies.configurations(max_entries=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=strategies.MODELS, config=_UP_TO_50)
+def test_mass_generator_is_births_less_deaths(model, config):
+    n = config.total_mass
+    birth, death = n * model.b, n * model.per_capita_death(n)
+    assert generator_apply(model, Mass(), config) == pytest.approx(
+        birth - death, rel=1e-12, abs=1e-12 * (birth + death))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=strategies.MODELS, config=_UP_TO_50)
+def test_nonempty_indicator_generator_is_the_singleton_death_rate(model, config):
+    val = generator_apply(model, BoundedCustom((0.0, 1.0)), config)
+    assert val == (-model.per_capita_death(1) if config.total_mass == 1 else 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=strategies.MODELS, config=_UP_TO_50, k=st.integers(1, 52))
+def test_indicator_generator_lives_next_to_its_mass(model, config, k):
+    val = generator_apply(model, Indicator(k), config)
+    assert (val != 0.0) == (abs(config.total_mass - k) <= 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=strategies.MODELS, top=st.integers(1, 50), trait=st.floats(0.0, 1.0),
+       f=st.one_of(st.just(Mass()), st.builds(Indicator, st.integers(1, 52)),
+                   st.builds(ExpMass, st.floats(0.01, 2.0)),
+                   st.builds(BoundedCustom, st.lists(st.floats(-5.0, 5.0), min_size=1,
+                                                     max_size=8).map(lambda v: (0.0, *v)))))
+def test_table_generator_is_the_one_entry_generator_bit_for_bit(model, top, trait, f):
+    rates = simulator._MassRates(model, top)
+    rates(np.arange(1, top + 1))
+    values, drift = _by_mass(f, rates)
+    assert drift[0] == 0.0
+    assert drift[1:].tolist() == [generator_apply(model, f, Configuration(((trait, k),)))
+                                  for k in range(1, top + 1)]
+    assert values.tolist() == [f.value_at_mass(k) for k in range(top + 2)]
 
 
 def test_martingale_residual_at_time_zero(uniform_model):
@@ -297,19 +340,8 @@ def test_validation_battery_passes(uniform_model, logistic_model):
         assert check["pass"], check
 
 
-@dataclasses.dataclass(frozen=True)
-class _CountingDeaths(LogisticModel):
-    """Logistic rates that log every mass at which d(n) is evaluated."""
-
-    masses: list = dataclasses.field(default_factory=list, compare=False, repr=False)
-
-    def per_capita_death(self, n):
-        self.masses.append(n)
-        return super().per_capita_death(n)
-
-
 def _counting_model():
-    return _CountingDeaths(b=1.0, rho=0.3, d=2.0, c=0.1, kernel=UniformKernel())
+    return CountingDeaths(b=1.0, rho=0.3, d=2.0, c=0.1, kernel=UniformKernel())
 
 
 @pytest.mark.parametrize("f", [Mass(), Indicator(1)])
@@ -355,7 +387,7 @@ def test_lockstep_martingale_draws_are_the_one_at_a_time_draws(uniform_model, lo
     model = _lockstep_models(uniform_model, logistic_model)[name]
     ref = [martingale_replica(model, f, SPREAD, t, model.rate_table(), gen)
            for gen in _generators(31)]
-    got = _martingale_chunk(model, f, SPREAD, t, model.rate_table(), _generators(31))
+    got = _martingale_chunk(model, f, SPREAD, t, _generators(31))
     assert got.tolist() == ref
 
 
@@ -365,23 +397,39 @@ def test_lockstep_moment_bound_rows_are_the_one_at_a_time_rows(uniform_model, lo
     model = _lockstep_models(uniform_model, logistic_model)[name]
     ref = np.stack([lyapunov_replica(model, SPREAD, GRID, A_AT, 2.0, model.rate_table(), gen)
                     for gen in _generators(32)])
-    got = _lyapunov_chunk(SPREAD, GRID, A_AT, 2.0, model.rate_table(), _generators(32))
+    got = _lyapunov_chunk(model, SPREAD, GRID, A_AT, 2.0, _generators(32))
     assert np.array_equal(got, ref)
+
+
+def _replayed_jumps(model, start, t, gens):
+    """Per replica, the (start, end, holding time, mass after) of each jump the
+    lockstep replay takes from mass ``start``, and its rate table."""
+    rates = simulator._MassRates(model, start)
+    replay = simulator._Replay(gens)
+    got = [[] for _ in gens]
+    rounds = simulator._lockstep(np.full(len(gens), start), t, rates, replay.hold, replay.up)
+    for lane, t0, hold, now, _, after in rounds:
+        for i, *jump in zip(lane.tolist(), t0.tolist(), now.tolist(), hold.tolist(),
+                            after.tolist()):
+            got[i].append(tuple(jump))
+    return got, rates
+
+
+def _full_jumps(model, initial, t, gen, rows):
+    # (start, end, holding time, mass after) of each jump of the full engine
+    out, prev = [], 0.0
+    for now, hold, *_, after in simulator._jumps(model, initial, t, Uniforms(gen), rows):
+        out.append((prev, now, hold, after.total_mass))
+        prev = now
+    return out
 
 
 @pytest.mark.parametrize("name", ["uniform", "logistic", "gaussian", "awkward"])
 def test_lockstep_mass_jumps_are_the_jumps_of_the_full_engine(uniform_model, logistic_model,
                                                               name):
     model = {**_lockstep_models(uniform_model, logistic_model), "awkward": AWKWARD}[name]
-    ref = [[(t, hold, after.total_mass) for t, hold, *_, after
-            in simulator._jumps(model, SPREAD, 3.0, Uniforms(gen), model.rate_table())]
-           for gen in _generators(37)]
-    got = [[] for _ in ref]
-    for lane, t, hold, mass in simulator._mass_jumps(5, 3.0, _generators(37),
-                                                     model.rate_table()):
-        for i, *jump in zip(lane.tolist(), t.tolist(), hold.tolist(), mass.tolist()):
-            got[i].append(tuple(jump))
-    assert got == ref
+    ref = [_full_jumps(model, SPREAD, 3.0, gen, model.rate_table()) for gen in _generators(37)]
+    assert _replayed_jumps(model, 5, 3.0, _generators(37))[0] == ref
 
 
 @settings(max_examples=40, deadline=None)
@@ -391,37 +439,31 @@ def test_lockstep_mass_jumps_from_any_start_mass_are_the_jumps_of_the_full_engin
         uniform_model, logistic_model, name, start, t, seed):
     model = {**_lockstep_models(uniform_model, logistic_model), "awkward": AWKWARD}[name]
     initial = Configuration.from_pairs(((0.5, start),)) if start else Configuration.void()
-    want_rows, got_rows = model.rate_table(), model.rate_table()
-    ref = [[(now, hold, after.total_mass) for now, hold, *_, after
-            in simulator._jumps(model, initial, t, Uniforms(gen), want_rows)]
+    rows = model.rate_table()
+    ref = [_full_jumps(model, initial, t, gen, rows)
            for gen in RandomStream(seed).replica_generators(0, 50)]
-    got = [[] for _ in ref]
-    for lane, now, hold, mass in simulator._mass_jumps(
-            start, t, list(RandomStream(seed).replica_generators(0, 50)), got_rows):
-        for i, *jump in zip(lane.tolist(), now.tolist(), hold.tolist(), mass.tolist()):
-            got[i].append(tuple(jump))
+    got, rates = _replayed_jumps(model, start, t,
+                                 list(RandomStream(seed).replica_generators(0, 50)))
     assert got == ref
-    # the rate table ends up holding the masses the full engine read
-    assert sorted(got_rows) == sorted(want_rows)
+    # the table's filled masses are the masses the full engine read
+    assert np.flatnonzero(rates.by_mass[3]).tolist() == sorted(rows)
 
 
 def test_lockstep_replicas_refill_their_blocks(uniform_model):
     # some replica draws past its first block of uniforms by t = 3 from mass 5
-    jumps = np.bincount(np.concatenate([
-        lane for lane, *_ in simulator._mass_jumps(5, 3.0, _generators(31),
-                                                   uniform_model.rate_table())]))
-    assert 2 * jumps.max() + 1 > simulator._BLOCK
+    jumps = _replayed_jumps(uniform_model, 5, 3.0, _generators(31))[0]
+    assert 2 * max(map(len, jumps)) + 1 > simulator._BLOCK
 
 
 def test_lockstep_checks_at_non_dyadic_rates_agree_to_rounding():
     for f in (Mass(), ExpMass(0.3)):
         ref = [martingale_replica(AWKWARD, f, SPREAD, 3.0, AWKWARD.rate_table(), gen)
                for gen in _generators(33)]
-        got = _martingale_chunk(AWKWARD, f, SPREAD, 3.0, AWKWARD.rate_table(), _generators(33))
+        got = _martingale_chunk(AWKWARD, f, SPREAD, 3.0, _generators(33))
         assert got.tolist() == pytest.approx(ref, rel=1e-12, abs=1e-12)
     ref = np.stack([lyapunov_replica(AWKWARD, SPREAD, GRID, A_AT, 1.7, AWKWARD.rate_table(), gen)
                     for gen in _generators(34)])
-    got = _lyapunov_chunk(SPREAD, GRID, A_AT, 1.7, AWKWARD.rate_table(), _generators(34))
+    got = _lyapunov_chunk(AWKWARD, SPREAD, GRID, A_AT, 1.7, _generators(34))
     assert np.array_equal(got, ref)
 
 
