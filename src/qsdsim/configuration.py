@@ -18,14 +18,17 @@ from .trait_space import TraitPoint, validate_trait
 _trait_of = itemgetter(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """Sorted flat sequence of (trait, weight) entries.
 
     Entries are strictly increasing in trait and every weight is a
-    positive integer. The void configuration has no entries.
+    positive integer (a ``bool`` is refused, as its text form would not
+    parse back). The void configuration has no entries.
     ``total_mass`` is summed once, on construction, since every rate of
-    a trait-blind model reads it.
+    a trait-blind model reads it. The two fields live in slots, so an
+    instance has no ``__dict__``; the engines build successors through
+    the slots directly (``add``, ``remove``).
     """
 
     entries: tuple[tuple[TraitPoint, int], ...] = field(default_factory=tuple)
@@ -36,7 +39,7 @@ class Configuration:
         total = 0
         for trait, weight in self.entries:
             validate_trait(trait)
-            if not (isinstance(weight, int) and weight >= 1):
+            if not (isinstance(weight, int) and not isinstance(weight, bool) and weight >= 1):
                 raise ValueError(f"weight {weight!r} at trait {trait!r} must be a positive integer")
             if last is not None and trait <= last:
                 raise ValueError("entries must be strictly increasing in trait")
@@ -50,9 +53,14 @@ class Configuration:
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[TraitPoint, int]]) -> "Configuration":
-        """Build from (trait, weight) pairs, merging duplicate traits."""
+        """Build from (trait, weight) pairs, merging duplicate traits.
+
+        A weight must have an integral value; any other raises ValueError.
+        """
         merged: dict[float, int] = {}
         for trait, weight in pairs:
+            if not float(weight).is_integer():
+                raise ValueError(f"weight {weight!r} at trait {trait!r} is not an integer")
             merged[trait] = merged.get(trait, 0) + int(weight)
         entries = tuple(sorted((t, w) for t, w in merged.items() if w != 0))
         return Configuration(entries)
@@ -130,11 +138,19 @@ class Configuration:
         return ";".join(f"{w}@{t:.17g}" for t, w in self.entries)
 
 
+_set_entries = Configuration.entries.__set__
+_set_total_mass = Configuration.total_mass.__set__
+
+
 def _successor(entries: tuple[tuple[TraitPoint, int], ...], total_mass: int) -> Configuration:
-    """A configuration from entries known to be valid and their total mass, unchecked."""
+    """A configuration from entries known to be valid and their total mass, unchecked.
+
+    The fields are set through their slot descriptors, which skips the
+    frozen ``__setattr__`` and the validation of ``__post_init__``.
+    """
     config = object.__new__(Configuration)
-    object.__setattr__(config, "entries", entries)
-    object.__setattr__(config, "total_mass", total_mass)
+    _set_entries(config, entries)
+    _set_total_mass(config, total_mass)
     return config
 
 

@@ -24,7 +24,7 @@ from .configuration import Configuration, _successor
 from .errors import (AllExtinct, Degenerate, InvalidRegime, NoSingletonMass,
                      NotNormalized, WindowTooSmall)
 from .rates import RateModel, holding_time
-from .simulator import _gillespie_branch, mass_paths
+from .simulator import mass_paths
 # map_replicas is unused here but stays importable: perfbench/tracer.py patches it.
 from .streams import RandomStream, Uniforms, map_replicas  # noqa: F401
 from .trait_space import sample_base
@@ -174,6 +174,8 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
     branch of :func:`~qsdsim.simulator._gillespie_branch`, a donor
     uniform if the copy was absorbed, and the copy's next holding time,
     in that order, reading the rates from ``model.rate_table()``. The
+    branch is taken inline, bit for bit as that function takes it, with
+    one ``Configuration.add`` or ``remove`` call per event. The
     estimate is the empirical measure time-averaged over snapshots every
     ``snapshot_interval`` in [burn_in, horizon], each counting the copies
     just before the first ring past the snapshot time; its
@@ -191,6 +193,7 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
     rows = model.rate_table()
     clocks = [(holding_time(gen, rows[c.total_mass][3]), i) for i, c in enumerate(configs)]
     heapq.heapify(clocks)
+    random, log, replace, sample = gen.random, math.log, heapq.heapreplace, model.kernel.sample
     counts: Counter[Configuration] = Counter()
     events = 0
     resurrections = 0
@@ -205,18 +208,32 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         if t > horizon:
             break
         events += 1
+        # _gillespie_branch inline: the band, then a mutation's parent and
+        # child; a rank is individual_at's, clipped to the mass n
         config = configs[i]
-        *_, nxt = _gillespie_branch(model, config, gen, rows[config.total_mass])
-        if nxt.is_void:
-            resurrections += 1
-            j = int(gen.random() * (particles - 1))
-            if j >= i:
-                j += 1
-            nxt = configs[j]
-            if nxt.is_void:
-                raise Degenerate("resampling donor is extinct")
+        n = config.total_mass
+        clonal, death, _, total = rows[n]
+        x = random() * total
+        if x < clonal:
+            k = int(x / clonal * n)
+            nxt = config.add(config.individual_trait(k + 1 if k < n else n))
+        elif (x := x - clonal) < death:
+            k = int(x / death * n)
+            nxt = config.remove(config.individual_trait(k + 1 if k < n else n))
+            if not nxt.entries:
+                resurrections += 1
+                j = int(random() * (particles - 1))
+                if j >= i:
+                    j += 1
+                nxt = configs[j]
+                if not nxt.entries:
+                    raise Degenerate("resampling donor is extinct")
+        else:
+            k = int(random() * n)
+            nxt = config.add(sample(config.individual_trait(k + 1 if k < n else n), gen))
         configs[i] = nxt
-        heapq.heapreplace(clocks, (t + holding_time(gen, rows[nxt.total_mass][3]), i))
+        # t + holding_time(gen, ...) bit for bit
+        replace(clocks, (t - log(1.0 - random()) / rows[nxt.total_mass][3], i))
     if not counts:
         raise InvalidRegime("no snapshot fell inside [burn_in, horizon]")
     return _estimate_from_counts(counts, burn_in=burn_in, particles=particles,
@@ -264,14 +281,13 @@ def decay_rate_from_singletons(model: RateModel, est: QsdEstimate) -> float:
     unnormalized: weights are the estimate's own, which sum to 1 over
     all masses.
     """
-    acc = 0.0
-    found = False
-    for config, weight in zip(est.configurations, est.weights):
-        if config.total_mass == 1:
-            found = True
-            acc += float(weight) * model.death_inf
-    if not found:
+    singletons = est.weights[est._masses == 1].tolist()
+    if not singletons:
         raise NoSingletonMass("estimate has no weight on mass-1 configurations")
+    death = model.death_inf
+    acc = 0.0
+    for weight in singletons:
+        acc += weight * death
     return acc
 
 
@@ -312,6 +328,6 @@ def estimate_report(est: QsdEstimate) -> dict:
 
 def write_sample_csv(est: QsdEstimate, out: IO[str]) -> None:
     """Weighted configuration sample as CSV."""
-    out.write("weight,configuration\n")
-    for config, weight in est.sample:
-        out.write(f"{weight:.17g},{config.serialize()}\n")
+    rows = zip(est.configurations, est.weights.tolist())
+    out.write("weight,configuration\n" + "".join(
+        f"{weight:.17g},{config.serialize()}\n" for config, weight in rows))

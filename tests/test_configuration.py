@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdsim.configuration import Configuration, parse_configuration
+from qsdsim.configuration import Configuration, _successor, parse_configuration
 from qsdsim.errors import TraitAbsent
 
 from strategies import configurations
@@ -40,6 +43,22 @@ def test_weights_must_be_positive_integers():
         Configuration(((0.5, -2),))
     with pytest.raises(ValueError):
         Configuration(((0.5, 1.5),))
+
+
+def test_weights_must_not_be_bools():
+    # a bool is an int, but True@0.5 would not parse back
+    with pytest.raises(ValueError):
+        Configuration(((0.5, True),))
+    with pytest.raises(ValueError):
+        Configuration(((0.2, 1), (0.5, False)))
+
+
+def test_from_pairs_refuses_a_weight_that_is_not_an_integer():
+    for weight in (1.7, 0.5, -0.25, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Configuration.from_pairs([(0.5, weight)])
+    c = Configuration.from_pairs([(0.5, 2.0), (0.5, 1)])
+    assert c.entries == ((0.5, 3),) and type(c.entries[0][1]) is int
 
 
 def test_traits_must_lie_in_unit_interval():
@@ -136,10 +155,61 @@ def test_immutability():
         c.entries = ()
 
 
+def test_fields_are_frozen_slots():
+    # one built and checked, one built by add through the slots
+    built, successor = Configuration.from_pairs([(0.2, 1), (0.7, 1)]), \
+        Configuration.singleton(0.2).add(0.7)
+    for c in (built, successor):
+        with pytest.raises(FrozenInstanceError):
+            c.entries = ()
+        with pytest.raises(FrozenInstanceError):
+            c.total_mass = 0
+        assert not hasattr(c, "__dict__")
+    assert built == successor and successor.total_mass == 2
+
+
+@pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.copy,
+                                   copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_copies_keep_equality_hash_and_mass(clone):
+    built = Configuration.from_pairs([(0.1, 1), (0.9, 3)])
+    for c in (Configuration.void(), built, built.add(0.5), built.remove(0.9)):
+        twin = clone(c)
+        assert twin == c and hash(twin) == hash(c)
+        assert twin.entries == c.entries and twin.total_mass == c.total_mass
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ENTRIES)
+def test_a_successor_is_the_configuration_of_its_entries(entries):
+    c = Configuration(entries)
+    s = _successor(entries, sum(w for _, w in entries))
+    assert type(s) is Configuration
+    assert s == c and hash(s) == hash(c)
+    assert s.entries == c.entries and s.total_mass == c.total_mass
+
+
 @settings(max_examples=200, deadline=None)
 @given(configurations(0))
 def test_serialize_round_trip_bit_exact(c):
     assert parse_configuration(c.serialize()) == c
+
+
+# Weights of every kind a caller might pass: ints of any sign, bools and floats.
+_ANY_WEIGHT = st.one_of(st.integers(-3, 6), st.booleans(), st.floats(-3.0, 6.0))
+_ANY_ENTRIES = st.lists(st.tuples(_TRAIT, _ANY_WEIGHT), max_size=6,
+                        unique_by=lambda entry: entry[0]).map(
+    lambda entries: tuple(sorted(entries, key=lambda entry: entry[0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_ENTRIES)
+def test_every_accepted_configuration_parses_back_from_its_text(entries):
+    for build in (Configuration, Configuration.from_pairs):
+        try:
+            c = build(entries)
+        except ValueError:
+            continue
+        assert parse_configuration(c.serialize()) == c
 
 
 def test_serialize_format():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qsdsim import qsd
 from qsdsim.configuration import Configuration
@@ -16,7 +18,7 @@ from qsdsim.qsd import (YAGLOM_STAGES, QsdEstimate, _estimate_from_counts,
 from qsdsim.rates import LogisticModel, UniformModel
 from qsdsim.simulator import _gillespie_branch, mass_paths
 from qsdsim.streams import RandomStream
-from qsdsim.trait_space import make_kernel, sample_base
+from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, make_kernel, sample_base
 
 from closed_forms import bd_qsd
 
@@ -240,20 +242,58 @@ def _scan_fleming_viot(model, particles, burn_in, horizon, rng,
                                  events=events, resurrections=resurrections)
 
 
-def _fv_model(family):
-    return LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.5, kernel=make_kernel(family, 0.05))
+def _fv_model(family, kind="logistic"):
+    kernel = make_kernel(family, 0.05)
+    if kind == "constant":
+        return UniformModel(lam=2.0, b=1.0, rho=0.3, kernel=kernel)
+    return LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.5, kernel=kernel)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("family", ["uniform", "truncated_gaussian"])
-def test_fleming_viot_heap_matches_a_linear_scan_of_the_clocks(family, seed):
-    model = _fv_model(family)
-    est = fleming_viot_estimate(model, 300, 1.0, 3.0, RandomStream(seed))
-    ref = _scan_fleming_viot(model, 300, 1.0, 3.0, RandomStream(seed))
+def _assert_same_fleming_viot(est, ref):
     assert est.configurations == ref.configurations
     assert np.array_equal(est.weights, ref.weights)
-    assert est.events == ref.events > 0
-    assert est.resurrections == ref.resurrections > 0
+    assert (est.events, est.resurrections) == (ref.events, ref.resurrections)
+
+
+# Logistic cases keep their bare ids; the constant-rate UniformModel ones add "-constant".
+@pytest.mark.parametrize("family, seed, kind", [
+    pytest.param(family, seed, kind, id=f"{family}-{seed}" + ("-constant" if kind == "constant" else ""))
+    for kind in ("logistic", "constant") for family in ("uniform", "truncated_gaussian")
+    for seed in (1, 2, 3)])
+def test_fleming_viot_heap_matches_a_linear_scan_of_the_clocks(family, seed, kind):
+    model = _fv_model(family, kind)
+    est = fleming_viot_estimate(model, 300, 1.0, 3.0, RandomStream(seed))
+    ref = _scan_fleming_viot(model, 300, 1.0, 3.0, RandomStream(seed))
+    _assert_same_fleming_viot(est, ref)
+    assert est.events > 0 and est.resurrections > 0
+
+
+@st.composite
+def _fv_models(draw):
+    """Admissible constant-rate or logistic models small enough for the scan."""
+    kernel = draw(st.one_of(st.just(UniformKernel()),
+                            st.builds(TruncatedGaussianKernel, scale=st.floats(0.02, 0.3))))
+    b, rho = draw(st.floats(0.2, 2.0)), draw(st.floats(0.05, 0.95))
+    if draw(st.booleans()):
+        return UniformModel(lam=b + draw(st.floats(0.1, 2.0)), b=b, rho=rho, kernel=kernel)
+    return LogisticModel(b=b, rho=rho, d=draw(st.floats(0.2, 2.0)), c=draw(st.floats(0.2, 2.0)),
+                         kernel=kernel)
+
+
+# The examples come from a fixed hypothesis seed, chosen before the first run.
+@seed(20)
+@settings(max_examples=60, deadline=None)
+@given(model=_fv_models(), particles=st.integers(2, 40), burn_in=st.floats(0.0, 2.0),
+       span=st.floats(0.1, 2.0), interval=st.floats(0.05, 1.0),
+       stream=st.integers(0, 2**32 - 1))
+def test_fleming_viot_matches_the_scan_on_random_models(model, particles, burn_in, span,
+                                                        interval, stream):
+    horizon = burn_in + span
+    est = fleming_viot_estimate(model, particles, burn_in, horizon, RandomStream(stream),
+                                snapshot_interval=interval)
+    ref = _scan_fleming_viot(model, particles, burn_in, horizon, RandomStream(stream),
+                             snapshot_interval=interval)
+    _assert_same_fleming_viot(est, ref)
 
 
 # FV_ROUTE_TV bounds the TV between the marginals of the per-particle
