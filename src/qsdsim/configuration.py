@@ -23,12 +23,9 @@ class Configuration:
     """Sorted flat sequence of (trait, weight) entries.
 
     Entries are strictly increasing in trait and every weight is a
-    positive integer (a ``bool`` is refused, as its text form would not
-    parse back). The void configuration has no entries.
-    ``total_mass`` is summed once, on construction, since every rate of
-    a trait-blind model reads it. The two fields live in slots, so an
-    instance has no ``__dict__``; the engines build successors through
-    the slots directly (``add``, ``remove``).
+    positive integer, not a ``bool``. The void configuration has no
+    entries. ``total_mass`` is summed once, on construction, since every
+    rate of a trait-blind model reads it. Both fields live in slots.
     """
 
     entries: tuple[tuple[TraitPoint, int], ...] = field(default_factory=tuple)
@@ -53,10 +50,7 @@ class Configuration:
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[TraitPoint, int]]) -> "Configuration":
-        """Build from (trait, weight) pairs, merging duplicate traits.
-
-        A weight must have an integral value; any other raises ValueError.
-        """
+        """Build from (trait, weight) pairs, merging duplicate traits; weights must be integral."""
         merged: dict[float, int] = {}
         for trait, weight in pairs:
             if not float(weight).is_integer():
@@ -138,16 +132,13 @@ class Configuration:
         return ";".join(f"{w}@{t:.17g}" for t, w in self.entries)
 
 
+# the slot descriptors, which set a field past the frozen __setattr__
 _set_entries = Configuration.entries.__set__
 _set_total_mass = Configuration.total_mass.__set__
 
 
 def _successor(entries: tuple[tuple[TraitPoint, int], ...], total_mass: int) -> Configuration:
-    """A configuration from entries known to be valid and their total mass, unchecked.
-
-    The fields are set through their slot descriptors, which skips the
-    frozen ``__setattr__`` and the validation of ``__post_init__``.
-    """
+    """A configuration from entries known to be valid and their total mass, unchecked."""
     config = object.__new__(Configuration)
     _set_entries(config, entries)
     _set_total_mass(config, total_mass)

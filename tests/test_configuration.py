@@ -157,8 +157,8 @@ def test_immutability():
 
 def test_fields_are_frozen_slots():
     # one built and checked, one built by add through the slots
-    built, successor = Configuration.from_pairs([(0.2, 1), (0.7, 1)]), \
-        Configuration.singleton(0.2).add(0.7)
+    built = Configuration.from_pairs([(0.2, 1), (0.7, 1)])
+    successor = Configuration.singleton(0.2).add(0.7)
     for c in (built, successor):
         with pytest.raises(FrozenInstanceError):
             c.entries = ()
@@ -178,7 +178,7 @@ def test_copies_keep_equality_hash_and_mass(clone):
         assert twin.entries == c.entries and twin.total_mass == c.total_mass
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_ENTRIES)
 def test_a_successor_is_the_configuration_of_its_entries(entries):
     c = Configuration(entries)
@@ -201,7 +201,7 @@ _ANY_ENTRIES = st.lists(st.tuples(_TRAIT, _ANY_WEIGHT), max_size=6,
     lambda entries: tuple(sorted(entries, key=lambda entry: entry[0])))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_ANY_ENTRIES)
 def test_every_accepted_configuration_parses_back_from_its_text(entries):
     for build in (Configuration, Configuration.from_pairs):

@@ -257,7 +257,8 @@ def _assert_same_fleming_viot(est, ref):
 
 # Logistic cases keep their bare ids; the constant-rate UniformModel ones add "-constant".
 @pytest.mark.parametrize("family, seed, kind", [
-    pytest.param(family, seed, kind, id=f"{family}-{seed}" + ("-constant" if kind == "constant" else ""))
+    pytest.param(family, seed, kind,
+                 id=f"{family}-{seed}" + ("" if kind == "logistic" else f"-{kind}"))
     for kind in ("logistic", "constant") for family in ("uniform", "truncated_gaussian")
     for seed in (1, 2, 3)])
 def test_fleming_viot_heap_matches_a_linear_scan_of_the_clocks(family, seed, kind):
@@ -266,6 +267,19 @@ def test_fleming_viot_heap_matches_a_linear_scan_of_the_clocks(family, seed, kin
     ref = _scan_fleming_viot(model, 300, 1.0, 3.0, RandomStream(seed))
     _assert_same_fleming_viot(est, ref)
     assert est.events > 0 and est.resurrections > 0
+
+
+def test_fleming_viot_makes_one_add_or_remove_call_per_event(monkeypatch):
+    # the benchmark's tracer counts Fleming-Viot events by these calls
+    calls = {"add": 0, "remove": 0}
+    for name in calls:
+        def counted(self, trait, _name=name, _original=getattr(Configuration, name)):
+            calls[_name] += 1
+            return _original(self, trait)
+        monkeypatch.setattr(Configuration, name, counted)
+    est = fleming_viot_estimate(_fv_model("truncated_gaussian"), 200, 0.5, 2.0, RandomStream(5))
+    assert calls["add"] + calls["remove"] == est.events
+    assert calls["remove"] >= est.resurrections > 0 and calls["add"] > 0
 
 
 @st.composite
