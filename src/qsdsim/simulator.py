@@ -26,6 +26,7 @@ would draw (``_Replay``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -202,20 +203,24 @@ def _every(x: np.ndarray) -> bool:
     return np.count_nonzero(x) == x.size
 
 
-def _lockstep(start: np.ndarray, t_end: float, rates: _MassRates, hold, up
+def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: _MassRates, hold, up
               ) -> Iterator[tuple[np.ndarray, ...]]:
     """The mass chain of many replicas in numpy lockstep, up to t_end or extinction.
 
-    Lane i starts at mass ``start[i]``, read before the first round. Each
+    Lane i starts at mass ``mass[i]``, read before the first round. Each
     round, every live lane reads its rates ``r`` (one row per rate) and
     draws its holding time ``hold(lane, r)``, and stops once
     ``t + hold > t_end``, as :func:`_jumps` does; the others step +1
     where ``up(lane, r)``, else -1. Each round yields (lane, t, hold,
-    now, before, after) for the lanes that jump. Lanes that stop or die
-    out leave; the lane filters run only in rounds where some lane does.
+    now, before, up) for the lanes that jump, ``up`` the mask that
+    ``up(lane, r)`` gave. Lanes that stop or die out leave; only in rounds
+    where some lane does are the live lanes' masses and last jump times
+    written to ``mass`` and ``last`` and the lanes filtered, so lane i
+    ends with its final mass in ``mass[i]`` and in ``last[i]`` the time
+    of its last jump, its extinction time if it died out.
     """
-    lane = np.flatnonzero(start)
-    n = start[lane]
+    lane = np.flatnonzero(mass)
+    n = mass[lane]
     t = np.zeros(lane.size)
     while lane.size:
         r = rates(n)
@@ -223,15 +228,18 @@ def _lockstep(start: np.ndarray, t_end: float, rates: _MassRates, hold, up
         now = t + dt
         go = now <= t_end
         if not _every(go):
+            mass[lane], last[lane] = n, t
             lane, n, t, dt, now = (x[go] for x in (lane, n, t, dt, now))
             if not lane.size:
                 return
             r = r.compress(go, axis=1)
-        after = np.where(up(lane, r), n + 1, n - 1)
-        yield lane, t, dt, now, n, after
+        step = up(lane, r)
+        yield lane, t, dt, now, n, step
+        after = np.where(step, n + 1, n - 1)
         if _every(after):
             n, t = after, now
         else:
+            mass[lane], last[lane] = after, now
             alive = after > 0
             lane, n, t = lane[alive], after[alive], now[alive]
 
@@ -313,8 +321,11 @@ def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
     base-measure child mark and a level under b rho g*, and is accepted
     when the level falls under b rho times the kernel density. Candidate
     clocks are regenerated after every point, which is equivalent in law
-    to any other schedule by memorylessness. d(n) is read from
-    ``model.rate_table()``, so it is evaluated once per mass reached.
+    to any other schedule by memorylessness. d(n), read from
+    ``model.rate_table()``, and the rate change only with an accepted
+    event. The individuals form one sorted list, each trait repeated by
+    its weight, so a candidate's individual is one index, ranked as
+    :func:`~qsdsim.rates.individual_at` ranks it.
     """
     if horizon < 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
@@ -323,30 +334,41 @@ def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
     clonal, mutation = model.b * (1.0 - model.rho), model.b * model.rho
     mutation_level = mutation * model.kernel.sup_density()
     births = clonal + mutation_level
+    random, density = rng.random, model.kernel.density
+    flat = [trait for trait, weight in initial.entries for _ in range(weight)]
     t = 0.0
     events: list[Event] = []
     candidates = 0
-    while not config.is_void:
-        n = config.total_mass
+    while flat:
+        n = len(flat)
         per_index = births + rows.death(n)
-        t_next = t + holding_time(rng, n * per_index)
-        if t_next > horizon:
+        rate = n * per_index
+        while True:  # candidates at mass n until one is accepted
+            t -= math.log(1.0 - random()) / rate
+            if t > horizon:
+                break
+            candidates += 1
+            which = random() * per_index
+            trait = flat[min(int(random() * n), n - 1)]
+            if which < clonal:
+                kind, child = EventKind.CLONAL, trait
+            elif which >= births:
+                kind, child = EventKind.DEATH, None
+            else:
+                child = sample_base(rng)
+                if random() * mutation_level > mutation * density(trait, child):
+                    continue
+                kind = EventKind.MUTATION
             break
-        t = t_next
-        candidates += 1
-        which = rng.random() * per_index
-        trait = individual_at(config, rng.random())
-        if which < clonal:
-            events.append(Event(t, EventKind.CLONAL, trait, trait))
-            config = config.add(trait)
-        elif which < births:
-            child = sample_base(rng)
-            if rng.random() * mutation_level <= mutation * model.kernel.density(trait, child):
-                events.append(Event(t, EventKind.MUTATION, trait, child))
-                config = config.add(child)
-        else:
-            events.append(Event(t, EventKind.DEATH, trait, None))
+        if t > horizon:
+            break
+        events.append(Event(t, kind, trait, child))
+        if child is None:
             config = config.remove(trait)
+            del flat[bisect_left(flat, trait)]
+        else:
+            config = config.add(child)
+            insort(flat, child)
     return Trajectory(initial, tuple(events), horizon, config, *path_times(initial, events),
                       candidate_count=candidates, accepted_count=len(events))
 
@@ -368,8 +390,7 @@ class MassPaths(NamedTuple):
     ``extinction`` is the time the mass hits 0 (0.0 for a void start,
     inf while alive at the horizon). ``at`` has one column of masses per
     checkpoint; a checkpoint at a jump time sees the mass after the jump.
-    ``maximum`` is the running maximum of the mass up to the horizon and
-    ``events`` the number of jumps of all replicas together.
+    ``events`` is the number of jumps of all replicas together.
     ``survivors`` holds, only when asked for, the configurations of the
     replicas alive at the horizon, in replica order.
     """
@@ -378,7 +399,6 @@ class MassPaths(NamedTuple):
     final: np.ndarray
     extinction: np.ndarray
     at: np.ndarray
-    maximum: np.ndarray
     events: int
     survivors: tuple[Configuration, ...]
 
@@ -623,27 +643,22 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     starts = (list(initial) if isinstance(initial, tuple)
               else [initial.draw(rng) for _ in range(size)])
     start = np.array([c.total_mass for c in starts], dtype=np.int64)
-    mass = start.copy()
-    maximum = start.copy()
-    extinction = np.where(start == 0, 0.0, math.inf)
+    mass, last = start.copy(), np.zeros(size)
     at = np.full((size, len(checkpoints)), -1, dtype=np.int64)
     events = 0
     # narrow dtypes keep the step log of survivors small: 5 bytes a jump,
     # the lane and whether the step is up
     log = [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool))]
-    rounds = _lockstep(start, t_end, _MassRates(model, int(start.max(initial=0))),
+    rounds = _lockstep(mass, last, t_end, _MassRates(model, int(start.max(initial=0))),
                        lambda lane, r: rng.standard_exponential(lane.size) / r[3],
                        lambda lane, r: rng.random(lane.size) * r[3] < r[0])
-    for lane, t, _, now, before, after in rounds:
+    for lane, t, _, now, before, up in rounds:
         _checkpoints(at, checkpoints, lane, t, now, before)
-        mass[lane] = after
-        maximum[lane] = np.maximum(maximum[lane], after)
         events += lane.size
         if survivors:
-            log.append((lane.astype(np.int32), after > before))
-        if not _every(after):
-            gone = after == 0
-            extinction[lane[gone]] = now[gone]
+            log.append((lane.astype(np.int32), up))
+    # a void start dies out at 0.0, which its last time holds
+    extinction = np.where(mass == 0, last, math.inf)
     # a checkpoint that no jump passed sees the mass the path ended with
     at = np.where(at < 0, mass[:, None], at)
     kept: tuple[Configuration, ...] = ()
@@ -662,7 +677,7 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         del ids
         kept = _urns(model, [starts[i] for i in lanes.tolist()], start[lanes], steps,
                      lengths, mass[lanes], rng)
-    return MassPaths(start, mass, extinction, at, maximum, events, kept)
+    return MassPaths(start, mass, extinction, at, events, kept)
 
 
 def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: RandomStream,
@@ -698,7 +713,7 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
              initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
             for a in range(0, replicas, CHUNK)]
     parts = map_replicas(chunk, len(work), rng, workers, chunk_size=1, items=work)
-    columns = zip(*(part[:5] for part in parts))
+    columns = zip(*(part[:4] for part in parts))
     return MassPaths(*(np.concatenate(column) for column in columns),
                      sum(part.events for part in parts),
                      tuple(c for part in parts for c in part.survivors))

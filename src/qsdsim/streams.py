@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -151,36 +152,22 @@ class RandomStream:
 class Uniforms:
     """The uniforms of one generator, drawn in blocks and handed out one by one.
 
-    Each call of :meth:`random` returns the value ``gen.random()`` would
+    Each call of :attr:`random` returns the value ``gen.random()`` would
     return next, bit for bit: a block from ``gen.random(size)`` holds the
     values of ``size`` scalar calls in order. Blocks start at 64 values
-    and double up to 4096, so a short run draws little ahead. Only the
-    owner of a generator may wrap it, and it must not draw from the
-    generator afterwards, since the block has already taken the next
-    values. The wrapper stands in for the generator wherever one uniform
-    at a time is drawn through ``random()``.
+    and double up to 4096, so a short run draws little ahead; ``random``
+    is a C-level iterator's ``__next__`` over them, with no Python frame
+    per draw. Only the owner of a generator may wrap it, and it must not
+    draw from the generator afterwards, since the block has already taken
+    the next values. The wrapper stands in for the generator wherever one
+    uniform at a time is drawn through ``random()``.
     """
 
-    __slots__ = ("_gen", "_block", "_next", "_size")
+    __slots__ = ("random",)
 
     def __init__(self, gen: np.random.Generator) -> None:
-        self._gen = gen
-        self._block: list[float] = []
-        self._next = 0
-        self._size = 64
-
-    def random(self) -> float:
-        i = self._next
-        try:
-            value = self._block[i]
-        except IndexError:
-            size = self._size
-            self._block = self._gen.random(size).tolist()
-            self._size = min(2 * size, 4096)
-            value = self._block[0]
-            i = 0
-        self._next = i + 1
-        return value
+        sizes = chain((64 << k for k in range(6)), repeat(4096))
+        self.random = chain.from_iterable(gen.random(size).tolist() for size in sizes).__next__
 
 
 def _run_chunk(args: tuple):

@@ -141,14 +141,10 @@ def _martingale_chunk(model: RateModel, f: TestFunction, initial: Configuration,
                       t: float, gens: list) -> np.ndarray:
     # L f is constant between jumps, so the integral is exact; it is summed
     # per replica in jump order once the masses reached are known
-    mass = np.full(len(gens), initial.total_mass)
-    last = np.zeros(len(gens))
-    steps = []
+    mass, last = np.full(len(gens), initial.total_mass), np.zeros(len(gens))
     rates, replay = _MassRates(model, initial.total_mass), _Replay(gens)
-    for lane, _, hold, now, before, after in _lockstep(mass, t, rates, replay.hold, replay.up):
-        steps.append((lane, hold, before))
-        mass[lane] = after
-        last[lane] = now
+    steps = [(lane, hold, before) for lane, _, hold, _, before, _
+             in _lockstep(mass, last, t, rates, replay.hold, replay.up)]
     values, drift = _by_mass(f, rates)
     integral = np.zeros(len(gens))
     for lane, hold, before in steps:
@@ -192,10 +188,9 @@ def _lyapunov_chunk(model: RateModel, initial: Configuration, grid: tuple[float,
     mass = np.full(len(gens), initial.total_mass)
     seen = np.full((len(gens), len(grid)), -1)
     rates, replay = _MassRates(model, initial.total_mass), _Replay(gens)
-    for lane, t, _, now, before, after in _lockstep(mass, grid[-1], rates, replay.hold,
-                                                    replay.up):
+    for lane, t, _, now, before, _ in _lockstep(mass, np.zeros(len(gens)), grid[-1], rates,
+                                                replay.hold, replay.up):
         _checkpoints(seen, grid, lane, t, now, before)
-        mass[lane] = after
     seen = np.where(seen < 0, mass[:, None], seen)
     values = np.array([[math.exp(a * n - lam_star * g) if n else 0.0 for a, g in zip(a_at, grid)]
                        for n in range(int(seen.max()) + 1)])

@@ -10,14 +10,15 @@ give.
 import dataclasses
 import math
 from collections import Counter
-from typing import Sequence
+from functools import partial
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from qsdsim.configuration import Configuration
 from qsdsim.rates import LogisticModel, RateModel
-from qsdsim.simulator import MassPaths, _jumps, _urns, mass_paths
-from qsdsim.streams import RandomStream, Uniforms
+from qsdsim.simulator import CHUNK, _jumps, _urns
+from qsdsim.streams import RandomStream, Uniforms, map_replicas
 from qsdsim.validation import TestFunction, generator_apply
 
 
@@ -36,17 +37,41 @@ class CountingDeaths(LogisticModel):
         return super().per_capita_death(n)
 
 
-def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
+def hitting_tail(model: RateModel, initial: Configuration, t: float, k_values: Sequence[int],
                  replicas: int, rng: RandomStream,
                  workers: int = 1) -> list[tuple[int, float]]:
     """Empirical P(total mass reaches K by time t) for each K.
 
     Computed from the running maximum of each replica, so the estimates
     are automatically nonincreasing in K on the shared replica set. Runs
-    on :func:`~qsdsim.simulator.mass_paths`.
+    :func:`mass_chunk`, which keeps that maximum, on the chunks of
+    :func:`~qsdsim.simulator.mass_paths` (:func:`reference_chunks`).
     """
-    maxima = mass_paths(model, initial, t, replicas, rng, workers).maximum
+    chunks = reference_chunks(model, initial, t, replicas, rng, workers)
+    maxima = np.concatenate([chunk.maximum for chunk in chunks])
     return [(int(k), float(np.mean(maxima >= k))) for k in k_values]
+
+
+def reference_chunks(model: RateModel, initial, t_end: float, replicas: int,
+                     rng: RandomStream, workers: int = 1, checkpoints: Sequence[float] = (),
+                     survivors: bool = False) -> list:
+    """:func:`mass_chunk` on each chunk of ``mass_paths`` with the same arguments.
+
+    The layout is ``mass_paths``' own: :data:`~qsdsim.simulator.CHUNK`
+    replicas per chunk, chunk c on ``rng.substream(c)``, so each chunk's
+    columns are the package's bit for bit.
+    """
+    if replicas < 1:
+        raise ValueError("replicas must be positive")
+    model.check_regime()
+    if isinstance(initial, Configuration):
+        initial = (initial,) * replicas
+    chunk = partial(mass_chunk, model, float(t_end), tuple(float(c) for c in checkpoints),
+                    survivors)
+    work = [(min(CHUNK, replicas - a),
+             initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
+            for a in range(0, replicas, CHUNK)]
+    return map_replicas(chunk, len(work), rng, workers, chunk_size=1, items=work)
 
 
 def urn(model: RateModel, start: Configuration, steps: np.ndarray,
@@ -72,14 +97,31 @@ def urn(model: RateModel, start: Configuration, steps: np.ndarray,
     return Configuration(tuple(sorted(Counter(traits).items())))
 
 
+class ReferenceChunk(NamedTuple):
+    """A chunk of :class:`~qsdsim.simulator.MassPaths` with each replica's running maximum.
+
+    The first four fields and ``events`` and ``survivors`` are those of
+    ``MassPaths``, so that ``mass_paths`` can merge these chunks.
+    """
+
+    start: np.ndarray
+    final: np.ndarray
+    extinction: np.ndarray
+    at: np.ndarray
+    events: int
+    survivors: tuple[Configuration, ...]
+    maximum: np.ndarray
+
+
 def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
-               survivors: bool, gens: list, parts: list) -> MassPaths:
+               survivors: bool, gens: list, parts: list) -> ReferenceChunk:
     """``simulator._mass_chunk`` with the rates of every live lane evaluated every round.
 
     Each round calls ``model.mass_birth_death_rates`` on the masses of all
     live lanes, and filters the lanes that stop whether or not any does.
     The package reads the same rates from a table filled once per mass
-    reached; the two must give the same chunk bit for bit.
+    reached; the two must give the same chunk bit for bit. The chunk also
+    keeps the running maximum of each replica's mass up to the horizon.
     """
     (rng,), ((size, initial),) = gens, parts
     starts = (list(initial) if isinstance(initial, tuple)
@@ -125,7 +167,7 @@ def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         lengths = np.bincount(ids, minlength=size)[lanes]
         kept = _urns(model, [starts[i] for i in lanes.tolist()], start[lanes], steps,
                      lengths, mass[lanes], rng)
-    return MassPaths(start, mass, extinction, at, maximum, events, kept)
+    return ReferenceChunk(start, mass, extinction, at, events, kept, maximum)
 
 
 def martingale_replica(model: RateModel, f: TestFunction, initial: Configuration,

@@ -403,16 +403,19 @@ def test_lockstep_moment_bound_rows_are_the_one_at_a_time_rows(uniform_model, lo
 
 def _replayed_jumps(model, start, t, gens):
     """Per replica, the (start, end, holding time, mass after) of each jump the
-    lockstep replay takes from mass ``start``, and its rate table."""
+    lockstep replay takes from mass ``start``; its rate table; and the final
+    masses and last jump times the stepper writes."""
     rates = simulator._MassRates(model, start)
     replay = simulator._Replay(gens)
     got = [[] for _ in gens]
-    rounds = simulator._lockstep(np.full(len(gens), start), t, rates, replay.hold, replay.up)
-    for lane, t0, hold, now, _, after in rounds:
+    mass, last = np.full(len(gens), start), np.zeros(len(gens))
+    rounds = simulator._lockstep(mass, last, t, rates, replay.hold, replay.up)
+    for lane, t0, hold, now, before, up in rounds:
+        after = np.where(up, before + 1, before - 1)
         for i, *jump in zip(lane.tolist(), t0.tolist(), now.tolist(), hold.tolist(),
                             after.tolist()):
             got[i].append(tuple(jump))
-    return got, rates
+    return got, rates, mass, last
 
 
 def _full_jumps(model, initial, t, gen, rows):
@@ -442,9 +445,12 @@ def test_lockstep_mass_jumps_from_any_start_mass_are_the_jumps_of_the_full_engin
     rows = model.rate_table()
     ref = [_full_jumps(model, initial, t, gen, rows)
            for gen in RandomStream(seed).replica_generators(0, 50)]
-    got, rates = _replayed_jumps(model, start, t,
-                                 list(RandomStream(seed).replica_generators(0, 50)))
+    got, rates, mass, last = _replayed_jumps(model, start, t,
+                                             list(RandomStream(seed).replica_generators(0, 50)))
     assert got == ref
+    # each lane leaves with the mass after its last jump, and that jump's time
+    assert mass.tolist() == [jumps[-1][3] if jumps else start for jumps in ref]
+    assert last.tolist() == [jumps[-1][1] if jumps else 0.0 for jumps in ref]
     # the table's filled masses are the masses the full engine read
     assert np.flatnonzero(rates.by_mass[3]).tolist() == sorted(rows)
 
