@@ -37,7 +37,7 @@ class CountingDeaths(LogisticModel):
         return super().per_capita_death(n)
 
 
-def hitting_tail(model: RateModel, initial: Configuration, t: float, k_values: Sequence[int],
+def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
                  replicas: int, rng: RandomStream,
                  workers: int = 1) -> list[tuple[int, float]]:
     """Empirical P(total mass reaches K by time t) for each K.
@@ -53,21 +53,20 @@ def hitting_tail(model: RateModel, initial: Configuration, t: float, k_values: S
 
 
 def reference_chunks(model: RateModel, initial, t_end: float, replicas: int,
-                     rng: RandomStream, workers: int = 1, checkpoints: Sequence[float] = (),
-                     survivors: bool = False) -> list:
+                     rng: RandomStream, workers: int = 1) -> list:
     """:func:`mass_chunk` on each chunk of ``mass_paths`` with the same arguments.
 
     The layout is ``mass_paths``' own: :data:`~qsdsim.simulator.CHUNK`
     replicas per chunk, chunk c on ``rng.substream(c)``, so each chunk's
-    columns are the package's bit for bit.
+    columns are the package's bit for bit. No checkpoints are read and no
+    survivors kept; neither changes a chunk's mass paths.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
     model.check_regime()
     if isinstance(initial, Configuration):
         initial = (initial,) * replicas
-    chunk = partial(mass_chunk, model, float(t_end), tuple(float(c) for c in checkpoints),
-                    survivors)
+    chunk = partial(mass_chunk, model, float(t_end), (), False)
     work = [(min(CHUNK, replicas - a),
              initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
             for a in range(0, replicas, CHUNK)]
