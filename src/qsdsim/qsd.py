@@ -88,7 +88,12 @@ class QsdEstimate:
 
     @property
     def ess(self) -> float:
-        """Effective sample size 1/sum of squared weights."""
+        """1/sum of squared weights over the merged configurations.
+
+        Weights are merged per distinct configuration, so this is an
+        inverse Simpson index of the estimated law, not an effective
+        sample size: it does not count independent draws.
+        """
         return float(1.0 / np.square(self.weights).sum())
 
     def draw(self, rng: np.random.Generator) -> Configuration:
@@ -149,8 +154,12 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
                              f" {YAGLOM_STAGES} to t={t!r}")
         lineage = lineage[np.flatnonzero(paths.final) // copies]
         copies = replicas // len(paths.survivors)
-        starts = tuple(c for c in paths.survivors for _ in range(copies))
-        size = len(starts)
+        size = copies * len(paths.survivors)
+        # survivor s fills slots s copies to (s + 1) copies - 1
+        copied = [None] * size
+        for k in range(copies):
+            copied[k::copies] = paths.survivors
+        starts = tuple(copied)
     return _estimate_from_counts(Counter(paths.survivors), burn_in=0.0,
                                  particles=len(np.unique(lineage)), events=events)
 

@@ -379,8 +379,9 @@ ENGINES = {
 }
 
 
-# Replicas per lockstep chunk of mass_paths; a constant, so that no result
-# depends on the worker count.
+# Replicas per chunk of mass_paths, each chunk drawing from a stream of its
+# own; a constant, so that no result depends on the worker count. A worker
+# runs all of its chunks together.
 CHUNK = 4096
 
 
@@ -403,15 +404,15 @@ class MassPaths(NamedTuple):
     survivors: tuple[Configuration, ...]
 
 
-# Steps the urn takes in one batch of survivors: a bound on what one
-# chunk's urn holds at once.
+# Steps the urn takes in one batch of survivors: a bound on what the urn
+# holds at once.
 _BATCH = 32768
 
 
 def _urns(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
           steps: np.ndarray, lengths: np.ndarray, finals: np.ndarray,
-          rng: np.random.Generator) -> tuple[Configuration, ...]:
-    """Traits along the mass paths of a chunk's survivors, in numpy lockstep urns.
+          gens: Sequence[np.random.Generator], owns: np.ndarray) -> tuple[Configuration, ...]:
+    """Traits along the mass paths of survivors, in numpy lockstep urns.
 
     Survivor s starts from ``starts[s]`` at mass ``masses[s]``, takes the
     ``lengths[s]`` ±1 ``steps`` that follow those of survivors 0..s-1 and
@@ -422,11 +423,13 @@ def _urns(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
     the mass path these are the exact conditional laws, since every
     individual carries the same rates.
 
-    The urn draws from ``rng`` exactly the uniforms of running the
-    survivors one after another (:func:`_urn_uniforms`). It runs the
-    survivors in batches of consecutive ones with about :data:`_BATCH`
-    steps together (:func:`_urn_batch`), so that what it holds at once
-    stays bounded however long the paths are.
+    Generator ``gens[j]`` owns survivors ``owns[j]`` to ``owns[j + 1]``,
+    a chunk's survivors in :func:`mass_paths`. The urn draws from each
+    exactly the uniforms of running its survivors one after another
+    (:func:`_urn_uniforms`). It runs the survivors in batches of
+    consecutive ones with about :data:`_BATCH` steps together
+    (:func:`_urn_batch`), so that what it holds at once stays bounded
+    however long the paths are; a batch may span generators.
     """
     if not len(lengths):
         return ()
@@ -436,13 +439,13 @@ def _urns(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
     kept: list[Configuration] = []
     for a, b in zip(bounds, bounds[1:]):
         kept += _urn_batch(model, starts[a:b], masses[a:b], steps[edge[a]:edge[b]],
-                           lengths[a:b], finals[a:b], rng)
+                           lengths[a:b], finals[a:b], gens, np.clip(owns, a, b) - a)
     return tuple(kept)
 
 
 def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
                steps: np.ndarray, lengths: np.ndarray, finals: np.ndarray,
-               rng: np.random.Generator) -> list[Configuration]:
+               gens: Sequence[np.random.Generator], owns: np.ndarray) -> list[Configuration]:
     """:func:`_urns` on a batch of survivors at once.
 
     Every mass along the paths is known beforehand, so every step's
@@ -466,7 +469,7 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
     mass -= steps
     net = finals - masses
     mass += np.repeat(masses - (np.cumsum(net, dtype=index) - net), lengths)
-    pick, mutates, kernel_u = _urn_uniforms(model.rho, up, lengths, mass, rng, index)
+    pick, mutates, kernel_u = _urn_uniforms(model.rho, up, lengths, mass, gens, owns, index)
 
     # row r of node ids is the list of the survivor of rank r, longest
     # path first; a birth reads its parent and writes the child after the
@@ -563,41 +566,57 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
 
 
 def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndarray,
-                  rng: np.random.Generator, index) -> tuple[np.ndarray, ...]:
-    """The urn's uniforms, drawn as running the survivors one after another would.
+                  gens: Sequence[np.random.Generator], owns: np.ndarray,
+                  index) -> tuple[np.ndarray, ...]:
+    """The urn's uniforms, drawn as running each generator's survivors one after another would.
 
     Survivor s reads ``lengths[s]`` picks, as many mutation flags, then
-    one kernel uniform per mutating birth; its steps are ``up`` (births)
-    and the ``mass`` before each. Returns, per step, the rank of the
-    picked individual, truncated as int() does, and whether the step is
-    a mutating birth, and the kernel uniforms in step order. One block
-    long enough for every survivor, two uniforms a step and one a birth,
-    is read at once, and one scan over its flags finds where each
-    survivor's uniforms start. The generator is then set back and
-    advanced past exactly the uniforms used, one PCG64 output per
-    double, so that ``rng`` is left where running the survivors one at a
-    time would leave it.
+    one kernel uniform per mutating birth, from the generator that owns
+    it (``gens[j]`` owns survivors ``owns[j]`` to ``owns[j + 1]``); its
+    steps are ``up`` (births) and the ``mass`` before each. Returns, per
+    step, the rank of the picked individual, truncated as int() does,
+    and whether the step is a mutating birth, and the kernel uniforms in
+    step order. From each generator one block long enough for all of its
+    survivors, two uniforms a step and one a birth, is read at once, and
+    one scan over its flags finds where each survivor's uniforms start.
+    The generator is then set back and advanced past exactly the
+    uniforms used, one PCG64 output per double, so that it is left where
+    running its survivors one at a time would leave it. A generator that
+    owns no survivor draws nothing.
     """
     total = len(up)
-    state = rng.bit_generator.state
-    uniforms = rng.random(2 * total + int(np.count_nonzero(up)))
-    flag = uniforms < rho
-    # survivor s takes 2 lengths[s] uniforms and one per mutating birth,
-    # counted as the set bits of its birth bytes ANDed with its flag bytes
-    below, births = memoryview(flag.view(np.uint8)), memoryview(up.view(np.uint8))
-    offsets = []
+    births = memoryview(up.view(np.uint8))
+    spans = lengths.tolist()
+    blocks, flags, offsets = [], [], []
     mark = offsets.append
     word = int.from_bytes
-    here = lo = 0
-    for n in lengths.tolist():
-        mark(here)
-        here += 2 * n + (word(births[lo:lo + n], "little")
-                         & word(below[here + n:here + 2 * n], "little")).bit_count()
-        lo += n
-    mark(here)
-    del below, births
-    rng.bit_generator.state = state
-    rng.bit_generator.advance(here)
+    used = lo = 0
+    owns = owns.tolist()
+    for rng, a, b in zip(gens, owns, owns[1:]):
+        if a == b:
+            continue
+        state = rng.bit_generator.state
+        count = sum(spans[a:b])
+        uniforms = rng.random(2 * count + int(np.count_nonzero(up[lo:lo + count])))
+        flag = uniforms < rho
+        # survivor s takes 2 lengths[s] uniforms and one per mutating birth,
+        # counted as the set bits of its birth bytes ANDed with its flag bytes
+        below = memoryview(flag.view(np.uint8))
+        here = 0
+        for n in spans[a:b]:
+            mark(used + here)
+            here += 2 * n + (word(births[lo:lo + n], "little")
+                             & word(below[here + n:here + 2 * n], "little")).bit_count()
+            lo += n
+        del below
+        rng.bit_generator.state = state
+        rng.bit_generator.advance(here)
+        blocks.append(uniforms[:here])
+        flags.append(flag[:here])
+        used += here
+    mark(used)
+    del births
+    uniforms, flag = ((x[0] if len(x) == 1 else np.concatenate(x)) for x in (blocks, flags))
     # step k of survivor s reads its pick at offsets[s] + k and its flag
     # lengths[s] later; its i-th mutating birth reads the kernel uniform
     # at offsets[s] + 2 lengths[s] + i
@@ -625,23 +644,36 @@ def _scatter(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return out
 
 
+def _by_chunk(draws: list, edge: list, lane: np.ndarray) -> np.ndarray:
+    # draws[j](k) for the k live lanes of chunk j, which holds lanes edge[j]
+    # to edge[j + 1]; a chunk with no live lane draws nothing
+    cut = np.searchsorted(lane, edge).tolist()
+    drawn = [draw(b - a) for draw, a, b in zip(draws, cut, cut[1:]) if b > a]
+    return drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
+
+
 def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
                 survivors: bool, gens: list, parts: list) -> MassPaths:
-    """One chunk of replicas advanced together on the mass chain alone.
+    """A worker's chunks of replicas advanced together on the mass chain alone.
 
-    ``gens`` holds the chunk's one generator ``rng`` and ``parts`` its one
-    ``(size, initial)``: the replica count and either a tuple of one start
-    per replica or a law whose ``draw(rng)`` gives each start. Each round
-    of :func:`_lockstep` draws the live replicas' holding times, then a
-    uniform each for the up steps, from ``rng``. With ``survivors`` the
-    steps are kept, and the replicas alive at t_end get their traits
-    from one :func:`_urns` call, which draws from ``rng`` after the mass
-    chain, in the order of running the survivors one after another in
-    replica order.
+    Chunk j draws from ``gens[j]``, and ``parts[j]`` is its ``(size,
+    initial)``: the replica count and either a tuple of one start per
+    replica or a law whose ``draw(rng)`` gives each start. All chunks run
+    in one :func:`_lockstep`, their lanes side by side in chunk order.
+    Each round chunk j draws its live replicas' holding times, then a
+    uniform each for the up steps, from ``gens[j]``, as a run of chunk j
+    alone would; a chunk with no live replica draws nothing. With
+    ``survivors`` the steps are kept, and the replicas alive at t_end get
+    their traits from one :func:`_urns` call, in which each chunk's
+    survivors draw from its generator after its mass chain, in the order
+    of running them one after another in replica order.
     """
-    (rng,), ((size, initial),) = gens, parts
-    starts = (list(initial) if isinstance(initial, tuple)
-              else [initial.draw(rng) for _ in range(size)])
+    starts: list[Configuration] = []
+    for rng, (size, initial) in zip(gens, parts):
+        starts += (initial if isinstance(initial, tuple)
+                   else [initial.draw(rng) for _ in range(size)])
+    edge = [0, *np.cumsum([size for size, _ in parts]).tolist()]
+    size = edge[-1]
     start = np.array([c.total_mass for c in starts], dtype=np.int64)
     mass, last = start.copy(), np.zeros(size)
     at = np.full((size, len(checkpoints)), -1, dtype=np.int64)
@@ -649,9 +681,11 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     # narrow dtypes keep the step log of survivors small: 5 bytes a jump,
     # the lane and whether the step is up
     log = [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool))]
+    hold = partial(_by_chunk, [rng.standard_exponential for rng in gens], edge)
+    draw = partial(_by_chunk, [rng.random for rng in gens], edge)
     rounds = _lockstep(mass, last, t_end, _MassRates(model, int(start.max(initial=0))),
-                       lambda lane, r: rng.standard_exponential(lane.size) / r[3],
-                       lambda lane, r: rng.random(lane.size) * r[3] < r[0])
+                       lambda lane, r: hold(lane) / r[3],
+                       lambda lane, r: draw(lane) * r[3] < r[0])
     for lane, t, _, now, before, up in rounds:
         _checkpoints(at, checkpoints, lane, t, now, before)
         events += lane.size
@@ -676,7 +710,7 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         lengths = np.bincount(ids, minlength=size)[lanes]
         del ids
         kept = _urns(model, [starts[i] for i in lanes.tolist()], start[lanes], steps,
-                     lengths, mass[lanes], rng)
+                     lengths, mass[lanes], gens, np.searchsorted(lanes, edge))
     return MassPaths(start, mass, extinction, at, events, kept)
 
 
@@ -691,9 +725,11 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     tuple of ``replicas`` configurations (replica r starts from the
     r-th), or anything with a ``draw(rng) -> Configuration`` method,
     drawn once per replica.
-    Replicas run in chunks of :data:`CHUNK`, all through
-    :func:`~qsdsim.streams.map_replicas`, and chunk c draws from
-    ``rng.substream(c)``. Checkpoints may come in any order but must lie
+    Replicas run in chunks of :data:`CHUNK`, and chunk c draws from
+    ``rng.substream(c)``: a chunk is the unit of the random stream, so
+    no result depends on the worker count. Each worker runs its share of
+    the chunks together in one :func:`_mass_chunk` call, through one
+    :func:`~qsdsim.streams.map_replicas`. Checkpoints may come in any order but must lie
     within [0, t_end]. With ``survivors`` the result also carries the
     configurations of the replicas alive at t_end, their traits drawn by
     the urn.
@@ -712,7 +748,8 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     work = [(min(CHUNK, replicas - a),
              initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
             for a in range(0, replicas, CHUNK)]
-    parts = map_replicas(chunk, len(work), rng, workers, chunk_size=1, items=work)
+    parts = map_replicas(chunk, len(work), rng, workers, chunk_size=-(-len(work) // workers),
+                         items=work)
     columns = zip(*(part[:4] for part in parts))
     return MassPaths(*(np.concatenate(column) for column in columns),
                      sum(part.events for part in parts),

@@ -53,20 +53,21 @@ def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
 
 
 def reference_chunks(model: RateModel, initial, t_end: float, replicas: int,
-                     rng: RandomStream, workers: int = 1) -> list:
+                     rng: RandomStream, workers: int = 1, checkpoints: tuple[float, ...] = (),
+                     survivors: bool = False) -> list:
     """:func:`mass_chunk` on each chunk of ``mass_paths`` with the same arguments.
 
     The layout is ``mass_paths``' own: :data:`~qsdsim.simulator.CHUNK`
-    replicas per chunk, chunk c on ``rng.substream(c)``, so each chunk's
-    columns are the package's bit for bit. No checkpoints are read and no
-    survivors kept; neither changes a chunk's mass paths.
+    replicas per chunk, chunk c on ``rng.substream(c)``, each chunk run
+    alone on its own generator, so that the chunks' columns, events and
+    survivors, in chunk order, are the package's bit for bit.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
     model.check_regime()
     if isinstance(initial, Configuration):
         initial = (initial,) * replicas
-    chunk = partial(mass_chunk, model, float(t_end), (), False)
+    chunk = partial(mass_chunk, model, float(t_end), tuple(checkpoints), survivors)
     work = [(min(CHUNK, replicas - a),
              initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
             for a in range(0, replicas, CHUNK)]
@@ -165,7 +166,7 @@ def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         lanes = np.flatnonzero(mass)
         lengths = np.bincount(ids, minlength=size)[lanes]
         kept = _urns(model, [starts[i] for i in lanes.tolist()], start[lanes], steps,
-                     lengths, mass[lanes], rng)
+                     lengths, mass[lanes], [rng], np.array([0, len(lanes)]))
     return ReferenceChunk(start, mass, extinction, at, events, kept, maximum)
 
 

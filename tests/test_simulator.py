@@ -537,16 +537,66 @@ def test_mass_paths_give_the_per_lane_rate_rounds_bit_for_bit(model, seed, repli
     initial = {"one": START, "law": ESTIMATE,
                "mixed": tuple(_POOL[picks[r % len(picks)]] for r in range(replicas))}[form]
     checkpoints = tuple(sorted(c * horizon for c in cuts))
-    runs = []
-    for chunk in (simulator._mass_chunk, mass_chunk):
-        with mock.patch.object(simulator, "_mass_chunk", chunk):
-            runs.append(mass_paths(model, initial, horizon, replicas, RandomStream(seed),
-                                   checkpoints=checkpoints, survivors=survivors))
-    got, want = runs
-    for one, two in zip(got[:4], want[:4]):
+    got = mass_paths(model, initial, horizon, replicas, RandomStream(seed),
+                     checkpoints=checkpoints, survivors=survivors)
+    # each chunk run alone on its own generator, the rates of every live
+    # lane evaluated every round
+    want = reference_chunks(model, initial, horizon, replicas, RandomStream(seed),
+                            checkpoints=checkpoints, survivors=survivors)
+    for k, one in enumerate(got[:4]):
+        two = np.concatenate([chunk[k] for chunk in want])
         assert one.dtype == two.dtype and np.array_equal(one, two)
-    assert got.events == want.events
-    assert [c.entries for c in got.survivors] == [c.entries for c in want.survivors]
+    assert got.events == sum(chunk.events for chunk in want)
+    assert [c.entries for c in got.survivors] == [c.entries for chunk in want
+                                                  for c in chunk.survivors]
+
+
+class _Logged:
+    """A generator that logs the size of every array it draws."""
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        self.gen, self.sizes = gen, []
+        self.bit_generator = gen.bit_generator
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.gen.random(size)
+
+    def standard_exponential(self, size):
+        self.sizes.append(size)
+        return self.gen.standard_exponential(size)
+
+
+def test_a_chunk_that_dies_out_draws_nothing_more_beside_a_long_lived_one(uniform_model):
+    # chunk 0 holds void and mass-1 starts, all of which die out in the
+    # first round at this seed; chunk 1 starts at mass 8 and lives on
+    parts = [(6, (Configuration.void(), Configuration.singleton(0.1)) * 3),
+             (40, (Configuration.from_pairs(((0.2, 5), (0.6, 3))),) * 40)]
+    stream = RandomStream(2)
+
+    def logged():
+        return [_Logged(stream.substream(c).generator()) for c in range(len(parts))]
+
+    gens = logged()
+    got = simulator._mass_chunk(uniform_model, 2.0, (0.5, 2.0), True, gens, parts)
+    refs = logged()
+    want = [mass_chunk(uniform_model, 2.0, (0.5, 2.0), True, [ref], [part])
+            for ref, part in zip(refs, parts)]
+    dying, lasting = want
+    assert (dying.final == 0).all() and dying.events == 3 and not dying.survivors
+    assert lasting.survivors and lasting.events > 100
+    for k, one in enumerate(got[:4]):
+        assert np.array_equal(one, np.concatenate([chunk[k] for chunk in want]))
+    assert got.events == dying.events + lasting.events
+    assert got.survivors == lasting.survivors
+    # the dying chunk drew its holding times and up steps once, and then
+    # nothing; the reference also draws an empty array once every lane of
+    # a chunk has stopped at t_end, which leaves its generator as it is
+    assert gens[0].sizes == refs[0].sizes == [3, 3]
+    assert 0 in refs[1].sizes
+    assert gens[1].sizes == [size for size in refs[1].sizes if size]
+    for gen, ref in zip(gens, refs):
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 def _joint_law(configs, kmax=15):
@@ -706,30 +756,65 @@ def _survivor_path(start: Configuration, ups: list[bool]) -> list[int]:
     return path
 
 
-@settings(max_examples=200, deadline=None)
-@given(kernel=st.one_of(st.just(UniformKernel()),
-                        st.floats(0.005, 0.5).map(TruncatedGaussianKernel)),
-       rho=st.floats(0.01, 0.99), shared=st.booleans(),
-       chunk=st.lists(st.tuples(_STARTS, st.lists(st.booleans(), max_size=40)), max_size=8),
-       seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([simulator._BATCH, 1, 7, 30]))
-def test_lockstep_urns_give_the_one_at_a_time_urn_bit_for_bit(kernel, rho, shared, chunk,
-                                                               seed, batch):
-    # small batches split the survivors, and paths longer than a batch run alone
-    model = UniformModel(lam=2.0, b=1.0, rho=rho, kernel=kernel)
-    if shared and chunk:
-        chunk = [(chunk[0][0], ups) for _, ups in chunk]
+def _urn_input(chunk):
+    """Starts, start masses, steps, path lengths and final masses of survivors ``chunk``."""
     starts = [start for start, _ in chunk]
     paths = [np.array(_survivor_path(start, ups), dtype=np.int8) for start, ups in chunk]
     masses = np.array([c.total_mass for c in starts], dtype=np.int64)
     finals = masses + np.array([p.sum() for p in paths], dtype=np.int64)
     lengths = np.array([len(p) for p in paths], dtype=np.int64)
     steps = np.concatenate([np.zeros(0, dtype=np.int8), *paths])
+    return starts, masses, steps, lengths, finals
+
+
+_KERNELS = st.one_of(st.just(UniformKernel()), st.floats(0.005, 0.5).map(TruncatedGaussianKernel))
+_SURVIVORS = st.lists(st.tuples(_STARTS, st.lists(st.booleans(), max_size=40)), max_size=8)
+_BATCHES = st.sampled_from([simulator._BATCH, 1, 7, 30])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel=_KERNELS, rho=st.floats(0.01, 0.99), shared=st.booleans(), chunk=_SURVIVORS,
+       seed=st.integers(0, 2**32 - 1), batch=_BATCHES)
+def test_lockstep_urns_give_the_one_at_a_time_urn_bit_for_bit(kernel, rho, shared, chunk,
+                                                               seed, batch):
+    # small batches split the survivors, and paths longer than a batch run alone
+    model = UniformModel(lam=2.0, b=1.0, rho=rho, kernel=kernel)
+    if shared and chunk:
+        chunk = [(chunk[0][0], ups) for _, ups in chunk]
+    starts, masses, steps, lengths, finals = _urn_input(chunk)
     lockstep = np.random.default_rng(seed)
     with mock.patch.object(simulator, "_BATCH", batch):
-        got = _urns(model, starts, masses, steps, lengths, finals, lockstep)
+        got = _urns(model, starts, masses, steps, lengths, finals, [lockstep],
+                    np.array([0, len(chunk)]))
     rng = np.random.default_rng(seed)
-    want = [urn(model, start, path, rng) for start, path in zip(starts, paths)]
+    want = [urn(model, start, np.array(_survivor_path(start, ups), dtype=np.int8), rng)
+            for start, ups in chunk]
     assert [c.serialize() for c in got] == [c.serialize() for c in want]
     assert [c.total_mass for c in got] == finals.tolist()
     # the lockstep urn leaves the generator where the one-at-a-time urn does
     assert lockstep.random() == rng.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel=_KERNELS, rho=st.floats(0.01, 0.99), chunk=_SURVIVORS,
+       cuts=st.lists(st.integers(0, 8), max_size=4), seed=st.integers(0, 2**32 - 1),
+       batch=_BATCHES)
+def test_lockstep_urns_split_among_generators_give_each_generator_its_own_urns(
+        kernel, rho, chunk, cuts, seed, batch):
+    # generator j owns survivors owns[j] to owns[j + 1], some of them none;
+    # small batches span several owners
+    model = UniformModel(lam=2.0, b=1.0, rho=rho, kernel=kernel)
+    starts, masses, steps, lengths, finals = _urn_input(chunk)
+    owns = [0, *sorted(min(c, len(chunk)) for c in cuts), len(chunk)]
+    gens = [np.random.default_rng([seed, j]) for j in range(len(owns) - 1)]
+    with mock.patch.object(simulator, "_BATCH", batch):
+        got = _urns(model, starts, masses, steps, lengths, finals, gens, np.array(owns))
+    refs = [np.random.default_rng([seed, j]) for j in range(len(owns) - 1)]
+    edge = np.concatenate(([0], np.cumsum(lengths))).tolist()
+    want = []
+    for ref, a, b in zip(refs, owns, owns[1:]):
+        want += _urns(model, starts[a:b], masses[a:b], steps[edge[a]:edge[b]], lengths[a:b],
+                      finals[a:b], [ref], np.array([0, b - a]))
+    assert [c.serialize() for c in got] == [c.serialize() for c in want]
+    for gen, ref in zip(gens, refs):
+        assert gen.bit_generator.state == ref.bit_generator.state
