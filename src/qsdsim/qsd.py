@@ -154,12 +154,11 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
                              f" {YAGLOM_STAGES} to t={t!r}")
         lineage = lineage[np.flatnonzero(paths.final) // copies]
         copies = replicas // len(paths.survivors)
-        size = copies * len(paths.survivors)
         # survivor s fills slots s copies to (s + 1) copies - 1
-        copied = [None] * size
+        copied = [None] * (copies * len(paths.survivors))
         for k in range(copies):
             copied[k::copies] = paths.survivors
-        starts = tuple(copied)
+        starts, size = tuple(copied), len(copied)
     return _estimate_from_counts(Counter(paths.survivors), burn_in=0.0,
                                  particles=len(np.unique(lineage)), events=events)
 

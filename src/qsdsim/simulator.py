@@ -15,10 +15,11 @@ strongest correctness checks. Both draw one uniform at a time through
 
 Ensembles take a third route, mass first. Every rate model is
 trait-blind, so the total mass is a birth-death chain on its own. One
-stepper, ``_lockstep``, advances a chunk of replicas on it in numpy
+stepper, ``_lockstep``, advances many replicas on it in numpy
 lockstep on a per-mass rate table, its callers supplying the draws:
-``mass_paths`` those of the chunk's generator, with traits drawn
-afterwards by an urn along each survivor's mass path, in lockstep too;
+``mass_paths`` those of each chunk's generator, a worker's chunks side
+by side, with traits drawn afterwards by an urn along each survivor's
+mass path, in lockstep too;
 the validation checks the uniforms each replica's run of ``_jumps``
 would draw (``_Replay``).
 """
@@ -173,8 +174,8 @@ class _MassRates:
     (birth, clonal, death, total; the last three are ``rate_table()``'s
     bit for bit) and one column per mass n. Called with the lanes'
     masses, it gives their columns, filling the masses read for the first
-    time by one array call of ``model.mass_birth_death_rates``: a chunk
-    evaluates d(n), and its guard, once per mass it reaches. A total of 0
+    time by one array call of ``model.mass_birth_death_rates``: a run of
+    the stepper evaluates d(n), and its guard, once per mass it reaches. A total of 0
     marks a mass not filled yet. Lanes move by one between reads, so the
     table keeps room for one mass past the largest filled.
     """
@@ -587,7 +588,7 @@ def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndar
     total = len(up)
     births = memoryview(up.view(np.uint8))
     spans = lengths.tolist()
-    blocks, flags, offsets = [], [], []
+    blocks, offsets = [], []
     mark = offsets.append
     word = int.from_bytes
     used = lo = 0
@@ -612,11 +613,11 @@ def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndar
         rng.bit_generator.state = state
         rng.bit_generator.advance(here)
         blocks.append(uniforms[:here])
-        flags.append(flag[:here])
         used += here
     mark(used)
     del births
-    uniforms, flag = ((x[0] if len(x) == 1 else np.concatenate(x)) for x in (blocks, flags))
+    uniforms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    flag = uniforms < rho
     # step k of survivor s reads its pick at offsets[s] + k and its flag
     # lengths[s] later; its i-th mutating birth reads the kernel uniform
     # at offsets[s] + 2 lengths[s] + i
