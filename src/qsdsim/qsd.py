@@ -88,12 +88,8 @@ class QsdEstimate:
 
     @property
     def ess(self) -> float:
-        """1/sum of squared weights over the merged configurations.
-
-        Weights are merged per distinct configuration, so this is an
-        inverse Simpson index of the estimated law, not an effective
-        sample size: it does not count independent draws.
-        """
+        """1/sum of squared weights over the merged configurations: an inverse
+        Simpson index of the estimated law, not an effective sample size."""
         return float(1.0 / np.square(self.weights).sum())
 
     def draw(self, rng: np.random.Generator) -> Configuration:

@@ -218,7 +218,8 @@ def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: _MassRate
     where some lane does are the live lanes' masses and last jump times
     written to ``mass`` and ``last`` and the lanes filtered, so lane i
     ends with its final mass in ``mass[i]`` and in ``last[i]`` the time
-    of its last jump, its extinction time if it died out.
+    of its last jump, its extinction time if it died out. A lane array is
+    never written in place: the lanes change only to a new array.
     """
     lane = np.flatnonzero(mass)
     n = mass[lane]
@@ -645,12 +646,25 @@ def _scatter(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return out
 
 
-def _by_chunk(draws: list, edge: list, lane: np.ndarray) -> np.ndarray:
-    # draws[j](k) for the k live lanes of chunk j, which holds lanes edge[j]
-    # to edge[j + 1]; a chunk with no live lane draws nothing
-    cut = np.searchsorted(lane, edge).tolist()
-    drawn = [draw(b - a) for draw, a, b in zip(draws, cut, cut[1:]) if b > a]
-    return drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
+def _by_chunk(draws: list, edge: np.ndarray):
+    """A draw for the sorted live lanes: ``draws[j](k)`` for the k of chunk j, in chunk order.
+
+    Chunk j holds lanes ``edge[j]`` to ``edge[j + 1]``, and one with no
+    live lane draws nothing. The split is found again only for a new lane
+    array, which :func:`_lockstep` hands over whenever the lanes change.
+    """
+    seen = draw = None
+
+    def drawn(lane: np.ndarray) -> np.ndarray:
+        nonlocal seen, draw
+        if lane is not seen:
+            cut = lane.searchsorted(edge).tolist()
+            calls = [partial(one, b - a) for one, a, b in zip(draws, cut, cut[1:]) if b > a]
+            seen = lane
+            draw = calls[0] if len(calls) == 1 else lambda: np.concatenate([f() for f in calls])
+        return draw()
+
+    return drawn
 
 
 def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
@@ -673,8 +687,8 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     for rng, (size, initial) in zip(gens, parts):
         starts += (initial if isinstance(initial, tuple)
                    else [initial.draw(rng) for _ in range(size)])
-    edge = [0, *np.cumsum([size for size, _ in parts]).tolist()]
-    size = edge[-1]
+    edge = np.cumsum([0] + [size for size, _ in parts])
+    size = int(edge[-1])
     start = np.array([c.total_mass for c in starts], dtype=np.int64)
     mass, last = start.copy(), np.zeros(size)
     at = np.full((size, len(checkpoints)), -1, dtype=np.int64)
@@ -682,8 +696,8 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     # narrow dtypes keep the step log of survivors small: 5 bytes a jump,
     # the lane and whether the step is up
     log = [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool))]
-    hold = partial(_by_chunk, [rng.standard_exponential for rng in gens], edge)
-    draw = partial(_by_chunk, [rng.random for rng in gens], edge)
+    hold = _by_chunk([rng.standard_exponential for rng in gens], edge)
+    draw = _by_chunk([rng.random for rng in gens], edge)
     rounds = _lockstep(mass, last, t_end, _MassRates(model, int(start.max(initial=0))),
                        lambda lane, r: hold(lane) / r[3],
                        lambda lane, r: draw(lane) * r[3] < r[0])
@@ -730,10 +744,10 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     ``rng.substream(c)``: a chunk is the unit of the random stream, so
     no result depends on the worker count. Each worker runs its share of
     the chunks together in one :func:`_mass_chunk` call, through one
-    :func:`~qsdsim.streams.map_replicas`. Checkpoints may come in any order but must lie
-    within [0, t_end]. With ``survivors`` the result also carries the
-    configurations of the replicas alive at t_end, their traits drawn by
-    the urn.
+    :func:`~qsdsim.streams.map_replicas`. Checkpoints may come in any
+    order but must lie within [0, t_end]. With ``survivors`` the result
+    also carries the configurations of the replicas alive at t_end,
+    their traits drawn by the urn.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
