@@ -529,16 +529,20 @@ _POOL = (Configuration.void(), START, Configuration.singleton(0.9),
                           st.integers(1, 300)),
        horizon=st.floats(0.0, 3.0), form=st.sampled_from(["one", "mixed", "law"]),
        picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=12),
-       cuts=st.lists(st.floats(0.0, 1.0), max_size=3), survivors=st.booleans())
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=3), survivors=st.booleans(),
+       group=st.sampled_from([simulator._GROUP, 1, 2]))
 def test_mass_paths_give_the_per_lane_rate_rounds_bit_for_bit(model, seed, replicas, horizon,
-                                                              form, picks, cuts, survivors):
+                                                              form, picks, cuts, survivors,
+                                                              group):
     # a mixed start puts masses 0, 1, 3 and 9 side by side, so the masses a
     # chunk reaches need not form one range
     initial = {"one": START, "law": ESTIMATE,
                "mixed": tuple(_POOL[picks[r % len(picks)]] for r in range(replicas))}[form]
     checkpoints = tuple(sorted(c * horizon for c in cuts))
-    got = mass_paths(model, initial, horizon, replicas, RandomStream(seed),
-                     checkpoints=checkpoints, survivors=survivors)
+    # small groups split the chunks among several lockstep runs
+    with mock.patch.object(simulator, "_GROUP", group):
+        got = mass_paths(model, initial, horizon, replicas, RandomStream(seed),
+                         checkpoints=checkpoints, survivors=survivors)
     # each chunk run alone on its own generator, the rates of every live
     # lane evaluated every round
     want = reference_chunks(model, initial, horizon, replicas, RandomStream(seed),
