@@ -175,9 +175,9 @@ class _MassRates:
     bit for bit) and one column per mass n. Called with the lanes'
     masses, it gives their columns, filling the masses read for the first
     time by one array call of ``model.mass_birth_death_rates``: a run of
-    the stepper evaluates d(n), and its guard, once per mass it reaches. A total of 0
-    marks a mass not filled yet. Lanes move by one between reads, so the
-    table keeps room for one mass past the largest filled.
+    the stepper evaluates d(n), and its guard, once per mass it reaches.
+    A total of 0 marks a mass not filled yet. Lanes move by one between
+    reads, so the table keeps room for one mass past the largest filled.
     """
 
     def __init__(self, model: RateModel, top: int) -> None:
@@ -673,7 +673,7 @@ def _by_chunk(draws: list, edge: np.ndarray):
 
 def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
                 survivors: bool, gens: list, parts: list) -> MassPaths:
-    """A worker's chunks of replicas advanced together on the mass chain alone.
+    """A group of chunks of replicas advanced together on the mass chain alone.
 
     Chunk j draws from ``gens[j]``, and ``parts[j]`` is its ``(size,
     initial)``: the replica count and either a tuple of one start per
@@ -768,8 +768,8 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     work = [(min(CHUNK, replicas - a),
              initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
             for a in range(0, replicas, CHUNK)]
-    parts = map_replicas(chunk, len(work), rng, workers, chunk_size=min(-(-len(work) // workers), _GROUP),
-                         items=work)
+    group = min(-(-len(work) // workers), _GROUP)
+    parts = map_replicas(chunk, len(work), rng, workers, chunk_size=group, items=work)
     columns = zip(*(part[:4] for part in parts))
     return MassPaths(*(np.concatenate(column) for column in columns),
                      sum(part.events for part in parts),

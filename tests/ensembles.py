@@ -115,9 +115,10 @@ class ReferenceChunk(NamedTuple):
 
 def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
                survivors: bool, gens: list, parts: list) -> ReferenceChunk:
-    """``simulator._mass_chunk`` with the rates of every live lane evaluated every round.
+    """One chunk of ``mass_paths`` run alone on its one generator.
 
-    Each round calls ``model.mass_birth_death_rates`` on the masses of all
+    ``simulator._mass_chunk`` runs a group of chunks side by side. Here
+    each round calls ``model.mass_birth_death_rates`` on the masses of all
     live lanes, and filters the lanes that stop whether or not any does.
     The package reads the same rates from a table filled once per mass
     reached; the two must give the same chunk bit for bit. The chunk also

@@ -761,14 +761,14 @@ def _survivor_path(start: Configuration, ups: list[bool]) -> list[int]:
 
 
 def _urn_input(chunk):
-    """Starts, start masses, steps, path lengths and final masses of survivors ``chunk``."""
+    """Starts, paths, start masses, steps, path lengths and final masses of survivors ``chunk``."""
     starts = [start for start, _ in chunk]
     paths = [np.array(_survivor_path(start, ups), dtype=np.int8) for start, ups in chunk]
     masses = np.array([c.total_mass for c in starts], dtype=np.int64)
     finals = masses + np.array([p.sum() for p in paths], dtype=np.int64)
     lengths = np.array([len(p) for p in paths], dtype=np.int64)
     steps = np.concatenate([np.zeros(0, dtype=np.int8), *paths])
-    return starts, masses, steps, lengths, finals
+    return starts, paths, masses, steps, lengths, finals
 
 
 _KERNELS = st.one_of(st.just(UniformKernel()), st.floats(0.005, 0.5).map(TruncatedGaussianKernel))
@@ -785,14 +785,13 @@ def test_lockstep_urns_give_the_one_at_a_time_urn_bit_for_bit(kernel, rho, share
     model = UniformModel(lam=2.0, b=1.0, rho=rho, kernel=kernel)
     if shared and chunk:
         chunk = [(chunk[0][0], ups) for _, ups in chunk]
-    starts, masses, steps, lengths, finals = _urn_input(chunk)
+    starts, paths, masses, steps, lengths, finals = _urn_input(chunk)
     lockstep = np.random.default_rng(seed)
     with mock.patch.object(simulator, "_BATCH", batch):
         got = _urns(model, starts, masses, steps, lengths, finals, [lockstep],
                     np.array([0, len(chunk)]))
     rng = np.random.default_rng(seed)
-    want = [urn(model, start, np.array(_survivor_path(start, ups), dtype=np.int8), rng)
-            for start, ups in chunk]
+    want = [urn(model, start, path, rng) for start, path in zip(starts, paths)]
     assert [c.serialize() for c in got] == [c.serialize() for c in want]
     assert [c.total_mass for c in got] == finals.tolist()
     # the lockstep urn leaves the generator where the one-at-a-time urn does
@@ -808,7 +807,7 @@ def test_lockstep_urns_split_among_generators_give_each_generator_its_own_urns(
     # generator j owns survivors owns[j] to owns[j + 1], some of them none;
     # small batches span several owners
     model = UniformModel(lam=2.0, b=1.0, rho=rho, kernel=kernel)
-    starts, masses, steps, lengths, finals = _urn_input(chunk)
+    starts, _, masses, steps, lengths, finals = _urn_input(chunk)
     owns = [0, *sorted(min(c, len(chunk)) for c in cuts), len(chunk)]
     gens = [np.random.default_rng([seed, j]) for j in range(len(owns) - 1)]
     with mock.patch.object(simulator, "_BATCH", batch):
