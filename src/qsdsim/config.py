@@ -13,6 +13,7 @@ artifacts, so a hash pins the entire experiment.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
@@ -60,6 +61,8 @@ def _float(minimum: float | None = None, strict: bool = False) -> Callable[[str,
             out = float(value)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        if not math.isfinite(out):
+            raise ConfigError(f"{key}: must be finite, got {value!r}")
         if minimum is not None and (out < minimum or (strict and out == minimum)):
             bound = "above" if strict else "at least"
             raise ConfigError(f"{key}: must be {bound} {minimum}, got {out}")
@@ -83,6 +86,8 @@ def _grid(key: str, value: str) -> tuple[float, ...]:
         grid = tuple(float(part) for part in value.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated numbers, got {value!r}") from None
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError(f"{key}: grid times must be finite, got {value!r}")
     if not grid or any(t <= 0.0 for t in grid) \
             or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{key}: grid must be positive and strictly increasing")

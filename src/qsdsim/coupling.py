@@ -112,7 +112,7 @@ def coupled_path(model: RateModel, start: CoupledState, horizon: float,
     this function doubles as an order-invariance check. Like every engine
     it checks ``b`` and ``rho`` before it draws (``check_regime``).
     """
-    if horizon < 0.0:
+    if not horizon >= 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     model.check_regime()
     t = 0.0

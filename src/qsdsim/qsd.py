@@ -68,10 +68,6 @@ class QsdEstimate:
         object.__setattr__(self, "_cumw", np.cumsum(weights))
 
     @property
-    def sample(self) -> tuple[tuple[Configuration, float], ...]:
-        return tuple(zip(self.configurations, (float(w) for w in self.weights)))
-
-    @property
     def mass_marginal(self) -> np.ndarray:
         """Probability vector over total mass; index 0 is always 0."""
         out = np.zeros(int(self._masses.max()) + 1)
@@ -136,7 +132,7 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
     alive at t. Without splitting that is the survivor count. Runs on
     mass paths.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     starts, size, events = initial, replicas, 0
     # lineage[r]: the first-stage replica that replica r of this stage descends from

@@ -15,11 +15,10 @@ strongest correctness checks. Both draw one uniform at a time through
 
 Ensembles take a third route, mass first. Every rate model is
 trait-blind, so the total mass is a birth-death chain on its own. One
-stepper, ``_lockstep``, advances many replicas on it in numpy
+stepper, ``_lockstep``, advances a chunk of replicas on it in numpy
 lockstep on a per-mass rate table, its callers supplying the draws:
-``mass_paths`` those of each chunk's generator, a worker's chunks side
-by side, with traits drawn afterwards by an urn along each survivor's
-mass path, in lockstep too;
+``mass_paths`` those of the chunk's generator, with traits drawn
+afterwards by an urn along each survivor's mass path, in lockstep too;
 the validation checks the uniforms each replica's run of ``_jumps``
 would draw (``_Replay``).
 """
@@ -174,10 +173,10 @@ class _MassRates:
     (birth, clonal, death, total; the last three are ``rate_table()``'s
     bit for bit) and one column per mass n. Called with the lanes'
     masses, it gives their columns, filling the masses read for the first
-    time by one array call of ``model.mass_birth_death_rates``: a run of
-    the stepper evaluates d(n), and its guard, once per mass it reaches.
-    A total of 0 marks a mass not filled yet. Lanes move by one between
-    reads, so the table keeps room for one mass past the largest filled.
+    time by one array call of ``model.mass_birth_death_rates``: a chunk
+    evaluates d(n), and its guard, once per mass it reaches. A total of 0
+    marks a mass not filled yet. Lanes move by one between reads, so the
+    table keeps room for one mass past the largest filled.
     """
 
     def __init__(self, model: RateModel, top: int) -> None:
@@ -218,8 +217,7 @@ def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: _MassRate
     where some lane does are the live lanes' masses and last jump times
     written to ``mass`` and ``last`` and the lanes filtered, so lane i
     ends with its final mass in ``mass[i]`` and in ``last[i]`` the time
-    of its last jump, its extinction time if it died out. A lane array is
-    never written in place: the lanes change only to a new array.
+    of its last jump, its extinction time if it died out.
     """
     lane = np.flatnonzero(mass)
     n = mass[lane]
@@ -303,7 +301,7 @@ class _Replay:
 def simulate_gillespie(model: RateModel, initial: Configuration, horizon: float,
                        rng: np.random.Generator) -> Trajectory:
     """Reference engine: exponential holding times at the total jump rate."""
-    if horizon < 0.0:
+    if not horizon >= 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     final = initial
     events = []
@@ -329,7 +327,7 @@ def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
     its weight, so a candidate's individual is one index, ranked as
     :func:`~qsdsim.rates.individual_at` ranks it.
     """
-    if horizon < 0.0:
+    if not horizon >= 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     rows = model.rate_table()
     config = initial
@@ -381,14 +379,11 @@ ENGINES = {
 }
 
 
-# Replicas per chunk of mass_paths, each chunk drawing from a stream of its
-# own; a constant, so that no result depends on the worker count. A worker
-# runs its chunks together, _GROUP at most in one lockstep: enough lanes
-# that a round's numpy work outweighs its Python overhead, and few enough
-# that a round's arrays stay small (a 1,000,000-replica Yaglom stage, 245
-# chunks in one lockstep, peaked 140 MB higher and ran no faster).
-CHUNK = 4096
-_GROUP = 16
+# Replicas per chunk of mass_paths, the unit of both the random stream and
+# the lockstep; a constant, so that no result depends on the worker count.
+# Enough lanes that a round's numpy work outweighs its Python overhead, and
+# few enough that a round's arrays stay small.
+CHUNK = 65536
 
 
 class MassPaths(NamedTuple):
@@ -410,15 +405,15 @@ class MassPaths(NamedTuple):
     survivors: tuple[Configuration, ...]
 
 
-# Steps the urn takes in one batch of survivors: a bound on what the urn
-# holds at once.
+# Steps the urn takes in one batch of survivors: a bound on what one
+# chunk's urn holds at once.
 _BATCH = 32768
 
 
 def _urns(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
           steps: np.ndarray, lengths: np.ndarray, finals: np.ndarray,
-          gens: Sequence[np.random.Generator], owns: np.ndarray) -> tuple[Configuration, ...]:
-    """Traits along the mass paths of survivors, in numpy lockstep urns.
+          rng: np.random.Generator) -> tuple[Configuration, ...]:
+    """Traits along the mass paths of a chunk's survivors, on its one generator, in lockstep urns.
 
     Survivor s starts from ``starts[s]`` at mass ``masses[s]``, takes the
     ``lengths[s]`` ±1 ``steps`` that follow those of survivors 0..s-1 and
@@ -429,13 +424,11 @@ def _urns(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
     the mass path these are the exact conditional laws, since every
     individual carries the same rates.
 
-    Generator ``gens[j]`` owns survivors ``owns[j]`` to ``owns[j + 1]``,
-    a chunk's survivors in :func:`mass_paths`. The urn draws from each
-    exactly the uniforms of running its survivors one after another
-    (:func:`_urn_uniforms`). It runs the survivors in batches of
-    consecutive ones with about :data:`_BATCH` steps together
-    (:func:`_urn_batch`), so that what it holds at once stays bounded
-    however long the paths are; a batch may span generators.
+    The urn draws from ``rng`` exactly the uniforms of running the
+    survivors one after another (:func:`_urn_uniforms`). It runs the
+    survivors in batches of consecutive ones with about :data:`_BATCH`
+    steps together (:func:`_urn_batch`), so that what it holds at once
+    stays bounded however long the paths are.
     """
     if not len(lengths):
         return ()
@@ -445,13 +438,13 @@ def _urns(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
     kept: list[Configuration] = []
     for a, b in zip(bounds, bounds[1:]):
         kept += _urn_batch(model, starts[a:b], masses[a:b], steps[edge[a]:edge[b]],
-                           lengths[a:b], finals[a:b], gens, np.clip(owns, a, b) - a)
+                           lengths[a:b], finals[a:b], rng)
     return tuple(kept)
 
 
 def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
                steps: np.ndarray, lengths: np.ndarray, finals: np.ndarray,
-               gens: Sequence[np.random.Generator], owns: np.ndarray) -> list[Configuration]:
+               rng: np.random.Generator) -> list[Configuration]:
     """:func:`_urns` on a batch of survivors at once.
 
     Every mass along the paths is known beforehand, so every step's
@@ -475,7 +468,7 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
     mass -= steps
     net = finals - masses
     mass += np.repeat(masses - (np.cumsum(net, dtype=index) - net), lengths)
-    pick, mutates, kernel_u = _urn_uniforms(model.rho, up, lengths, mass, gens, owns, index)
+    pick, mutates, kernel_u = _urn_uniforms(model.rho, up, lengths, mass, rng, index)
 
     # row r of node ids is the list of the survivor of rank r, longest
     # path first; a birth reads its parent and writes the child after the
@@ -572,57 +565,41 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
 
 
 def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndarray,
-                  gens: Sequence[np.random.Generator], owns: np.ndarray,
-                  index) -> tuple[np.ndarray, ...]:
-    """The urn's uniforms, drawn as running each generator's survivors one after another would.
+                  rng: np.random.Generator, index) -> tuple[np.ndarray, ...]:
+    """The urn's uniforms, drawn as running the survivors one after another would.
 
     Survivor s reads ``lengths[s]`` picks, as many mutation flags, then
-    one kernel uniform per mutating birth, from the generator that owns
-    it (``gens[j]`` owns survivors ``owns[j]`` to ``owns[j + 1]``); its
-    steps are ``up`` (births) and the ``mass`` before each. Returns, per
-    step, the rank of the picked individual, truncated as int() does,
-    and whether the step is a mutating birth, and the kernel uniforms in
-    step order. From each generator one block long enough for all of its
-    survivors, two uniforms a step and one a birth, is read at once, and
-    one scan over its flags finds where each survivor's uniforms start.
-    The generator is then set back and advanced past exactly the
-    uniforms used, one PCG64 output per double, so that it is left where
-    running its survivors one at a time would leave it. A generator that
-    owns no survivor draws nothing.
+    one kernel uniform per mutating birth; its steps are ``up`` (births)
+    and the ``mass`` before each. Returns, per step, the rank of the
+    picked individual, truncated as int() does, and whether the step is
+    a mutating birth, and the kernel uniforms in step order. One block
+    long enough for every survivor, two uniforms a step and one a birth,
+    is read at once, and one scan over its flags finds where each
+    survivor's uniforms start. The generator is then set back and
+    advanced past exactly the uniforms used, one PCG64 output per
+    double, so that ``rng`` is left where running the survivors one at a
+    time would leave it.
     """
     total = len(up)
-    births = memoryview(up.view(np.uint8))
-    spans = lengths.tolist()
-    blocks, offsets = [], []
+    state = rng.bit_generator.state
+    uniforms = rng.random(2 * total + int(np.count_nonzero(up)))
+    flag = uniforms < rho
+    # survivor s takes 2 lengths[s] uniforms and one per mutating birth,
+    # counted as the set bits of its birth bytes ANDed with its flag bytes
+    below, births = memoryview(flag.view(np.uint8)), memoryview(up.view(np.uint8))
+    offsets = []
     mark = offsets.append
     word = int.from_bytes
-    used = lo = 0
-    owns = owns.tolist()
-    for rng, a, b in zip(gens, owns, owns[1:]):
-        if a == b:
-            continue
-        state = rng.bit_generator.state
-        count = sum(spans[a:b])
-        uniforms = rng.random(2 * count + int(np.count_nonzero(up[lo:lo + count])))
-        flag = uniforms < rho
-        # survivor s takes 2 lengths[s] uniforms and one per mutating birth,
-        # counted as the set bits of its birth bytes ANDed with its flag bytes
-        below = memoryview(flag.view(np.uint8))
-        here = 0
-        for n in spans[a:b]:
-            mark(used + here)
-            here += 2 * n + (word(births[lo:lo + n], "little")
-                             & word(below[here + n:here + 2 * n], "little")).bit_count()
-            lo += n
-        del below
-        rng.bit_generator.state = state
-        rng.bit_generator.advance(here)
-        blocks.append(uniforms[:here])
-        used += here
-    mark(used)
-    del births
-    uniforms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    flag = uniforms < rho
+    here = lo = 0
+    for n in lengths.tolist():
+        mark(here)
+        here += 2 * n + (word(births[lo:lo + n], "little")
+                         & word(below[here + n:here + 2 * n], "little")).bit_count()
+        lo += n
+    mark(here)
+    del below, births
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(here)
     # step k of survivor s reads its pick at offsets[s] + k and its flag
     # lengths[s] later; its i-th mutating birth reads the kernel uniform
     # at offsets[s] + 2 lengths[s] + i
@@ -650,49 +627,24 @@ def _scatter(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return out
 
 
-def _by_chunk(draws: list, edge: np.ndarray):
-    """A draw for the sorted live lanes: ``draws[j](k)`` for the k of chunk j, in chunk order.
-
-    Chunk j holds lanes ``edge[j]`` to ``edge[j + 1]``, and one with no
-    live lane draws nothing. The split is found again only for a new lane
-    array, which :func:`_lockstep` hands over whenever the lanes change.
-    """
-    seen = draw = None
-
-    def drawn(lane: np.ndarray) -> np.ndarray:
-        nonlocal seen, draw
-        if lane is not seen:
-            cut = lane.searchsorted(edge).tolist()
-            calls = [partial(one, b - a) for one, a, b in zip(draws, cut, cut[1:]) if b > a]
-            seen = lane
-            draw = calls[0] if len(calls) == 1 else lambda: np.concatenate([f() for f in calls])
-        return draw()
-
-    return drawn
-
-
 def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
                 survivors: bool, gens: list, parts: list) -> MassPaths:
-    """A group of chunks of replicas advanced together on the mass chain alone.
+    """One chunk of replicas advanced together on the mass chain alone, in one lockstep.
 
-    Chunk j draws from ``gens[j]``, and ``parts[j]`` is its ``(size,
-    initial)``: the replica count and either a tuple of one start per
-    replica or a law whose ``draw(rng)`` gives each start. All chunks run
-    in one :func:`_lockstep`, their lanes side by side in chunk order.
-    Each round chunk j draws its live replicas' holding times, then a
-    uniform each for the up steps, from ``gens[j]``, as a run of chunk j
-    alone would; a chunk with no live replica draws nothing. With
-    ``survivors`` the steps are kept, and the replicas alive at t_end get
-    their traits from one :func:`_urns` call, in which each chunk's
-    survivors draw from its generator after its mass chain, in the order
-    of running them one after another in replica order.
+    ``gens`` holds the chunk's one generator ``rng`` and ``parts`` its one
+    ``(size, initial)``: the replica count and either a tuple of one start
+    per replica or a law whose ``draw(rng)`` gives each start. The chunk is
+    the unit of both the stream and the lockstep: each round of its one
+    :func:`_lockstep` run draws the live replicas' holding times, then a
+    uniform each for the up steps, from ``rng``. With ``survivors`` the
+    steps are kept, and the replicas alive at t_end get their traits
+    from one :func:`_urns` call, which draws from ``rng`` after the mass
+    chain, in the order of running the survivors one after another in
+    replica order.
     """
-    starts: list[Configuration] = []
-    for rng, (size, initial) in zip(gens, parts):
-        starts += (initial if isinstance(initial, tuple)
-                   else [initial.draw(rng) for _ in range(size)])
-    edge = np.cumsum([0] + [size for size, _ in parts])
-    size = int(edge[-1])
+    (rng,), ((size, initial),) = gens, parts
+    starts = (list(initial) if isinstance(initial, tuple)
+              else [initial.draw(rng) for _ in range(size)])
     start = np.array([c.total_mass for c in starts], dtype=np.int64)
     mass, last = start.copy(), np.zeros(size)
     at = np.full((size, len(checkpoints)), -1, dtype=np.int64)
@@ -700,11 +652,9 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     # narrow dtypes keep the step log of survivors small: 5 bytes a jump,
     # the lane and whether the step is up
     log = [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool))]
-    hold = _by_chunk([rng.standard_exponential for rng in gens], edge)
-    draw = _by_chunk([rng.random for rng in gens], edge)
     rounds = _lockstep(mass, last, t_end, _MassRates(model, int(start.max(initial=0))),
-                       lambda lane, r: hold(lane) / r[3],
-                       lambda lane, r: draw(lane) * r[3] < r[0])
+                       lambda lane, r: rng.standard_exponential(lane.size) / r[3],
+                       lambda lane, r: rng.random(lane.size) * r[3] < r[0])
     for lane, t, _, now, before, up in rounds:
         _checkpoints(at, checkpoints, lane, t, now, before)
         events += lane.size
@@ -729,7 +679,7 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         lengths = np.bincount(ids, minlength=size)[lanes]
         del ids
         kept = _urns(model, [starts[i] for i in lanes.tolist()], start[lanes], steps,
-                     lengths, mass[lanes], gens, np.searchsorted(lanes, edge))
+                     lengths, mass[lanes], rng)
     return MassPaths(start, mass, extinction, at, events, kept)
 
 
@@ -744,18 +694,19 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     tuple of ``replicas`` configurations (replica r starts from the
     r-th), or anything with a ``draw(rng) -> Configuration`` method,
     drawn once per replica.
-    Replicas run in chunks of :data:`CHUNK`, and chunk c draws from
-    ``rng.substream(c)``: a chunk is the unit of the random stream, so
-    no result depends on the worker count. Each worker runs its share of
-    the chunks together, up to :data:`_GROUP` of them in one
-    :func:`_mass_chunk` call, through one
-    :func:`~qsdsim.streams.map_replicas`. Checkpoints may come in any
-    order but must lie within [0, t_end]. With ``survivors`` the result
-    also carries the configurations of the replicas alive at t_end,
-    their traits drawn by the urn.
+    Replicas run in chunks of :data:`CHUNK`, one :func:`_mass_chunk`
+    lockstep each, all through :func:`~qsdsim.streams.map_replicas`, and
+    chunk c draws from ``rng.substream(c)``: a chunk is the unit of both
+    the random stream and the lockstep, so no result depends on the worker
+    count. Checkpoints may come in any order but must lie
+    within [0, t_end]. With ``survivors`` the result also carries the
+    configurations of the replicas alive at t_end, their traits drawn by
+    the urn.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
+    if not t_end >= 0.0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end!r}")
     if isinstance(initial, tuple) and len(initial) != replicas:
         raise ValueError(f"need one start per replica, got {len(initial)} for {replicas}")
     checkpoints = tuple(float(c) for c in checkpoints)
@@ -768,8 +719,7 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     work = [(min(CHUNK, replicas - a),
              initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
             for a in range(0, replicas, CHUNK)]
-    group = min(-(-len(work) // workers), _GROUP)
-    parts = map_replicas(chunk, len(work), rng, workers, chunk_size=group, items=work)
+    parts = map_replicas(chunk, len(work), rng, workers, chunk_size=1, items=work)
     columns = zip(*(part[:4] for part in parts))
     return MassPaths(*(np.concatenate(column) for column in columns),
                      sum(part.events for part in parts),
@@ -800,7 +750,7 @@ def survival_curve(model: RateModel, initial, grid: Sequence[float],
     Runs on :func:`mass_paths`.
     """
     grid = tuple(float(t) for t in grid)
-    if any(t < 0.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+    if not all(t >= 0.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be nonnegative and strictly increasing")
     paths = mass_paths(model, initial, max(grid), replicas, rng, workers)
     survival = []
@@ -820,7 +770,7 @@ def mass_moments(model: RateModel, initial, times: Sequence[float], replicas: in
     Runs on :func:`mass_paths`.
     """
     times = tuple(float(t) for t in times)
-    if any(t < 0.0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
+    if not all(t >= 0.0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be nonnegative and strictly increasing")
     if replicas < 2:
         raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")

@@ -164,7 +164,7 @@ def martingale_residual(model: RateModel, f: TestFunction, initial: Configuratio
     replicas run a chunk of :func:`~qsdsim.streams.map_replicas` at a
     time, each chunk on one per-mass rate table.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     if replicas < 2:
         raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
@@ -214,7 +214,7 @@ def comparison_exponent(lambda_star: float, b_star: float, a0: float, t: float) 
     ceiling = math.log(lambda_star / b_star)
     if not 0.0 < a0 <= ceiling:
         raise InvalidRegime(f"a0 must lie in (0, {ceiling!r}], got {a0!r}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise InvalidRegime(f"need t >= 0, got {t!r}")
     g = lambda_star / b_star - 1.0
     return math.log1p(g / (1.0 + (g / math.expm1(a0) - 1.0)
@@ -232,7 +232,7 @@ def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
     errors. Each chunk of replicas runs on one per-mass rate table.
     """
     grid = tuple(float(t) for t in grid)
-    if any(t <= 0.0 for t in grid) or any(y <= x for x, y in zip(grid, grid[1:])):
+    if not all(t > 0.0 for t in grid) or any(y <= x for x, y in zip(grid, grid[1:])):
         raise ValueError("grid must be positive and strictly increasing")
     if replicas < 2:
         raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
@@ -249,47 +249,6 @@ def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
         points.append(LyapunovPoint(t=t, lhs=lhs, bound=bound, stderr=stderr,
                                     flagged=lhs - 3.0 * stderr > bound))
     return points
-
-
-def mass_histogram(masses: Sequence[int], kmax: int = 15) -> np.ndarray:
-    """Counts over masses 0..kmax with everything above clamped to kmax."""
-    clipped = np.minimum(np.asarray(masses, dtype=int), kmax)
-    return np.bincount(clipped, minlength=kmax + 1)
-
-
-def two_sample_chi2(counts_a: Sequence[int], counts_b: Sequence[int]) -> tuple[float, int]:
-    """Homogeneity statistic and degrees of freedom for two count vectors.
-
-    Bins whose pooled expected count falls below 5 in either sample are
-    merged into a shared spill bin to keep the chi-square approximation
-    honest.
-    """
-    a = np.asarray(counts_a, dtype=float)
-    b = np.asarray(counts_b, dtype=float)
-    n = max(len(a), len(b))
-    a = np.pad(a, (0, n - len(a)))
-    b = np.pad(b, (0, n - len(b)))
-    na, nb = a.sum(), b.sum()
-    if na == 0 or nb == 0:
-        raise ValueError("both samples must be nonempty")
-    pooled = (a + b) / (na + nb)
-    keep = (na * pooled >= 5.0) & (nb * pooled >= 5.0)
-    rows = [(a[keep], b[keep])]
-    if not keep.all():
-        rows.append((np.array([a[~keep].sum()]), np.array([b[~keep].sum()])))
-    a = np.concatenate([r[0] for r in rows])
-    b = np.concatenate([r[1] for r in rows])
-    if len(a) < 2:
-        return 0.0, 1
-    stat = 0.0
-    for ak, bk in zip(a, b):
-        pk = (ak + bk) / (na + nb)
-        ea, eb = na * pk, nb * pk
-        if ea > 0.0:
-            stat += (ak - ea) ** 2 / ea
-        if eb > 0.0:
-            stat += (bk - eb) ** 2 / eb
-    return float(stat), len(a) - 1
 
 
 def chi2_threshold(df: int, quantile: float = 0.999) -> float:

@@ -15,9 +15,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from qsdsim import simulator
 from qsdsim.configuration import Configuration
 from qsdsim.rates import LogisticModel, RateModel
-from qsdsim.simulator import CHUNK, _jumps, _urns
+from qsdsim.simulator import _jumps, _urns
 from qsdsim.streams import RandomStream, Uniforms, map_replicas
 from qsdsim.validation import TestFunction, generator_apply
 
@@ -58,9 +59,9 @@ def reference_chunks(model: RateModel, initial, t_end: float, replicas: int,
     """:func:`mass_chunk` on each chunk of ``mass_paths`` with the same arguments.
 
     The layout is ``mass_paths``' own: :data:`~qsdsim.simulator.CHUNK`
-    replicas per chunk, chunk c on ``rng.substream(c)``, each chunk run
-    alone on its own generator, so that the chunks' columns, events and
-    survivors, in chunk order, are the package's bit for bit.
+    replicas per chunk, read at call time so that a test may shrink it,
+    and chunk c on ``rng.substream(c)``, so that the chunks' columns,
+    events and survivors, in chunk order, are the package's bit for bit.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
@@ -68,9 +69,10 @@ def reference_chunks(model: RateModel, initial, t_end: float, replicas: int,
     if isinstance(initial, Configuration):
         initial = (initial,) * replicas
     chunk = partial(mass_chunk, model, float(t_end), tuple(checkpoints), survivors)
-    work = [(min(CHUNK, replicas - a),
-             initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
-            for a in range(0, replicas, CHUNK)]
+    size = simulator.CHUNK
+    work = [(min(size, replicas - a),
+             initial[a:a + size] if isinstance(initial, tuple) else initial)
+            for a in range(0, replicas, size)]
     return map_replicas(chunk, len(work), rng, workers, chunk_size=1, items=work)
 
 
@@ -115,10 +117,9 @@ class ReferenceChunk(NamedTuple):
 
 def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
                survivors: bool, gens: list, parts: list) -> ReferenceChunk:
-    """One chunk of ``mass_paths`` run alone on its one generator.
+    """``simulator._mass_chunk`` with the rates of every live lane evaluated every round.
 
-    ``simulator._mass_chunk`` runs a group of chunks side by side. Here
-    each round calls ``model.mass_birth_death_rates`` on the masses of all
+    Each round calls ``model.mass_birth_death_rates`` on the masses of all
     live lanes, and filters the lanes that stop whether or not any does.
     The package reads the same rates from a table filled once per mass
     reached; the two must give the same chunk bit for bit. The chunk also
@@ -167,7 +168,7 @@ def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         lanes = np.flatnonzero(mass)
         lengths = np.bincount(ids, minlength=size)[lanes]
         kept = _urns(model, [starts[i] for i in lanes.tolist()], start[lanes], steps,
-                     lengths, mass[lanes], [rng], np.array([0, len(lanes)]))
+                     lengths, mass[lanes], rng)
     return ReferenceChunk(start, mass, extinction, at, events, kept, maximum)
 
 

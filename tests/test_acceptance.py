@@ -23,11 +23,11 @@ from qsdsim.qsd import (decay_rate_from_singletons, decay_rate_from_survival,
 from qsdsim.simulator import ENGINES, mass_moments, survival_curve
 from qsdsim.streams import RandomStream
 from qsdsim.validation import (Indicator, Mass, chi2_threshold, comparison_exponent,
-                               lyapunov_check, mass_histogram, martingale_residual,
-                               two_sample_chi2)
+                               lyapunov_check, martingale_residual)
 
 from closed_forms import bd_qsd
 from ensembles import hitting_tail
+from homogeneity import mass_histogram, two_sample_chi2
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,19 @@ def test_usage_errors_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_horizon_is_a_config_error(value, tmp_path, capsys):
+    # without run.grid the default grid spans the horizon; with it a
+    # Yaglom stage at horizon nan would have returned its start
+    assert main(["survival", *UNIFORM_FLAGS, "--t-max", value, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: run.horizon: ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"run.horizon = {value}\nrun.grid = 0.5, 1.0\n")
+    assert main(["qsd-yaglom", *UNIFORM_FLAGS, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: run.horizon: ")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,25 @@ def test_value_validation_messages():
         resolve_config({**UNIFORM_LINES, "run.engine": "exact"})
     with pytest.raises(ConfigError, match="model.b"):
         resolve_config({**UNIFORM_LINES, "model.b": "zero"})
+
+
+# every key parsed as one float
+FLOAT_KEYS = [key.name for key in SCHEMA if key.parse.__qualname__.startswith("_float.")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+@pytest.mark.parametrize("name", [*FLOAT_KEYS, "run.grid"])
+def test_non_finite_values_are_refused_naming_the_key(name, value):
+    lines = {**(LOGISTIC_LINES if name in ("model.d", "model.c") else UNIFORM_LINES),
+             "kernel.family": "truncated_gaussian", "kernel.scale": "0.1"}
+    if name == "run.grid":
+        value = f"0.5, {value}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)}: .*finite"):
+        resolve_config({**lines, name: value})
+
+
+def test_the_finite_check_covers_every_float_key():
+    assert len(FLOAT_KEYS) == 12
 
 
 def test_build_model_both_kinds():

@@ -10,9 +10,10 @@ from qsdsim.coupling import CoupledState, coupled_path, coupled_rates, step_coup
 from qsdsim.errors import InvalidRegime, InvariantBreach
 from qsdsim.simulator import simulate_gillespie
 from qsdsim.streams import RandomStream
-from qsdsim.validation import chi2_threshold, mass_histogram, two_sample_chi2
+from qsdsim.validation import chi2_threshold
 
 from closed_forms import bd_chain_state_at, bd_qsd
+from homogeneity import mass_histogram, two_sample_chi2
 from strategies import MODELS, configurations
 
 PAIR = Configuration.from_pairs(((0.25, 1), (0.75, 1)))
@@ -168,6 +169,9 @@ def hash_free_tag(name: str) -> int:
 def test_negative_horizon_rejected(uniform_model):
     with pytest.raises(ValueError):
         coupled_path(uniform_model, CoupledState(TRIO, 3), -1.0,
+                     RandomStream(1).generator())
+    with pytest.raises(ValueError, match="got nan"):
+        coupled_path(uniform_model, CoupledState(TRIO, 3), math.nan,
                      RandomStream(1).generator())
 
 

@@ -1,7 +1,7 @@
 """Every name a module imports is used in it, every function is called,
-and every option is set.
+every option is set, and the CLI enters every function.
 
-No linter is installed with the package, so three scans stand in for
+No linter is installed with the package, so four scans stand in for
 one. The first parses each module under ``src/`` and ``tests/`` and
 reports an imported name that the module never reads. An import marked
 ``# noqa: F401`` is kept on purpose and is skipped. Package
@@ -13,9 +13,16 @@ kept on purpose, each with its reason. The third reports a defaulted
 parameter of a function under ``src/`` that no call there sets: a
 default that every caller takes is a constant, not an option.
 :data:`KNOBS` lists the ones kept on purpose, each with its reason.
+The fourth runs every subcommand under a profiler and reports a function
+under ``src/`` that no run enters; :data:`NEVER_ENTERED` lists the ones
+kept on purpose, each with its reason.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,15 +46,12 @@ KEPT = {
     "rates.RateModel.total_jump_rate": _TRACED,
     "streams._PrecomputedSeed.generate_state": "PCG64 calls it to seed itself",
     "validation.chi2_threshold": _ITEM_1,
-    "validation.mass_histogram": _ITEM_1,
-    "validation.two_sample_chi2": _ITEM_1,
 }
 # Defaulted parameters under src/ that no call there sets, kept on purpose.
 KNOBS = {
     "cli.main(argv)": "the console-script entry point calls it with no argument",
     "streams._PrecomputedSeed.generate_state(dtype)": "numpy's ISeedSequence protocol",
     "validation.chi2_threshold(quantile)": _ITEM_1,
-    "validation.mass_histogram(kmax)": _ITEM_1,
 }
 
 
@@ -245,3 +249,124 @@ def test_the_option_scan_finds_an_unset_default():
               "q(**{})\n"
               "K(1).m(2)\n")
     assert unset_options({"m": module}) == ["m.K.m(v)", "m.f(c)", "m.f(d)"]
+
+
+_PINNED = "perfbench times its import or patches it by name (ROADMAP item 1)"
+_STUB = "abstract; every subclass overrides it"
+# Functions under src/ that no CLI run enters, kept on purpose.
+NEVER_ENTERED = {
+    "configuration.Configuration.singleton": "public constructor, used in the README example",
+    "coupling.CoupledState.__post_init__": _PINNED,
+    "coupling.coupled_path": _PINNED,
+    "coupling.coupled_rates": _PINNED,
+    "coupling.step_coupled": _PINNED,
+    "qsd.QsdEstimate.draw": "criteria 02 and 05 start replicas from an estimated law",
+    "rates.RateModel.clonal_rate": _TRACED,
+    "rates.RateModel.death_bound": _TRACED,
+    "rates.RateModel.death_rate": _TRACED,
+    "rates.RateModel.mutation_rate": _TRACED,
+    "rates.RateModel.per_capita_death": _STUB,
+    "rates.RateModel.reproduction_rate": _TRACED,
+    "rates.RateModel.state_rates": _TRACED,
+    "rates.RateModel.total_jump_rate": _TRACED,
+    "trait_space.MutationKernel.density": _STUB,
+    "trait_space.MutationKernel.inverse_cdf": _STUB,
+    "trait_space.MutationKernel.sample": _STUB,
+    "trait_space.MutationKernel.sup_density": _STUB,
+    "validation.TestFunction.value_at_mass": _STUB,
+    "validation.chi2_threshold": _PINNED,
+}
+
+# Run in a fresh interpreter: profiles the functions under the package
+# directory argv[1] entered from the import of qsdsim.cli on, while the
+# CLI runs the argv lists read from stdin, and writes the entered
+# (file, qualified name) pairs and the exit statuses to argv[2].
+_PROFILE = """
+import json, sys
+package, out = sys.argv[1], sys.argv[2]
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(package):
+        entered.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+sys.setprofile(profile)
+from qsdsim.cli import main
+statuses = [main(argv) for argv in json.loads(sys.stdin.read())]
+sys.setprofile(None)
+with open(out, "w") as f:
+    json.dump({"entered": sorted(entered), "statuses": statuses}, f)
+"""
+
+# The models of the three benchmark workloads, with small stages.
+_MODELS = {
+    "ensemble": {"model.kind": "uniform", "model.lambda": "2.0", "model.b": "1.0",
+                 "model.rho": "0.3"},
+    "particles": {"model.kind": "logistic", "model.b": "1.0", "model.rho": "0.3",
+                  "model.d": "2.0", "model.c": "0.5", "kernel.family": "truncated_gaussian",
+                  "kernel.scale": "0.05"},
+    "crowded": {"model.kind": "logistic", "model.b": "2.0", "model.rho": "0.3",
+                "model.d": "1.0", "model.c": "0.01", "kernel.family": "truncated_gaussian",
+                "kernel.scale": "0.02", "run.initial_mass": "100"},
+}
+_STAGES = {
+    # a start of 30 lives long enough to draw thinning's mutation candidates
+    "simulate": {"run.initial_mass": "30", "run.horizon": "1.0", "run.engine": "thinning"},
+    "survival": {"run.replicas": "50", "run.horizon": "1.0"},
+    "qsd-yaglom": {"run.replicas": "100", "run.horizon": "1.0"},
+    "qsd-fv": {"run.particles": "20", "run.burn_in": "0.5", "run.horizon": "1.0"},
+    "oracle": {"run.truncation": "30"},
+    "validate": {"run.replicas": "20"},
+}
+
+
+def _cli_runs(work: Path) -> list[tuple[list[str], int]]:
+    """(argv, exit status) of every subcommand on each workload model, and of the other paths."""
+    def config(name: str, keys: dict[str, str]) -> str:
+        path = work / f"{name}.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        return str(path)
+
+    runs = []
+    for name, model in _MODELS.items():
+        out = work / name
+        for stage, keys in _STAGES.items():
+            # crowded's start of 100 wins over the stage's
+            runs.append(([stage, "--config", config(f"{name}-{stage}", {**keys, **model}),
+                          "--out", str(out / stage)], 0))
+        # tolerances that small stages pass
+        loose = config(f"{name}-compare", {"run.tv_tol": "1.0", "run.theta_tol": "10.0"})
+        runs.append((["compare", "--config", loose, str(out / "qsd-yaglom" / "qsd.json"),
+                      str(out / "oracle" / "oracle.json"), "--out", str(out / "compare")], 0))
+    uniform = config("uniform", _MODELS["ensemble"])
+    runs += [
+        (["simulate", "--config", uniform, "--engine", "gillespie", "--t-max", "1.0",
+          "--out", str(work / "gillespie")], 0),
+        (["survival", "--config", config("grid", {**_MODELS["ensemble"],
+                                                   "run.initial": "2@0.25;1@0.75",
+                                                   "run.grid": "0.5, 1.0",
+                                                   "run.replicas": "50"}),
+          "--out", str(work / "grid")], 0),
+        (["simulate", "--config", config("void", {**_MODELS["ensemble"], "run.initial": "0"}),
+          "--out", str(work / "void")], 0),
+        (["frobnicate"], 1),
+    ]
+    return runs
+
+
+def test_the_cli_enters_every_function_under_src_but_the_listed_ones(tmp_path):
+    runs = _cli_runs(tmp_path)
+    report = tmp_path / "entered.json"
+    subprocess.run([sys.executable, "-c", _PROFILE, str(PACKAGE) + os.sep, str(report)],
+                   input=json.dumps([argv for argv, _ in runs]), text=True,
+                   capture_output=True, check=True,
+                   env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    got = json.loads(report.read_text())
+    assert got["statuses"] == [status for _, status in runs]
+    entered = {f"{Path(path).stem}.{name.replace('.<locals>.', '.')}"
+               for path, name in got["entered"]}
+    defined = {f"{path.stem}.{qual}" for path in PACKAGE.glob("*.py")
+               if path.name != "__init__.py"
+               for qual, _ in _defined(ast.parse(path.read_text()).body, "")}
+    assert sorted(defined - entered) == sorted(NEVER_ENTERED)
+

@@ -1,12 +1,13 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qsdsim import qsd
+from qsdsim import qsd, simulator
 from qsdsim.configuration import Configuration
 from qsdsim.errors import (AllExtinct, InvalidRegime,
                            NoSingletonMass, NotNormalized, WindowTooSmall)
@@ -53,7 +54,8 @@ def test_estimate_marginals_and_ess():
     assert est.mass_marginal == pytest.approx([0.0, 0.5, 0.3, 0.2])
     assert est.support_marginal == pytest.approx([0.0, 0.8, 0.2])
     assert est.ess == pytest.approx(1.0 / 0.38)
-    assert est.sample == ((ONE, 0.5), (TWO, 0.3), (THREE, 0.2))
+    assert list(zip(est.configurations, est.weights.tolist())) == [(ONE, 0.5), (TWO, 0.3),
+                                                                   (THREE, 0.2)]
 
 
 def test_estimate_draw_follows_weights():
@@ -76,6 +78,8 @@ def test_yaglom_at_time_zero_is_point_mass(uniform_model):
 def test_yaglom_rejects_bad_arguments(uniform_model):
     with pytest.raises(ValueError):
         yaglom_estimate(uniform_model, ONE, -1.0, 10, RandomStream(1))
+    with pytest.raises(ValueError, match="t must be nonnegative, got nan"):
+        yaglom_estimate(uniform_model, ONE, math.nan, 10, RandomStream(1))
     with pytest.raises(ValueError):
         yaglom_estimate(uniform_model, ONE, 1.0, 0, RandomStream(1))
 
@@ -338,10 +342,12 @@ FV_DIGESTS = {
 }
 
 
+def _sample_lines(est):
+    return [f"{w!r} {c.serialize()}" for c, w in zip(est.configurations, est.weights.tolist())]
+
+
 def _fv_text(est):
-    lines = [f"{est.events} {est.resurrections}"]
-    lines += [f"{w!r} {c.serialize()}" for c, w in est.sample]
-    return "\n".join(lines)
+    return "\n".join([f"{est.events} {est.resurrections}", *_sample_lines(est)])
 
 
 @pytest.mark.parametrize("family", sorted(FV_DIGESTS))
@@ -451,19 +457,35 @@ def test_sample_csv_layout(tmp_path):
     assert len(lines) == 1 + 3
 
 
-# sha256 of the serialized survivors of a small two-chunk Yaglom estimate,
-# pinned from the one-survivor-at-a-time urn. The lockstep urn must keep
-# every bit; only a deliberate change of the random stream may move them.
+# sha256 of the serialized survivors of a small Yaglom estimate, pinned
+# from the one-survivor-at-a-time urn with mass_paths run in chunks of
+# 4,096 replicas, two of them here. The lockstep urn must keep every bit;
+# only a deliberate change of the random stream may move them.
 YAGLOM_DIGESTS = {
     "uniform": "1a6417339360c5b9f2f041ebb984e6fbdc849d170015a85ae36da647138238fd",
     "truncated_gaussian": "a0335e0cf05ef3bd85ec8a17ce68a85bc558ae48ee7eb877dedf11f1feb6df4e",
 }
+# The same estimates at the package's chunk of 65,536 replicas, one here.
+YAGLOM_CHUNK_DIGESTS = {
+    "uniform": "5b541b91d58cd37fc74b583885b08b54f29ff09d3daaba5c8ee03374eeeb8b24",
+    "truncated_gaussian": "45a47f6240acd6eb1110784a969252582cbbbccc31a0685d0cb3da3451a6ee75",
+}
+
+
+def _yaglom_digest(family):
+    model = UniformModel(lam=2.0, b=1.0, rho=0.3, kernel=make_kernel(family, 0.05))
+    start = Configuration.from_pairs(((0.0, 2), (0.5, 1), (1.0, 1)))
+    est = yaglom_estimate(model, start, 2.0, 5000, RandomStream(2024))
+    return hashlib.sha256("\n".join(_sample_lines(est)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("family", sorted(YAGLOM_DIGESTS))
 def test_yaglom_survivors_keep_their_bits(family):
-    model = UniformModel(lam=2.0, b=1.0, rho=0.3, kernel=make_kernel(family, 0.05))
-    start = Configuration.from_pairs(((0.0, 2), (0.5, 1), (1.0, 1)))
-    est = yaglom_estimate(model, start, 2.0, 5000, RandomStream(2024))
-    text = "\n".join(f"{w!r} {c.serialize()}" for c, w in est.sample)
-    assert hashlib.sha256(text.encode()).hexdigest() == YAGLOM_DIGESTS[family]
+    with mock.patch.object(simulator, "CHUNK", 4096):
+        assert _yaglom_digest(family) == YAGLOM_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", sorted(YAGLOM_CHUNK_DIGESTS))
+def test_yaglom_survivors_keep_their_bits_in_one_chunk(family):
+    assert simulator.CHUNK == 65536
+    assert _yaglom_digest(family) == YAGLOM_CHUNK_DIGESTS[family]

@@ -15,17 +15,17 @@ from qsdsim.errors import InvalidRegime
 from qsdsim.oracle import build_mass_chain
 from qsdsim.qsd import QsdEstimate, fleming_viot_estimate
 from qsdsim.rates import LogisticModel, RateModel, UniformModel, individual_at
-from qsdsim.simulator import (CHUNK, ENGINES, Event, EventKind, Trajectory,
+from qsdsim.simulator import (ENGINES, Event, EventKind, Trajectory,
                               _gillespie_branch, _urns, mass_moments, mass_paths,
                               path_times, simulate_gillespie, simulate_thinning,
                               survival_curve, write_trajectory_csv)
 from qsdsim.streams import RandomStream, Uniforms
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, sample_base
-from qsdsim.validation import (Mass, chi2_threshold, lyapunov_check, martingale_residual,
-                               mass_histogram, two_sample_chi2)
+from qsdsim.validation import Mass, chi2_threshold, lyapunov_check, martingale_residual
 
 import strategies
-from ensembles import CountingDeaths, hitting_tail, mass_chunk, reference_chunks, urn
+from ensembles import CountingDeaths, hitting_tail, reference_chunks, urn
+from homogeneity import mass_histogram, two_sample_chi2
 
 START = Configuration.from_pairs(((0.2, 2), (0.6, 1)))
 MODELS = (
@@ -345,6 +345,8 @@ def test_path_times_on_hand_built_logs(initial, events, expected):
 def test_negative_horizon_rejected(engine, uniform_model):
     with pytest.raises(ValueError):
         ENGINES[engine](uniform_model, START, -1.0, RandomStream(1).generator())
+    with pytest.raises(ValueError, match="horizon must be nonnegative, got nan"):
+        ENGINES[engine](uniform_model, START, math.nan, RandomStream(1).generator())
 
 
 def test_survival_curve_matches_closed_form(uniform_model):
@@ -441,18 +443,24 @@ ESTIMATE = QsdEstimate(
     weights=np.array([0.5, 0.5]), burn_in=0.0, particles=2)
 
 
+# The chunk size the tests of the chunk layout patch in, so that several
+# chunks of mass_paths stay cheap.
+_CHUNK = 64
+
+
 @settings(max_examples=60, deadline=None)
 @given(model=st.sampled_from(MODELS), seed=st.integers(0, 2**32 - 1),
-       replicas=st.one_of(st.sampled_from([1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3]),
+       replicas=st.one_of(st.sampled_from([1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 3]),
                           st.integers(1, 300)),
        horizon=st.floats(0.0, 2.0), start=st.sampled_from([START, Configuration.void(), ESTIMATE]),
        survivors=st.booleans())
 def test_mass_paths_invariants(model, seed, replicas, horizon, start, survivors):
     checkpoints = (0.0, horizon / 2, horizon)
-    paths = mass_paths(model, start, horizon, replicas, RandomStream(seed),
-                       checkpoints=checkpoints, survivors=survivors)
-    # the running maximum comes from the reference chunks of the same replicas
-    chunks = reference_chunks(model, start, horizon, replicas, RandomStream(seed))
+    with mock.patch.object(simulator, "CHUNK", _CHUNK):
+        paths = mass_paths(model, start, horizon, replicas, RandomStream(seed),
+                           checkpoints=checkpoints, survivors=survivors)
+        # the running maximum comes from the reference chunks of the same replicas
+        chunks = reference_chunks(model, start, horizon, replicas, RandomStream(seed))
     assert np.array_equal(np.concatenate([c.final for c in chunks]), paths.final)
     maximum = np.concatenate([c.maximum for c in chunks])
     for column in (paths.start, paths.final, paths.extinction, paths.at, maximum):
@@ -477,22 +485,24 @@ def test_mass_paths_invariants(model, seed, replicas, horizon, start, survivors)
 
 
 @settings(max_examples=4, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), replicas=st.integers(2 * CHUNK + 1, 3 * CHUNK))
+@given(seed=st.integers(0, 2**32 - 1), replicas=st.integers(2 * _CHUNK + 1, 3 * _CHUNK))
 def test_mass_paths_do_not_depend_on_workers(seed, replicas, uniform_model):
-    runs = [mass_paths(uniform_model, START, 1.0, n, RandomStream(seed), workers=workers,
-                       checkpoints=(0.5,), survivors=True)
-            for n, workers in ((replicas, 1), (replicas, 2), (CHUNK, 1))]
+    with mock.patch.object(simulator, "CHUNK", _CHUNK):
+        runs = [mass_paths(uniform_model, START, 1.0, n, RandomStream(seed), workers=workers,
+                           checkpoints=(0.5,), survivors=True)
+                for n, workers in ((replicas, 1), (replicas, 2), (_CHUNK, 1))]
     for one, two, first in zip(*runs):
         if isinstance(one, np.ndarray):
             assert np.array_equal(one, two)
             # chunk 0 is the same whatever follows it
-            assert np.array_equal(one[:CHUNK], first)
+            assert np.array_equal(one[:_CHUNK], first)
         else:
             assert one == two
 
 
+@mock.patch.object(simulator, "CHUNK", _CHUNK)
 def test_mass_paths_start_each_replica_from_its_own_configuration(uniform_model):
-    replicas = 2 * CHUNK + 5
+    replicas = 2 * _CHUNK + 5
     starts = tuple(Configuration.from_pairs(((0.5, 1 + r % 3),)) for r in range(replicas))
     still = mass_paths(uniform_model, starts, 0.0, replicas, RandomStream(3), survivors=True)
     assert still.start.tolist() == [1 + r % 3 for r in range(replicas)]
@@ -503,6 +513,28 @@ def test_mass_paths_start_each_replica_from_its_own_configuration(uniform_model)
     assert runs[0].survivors == runs[1].survivors
     with pytest.raises(ValueError, match="one start per replica"):
         mass_paths(uniform_model, starts[:-1], 1.0, replicas, RandomStream(3))
+
+
+def test_no_lockstep_of_mass_paths_holds_more_than_a_chunk(uniform_model):
+    # a round's arrays hold at most CHUNK lanes, whatever the replica count
+    replicas = 2 * simulator.CHUNK + 5
+    with mock.patch.object(simulator, "_lockstep", wraps=simulator._lockstep) as lockstep:
+        paths = mass_paths(uniform_model, START, 0.1, replicas, RandomStream(4), survivors=True)
+    lanes = [call.args[0].size for call in lockstep.call_args_list]
+    assert lanes == [simulator.CHUNK, simulator.CHUNK, 5]
+    assert len(paths.final) == replicas and paths.events > 0
+
+
+@pytest.mark.parametrize("horizon", [-1.0, math.nan])
+def test_mass_paths_and_their_statistics_refuse_a_horizon_before_zero_or_nan(uniform_model,
+                                                                            horizon):
+    # a NaN horizon stopped every lane at once and returned the starts
+    with pytest.raises(ValueError, match="t_end must be nonnegative"):
+        mass_paths(uniform_model, START, horizon, 10, RandomStream(3))
+    with pytest.raises(ValueError, match="grid must be nonnegative"):
+        survival_curve(uniform_model, START, (horizon, 1.0), 10, RandomStream(3))
+    with pytest.raises(ValueError, match="times must be nonnegative"):
+        mass_moments(uniform_model, START, (horizon, 1.0), 10, RandomStream(3))
 
 
 @pytest.mark.parametrize("checkpoints", [(-1.0, 0.5), (0.5, 5.0), (math.nan,)])
@@ -525,82 +557,34 @@ _POOL = (Configuration.void(), START, Configuration.singleton(0.9),
 
 @settings(max_examples=60, deadline=None)
 @given(model=st.sampled_from(MODELS), seed=st.integers(0, 2**32 - 1),
-       replicas=st.one_of(st.sampled_from([1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
+       replicas=st.one_of(st.sampled_from([1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
                           st.integers(1, 300)),
        horizon=st.floats(0.0, 3.0), form=st.sampled_from(["one", "mixed", "law"]),
        picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=12),
        cuts=st.lists(st.floats(0.0, 1.0), max_size=3), survivors=st.booleans(),
-       group=st.sampled_from([simulator._GROUP, 1, 2]))
+       chunk=st.sampled_from([simulator.CHUNK, _CHUNK, 7]))
 def test_mass_paths_give_the_per_lane_rate_rounds_bit_for_bit(model, seed, replicas, horizon,
                                                               form, picks, cuts, survivors,
-                                                              group):
+                                                              chunk):
     # a mixed start puts masses 0, 1, 3 and 9 side by side, so the masses a
     # chunk reaches need not form one range
     initial = {"one": START, "law": ESTIMATE,
                "mixed": tuple(_POOL[picks[r % len(picks)]] for r in range(replicas))}[form]
     checkpoints = tuple(sorted(c * horizon for c in cuts))
-    # small groups split the chunks among several lockstep runs
-    with mock.patch.object(simulator, "_GROUP", group):
+    # small chunks split the replicas among several lockstep runs; the
+    # reference runs each chunk with the rates of every live lane
+    # evaluated every round
+    with mock.patch.object(simulator, "CHUNK", chunk):
         got = mass_paths(model, initial, horizon, replicas, RandomStream(seed),
                          checkpoints=checkpoints, survivors=survivors)
-    # each chunk run alone on its own generator, the rates of every live
-    # lane evaluated every round
-    want = reference_chunks(model, initial, horizon, replicas, RandomStream(seed),
-                            checkpoints=checkpoints, survivors=survivors)
+        want = reference_chunks(model, initial, horizon, replicas, RandomStream(seed),
+                                checkpoints=checkpoints, survivors=survivors)
     for k, one in enumerate(got[:4]):
-        two = np.concatenate([chunk[k] for chunk in want])
+        two = np.concatenate([part[k] for part in want])
         assert one.dtype == two.dtype and np.array_equal(one, two)
-    assert got.events == sum(chunk.events for chunk in want)
-    assert [c.entries for c in got.survivors] == [c.entries for chunk in want
-                                                  for c in chunk.survivors]
-
-
-class _Logged:
-    """A generator that logs the size of every array it draws."""
-
-    def __init__(self, gen: np.random.Generator) -> None:
-        self.gen, self.sizes = gen, []
-        self.bit_generator = gen.bit_generator
-
-    def random(self, size=None):
-        self.sizes.append(size)
-        return self.gen.random(size)
-
-    def standard_exponential(self, size):
-        self.sizes.append(size)
-        return self.gen.standard_exponential(size)
-
-
-def test_a_chunk_that_dies_out_draws_nothing_more_beside_a_long_lived_one(uniform_model):
-    # chunk 0 holds void and mass-1 starts, all of which die out in the
-    # first round at this seed; chunk 1 starts at mass 8 and lives on
-    parts = [(6, (Configuration.void(), Configuration.singleton(0.1)) * 3),
-             (40, (Configuration.from_pairs(((0.2, 5), (0.6, 3))),) * 40)]
-    stream = RandomStream(2)
-
-    def logged():
-        return [_Logged(stream.substream(c).generator()) for c in range(len(parts))]
-
-    gens = logged()
-    got = simulator._mass_chunk(uniform_model, 2.0, (0.5, 2.0), True, gens, parts)
-    refs = logged()
-    want = [mass_chunk(uniform_model, 2.0, (0.5, 2.0), True, [ref], [part])
-            for ref, part in zip(refs, parts)]
-    dying, lasting = want
-    assert (dying.final == 0).all() and dying.events == 3 and not dying.survivors
-    assert lasting.survivors and lasting.events > 100
-    for k, one in enumerate(got[:4]):
-        assert np.array_equal(one, np.concatenate([chunk[k] for chunk in want]))
-    assert got.events == dying.events + lasting.events
-    assert got.survivors == lasting.survivors
-    # the dying chunk drew its holding times and up steps once, and then
-    # nothing; the reference also draws an empty array once every lane of
-    # a chunk has stopped at t_end, which leaves its generator as it is
-    assert gens[0].sizes == refs[0].sizes == [3, 3]
-    assert 0 in refs[1].sizes
-    assert gens[1].sizes == [size for size in refs[1].sizes if size]
-    for gen, ref in zip(gens, refs):
-        assert gen.bit_generator.state == ref.bit_generator.state
+    assert got.events == sum(part.events for part in want)
+    assert [c.entries for c in got.survivors] == [c.entries for part in want
+                                                  for c in part.survivors]
 
 
 def _joint_law(configs, kmax=15):
@@ -760,64 +744,30 @@ def _survivor_path(start: Configuration, ups: list[bool]) -> list[int]:
     return path
 
 
-def _urn_input(chunk):
-    """Starts, paths, start masses, steps, path lengths and final masses of survivors ``chunk``."""
-    starts = [start for start, _ in chunk]
-    paths = [np.array(_survivor_path(start, ups), dtype=np.int8) for start, ups in chunk]
-    masses = np.array([c.total_mass for c in starts], dtype=np.int64)
-    finals = masses + np.array([p.sum() for p in paths], dtype=np.int64)
-    lengths = np.array([len(p) for p in paths], dtype=np.int64)
-    steps = np.concatenate([np.zeros(0, dtype=np.int8), *paths])
-    return starts, paths, masses, steps, lengths, finals
-
-
-_KERNELS = st.one_of(st.just(UniformKernel()), st.floats(0.005, 0.5).map(TruncatedGaussianKernel))
-_SURVIVORS = st.lists(st.tuples(_STARTS, st.lists(st.booleans(), max_size=40)), max_size=8)
-_BATCHES = st.sampled_from([simulator._BATCH, 1, 7, 30])
-
-
 @settings(max_examples=200, deadline=None)
-@given(kernel=_KERNELS, rho=st.floats(0.01, 0.99), shared=st.booleans(), chunk=_SURVIVORS,
-       seed=st.integers(0, 2**32 - 1), batch=_BATCHES)
+@given(kernel=st.one_of(st.just(UniformKernel()),
+                        st.floats(0.005, 0.5).map(TruncatedGaussianKernel)),
+       rho=st.floats(0.01, 0.99), shared=st.booleans(),
+       chunk=st.lists(st.tuples(_STARTS, st.lists(st.booleans(), max_size=40)), max_size=8),
+       seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([simulator._BATCH, 1, 7, 30]))
 def test_lockstep_urns_give_the_one_at_a_time_urn_bit_for_bit(kernel, rho, shared, chunk,
                                                                seed, batch):
     # small batches split the survivors, and paths longer than a batch run alone
     model = UniformModel(lam=2.0, b=1.0, rho=rho, kernel=kernel)
     if shared and chunk:
         chunk = [(chunk[0][0], ups) for _, ups in chunk]
-    starts, paths, masses, steps, lengths, finals = _urn_input(chunk)
+    starts = [start for start, _ in chunk]
+    paths = [np.array(_survivor_path(start, ups), dtype=np.int8) for start, ups in chunk]
+    masses = np.array([c.total_mass for c in starts], dtype=np.int64)
+    finals = masses + np.array([p.sum() for p in paths], dtype=np.int64)
+    lengths = np.array([len(p) for p in paths], dtype=np.int64)
+    steps = np.concatenate([np.zeros(0, dtype=np.int8), *paths])
     lockstep = np.random.default_rng(seed)
     with mock.patch.object(simulator, "_BATCH", batch):
-        got = _urns(model, starts, masses, steps, lengths, finals, [lockstep],
-                    np.array([0, len(chunk)]))
+        got = _urns(model, starts, masses, steps, lengths, finals, lockstep)
     rng = np.random.default_rng(seed)
     want = [urn(model, start, path, rng) for start, path in zip(starts, paths)]
     assert [c.serialize() for c in got] == [c.serialize() for c in want]
     assert [c.total_mass for c in got] == finals.tolist()
     # the lockstep urn leaves the generator where the one-at-a-time urn does
     assert lockstep.random() == rng.random()
-
-
-@settings(max_examples=100, deadline=None)
-@given(kernel=_KERNELS, rho=st.floats(0.01, 0.99), chunk=_SURVIVORS,
-       cuts=st.lists(st.integers(0, 8), max_size=4), seed=st.integers(0, 2**32 - 1),
-       batch=_BATCHES)
-def test_lockstep_urns_split_among_generators_give_each_generator_its_own_urns(
-        kernel, rho, chunk, cuts, seed, batch):
-    # generator j owns survivors owns[j] to owns[j + 1], some of them none;
-    # small batches span several owners
-    model = UniformModel(lam=2.0, b=1.0, rho=rho, kernel=kernel)
-    starts, _, masses, steps, lengths, finals = _urn_input(chunk)
-    owns = [0, *sorted(min(c, len(chunk)) for c in cuts), len(chunk)]
-    gens = [np.random.default_rng([seed, j]) for j in range(len(owns) - 1)]
-    with mock.patch.object(simulator, "_BATCH", batch):
-        got = _urns(model, starts, masses, steps, lengths, finals, gens, np.array(owns))
-    refs = [np.random.default_rng([seed, j]) for j in range(len(owns) - 1)]
-    edge = np.concatenate(([0], np.cumsum(lengths))).tolist()
-    want = []
-    for ref, a, b in zip(refs, owns, owns[1:]):
-        want += _urns(model, starts[a:b], masses[a:b], steps[edge[a]:edge[b]], lengths[a:b],
-                      finals[a:b], [ref], np.array([0, b - a]))
-    assert [c.serialize() for c in got] == [c.serialize() for c in want]
-    for gen, ref in zip(gens, refs):
-        assert gen.bit_generator.state == ref.bit_generator.state

@@ -14,11 +14,12 @@ from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
 from qsdsim.validation import (BoundedCustom, ExpMass, Indicator, LyapunovPoint,
                                Mass, _by_mass, _lyapunov_chunk, _martingale_chunk,
                                chi2_threshold, comparison_exponent, exp_mass_drift_bound,
-                               generator_apply, lyapunov_check, mass_histogram,
-                               martingale_residual, run_validation_checks, two_sample_chi2)
+                               generator_apply, lyapunov_check, martingale_residual,
+                               run_validation_checks)
 
 import strategies
 from ensembles import CountingDeaths, lyapunov_replica, martingale_replica
+from homogeneity import mass_histogram, two_sample_chi2
 
 FIVE = Configuration.from_pairs(((0.5, 5),))
 ONE = Configuration.singleton(0.5)
@@ -184,6 +185,8 @@ def test_martingale_argument_checks(uniform_model):
     with pytest.raises(ValueError):
         martingale_residual(uniform_model, Mass(), FIVE, -1.0, 10, RandomStream(1))
     with pytest.raises(ValueError):
+        martingale_residual(uniform_model, Mass(), FIVE, math.nan, 10, RandomStream(1))
+    with pytest.raises(ValueError):
         martingale_residual(uniform_model, Mass(), FIVE, 1.0, 0, RandomStream(1))
 
 
@@ -192,6 +195,9 @@ def test_lyapunov_grid_validation(uniform_model):
         lyapunov_check(uniform_model, FIVE, 0.3, (0.0, 1.0), 10, RandomStream(1))
     with pytest.raises(ValueError):
         lyapunov_check(uniform_model, FIVE, 0.3, (1.0, 1.0), 10, RandomStream(1))
+    # a NaN time gave a NaN point, which no bound flags
+    with pytest.raises(ValueError):
+        lyapunov_check(uniform_model, FIVE, 0.3, (math.nan, 1.0), 10, RandomStream(1))
 
 
 def test_comparison_exponent_fixed_point_stays_put():
@@ -245,6 +251,8 @@ def test_comparison_exponent_regime_checks():
         comparison_exponent(2.0, 1.0, math.log(2.0) + 0.01, 1.0)
     with pytest.raises(InvalidRegime):
         comparison_exponent(2.0, 1.0, 0.1, -1.0)
+    with pytest.raises(InvalidRegime):
+        comparison_exponent(2.0, 1.0, 0.1, math.nan)
 
 
 @pytest.mark.parametrize("check", [
