@@ -40,6 +40,7 @@ from .validation import run_validation_checks
 gc.freeze()
 
 _FLAGGED = tuple(key for key in SCHEMA if key.flag is not None)
+_FLAGS = frozenset(key.flag for key in _FLAGGED)
 
 SUBCOMMANDS = ("simulate", "survival", "qsd-yaglom", "qsd-fv", "oracle",
                "validate", "compare")
@@ -65,6 +66,21 @@ def _build_parser(names: tuple[str, ...]) -> _Parser:
             sub.add_argument("file_a", metavar="FILE_A")
             sub.add_argument("file_b", metavar="FILE_B")
     return parser
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """argv with a flag's separated value like -1e-3 or -inf joined to it by '='.
+
+    argparse reads a value that starts with one '-' and is no plain
+    decimal as an option; joined, it reaches its key's own check.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _definite(obj):
@@ -305,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     # them all, for argparse's usage errors and --version
     names = (argv[0],) if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
     try:
-        args = _build_parser(names).parse_args(argv)
+        args = _build_parser(names).parse_args(_joined(argv))
         raw = {}
         if args.config is not None:
             raw = parse_config_text(Path(args.config).read_text())

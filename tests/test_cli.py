@@ -243,6 +243,39 @@ def test_validate_needs_two_replicas_for_its_standard_errors(tmp_path, capsys):
     assert not (tmp_path / "validate.json").exists()
 
 
+def test_validate_at_two_replicas_reports_a_zero_standard_error(tmp_path, capsys):
+    # two replicas that end at one mass give a zero SE (seeds 1, 2, 4 and 7)
+    failed = set()
+    for seed in range(1, 9):
+        out = tmp_path / str(seed)
+        status = main(["validate", *UNIFORM_FLAGS, "--replicas", "2", "--seed", str(seed),
+                       "--out", str(out)])
+        assert status in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        checks = {c["check"]: c for c in _read_json(out / "validate.json")["checks"]}
+        decay = checks["mean_mass_decay"]
+        assert isinstance(decay["statistic"], float)
+        assert status == (0 if all(c["pass"] for c in checks.values()) else 2)
+        if not decay["pass"]:
+            failed.add(seed)
+    assert {1, 2, 4, 7} <= failed
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--rho", "-1e-3", "error: rho must lie in (0, 1), got -0.001\n"),
+    ("--t-max", "-inf", "error: run.horizon: must be finite, got '-inf'\n"),
+    ("--rho", "-x", "error: model.rho: expected a number, got '-x'\n"),
+], ids=["rho", "t-max", "not-a-number"])
+def test_a_separated_value_like_minus_inf_reaches_its_key(flag, value, error, tmp_path, capsys):
+    # argparse reads a value that starts with '-' and is no plain decimal as
+    # an option; the last --rho wins over UNIFORM_FLAGS' own
+    base = ["simulate", *UNIFORM_FLAGS, "--out", str(tmp_path)]
+    assert main([*base, flag, value]) == 1
+    assert capsys.readouterr().err == error
+    assert main([*base, f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err == error
+
+
 def test_fleming_viot_artifacts(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(

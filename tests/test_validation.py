@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdsim import simulator
+from qsdsim import simulator, validation
 from qsdsim.configuration import Configuration
 from qsdsim.errors import InvalidRegime
 from qsdsim.rates import LogisticModel, UniformModel
@@ -346,6 +347,46 @@ def test_validation_battery_passes(uniform_model, logistic_model):
     for check in logistic_checks:
         assert check["model"] == "logistic"
         assert check["pass"], check
+
+
+def test_pointwise_checks_see_every_ordered_weight_tuple_once(uniform_model, monkeypatch):
+    seen = []
+
+    def logged(model, f, config):
+        seen.append((type(f), tuple(weight for _, weight in config.entries)))
+        return generator_apply(model, f, config)
+
+    monkeypatch.setattr(validation, "generator_apply", logged)
+    checks = run_validation_checks(uniform_model, RandomStream(3), replicas=20)
+    assert [c["check"] for c in checks][:3] == [
+        "mass_generator_identity", "nonempty_indicator_generator_bounds",
+        "exp_mass_pointwise_drift"]
+    every = sorted(w for size in range(1, 5) for w in itertools.product(range(1, 5), repeat=size))
+    assert len(every) == 340
+    # the Monte Carlo checks read L f from the rate table, not generator_apply
+    for f in (Mass, BoundedCustom, ExpMass):
+        weights = [w for kind, w in seen if kind is f]
+        assert sorted(weights) == every
+        assert {sum(w) for w in weights} == set(range(1, 17))
+    assert len(seen) == 3 * 340
+
+
+class _OffAtSixteen(UniformModel):
+    """Uniform rates but for d(16), off by 1e-6."""
+
+    def per_capita_death(self, n):
+        return self.lam + 1e-6 * (n == 16)
+
+
+def test_the_mass_identity_fails_a_death_rate_wrong_only_at_mass_sixteen():
+    # only the weights (4, 4, 4, 4) reach mass 16, and at every seed
+    model = _OffAtSixteen(lam=2.0, b=1.0, rho=0.3, kernel=UniformKernel())
+    assert model.per_capita_death(15) == 2.0 and model.per_capita_death(16) != 2.0
+    for seed in range(1, 11):
+        identity = run_validation_checks(model, RandomStream(seed), replicas=20)[0]
+        assert identity["check"] == "mass_generator_identity"
+        assert identity["statistic"] == pytest.approx(1e-6, rel=1e-6)
+        assert not identity["pass"]
 
 
 def _counting_model():
