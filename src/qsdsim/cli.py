@@ -148,7 +148,7 @@ def _run_survival(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"run.grid: the default grid 0.5, 1.0, ... has no point up to"
                           f" run.horizon = {cfg.horizon}; set run.grid")
     curve = survival_curve(model, cfg.build_initial(), cfg.grid, cfg.replicas,
-                           RandomStream(cfg.seed), workers=cfg.threads)
+                           RandomStream(cfg.seed))
     theta_hat = theta_se = None
     try:
         theta_hat, theta_se = decay_rate_from_survival(curve)
@@ -213,7 +213,7 @@ def _qsd_model(cfg: ExperimentConfig):
 def _run_qsd_yaglom(cfg: ExperimentConfig) -> int:
     model = _qsd_model(cfg)
     est = yaglom_estimate(model, cfg.build_initial(), cfg.horizon, cfg.replicas,
-                          RandomStream(cfg.seed), workers=cfg.threads)
+                          RandomStream(cfg.seed))
     _write_estimate(cfg, est, "yaglom")
     return 0
 
@@ -253,8 +253,7 @@ def _run_oracle(cfg: ExperimentConfig) -> int:
 
 def _run_validate(cfg: ExperimentConfig) -> int:
     model = cfg.build_model()
-    checks = run_validation_checks(model, RandomStream(cfg.seed),
-                                   replicas=cfg.replicas, workers=cfg.threads)
+    checks = run_validation_checks(model, RandomStream(cfg.seed), replicas=cfg.replicas)
     _write_json(_out_dir(cfg) / "validate.json", {"checks": checks, **_meta(cfg)})
     for check in checks:
         verdict = "pass" if check["pass"] else "FAIL"

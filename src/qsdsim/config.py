@@ -73,6 +73,14 @@ def _float(minimum: float | None = None, strict: bool = False) -> Callable[[str,
 _positive = _float(0.0, strict=True)
 
 
+def _one_process(key: str, value: str) -> int:
+    # everything runs in one process; the key stays, hashed at 1, so that
+    # configs that set it and the hashes of existing artifacts still hold
+    if _int(1)(key, value) != 1:
+        raise ConfigError(f"{key}: only 1 is supported, got {value!r}")
+    return 1
+
+
 def _one_of(*choices: str) -> Callable[[str, str], str]:
     def parse(key: str, value: str) -> str:
         if value not in choices:
@@ -145,7 +153,7 @@ SCHEMA = (
     Key("run.tv_tol", "tv_tol", _positive, "0.05"),
     Key("run.theta_tol", "theta_tol", _positive, "0.1"),
     Key("run.snapshot_interval", "snapshot_interval", _positive, "0.5"),
-    Key("run.threads", "threads", _int(1), "1", "--threads"),
+    Key("run.threads", "threads", _one_process, "1"),
     Key("run.engine", "engine", _one_of("gillespie", "thinning"), "gillespie", "--engine"),
     Key("run.initial", "initial_text", _initial),
     Key("run.initial_mass", "initial_mass", _int(1), "1"),

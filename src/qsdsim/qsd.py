@@ -111,7 +111,7 @@ YAGLOM_STAGES = 2
 
 
 def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
-                    rng: RandomStream, workers: int = 1) -> QsdEstimate:
+                    rng: RandomStream) -> QsdEstimate:
     """Empirical law at time t among surviving replicas, by fixed-factor splitting.
 
     The horizon is cut into :data:`YAGLOM_STAGES` equal stages, and stage
@@ -139,7 +139,7 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
     lineage, copies = np.arange(replicas), 1
     for stage in range(YAGLOM_STAGES):
         paths = mass_paths(model, starts, t / YAGLOM_STAGES, size, rng.substream(stage),
-                           workers, survivors=True)
+                           survivors=True)
         events += paths.events
         if not paths.survivors:
             raise AllExtinct(f"no replica of {size} survived stage {stage + 1} of"

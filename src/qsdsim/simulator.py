@@ -380,7 +380,7 @@ ENGINES = {
 
 
 # Replicas per chunk of mass_paths, the unit of both the random stream and
-# the lockstep; a constant, so that no result depends on the worker count.
+# the lockstep; a constant, so that no result depends on how it is run.
 # Enough lanes that a round's numpy work outweighs its Python overhead, and
 # few enough that a round's arrays stay small.
 CHUNK = 65536
@@ -424,11 +424,12 @@ def _urns(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
     the mass path these are the exact conditional laws, since every
     individual carries the same rates.
 
-    The urn draws from ``rng`` exactly the uniforms of running the
-    survivors one after another (:func:`_urn_uniforms`). It runs the
-    survivors in batches of consecutive ones with about :data:`_BATCH`
-    steps together (:func:`_urn_batch`), so that what it holds at once
-    stays bounded however long the paths are.
+    The urn draws three uniforms a step from ``rng``, in step order
+    (:func:`_urn_uniforms`), as running the survivors one after another
+    would. It runs the survivors in batches of consecutive ones with
+    about :data:`_BATCH` steps together (:func:`_urn_batch`), so that
+    what it holds at once stays bounded however long the paths are; the
+    batches do not change what is drawn.
     """
     if not len(lengths):
         return ()
@@ -458,8 +459,8 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
     count = len(lengths)
     if not count:
         return []
-    # positions in the uniforms and in the rows of node ids fit this type
-    bound = max(3 * len(steps), count * int(masses.max() + lengths.max()))
+    # step positions and positions in the rows of node ids fit this type
+    bound = count * int(masses.max() + lengths.max())
     index = np.int32 if bound < 2**31 else np.int64
     masses, finals = masses.astype(index), finals.astype(index)
     up = steps > 0
@@ -468,7 +469,7 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
     mass -= steps
     net = finals - masses
     mass += np.repeat(masses - (np.cumsum(net, dtype=index) - net), lengths)
-    pick, mutates, kernel_u = _urn_uniforms(model.rho, up, lengths, mass, rng, index)
+    pick, mutates, kernel_u = _urn_uniforms(model.rho, up, mass, rng, index)
 
     # row r of node ids is the list of the survivor of rank r, longest
     # path first; a birth reads its parent and writes the child after the
@@ -564,61 +565,22 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
     return [_successor(tuple(pairs[i:j]), n) for i, j, n in spans]
 
 
-def _urn_uniforms(rho: float, up: np.ndarray, lengths: np.ndarray, mass: np.ndarray,
-                  rng: np.random.Generator, index) -> tuple[np.ndarray, ...]:
-    """The urn's uniforms, drawn as running the survivors one after another would.
+def _urn_uniforms(rho: float, up: np.ndarray, mass: np.ndarray, rng: np.random.Generator,
+                  index) -> tuple[np.ndarray, ...]:
+    """The urn's uniforms, three a step in step order: its pick, its flag, its kernel uniform.
 
-    Survivor s reads ``lengths[s]`` picks, as many mutation flags, then
-    one kernel uniform per mutating birth; its steps are ``up`` (births)
-    and the ``mass`` before each. Returns, per step, the rank of the
-    picked individual, truncated as int() does, and whether the step is
-    a mutating birth, and the kernel uniforms in step order. One block
-    long enough for every survivor, two uniforms a step and one a birth,
-    is read at once, and one scan over its flags finds where each
-    survivor's uniforms start. The generator is then set back and
-    advanced past exactly the uniforms used, one PCG64 output per
-    double, so that ``rng`` is left where running the survivors one at a
-    time would leave it.
+    ``up`` marks the births and ``mass`` is the mass before each step.
+    The kernel uniform is drawn on every step and used only on a
+    mutating birth, so a survivor's uniforms start at three times the
+    steps before it, whatever those steps were. Returns, per step, the
+    rank of the picked individual, truncated as int() does, and whether
+    the step is a mutating birth, and the kernel uniforms of the
+    mutating births in step order.
     """
-    total = len(up)
-    state = rng.bit_generator.state
-    uniforms = rng.random(2 * total + int(np.count_nonzero(up)))
-    flag = uniforms < rho
-    # survivor s takes 2 lengths[s] uniforms and one per mutating birth,
-    # counted as the set bits of its birth bytes ANDed with its flag bytes
-    below, births = memoryview(flag.view(np.uint8)), memoryview(up.view(np.uint8))
-    offsets = []
-    mark = offsets.append
-    word = int.from_bytes
-    here = lo = 0
-    for n in lengths.tolist():
-        mark(here)
-        here += 2 * n + (word(births[lo:lo + n], "little")
-                         & word(below[here + n:here + 2 * n], "little")).bit_count()
-        lo += n
-    mark(here)
-    del below, births
-    rng.bit_generator.state = state
-    rng.bit_generator.advance(here)
-    # step k of survivor s reads its pick at offsets[s] + k and its flag
-    # lengths[s] later; its i-th mutating birth reads the kernel uniform
-    # at offsets[s] + 2 lengths[s] + i
-    offsets = np.array(offsets, dtype=index)
-    span = lengths.astype(index)
-    at = np.repeat(offsets[:-1] - (np.cumsum(span, dtype=index) - span), lengths)
-    at += np.arange(total, dtype=index)
-    mutations = np.diff(offsets) - 2 * span
-    kernel_at = np.repeat(offsets[:-1] + 2 * span
-                          - (np.cumsum(mutations, dtype=index) - mutations), mutations)
-    kernel_at += np.arange(len(kernel_at), dtype=index)
-    flagged = np.repeat(span, lengths)
-    flagged += at
-    mutates = flag[flagged]
+    u = rng.random((len(up), 3))
+    mutates = u[:, 1] < rho
     mutates &= up
-    del flag, flagged
-    # each pick turns into a rank, truncated as int() does
-    pick = (uniforms[at] * mass).astype(index)
-    return pick, mutates, uniforms[kernel_at]
+    return (u[:, 0] * mass).astype(index), mutates, u[mutates, 2]
 
 
 def _scatter(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -684,8 +646,7 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
 
 
 def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: RandomStream,
-               workers: int = 1, checkpoints: Sequence[float] = (),
-               survivors: bool = False) -> MassPaths:
+               checkpoints: Sequence[float] = (), survivors: bool = False) -> MassPaths:
     """Mass paths of an ensemble to t_end, simulated in lockstep chunks.
 
     Every :class:`~qsdsim.rates.RateModel` is trait-blind, so the mass is
@@ -697,8 +658,7 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     Replicas run in chunks of :data:`CHUNK`, one :func:`_mass_chunk`
     lockstep each, all through :func:`~qsdsim.streams.map_replicas`, and
     chunk c draws from ``rng.substream(c)``: a chunk is the unit of both
-    the random stream and the lockstep, so no result depends on the worker
-    count. Checkpoints may come in any order but must lie
+    the random stream and the lockstep. Checkpoints may come in any order but must lie
     within [0, t_end]. With ``survivors`` the result also carries the
     configurations of the replicas alive at t_end, their traits drawn by
     the urn.
@@ -719,7 +679,7 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     work = [(min(CHUNK, replicas - a),
              initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
             for a in range(0, replicas, CHUNK)]
-    parts = map_replicas(chunk, len(work), rng, workers, chunk_size=1, items=work)
+    parts = map_replicas(chunk, len(work), rng, chunk_size=1, items=work)
     columns = zip(*(part[:4] for part in parts))
     return MassPaths(*(np.concatenate(column) for column in columns),
                      sum(part.events for part in parts),
@@ -744,7 +704,7 @@ class SurvivalCurve:
 
 
 def survival_curve(model: RateModel, initial, grid: Sequence[float],
-                   replicas: int, rng: RandomStream, workers: int = 1) -> SurvivalCurve:
+                   replicas: int, rng: RandomStream) -> SurvivalCurve:
     """Fraction of replicas not yet extinct at each grid time.
 
     Runs on :func:`mass_paths`.
@@ -752,7 +712,7 @@ def survival_curve(model: RateModel, initial, grid: Sequence[float],
     grid = tuple(float(t) for t in grid)
     if not all(t >= 0.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be nonnegative and strictly increasing")
-    paths = mass_paths(model, initial, max(grid), replicas, rng, workers)
+    paths = mass_paths(model, initial, max(grid), replicas, rng)
     survival = []
     stderr = []
     for t in grid:
@@ -764,7 +724,7 @@ def survival_curve(model: RateModel, initial, grid: Sequence[float],
 
 
 def mass_moments(model: RateModel, initial, times: Sequence[float], replicas: int,
-                 rng: RandomStream, workers: int = 1) -> list[tuple[float, float, float]]:
+                 rng: RandomStream) -> list[tuple[float, float, float]]:
     """Mean total mass at each time with Monte Carlo standard errors.
 
     Runs on :func:`mass_paths`.
@@ -774,7 +734,7 @@ def mass_moments(model: RateModel, initial, times: Sequence[float], replicas: in
         raise ValueError("times must be nonnegative and strictly increasing")
     if replicas < 2:
         raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
-    rows = mass_paths(model, initial, max(times), replicas, rng, workers, checkpoints=times).at
+    rows = mass_paths(model, initial, max(times), replicas, rng, checkpoints=times).at
     means = rows.mean(axis=0)
     errs = rows.std(axis=0, ddof=1) / math.sqrt(replicas)
     return [(t, float(m), float(e)) for t, m, e in zip(times, means, errs)]

@@ -1,9 +1,11 @@
 """Deterministic random-stream addressing built on numpy SeedSequence.
 
 All randomness in the package flows from one root seed. A RandomStream
-names a node in the SeedSequence spawn tree; replica r of an ensemble
-uses the child stream ``root.substream(r)``, so results do not depend on
-evaluation order or on how replicas are distributed over workers.
+names a node in the SeedSequence spawn tree, and everything runs in one
+process. Chunk c of ``simulator.mass_paths`` draws from one generator of
+the child stream ``root.substream(c)``: its mass paths first, then three
+uniforms per urn step of its survivors, in step order. Replica r of a
+validation check draws from ``root.substream(r)``.
 
 Replica generators are seeded a chunk at a time: ``seed_words``
 repeats numpy's SeedSequence hash (entropy pool of 4 words, then
@@ -16,7 +18,6 @@ Per-event loops take their uniforms one at a time from :class:`Uniforms`.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterator, Sequence
@@ -170,25 +171,16 @@ class Uniforms:
         self.random = chain.from_iterable(gen.random(size).tolist() for size in sizes).__next__
 
 
-def _run_chunk(args: tuple):
-    fn, stream, start, stop, items = args
-    gens = list(stream.replica_generators(start, stop))
-    return fn(gens) if items is None else fn(gens, items)
-
-
-def map_replicas(fn, n_replicas: int, stream: RandomStream, workers: int = 1,
-                 chunk_size: int = 4096, items: Sequence | None = None) -> list:
+def map_replicas(fn, n_replicas: int, stream: RandomStream, chunk_size: int = 4096,
+                 items: Sequence | None = None) -> list:
     """Evaluate ``fn(generators)`` on the chunks of replica substreams 0..n-1.
 
     Replicas run in chunks of ``chunk_size``, each seeded by one hash pass;
     ``fn`` takes the list of a chunk's generators in replica order, the
     generator of replica r yielding what ``substream(r).generator()``
-    would. The chunk size bounds the seed memory and is the unit of work
-    sent to a worker. ``fn`` must be picklable when workers > 1 (a
-    module-level function or functools.partial over one). With ``items``,
-    one per replica, a chunk evaluates ``fn(generators, items_of_the_chunk)``.
-    The result holds one value per chunk in chunk order, so the merge is
-    independent of worker count and scheduling.
+    would. The chunk size bounds the seed memory. With ``items``, one per
+    replica, a chunk evaluates ``fn(generators, items_of_the_chunk)``.
+    The result holds one value per chunk in chunk order.
     """
     if n_replicas < 0:
         raise ValueError("n_replicas must be nonnegative")
@@ -196,10 +188,8 @@ def map_replicas(fn, n_replicas: int, stream: RandomStream, workers: int = 1,
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     if items is not None and len(items) != n_replicas:
         raise ValueError(f"need one item per replica, got {len(items)} for {n_replicas}")
-    chunks = [(fn, stream, a, min(a + chunk_size, n_replicas),
-               None if items is None else items[a:a + chunk_size])
-              for a in range(0, n_replicas, chunk_size)]
-    if workers <= 1 or len(chunks) <= 1:
-        return [_run_chunk(chunk) for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_chunk, chunks))
+    out = []
+    for a in range(0, n_replicas, chunk_size):
+        gens = list(stream.replica_generators(a, min(a + chunk_size, n_replicas)))
+        out.append(fn(gens) if items is None else fn(gens, items[a:a + chunk_size]))
+    return out

@@ -157,8 +157,7 @@ def _martingale_chunk(model: RateModel, f: TestFunction, initial: Configuration,
 
 
 def martingale_residual(model: RateModel, f: TestFunction, initial: Configuration,
-                        t: float, replicas: int, rng: RandomStream,
-                        workers: int = 1) -> tuple[float, float]:
+                        t: float, replicas: int, rng: RandomStream) -> tuple[float, float]:
     """Monte Carlo E[f(Y_t)] - f(initial) - E int L f, with exact integrals.
 
     The residual is zero in expectation; the return pairs the estimate
@@ -172,7 +171,7 @@ def martingale_residual(model: RateModel, f: TestFunction, initial: Configuratio
         raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
     model.check_regime()
     fn = partial(_martingale_chunk, model, f, initial, t)
-    draws = np.concatenate(map_replicas(fn, replicas, rng, workers))
+    draws = np.concatenate(map_replicas(fn, replicas, rng))
     return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(replicas))
 
 
@@ -224,8 +223,8 @@ def comparison_exponent(lambda_star: float, b_star: float, a0: float, t: float) 
 
 
 def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
-                   grid: Sequence[float], replicas: int, rng: RandomStream,
-                   workers: int = 1) -> list[LyapunovPoint]:
+                   grid: Sequence[float], replicas: int,
+                   rng: RandomStream) -> list[LyapunovPoint]:
     """Monte Carlo test of the damped exponential-moment bound.
 
     Estimates E[e^{-death_inf t} e^{a(t) mass} on survival] at each grid
@@ -242,7 +241,7 @@ def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
     a_at = tuple(comparison_exponent(lam_star, model.birth_sup, a0, t) for t in grid)
     model.check_regime()
     fn = partial(_lyapunov_chunk, model, initial, grid, a_at, lam_star)
-    rows = np.concatenate(map_replicas(fn, replicas, rng, workers))
+    rows = np.concatenate(map_replicas(fn, replicas, rng))
     bound = math.exp(a0 * initial.total_mass)
     points = []
     for j, t in enumerate(grid):
@@ -270,8 +269,8 @@ _MAX_SUPPORT = 4
 _MAX_WEIGHT = 4
 
 
-def run_validation_checks(model: RateModel, rng: RandomStream, replicas: int = 10_000,
-                          workers: int = 1) -> list[dict]:
+def run_validation_checks(model: RateModel, rng: RandomStream,
+                          replicas: int = 10_000) -> list[dict]:
     """The check battery behind the validate subcommand.
 
     Every entry reports {check, model, params, statistic, threshold,
@@ -331,18 +330,18 @@ def run_validation_checks(model: RateModel, rng: RandomStream, replicas: int = 1
     )):
         for i, t in enumerate((0.5, 1.0)):
             residual, stderr = martingale_residual(
-                model, f, initial, t, replicas, rng.substream(1, j, i), workers)
+                model, f, initial, t, replicas, rng.substream(1, j, i))
             record(f"{label}_t{t}", abs(residual), 3.0 * stderr)
 
     if model.death_inf > model.birth_sup:
         points = lyapunov_check(model, Configuration.from_pairs(((0.5, 3),)), 0.3,
-                                (0.5, 1.0, 2.0), replicas, rng.substream(2), workers)
+                                (0.5, 1.0, 2.0), replicas, rng.substream(2))
         record("lyapunov_violations", float(sum(p.flagged for p in points)), 0.0)
 
     if isinstance(model, UniformModel):
         theta = model.lam - model.b
         times = (0.25, 0.5, 1.0)
-        rows = mass_moments(model, five, times, replicas, rng.substream(3), workers)
+        rows = mass_moments(model, five, times, replicas, rng.substream(3))
         gaps = [(abs(mean - math.exp(-theta * t) * 5.0), se) for t, mean, se in rows]
         # a zero SE (two replicas that end alike) fails any gap; JSON has no inf
         worst = max(gap / (3.0 * se) if se else (sys.float_info.max if gap else 0.0)

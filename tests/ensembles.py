@@ -39,8 +39,7 @@ class CountingDeaths(LogisticModel):
 
 
 def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
-                 replicas: int, rng: RandomStream,
-                 workers: int = 1) -> list[tuple[int, float]]:
+                 replicas: int, rng: RandomStream) -> list[tuple[int, float]]:
     """Empirical P(total mass reaches K by time t) for each K.
 
     Computed from the running maximum of each replica, so the estimates
@@ -48,13 +47,13 @@ def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
     :func:`mass_chunk`, which keeps that maximum, on the chunks of
     :func:`~qsdsim.simulator.mass_paths` (:func:`reference_chunks`).
     """
-    chunks = reference_chunks(model, initial, t, replicas, rng, workers)
+    chunks = reference_chunks(model, initial, t, replicas, rng)
     maxima = np.concatenate([chunk.maximum for chunk in chunks])
     return [(int(k), float(np.mean(maxima >= k))) for k in k_values]
 
 
 def reference_chunks(model: RateModel, initial, t_end: float, replicas: int,
-                     rng: RandomStream, workers: int = 1, checkpoints: tuple[float, ...] = (),
+                     rng: RandomStream, checkpoints: tuple[float, ...] = (),
                      survivors: bool = False) -> list:
     """:func:`mass_chunk` on each chunk of ``mass_paths`` with the same arguments.
 
@@ -73,7 +72,7 @@ def reference_chunks(model: RateModel, initial, t_end: float, replicas: int,
     work = [(min(size, replicas - a),
              initial[a:a + size] if isinstance(initial, tuple) else initial)
             for a in range(0, replicas, size)]
-    return map_replicas(chunk, len(work), rng, workers, chunk_size=1, items=work)
+    return map_replicas(chunk, len(work), rng, chunk_size=1, items=work)
 
 
 def urn(model: RateModel, start: Configuration, steps: np.ndarray,
@@ -83,16 +82,21 @@ def urn(model: RateModel, start: Configuration, steps: np.ndarray,
     At +1 a uniform individual is the parent, and the child is a kernel
     draw with probability rho, else a clone. At -1 a uniform individual
     dies. Given the mass path these are the exact conditional laws, since
-    every individual carries the same rates. Survivors run one after
+    every individual carries the same rates. Each step takes three
+    uniforms: the pick, the flag, and the kernel's, which a step that is
+    no mutating birth draws and discards. Survivors run one after
     another on one generator give what ``simulator._urns`` gives.
     """
     traits = [trait for trait, weight in start.entries for _ in range(weight)]
-    picks = rng.random(len(steps)).tolist()
-    mutates = (rng.random(len(steps)) < model.rho).tolist()
-    for step, pick, mutate in zip(steps.tolist(), picks, mutates):
-        i = int(pick * len(traits))
+    for step in steps.tolist():
+        i = int(rng.random() * len(traits))
+        mutate = rng.random() < model.rho
+        if step > 0 and mutate:
+            traits.append(model.kernel.sample(traits[i], rng))
+            continue
+        rng.random()
         if step > 0:
-            traits.append(model.kernel.sample(traits[i], rng) if mutate else traits[i])
+            traits.append(traits[i])
         else:
             traits[i] = traits[-1]
             traits.pop()

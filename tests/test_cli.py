@@ -56,6 +56,19 @@ def test_model_kind_required_to_simulate(tmp_path, capsys):
     assert "model.kind" in capsys.readouterr().err
 
 
+def test_run_threads_takes_only_one_and_has_no_flag(tmp_path, capsys):
+    # everything runs in one process; the key stays for the configs that set it to 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("run.threads = 2\n")
+    assert main(["oracle", *UNIFORM_FLAGS, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: run.threads: ")
+    assert main(["oracle", *UNIFORM_FLAGS, "--threads", "1", "--out", str(tmp_path)]) == 1
+    assert "--threads" in capsys.readouterr().err
+    cfg.write_text("run.threads = 1\n")
+    assert main(["oracle", *UNIFORM_FLAGS, "--config", str(cfg), "--truncation", "30",
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     status = main(["oracle", "--config", str(tmp_path / "absent.cfg")])
     assert status == 1
@@ -361,7 +374,7 @@ FLAGS = {
     "kernel.family": "--kernel", "kernel.scale": "--scale", "run.seed": "--seed",
     "run.replicas": "--replicas", "run.horizon": "--t-max",
     "run.particles": "--particles", "run.truncation": "--truncation",
-    "run.threads": "--threads", "run.engine": "--engine", "output.directory": "--out",
+    "run.engine": "--engine", "output.directory": "--out",
 }
 
 # a full config of each kind whose values differ from every default
@@ -372,7 +385,7 @@ FLAG_FILES = (
      "model.d": "2.75", "model.c": "0.125", "kernel.family": "truncated_gaussian",
      "kernel.scale": "0.0625", "run.seed": "11", "run.replicas": "123",
      "run.horizon": "4.5", "run.particles": "77", "run.truncation": "33",
-     "run.threads": "3", "run.engine": "thinning", "output.directory": "elsewhere"},
+     "run.engine": "thinning", "output.directory": "elsewhere"},
 )
 
 

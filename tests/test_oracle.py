@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -173,3 +174,56 @@ def test_eigenpair_report_shape(oracle60):
     assert report["theta"] == result.theta
     assert report["residual"] <= 1e-10
     assert report["iters"] == result.iterations
+
+
+def _theta_at_60_digits(chain) -> mpmath.mpf:
+    """theta of the truncated chain by inverse iteration at shift 0, in 60-digit arithmetic.
+
+    Each step solves x (-Q) = v for the tridiagonal sub-generator Q, whose
+    top row loses its births as the oracle's does, by elimination on the
+    transposed bands, and normalises x to sum 1; theta is then the rate
+    at which mass leaves, nu_1 d_1 + nu_N b_N. The rates are the chain's
+    floats, so only the solve differs from the oracle's.
+    """
+    with mpmath.workdps(60):
+        b = [mpmath.mpf(float(x)) for x in chain.births[1:]]
+        d = [mpmath.mpf(float(x)) for x in chain.deaths[1:]]
+        n = len(b)
+        # (-Q)^T: diagonal b_k + d_k, d_{k+1} above it and b_k below it, both negated
+        diag = [b[k] + d[k] for k in range(n)]
+        nu, theta = [mpmath.mpf(1) / n] * n, mpmath.mpf(0)
+        for _ in range(5000):
+            pivot, rhs = diag[:], nu[:]
+            for k in range(1, n):
+                ratio = -b[k - 1] / pivot[k - 1]
+                pivot[k] += ratio * d[k]
+                rhs[k] -= ratio * rhs[k - 1]
+            x = [mpmath.mpf(0)] * n
+            x[-1] = rhs[-1] / pivot[-1]
+            for k in range(n - 2, -1, -1):
+                x[k] = (rhs[k] + d[k + 1] * x[k + 1]) / pivot[k]
+            total = mpmath.fsum(x)
+            nu = [v / total for v in x]
+            last, theta = theta, nu[0] * d[0] + nu[-1] * b[-1]
+            if abs(theta - last) <= mpmath.mpf(10) ** -55 * theta:
+                return theta
+    raise AssertionError("inverse iteration did not settle in 5000 steps")
+
+
+# the three benchmark workloads' models at their oracle truncations
+WORKLOAD_CHAINS = {
+    "ensemble": (UniformModel(lam=2.0, b=1.0, rho=0.3, kernel=UniformKernel()), 60),
+    "particles": (LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.5, kernel=UniformKernel()), 120),
+    "crowded": (LogisticModel(b=2.0, rho=0.3, d=1.0, c=0.01, kernel=UniformKernel()), 250),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_CHAINS))
+def test_oracle_theta_matches_a_60_digit_solve(workload):
+    # crowded's theta is about 1e-13, below the l1 residual that certifies
+    # nu, so theta gets a reference of its own
+    model, N = WORKLOAD_CHAINS[workload]
+    chain = build_mass_chain(model, N)
+    exact = _theta_at_60_digits(chain)
+    theta = principal_left_eigenpair(chain).theta
+    assert abs(mpmath.mpf(theta) - exact) <= mpmath.mpf(1e-12) * exact

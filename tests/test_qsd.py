@@ -115,8 +115,8 @@ def test_yaglom_splitting_keeps_equal_weights_and_the_conditioned_law(uniform_mo
 def test_yaglom_stages_copy_every_survivor_alike(uniform_model, monkeypatch):
     calls = []
 
-    def recording(model, initial, t_end, replicas, rng, workers, survivors):
-        paths = mass_paths(model, initial, t_end, replicas, rng, workers, survivors=survivors)
+    def recording(model, initial, t_end, replicas, rng, survivors):
+        paths = mass_paths(model, initial, t_end, replicas, rng, survivors=survivors)
         calls.append((initial, t_end, replicas, rng, paths))
         return paths
 
@@ -458,17 +458,18 @@ def test_sample_csv_layout(tmp_path):
 
 
 # sha256 of the serialized survivors of a small Yaglom estimate, pinned
-# from the one-survivor-at-a-time urn with mass_paths run in chunks of
-# 4,096 replicas, two of them here. The lockstep urn must keep every bit;
-# only a deliberate change of the random stream may move them.
+# from the urn that draws three uniforms a step (pick, mutation flag,
+# kernel uniform), with mass_paths run in chunks of 4,096 replicas, two of
+# them here. The lockstep urn must keep every bit; only a deliberate
+# change of the random stream may move them.
 YAGLOM_DIGESTS = {
-    "uniform": "1a6417339360c5b9f2f041ebb984e6fbdc849d170015a85ae36da647138238fd",
-    "truncated_gaussian": "a0335e0cf05ef3bd85ec8a17ce68a85bc558ae48ee7eb877dedf11f1feb6df4e",
+    "uniform": "b5e46bf216ad27d1c3688812aa82bcf3b4e89b23435adf52d0d5a98b67f9d4a3",
+    "truncated_gaussian": "6be027e5df8a212213f2c97d4d2e2c8a1c92fbf45fb65bbac5e1e99b76198eb3",
 }
 # The same estimates at the package's chunk of 65,536 replicas, one here.
 YAGLOM_CHUNK_DIGESTS = {
-    "uniform": "5b541b91d58cd37fc74b583885b08b54f29ff09d3daaba5c8ee03374eeeb8b24",
-    "truncated_gaussian": "45a47f6240acd6eb1110784a969252582cbbbccc31a0685d0cb3da3451a6ee75",
+    "uniform": "31906a8e1138535fca4f2a071ca9ee4df66c3abdfd103e8a1741f11c27a5384c",
+    "truncated_gaussian": "5ad6f58ee6ecd243997a3d01692dfcf02062896b6f1f5226363d130f63e947c1",
 }
 
 

@@ -486,18 +486,14 @@ def test_mass_paths_invariants(model, seed, replicas, horizon, start, survivors)
 
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), replicas=st.integers(2 * _CHUNK + 1, 3 * _CHUNK))
-def test_mass_paths_do_not_depend_on_workers(seed, replicas, uniform_model):
+def test_mass_paths_keep_their_first_chunk_whatever_follows_it(seed, replicas, uniform_model):
     with mock.patch.object(simulator, "CHUNK", _CHUNK):
-        runs = [mass_paths(uniform_model, START, 1.0, n, RandomStream(seed), workers=workers,
-                           checkpoints=(0.5,), survivors=True)
-                for n, workers in ((replicas, 1), (replicas, 2), (_CHUNK, 1))]
-    for one, two, first in zip(*runs):
-        if isinstance(one, np.ndarray):
-            assert np.array_equal(one, two)
-            # chunk 0 is the same whatever follows it
-            assert np.array_equal(one[:_CHUNK], first)
-        else:
-            assert one == two
+        runs = [mass_paths(uniform_model, START, 1.0, n, RandomStream(seed),
+                           checkpoints=(0.5,), survivors=True) for n in (replicas, _CHUNK)]
+    for many, first in zip(runs[0][:4], runs[1][:4]):
+        assert np.array_equal(many[:_CHUNK], first)
+    alive = int(np.count_nonzero(runs[1].final))
+    assert runs[0].survivors[:alive] == runs[1].survivors
 
 
 @mock.patch.object(simulator, "CHUNK", _CHUNK)
@@ -507,10 +503,12 @@ def test_mass_paths_start_each_replica_from_its_own_configuration(uniform_model)
     still = mass_paths(uniform_model, starts, 0.0, replicas, RandomStream(3), survivors=True)
     assert still.start.tolist() == [1 + r % 3 for r in range(replicas)]
     assert still.survivors == starts
-    runs = [mass_paths(uniform_model, starts, 1.0, replicas, RandomStream(3), workers=workers,
-                       survivors=True) for workers in (1, 2)]
-    assert np.array_equal(runs[0].final, runs[1].final)
-    assert runs[0].survivors == runs[1].survivors
+    run = mass_paths(uniform_model, starts, 1.0, replicas, RandomStream(3), survivors=True)
+    want = reference_chunks(uniform_model, starts, 1.0, replicas, RandomStream(3),
+                            survivors=True)
+    assert np.array_equal(run.start, np.concatenate([chunk.start for chunk in want]))
+    assert np.array_equal(run.final, np.concatenate([chunk.final for chunk in want]))
+    assert run.survivors == tuple(c for chunk in want for c in chunk.survivors)
     with pytest.raises(ValueError, match="one start per replica"):
         mass_paths(uniform_model, starts[:-1], 1.0, replicas, RandomStream(3))
 
@@ -771,3 +769,21 @@ def test_lockstep_urns_give_the_one_at_a_time_urn_bit_for_bit(kernel, rho, share
     assert [c.total_mass for c in got] == finals.tolist()
     # the lockstep urn leaves the generator where the one-at-a-time urn does
     assert lockstep.random() == rng.random()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_an_urn_survivor_draws_the_same_whatever_the_paths_before_it(seed):
+    # earlier survivors with as many steps but other births and deaths
+    # leave the last survivor's uniforms where they were
+    model = UniformModel(lam=2.0, b=1.0, rho=0.9, kernel=TruncatedGaussianKernel(0.1))
+    starts = [Configuration.from_pairs(((0.3, 2),)), Configuration.from_pairs(((0.7, 1),))]
+    masses = np.array([2, 1], dtype=np.int64)
+    last = [1, 1, -1, 1, 1, 1]
+    lasts = []
+    for before in ([1, 1, 1, 1], [-1, 1, -1, 1]):
+        steps = np.array(before + last, dtype=np.int8)
+        finals = masses + np.array([sum(before), sum(last)], dtype=np.int64)
+        *_, final = _urns(model, starts, masses, steps, np.array([4, 6]), finals,
+                          np.random.default_rng(seed))
+        lasts.append(final.serialize())
+    assert lasts[0] == lasts[1]

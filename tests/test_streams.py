@@ -40,21 +40,21 @@ def _flat(chunks):
     return [x for chunk in chunks for x in chunk]
 
 
-def test_map_replicas_sequential_matches_parallel():
+def test_map_replicas_do_not_depend_on_the_chunk_size():
     stream = RandomStream(9)
-    seq = map_replicas(_third_uniforms, 300, stream, workers=1)
-    par = map_replicas(_third_uniforms, 300, stream, workers=3, chunk_size=32)
-    assert len(seq) == 1 and len(par) == 10
-    assert _flat(seq) == _flat(par)
-    assert len(_flat(seq)) == 300
+    one = map_replicas(_third_uniforms, 300, stream)
+    ten = map_replicas(_third_uniforms, 300, stream, chunk_size=32)
+    assert len(one) == 1 and len(ten) == 10
+    assert _flat(one) == _flat(ten)
+    assert len(_flat(one)) == 300
     # replica i depends only on (seed, i)
-    assert _flat(seq)[17] == _third_uniform(stream.substream(17).generator())
+    assert _flat(one)[17] == _third_uniform(stream.substream(17).generator())
 
 
 def test_map_replicas_chunk_edges():
     stream = RandomStream(10)
     for n, sizes in ((1, [1]), (2, [2]), (31, [16, 15]), (32, [16, 16]), (33, [16, 16, 1])):
-        out = map_replicas(_third_uniforms, n, stream, workers=2, chunk_size=16)
+        out = map_replicas(_third_uniforms, n, stream, chunk_size=16)
         assert [len(chunk) for chunk in out] == sizes
 
 
@@ -66,10 +66,8 @@ def test_map_replicas_passes_one_item_per_replica():
     stream = RandomStream(11)
     items = list(range(70))
     ref = [r + float(stream.substream(r).generator().random()) for r in range(70)]
-    for workers in (1, 2):
-        chunks = map_replicas(_shifted_uniforms, 70, stream, workers=workers, chunk_size=16,
-                              items=items)
-        assert _flat(chunks) == ref
+    chunks = map_replicas(_shifted_uniforms, 70, stream, chunk_size=16, items=items)
+    assert _flat(chunks) == ref
     with pytest.raises(ValueError, match="one item per replica"):
         map_replicas(_shifted_uniforms, 70, stream, items=items[:-1])
 
@@ -77,16 +75,14 @@ def test_map_replicas_passes_one_item_per_replica():
 def test_map_replicas_hands_each_chunk_its_generators():
     stream = RandomStream(12)
     ref = [_third_uniform(stream.substream(r).generator()) for r in range(70)]
-    for workers in (1, 2):
-        chunks = map_replicas(_third_uniforms, 70, stream, workers=workers, chunk_size=16)
-        assert [len(c) for c in chunks] == [16, 16, 16, 16, 6]
-        assert _flat(chunks) == ref
+    chunks = map_replicas(_third_uniforms, 70, stream, chunk_size=16)
+    assert [len(c) for c in chunks] == [16, 16, 16, 16, 6]
+    assert _flat(chunks) == ref
 
 
 def test_map_replicas_rejects_a_chunk_size_below_one():
-    for workers in (1, 2):
-        with pytest.raises(ValueError, match="chunk_size"):
-            map_replicas(_third_uniforms, 10, RandomStream(1), workers=workers, chunk_size=0)
+    with pytest.raises(ValueError, match="chunk_size"):
+        map_replicas(_third_uniforms, 10, RandomStream(1), chunk_size=0)
 
 
 def test_seed_words_rejects_indices_past_one_word():
@@ -125,10 +121,9 @@ def test_replica_generators_draw_as_substream_generators(entropy, key, start):
 def test_map_replicas_equals_the_per_replica_reference(entropy, key, n, chunk):
     stream = RandomStream(entropy, key)
     ref = [_third_uniform(stream.substream(r).generator()) for r in range(n)]
-    for workers in (1, 2):
-        chunks = map_replicas(_third_uniforms, n, stream, workers=workers, chunk_size=chunk)
-        assert [len(c) for c in chunks] == [min(chunk, n - a) for a in range(0, n, chunk)]
-        assert _flat(chunks) == ref
+    chunks = map_replicas(_third_uniforms, n, stream, chunk_size=chunk)
+    assert [len(c) for c in chunks] == [min(chunk, n - a) for a in range(0, n, chunk)]
+    assert _flat(chunks) == ref
 
 
 @settings(max_examples=40, deadline=None)

@@ -522,21 +522,21 @@ def test_lockstep_checks_at_non_dyadic_rates_agree_to_rounding():
     assert np.array_equal(got, ref)
 
 
-def test_lockstep_checks_with_two_workers_give_the_one_at_a_time_results(logistic_model):
-    # more replicas than one chunk of map_replicas, so two chunks run in the pool
+def test_lockstep_checks_over_two_chunks_give_the_one_at_a_time_results(logistic_model):
+    # more replicas than one chunk of map_replicas, so each check runs two
     replicas, model = 5000, logistic_model
     rates = model.rate_table()
     draws = np.array([martingale_replica(model, Indicator(1), SPREAD, 0.5, rates, gen)
                       for gen in RandomStream(35).replica_generators(0, replicas)])
-    assert martingale_residual(model, Indicator(1), SPREAD, 0.5, replicas, RandomStream(35),
-                               workers=2) == (float(draws.mean()),
-                                              float(draws.std(ddof=1) / math.sqrt(replicas)))
+    assert martingale_residual(model, Indicator(1), SPREAD, 0.5, replicas,
+                               RandomStream(35)) == (float(draws.mean()),
+                                                     float(draws.std(ddof=1) / math.sqrt(replicas)))
 
     grid, lam_star = (0.5, 1.0), model.death_inf
     a_at = tuple(comparison_exponent(lam_star, model.birth_sup, 0.3, t) for t in grid)
     rows = np.stack([lyapunov_replica(model, SPREAD, grid, a_at, lam_star, rates, gen)
                      for gen in RandomStream(36).replica_generators(0, replicas)])
-    points = lyapunov_check(model, SPREAD, 0.3, grid, replicas, RandomStream(36), workers=2)
+    points = lyapunov_check(model, SPREAD, 0.3, grid, replicas, RandomStream(36))
     assert [(p.lhs, p.stderr) for p in points] == [
         (float(rows[:, j].mean()), float(rows[:, j].std(ddof=1) / math.sqrt(replicas)))
         for j in range(len(grid))]
