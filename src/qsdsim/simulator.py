@@ -16,11 +16,10 @@ strongest correctness checks. Both draw one uniform at a time through
 Ensembles take a third route, mass first. Every rate model is
 trait-blind, so the total mass is a birth-death chain on its own. One
 stepper, ``_lockstep``, advances a chunk of replicas on it in numpy
-lockstep on a per-mass rate table, its callers supplying the draws:
-``mass_paths`` those of the chunk's generator, with traits drawn
-afterwards by an urn along each survivor's mass path, in lockstep too;
-the validation checks the uniforms each replica's run of ``_jumps``
-would draw (``_Replay``).
+lockstep on a per-mass rate table, drawing from the chunk's one
+generator. ``mass_paths`` runs it, with traits drawn afterwards by an
+urn along each survivor's mass path, in lockstep too, and so does the
+validation's martingale check.
 """
 
 from __future__ import annotations
@@ -203,17 +202,18 @@ def _every(x: np.ndarray) -> bool:
     return np.count_nonzero(x) == x.size
 
 
-def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: _MassRates, hold, up
-              ) -> Iterator[tuple[np.ndarray, ...]]:
+def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: _MassRates,
+              rng: np.random.Generator) -> Iterator[tuple[np.ndarray, ...]]:
     """The mass chain of many replicas in numpy lockstep, up to t_end or extinction.
 
     Lane i starts at mass ``mass[i]``, read before the first round. Each
     round, every live lane reads its rates ``r`` (one row per rate) and
-    draws its holding time ``hold(lane, r)``, and stops once
-    ``t + hold > t_end``, as :func:`_jumps` does; the others step +1
-    where ``up(lane, r)``, else -1. Each round yields (lane, t, hold,
-    now, before, up) for the lanes that jump, ``up`` the mask that
-    ``up(lane, r)`` gave. Lanes that stop or die out leave; only in rounds
+    draws its holding time, one ``rng.standard_exponential`` over its
+    total rate, and stops once ``t + hold > t_end``, as :func:`_jumps`
+    does; the others step +1 where one ``rng.random()`` each, times the
+    total rate, falls below the birth rate, else -1. Each round yields
+    (lane, t, hold, now, before, up) for the lanes that jump, ``up`` the
+    mask of their +1 steps. Lanes that stop or die out leave; only in rounds
     where some lane does are the live lanes' masses and last jump times
     written to ``mass`` and ``last`` and the lanes filtered, so lane i
     ends with its final mass in ``mass[i]`` and in ``last[i]`` the time
@@ -224,7 +224,7 @@ def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: _MassRate
     t = np.zeros(lane.size)
     while lane.size:
         r = rates(n)
-        dt = hold(lane, r)
+        dt = rng.standard_exponential(lane.size) / r[3]
         now = t + dt
         go = now <= t_end
         if not _every(go):
@@ -233,7 +233,7 @@ def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: _MassRate
             if not lane.size:
                 return
             r = r.compress(go, axis=1)
-        step = up(lane, r)
+        step = rng.random(lane.size) * r[3] < r[0]
         yield lane, t, dt, now, n, step
         after = np.where(step, n + 1, n - 1)
         if _every(after):
@@ -250,52 +250,6 @@ def _checkpoints(at: np.ndarray, times: Sequence[float], lane, t, now, before) -
     for k, c in enumerate(times):
         cross = (t <= c) & (c < now)
         at[lane[cross], k] = before[cross]
-
-
-# Uniforms each lockstep replica of _Replay holds at a time; a round takes
-# at most _ROUND of them.
-_BLOCK = 64
-_ROUND = 4
-
-
-class _Replay:
-    """The draws of :func:`_lockstep` that replay each replica's run of :func:`_jumps`.
-
-    Replica i reads from ``gens[i]`` the uniforms its run would: one for
-    the holding time, one for the band and, on a mutation, the parent's
-    and the kernel's. It holds a block of :data:`_BLOCK` of them and
-    refills it once its cursor comes within a round of the end. Holding
-    times go through ``math.log``, as :func:`~qsdsim.rates.holding_time`
-    does, since ``np.log`` can differ from it in the last bit.
-    """
-
-    def __init__(self, gens: Sequence[np.random.Generator]) -> None:
-        self._gens = gens
-        self._block = np.empty((len(gens), _BLOCK))
-        for row, gen in zip(self._block, gens):
-            gen.random(out=row)
-        self._cursor = np.zeros(len(gens), dtype=np.intp)
-
-    def hold(self, lane: np.ndarray, r: np.ndarray) -> np.ndarray:
-        block, cursor = self._block, self._cursor
-        for i in lane[cursor[lane] > _BLOCK - _ROUND].tolist():
-            used = int(cursor[i])
-            block[i, :_BLOCK - used] = block[i, used:]
-            self._gens[i].random(out=block[i, _BLOCK - used:])
-            cursor[i] = 0
-        u = block[lane, cursor[lane]]
-        return -np.array(list(map(math.log, (1.0 - u).tolist()))) / r[3]
-
-    def up(self, lane: np.ndarray, r: np.ndarray) -> np.ndarray:
-        _, clonal, death, total = r
-        at = self._cursor[lane]
-        x = self._block[lane, at + 1] * total
-        clone = x < clonal
-        x -= clonal
-        down = ~clone & (x < death)
-        # a mutation reads the parent and kernel uniforms too
-        self._cursor[lane] = at + np.where(clone | down, 2, 4)
-        return ~down
 
 
 def simulate_gillespie(model: RateModel, initial: Configuration, horizon: float,
@@ -590,12 +544,12 @@ def _scatter(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
 
 
 def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
-                survivors: bool, gens: list, parts: list) -> MassPaths:
+                survivors: bool, rng: np.random.Generator, part: tuple) -> MassPaths:
     """One chunk of replicas advanced together on the mass chain alone, in one lockstep.
 
-    ``gens`` holds the chunk's one generator ``rng`` and ``parts`` its one
-    ``(size, initial)``: the replica count and either a tuple of one start
-    per replica or a law whose ``draw(rng)`` gives each start. The chunk is
+    ``rng`` is the chunk's one generator and ``part`` its ``(size,
+    initial)``: the replica count and either a tuple of one start per
+    replica or a law whose ``draw(rng)`` gives each start. The chunk is
     the unit of both the stream and the lockstep: each round of its one
     :func:`_lockstep` run draws the live replicas' holding times, then a
     uniform each for the up steps, from ``rng``. With ``survivors`` the
@@ -604,7 +558,7 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     chain, in the order of running the survivors one after another in
     replica order.
     """
-    (rng,), ((size, initial),) = gens, parts
+    size, initial = part
     starts = (list(initial) if isinstance(initial, tuple)
               else [initial.draw(rng) for _ in range(size)])
     start = np.array([c.total_mass for c in starts], dtype=np.int64)
@@ -614,9 +568,7 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     # narrow dtypes keep the step log of survivors small: 5 bytes a jump,
     # the lane and whether the step is up
     log = [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool))]
-    rounds = _lockstep(mass, last, t_end, _MassRates(model, int(start.max(initial=0))),
-                       lambda lane, r: rng.standard_exponential(lane.size) / r[3],
-                       lambda lane, r: rng.random(lane.size) * r[3] < r[0])
+    rounds = _lockstep(mass, last, t_end, _MassRates(model, int(start.max(initial=0))), rng)
     for lane, t, _, now, before, up in rounds:
         _checkpoints(at, checkpoints, lane, t, now, before)
         events += lane.size
@@ -679,7 +631,7 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     work = [(min(CHUNK, replicas - a),
              initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
             for a in range(0, replicas, CHUNK)]
-    parts = map_replicas(chunk, len(work), rng, chunk_size=1, items=work)
+    parts = map_replicas(chunk, rng, work)
     columns = zip(*(part[:4] for part in parts))
     return MassPaths(*(np.concatenate(column) for column in columns),
                      sum(part.events for part in parts),

@@ -9,9 +9,10 @@ with the time integral computed exactly along piecewise-constant paths,
 and the exponential-moment inequality driven by the closed-form
 exponent of the comparison chain.
 Since the test functions read the mass alone, the martingale and
-moment-bound replicas run on the mass paths of the Gillespie engine,
-replayed a chunk at a time on the simulator's lockstep mass-chain
-stepper from each replica's own stream, with L f per mass read from the
+moment-bound replicas run on the mass chain alone, in the simulator's
+chunks of replicas, each chunk on its own stream: the moment bound reads
+the masses of ``mass_paths`` at its grid times, and the martingale check
+runs the lockstep stepper itself, with L f per mass read from the
 columns of its per-mass rate table.
 """
 
@@ -23,6 +24,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,7 +33,7 @@ from scipy.stats import chi2
 from .configuration import Configuration
 from .errors import InvalidRegime
 from .rates import LogisticModel, RateModel, UniformModel
-from .simulator import _checkpoints, _lockstep, _MassRates, _Replay, mass_moments
+from .simulator import CHUNK, _lockstep, _MassRates, mass_moments, mass_paths
 from .streams import RandomStream, map_replicas
 
 
@@ -140,15 +142,15 @@ def _by_mass(f: TestFunction, rates: _MassRates) -> tuple[np.ndarray, np.ndarray
 
 
 def _martingale_chunk(model: RateModel, f: TestFunction, initial: Configuration,
-                      t: float, gens: list) -> np.ndarray:
+                      t: float, rng: np.random.Generator, size: int) -> np.ndarray:
     # L f is constant between jumps, so the integral is exact; it is summed
     # per replica in jump order once the masses reached are known
-    mass, last = np.full(len(gens), initial.total_mass), np.zeros(len(gens))
-    rates, replay = _MassRates(model, initial.total_mass), _Replay(gens)
+    mass, last = np.full(size, initial.total_mass), np.zeros(size)
+    rates = _MassRates(model, initial.total_mass)
     steps = [(lane, hold, before) for lane, _, hold, _, before, _
-             in _lockstep(mass, last, t, rates, replay.hold, replay.up)]
+             in _lockstep(mass, last, t, rates, rng)]
     values, drift = _by_mass(f, rates)
-    integral = np.zeros(len(gens))
+    integral = np.zeros(size)
     for lane, hold, before in steps:
         integral[lane] += hold * drift[before]
     alive = mass > 0
@@ -162,8 +164,9 @@ def martingale_residual(model: RateModel, f: TestFunction, initial: Configuratio
 
     The residual is zero in expectation; the return pairs the estimate
     with its standard error so callers can judge it as noise. The
-    replicas run a chunk of :func:`~qsdsim.streams.map_replicas` at a
-    time, each chunk on one per-mass rate table.
+    replicas run in chunks of :data:`~qsdsim.simulator.CHUNK`, chunk c
+    one lockstep on one per-mass rate table, drawing from
+    ``rng.substream(c)`` as a chunk of ``mass_paths`` does.
     """
     if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
@@ -171,7 +174,8 @@ def martingale_residual(model: RateModel, f: TestFunction, initial: Configuratio
         raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
     model.check_regime()
     fn = partial(_martingale_chunk, model, f, initial, t)
-    draws = np.concatenate(map_replicas(fn, replicas, rng))
+    sizes = [min(CHUNK, replicas - a) for a in range(0, replicas, CHUNK)]
+    draws = np.concatenate(map_replicas(fn, rng, sizes))
     return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(replicas))
 
 
@@ -181,21 +185,6 @@ class LyapunovPoint(NamedTuple):
     bound: float
     stderr: float
     flagged: bool
-
-
-def _lyapunov_chunk(model: RateModel, initial: Configuration, grid: tuple[float, ...],
-                    a_at: tuple[float, ...], lam_star: float, gens: list) -> np.ndarray:
-    # extinct before a grid time, that time contributes 0
-    mass = np.full(len(gens), initial.total_mass)
-    seen = np.full((len(gens), len(grid)), -1)
-    rates, replay = _MassRates(model, initial.total_mass), _Replay(gens)
-    for lane, t, _, now, before, _ in _lockstep(mass, np.zeros(len(gens)), grid[-1], rates,
-                                                replay.hold, replay.up):
-        _checkpoints(seen, grid, lane, t, now, before)
-    seen = np.where(seen < 0, mass[:, None], seen)
-    values = np.array([[math.exp(a * n - lam_star * g) if n else 0.0 for a, g in zip(a_at, grid)]
-                       for n in range(int(seen.max()) + 1)])
-    return values[seen, np.arange(len(grid))]
 
 
 def comparison_exponent(lambda_star: float, b_star: float, a0: float, t: float) -> float:
@@ -230,7 +219,8 @@ def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
     Estimates E[e^{-death_inf t} e^{a(t) mass} on survival] at each grid
     time, with a(t) from :func:`comparison_exponent`, and flags any point
     whose estimate exceeds e^{a0 mass(initial)} by more than 3 standard
-    errors. Each chunk of replicas runs on one per-mass rate table.
+    errors. The masses at the grid times are those of :func:`mass_paths`;
+    extinct before a grid time, a replica contributes 0 there.
     """
     grid = tuple(float(t) for t in grid)
     if not all(t > 0.0 for t in grid) or any(y <= x for x, y in zip(grid, grid[1:])):
@@ -239,9 +229,10 @@ def lyapunov_check(model: RateModel, initial: Configuration, a0: float,
         raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
     lam_star = model.death_inf
     a_at = tuple(comparison_exponent(lam_star, model.birth_sup, a0, t) for t in grid)
-    model.check_regime()
-    fn = partial(_lyapunov_chunk, model, initial, grid, a_at, lam_star)
-    rows = np.concatenate(map_replicas(fn, replicas, rng))
+    seen = mass_paths(model, initial, grid[-1], replicas, rng, checkpoints=grid).at
+    values = np.array([[math.exp(a * n - lam_star * g) if n else 0.0 for a, g in zip(a_at, grid)]
+                       for n in range(int(seen.max()) + 1)])
+    rows = values[seen, np.arange(len(grid))]
     bound = math.exp(a0 * initial.total_mass)
     points = []
     for j, t in enumerate(grid):
@@ -268,6 +259,10 @@ def _describe(model: RateModel) -> tuple[str, dict]:
 _MAX_SUPPORT = 4
 _MAX_WEIGHT = 4
 
+# The battery's two-sided Monte Carlo comparisons together may fail a
+# correct model as often as one 3-standard-error comparison does alone
+_ALPHA = 2.0 * NormalDist().cdf(-3.0)
+
 
 def run_validation_checks(model: RateModel, rng: RandomStream,
                           replicas: int = 10_000) -> list[dict]:
@@ -278,6 +273,12 @@ def run_validation_checks(model: RateModel, rng: RandomStream,
     checks read no random stream. The Monte Carlo checks draw from
     substreams 1-3 of ``rng`` and judge their estimates by standard
     errors, which need at least 2 replicas; fewer raise InvalidRegime.
+    The m two-sided comparisons (four martingale residuals, and on the
+    uniform model the mean mass at three times) pass within z standard
+    errors, z = Phi^{-1}(1 - alpha/(2m)) with alpha = 2 Phi(-3): by
+    Bonferroni, a correct model fails one of them at most as often as
+    it fails a single 3-SE comparison. The moment bound stays one-sided
+    at 3 standard errors.
     """
     if replicas < 2:
         raise InvalidRegime(f"validate needs at least 2 replicas for its standard errors,"
@@ -324,27 +325,29 @@ def run_validation_checks(model: RateModel, rng: RandomStream,
         record("exp_mass_pointwise_drift", worst, 1e-12)
 
     five = Configuration.from_pairs(((0.5, 5),))
-    for j, (label, f, initial) in enumerate((
-        ("martingale_mass", Mass(), five),
-        ("martingale_indicator_1", Indicator(1), Configuration.from_pairs(((0.5, 2),))),
-    )):
-        for i, t in enumerate((0.5, 1.0)):
+    martingales = (("martingale_mass", Mass(), five),
+                   ("martingale_indicator_1", Indicator(1), Configuration.from_pairs(((0.5, 2),))))
+    martingale_times = (0.5, 1.0)
+    decay_times = (0.25, 0.5, 1.0) if isinstance(model, UniformModel) else ()
+    comparisons = len(martingales) * len(martingale_times) + len(decay_times)
+    z = NormalDist().inv_cdf(1.0 - _ALPHA / (2 * comparisons))
+    for j, (label, f, initial) in enumerate(martingales):
+        for i, t in enumerate(martingale_times):
             residual, stderr = martingale_residual(
                 model, f, initial, t, replicas, rng.substream(1, j, i))
-            record(f"{label}_t{t}", abs(residual), 3.0 * stderr)
+            record(f"{label}_t{t}", abs(residual), z * stderr)
 
     if model.death_inf > model.birth_sup:
         points = lyapunov_check(model, Configuration.from_pairs(((0.5, 3),)), 0.3,
                                 (0.5, 1.0, 2.0), replicas, rng.substream(2))
         record("lyapunov_violations", float(sum(p.flagged for p in points)), 0.0)
 
-    if isinstance(model, UniformModel):
+    if decay_times:
         theta = model.lam - model.b
-        times = (0.25, 0.5, 1.0)
-        rows = mass_moments(model, five, times, replicas, rng.substream(3))
+        rows = mass_moments(model, five, decay_times, replicas, rng.substream(3))
         gaps = [(abs(mean - math.exp(-theta * t) * 5.0), se) for t, mean, se in rows]
         # a zero SE (two replicas that end alike) fails any gap; JSON has no inf
-        worst = max(gap / (3.0 * se) if se else (sys.float_info.max if gap else 0.0)
+        worst = max(gap / (z * se) if se else (sys.float_info.max if gap else 0.0)
                     for gap, se in gaps)
         record("mean_mass_decay", worst, 1.0)
 

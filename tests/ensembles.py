@@ -1,10 +1,10 @@
 """Ensemble helpers the tests share: hitting tails, the lockstep routes' references
 and a rate model that logs its death-rate evaluations.
 
-Most references run one replica or survivor at a time through the full
-per-configuration engine; ``mass_chunk`` evaluates every live lane's
-rates every round. The package's lockstep routes must give what they
-give.
+``urn`` runs one survivor at a time; ``mass_chunk`` and
+``martingale_chunk`` draw as a chunk of the package does but evaluate
+every live lane's rates every round. The package's lockstep routes must
+give what they give.
 """
 
 import dataclasses
@@ -18,8 +18,8 @@ import numpy as np
 from qsdsim import simulator
 from qsdsim.configuration import Configuration
 from qsdsim.rates import LogisticModel, RateModel
-from qsdsim.simulator import _jumps, _urns
-from qsdsim.streams import RandomStream, Uniforms, map_replicas
+from qsdsim.simulator import _urns
+from qsdsim.streams import RandomStream, map_replicas
 from qsdsim.validation import TestFunction, generator_apply
 
 
@@ -72,7 +72,7 @@ def reference_chunks(model: RateModel, initial, t_end: float, replicas: int,
     work = [(min(size, replicas - a),
              initial[a:a + size] if isinstance(initial, tuple) else initial)
             for a in range(0, replicas, size)]
-    return map_replicas(chunk, len(work), rng, chunk_size=1, items=work)
+    return map_replicas(chunk, rng, work)
 
 
 def urn(model: RateModel, start: Configuration, steps: np.ndarray,
@@ -104,10 +104,12 @@ def urn(model: RateModel, start: Configuration, steps: np.ndarray,
 
 
 class ReferenceChunk(NamedTuple):
-    """A chunk of :class:`~qsdsim.simulator.MassPaths` with each replica's running maximum.
+    """A chunk of :class:`~qsdsim.simulator.MassPaths` with each replica's running maximum
+    and last jump time.
 
     The first four fields and ``events`` and ``survivors`` are those of
-    ``MassPaths``, so that ``mass_paths`` can merge these chunks.
+    ``MassPaths``, so that ``mass_paths`` can merge these chunks. ``last``
+    is 0.0 for a replica that never jumps.
     """
 
     start: np.ndarray
@@ -117,25 +119,28 @@ class ReferenceChunk(NamedTuple):
     events: int
     survivors: tuple[Configuration, ...]
     maximum: np.ndarray
+    last: np.ndarray
 
 
 def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
-               survivors: bool, gens: list, parts: list) -> ReferenceChunk:
+               survivors: bool, rng: np.random.Generator, part: tuple) -> ReferenceChunk:
     """``simulator._mass_chunk`` with the rates of every live lane evaluated every round.
 
     Each round calls ``model.mass_birth_death_rates`` on the masses of all
     live lanes, and filters the lanes that stop whether or not any does.
     The package reads the same rates from a table filled once per mass
     reached; the two must give the same chunk bit for bit. The chunk also
-    keeps the running maximum of each replica's mass up to the horizon.
+    keeps the running maximum of each replica's mass up to the horizon,
+    and its last jump time.
     """
-    (rng,), ((size, initial),) = gens, parts
+    size, initial = part
     starts = (list(initial) if isinstance(initial, tuple)
               else [initial.draw(rng) for _ in range(size)])
     start = np.array([c.total_mass for c in starts], dtype=np.int64)
     mass = start.copy()
     maximum = start.copy()
     extinction = np.where(start == 0, 0.0, math.inf)
+    last = np.zeros(size)
     at = np.full((size, len(checkpoints)), -1, dtype=np.int64)
     lane = np.flatnonzero(start).astype(np.int32)
     t = np.zeros(lane.size)
@@ -154,6 +159,7 @@ def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         step = np.where(rng.random(lane.size) * total < birth, np.int8(1), np.int8(-1))
         n += step
         mass[lane] = n
+        last[lane] = after
         maximum[lane] = np.maximum(maximum[lane], n)
         events += lane.size
         if survivors:
@@ -173,41 +179,38 @@ def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         lengths = np.bincount(ids, minlength=size)[lanes]
         kept = _urns(model, [starts[i] for i in lanes.tolist()], start[lanes], steps,
                      lengths, mass[lanes], rng)
-    return ReferenceChunk(start, mass, extinction, at, events, kept, maximum)
+    return ReferenceChunk(start, mass, extinction, at, events, kept, maximum, last)
 
 
-def martingale_replica(model: RateModel, f: TestFunction, initial: Configuration,
-                       t: float, rows, rng: np.random.Generator) -> float:
-    """One draw of f(Y_t) - f(initial) - int L f, stepping ``_jumps`` on the configuration.
+def martingale_chunk(model: RateModel, f: TestFunction, initial: Configuration, t: float,
+                     rng: np.random.Generator, size: int) -> np.ndarray:
+    """``validation._martingale_chunk`` with L f from ``generator_apply``, one jump at a time.
 
-    L f is constant between jumps, so the integral is exact; it is summed
-    entry by entry over each configuration the path visits.
+    The chunk draws as :func:`mass_chunk` does, evaluating every live
+    lane's rates every round. Each replica's integral of L f takes its
+    terms one jump at a time, in jump order: the time held at each mass
+    times ``generator_apply`` on a one-entry configuration of that mass.
+    The package reads L f by mass from its rate table instead; the two
+    must give the same draws bit for bit.
     """
-    config = initial
-    now = 0.0
-    integral = 0.0
-    for now, hold, _, _, _, after in _jumps(model, initial, t, Uniforms(rng), rows):
-        integral += hold * generator_apply(model, f, config)
-        config = after
-    if not config.is_void:
-        integral += (t - now) * generator_apply(model, f, config)
-    return f(config) - f(initial) - integral
+    def drift(n: int) -> float:
+        return generator_apply(model, f, Configuration(((0.5, n),)))
 
-
-def lyapunov_replica(model: RateModel, initial: Configuration, grid: tuple[float, ...],
-                     a_at: tuple[float, ...], lam_star: float, rows,
-                     rng: np.random.Generator) -> np.ndarray:
-    """One replica's e^{a(t) mass - lam_star t} on survival at each grid time, by ``_jumps``.
-
-    A grid time at a jump sees the mass after it; extinct before a grid
-    time, that time contributes 0.
-    """
-    masses: list[int] = []
-    n = initial.total_mass
-    for t, _, _, _, _, after in _jumps(model, initial, grid[-1], Uniforms(rng), rows):
-        while len(masses) < len(grid) and grid[len(masses)] < t:
-            masses.append(n)
-        n = after.total_mass
-    masses += [n] * (len(grid) - len(masses))
-    return np.array([math.exp(a * n - lam_star * g) if n else 0.0
-                     for a, n, g in zip(a_at, masses, grid)])
+    mass = np.full(size, initial.total_mass)
+    now = np.zeros(size)
+    integral = np.zeros(size)
+    lane = np.flatnonzero(mass)
+    while lane.size:
+        n = mass[lane]
+        birth, death = model.mass_birth_death_rates(n)
+        total = birth + death
+        hold = rng.standard_exponential(lane.size) / total
+        go = now[lane] + hold <= t
+        # a lane that stops holds its mass up to t
+        for i, h, k, jumps in zip(lane.tolist(), hold.tolist(), n.tolist(), go.tolist()):
+            integral[i] += (h if jumps else t - now[i]) * drift(k)
+        lane, n, hold, birth, total = (x[go] for x in (lane, n, hold, birth, total))
+        now[lane] += hold
+        mass[lane] = np.where(rng.random(lane.size) * total < birth, n + 1, n - 1)
+        lane = lane[mass[lane] > 0]
+    return np.array([f.value_at_mass(k) for k in mass.tolist()]) - f(initial) - integral

@@ -21,7 +21,7 @@ from qsdsim.oracle import build_mass_chain, principal_left_eigenpair
 from qsdsim.qsd import (decay_rate_from_singletons, decay_rate_from_survival,
                         tv_distance, yaglom_estimate)
 from qsdsim.simulator import ENGINES, mass_moments, survival_curve
-from qsdsim.streams import RandomStream
+from qsdsim.streams import RandomStream, Uniforms
 from qsdsim.validation import (Indicator, Mass, chi2_threshold, comparison_exponent,
                                lyapunov_check, martingale_residual)
 
@@ -109,9 +109,9 @@ def test_criterion_06_engines_share_the_time_one_law(uniform_model,
     for tag, model in (("uniform", uniform_model), ("logistic", logistic_model)):
         hists = {}
         for lane, engine in enumerate(sorted(ENGINES)):
-            stream = RandomStream(601, (lane,))
-            masses = [ENGINES[engine](model, initial, 1.0, gen).final.total_mass
-                      for gen in stream.replica_generators(0, 100_000)]
+            rng = Uniforms(RandomStream(601, (lane,)).generator())
+            masses = [ENGINES[engine](model, initial, 1.0, rng).final.total_mass
+                      for _ in range(100_000)]
             hists[engine] = mass_histogram(masses)
         stat, df = two_sample_chi2(hists["gillespie"], hists["thinning"])
         cut = chi2_threshold(df)
@@ -126,10 +126,10 @@ def test_criterion_07_counter_dominates_mass(uniform_model, logistic_model,
     violations = 0
     paths = 0
     for lane, model in enumerate((uniform_model, logistic_model)):
-        stream = RandomStream(701, (lane,))
-        for gen in stream.replica_generators(0, 10_000):
+        rng = Uniforms(RandomStream(701, (lane,)).generator())
+        for _ in range(10_000):
             try:
-                path = coupled_path(model, CoupledState(initial, 3), 2.0, gen)
+                path = coupled_path(model, CoupledState(initial, 3), 2.0, rng)
             except InvariantBreach:
                 violations += 1
                 continue

@@ -9,7 +9,7 @@ from qsdsim.configuration import Configuration
 from qsdsim.coupling import CoupledState, coupled_path, coupled_rates, step_coupled
 from qsdsim.errors import InvalidRegime, InvariantBreach
 from qsdsim.simulator import simulate_gillespie
-from qsdsim.streams import RandomStream
+from qsdsim.streams import RandomStream, Uniforms
 from qsdsim.validation import chi2_threshold
 
 from closed_forms import bd_chain_state_at, bd_qsd
@@ -149,9 +149,9 @@ def test_counter_runs_alone_after_extinction(uniform_model):
 @pytest.mark.parametrize("fixture", ["uniform_model", "logistic_model"])
 def test_paths_preserve_order_and_jump_structure(fixture, request):
     model = request.getfixturevalue(fixture)
-    stream = RandomStream(5, (hash_free_tag(fixture),))
-    for gen in stream.replica_generators(0, 50):
-        path = coupled_path(model, CoupledState(TRIO, 4), 2.0, gen)
+    rng = Uniforms(RandomStream(5, (hash_free_tag(fixture),)).generator())
+    for _ in range(50):
+        path = coupled_path(model, CoupledState(TRIO, 4), 2.0, rng)
         assert path[0] == (0.0, CoupledState(TRIO, 4))
         times = [t for t, _ in path]
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -177,21 +177,25 @@ def test_negative_horizon_rejected(uniform_model):
 
 def test_config_marginal_matches_plain_engine(uniform_model):
     stream = RandomStream(7)
-    coupled = [
-        coupled_path(uniform_model, CoupledState(TRIO, 3), 1.0, gen)[-1][1].config.total_mass
-        for gen in stream.substream(0).replica_generators(0, 4000)]
-    plain = [simulate_gillespie(uniform_model, TRIO, 1.0, gen).final.total_mass
-             for gen in stream.substream(1).replica_generators(0, 4000)]
+    rng = Uniforms(stream.substream(0).generator())
+    coupled = [coupled_path(uniform_model, CoupledState(TRIO, 3), 1.0, rng)[-1][1].config
+               for _ in range(4000)]
+    coupled = [config.total_mass for config in coupled]
+    rng = Uniforms(stream.substream(1).generator())
+    plain = [simulate_gillespie(uniform_model, TRIO, 1.0, rng).final.total_mass
+             for _ in range(4000)]
     stat, df = two_sample_chi2(mass_histogram(coupled), mass_histogram(plain))
     assert stat <= chi2_threshold(df)
 
 
 def test_counter_marginal_is_linear_birth_death(logistic_model):
     stream = RandomStream(8)
-    coupled = [coupled_path(logistic_model, CoupledState(TRIO, 3), 1.0, gen)[-1][1].counter
-               for gen in stream.substream(0).replica_generators(0, 4000)]
-    direct = [bd_chain_state_at(logistic_model.birth_sup, logistic_model.death_inf, 3, 1.0, gen)
-              for gen in stream.substream(1).replica_generators(0, 4000)]
+    rng = Uniforms(stream.substream(0).generator())
+    coupled = [coupled_path(logistic_model, CoupledState(TRIO, 3), 1.0, rng)[-1][1].counter
+               for _ in range(4000)]
+    rng = Uniforms(stream.substream(1).generator())
+    direct = [bd_chain_state_at(logistic_model.birth_sup, logistic_model.death_inf, 3, 1.0, rng)
+              for _ in range(4000)]
     stat, df = two_sample_chi2(mass_histogram(coupled), mass_histogram(direct))
     assert stat <= chi2_threshold(df)
 

@@ -44,13 +44,11 @@ KEPT = {
     "rates.RateModel.mutation_rate": _TRACED,
     "rates.RateModel.reproduction_rate": _TRACED,
     "rates.RateModel.total_jump_rate": _TRACED,
-    "streams._PrecomputedSeed.generate_state": "PCG64 calls it to seed itself",
     "validation.chi2_threshold": _ITEM_1,
 }
 # Defaulted parameters under src/ that no call there sets, kept on purpose.
 KNOBS = {
     "cli.main(argv)": "the console-script entry point calls it with no argument",
-    "streams._PrecomputedSeed.generate_state(dtype)": "numpy's ISeedSequence protocol",
     "validation.chi2_threshold(quantile)": _ITEM_1,
 }
 

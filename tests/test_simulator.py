@@ -598,8 +598,8 @@ def test_mass_first_matches_the_full_engine_jointly(model):
     # unequal families, so the urn's choice of parent shows in the support law
     start = Configuration.from_pairs(((0.3, 6), (0.5, 1), (0.51, 1)))
     replicas = 10_000
-    full = [simulate_gillespie(model, start, 1.0, gen).final
-            for gen in RandomStream(67, (0,)).replica_generators(0, replicas)]
+    rng = Uniforms(RandomStream(67, (0,)).generator())
+    full = [simulate_gillespie(model, start, 1.0, rng).final for _ in range(replicas)]
     paths = mass_paths(model, start, 1.0, replicas, RandomStream(67, (1,)), survivors=True)
     void = [Configuration.void()] * (replicas - len(paths.survivors))
     stat, df = two_sample_chi2(_joint_law(full), _joint_law([*paths.survivors, *void]))
@@ -614,9 +614,11 @@ def test_thinning_matches_gillespie_jointly_on_a_narrow_gaussian_kernel():
                           kernel=TruncatedGaussianKernel(scale=0.05))
     start = Configuration.from_pairs(((0.3, 3), (0.7, 2)))
     replicas = 4000
-    laws = [_joint_law([ENGINES[engine](model, start, 1.5, gen).final
-                        for gen in RandomStream(71, (k,)).replica_generators(0, replicas)])
-            for k, engine in enumerate(("gillespie", "thinning"))]
+    laws = []
+    for k, engine in enumerate(("gillespie", "thinning")):
+        rng = Uniforms(RandomStream(71, (k,)).generator())
+        laws.append(_joint_law([ENGINES[engine](model, start, 1.5, rng).final
+                                for _ in range(replicas)]))
     stat, df = two_sample_chi2(*laws)
     assert stat <= chi2_threshold(df, 0.999)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,16 +11,16 @@ from qsdsim import simulator, validation
 from qsdsim.configuration import Configuration
 from qsdsim.errors import InvalidRegime
 from qsdsim.rates import LogisticModel, UniformModel
-from qsdsim.streams import RandomStream, Uniforms
+from qsdsim.streams import RandomStream
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
 from qsdsim.validation import (BoundedCustom, ExpMass, Indicator, LyapunovPoint,
-                               Mass, _by_mass, _lyapunov_chunk, _martingale_chunk,
+                               Mass, _by_mass, _martingale_chunk,
                                chi2_threshold, comparison_exponent, exp_mass_drift_bound,
                                generator_apply, lyapunov_check, martingale_residual,
                                run_validation_checks)
 
 import strategies
-from ensembles import CountingDeaths, lyapunov_replica, martingale_replica
+from ensembles import CountingDeaths, martingale_chunk, mass_chunk, reference_chunks
 from homogeneity import mass_histogram, two_sample_chi2
 
 FIVE = Configuration.from_pairs(((0.5, 5),))
@@ -349,6 +350,27 @@ def test_validation_battery_passes(uniform_model, logistic_model):
         assert check["pass"], check
 
 
+def test_the_battery_fails_a_stepper_whose_death_rates_are_too_high(uniform_model,
+                                                                     logistic_model, monkeypatch):
+    # the stepper reads d(n) x 1.2 while L f reads the true table, so the
+    # paths are not those of the generator the martingale checks apply
+    true_rates = simulator._MassRates.__call__
+
+    def faulty(self, n):
+        r = true_rates(self, n).copy()
+        r[2] *= 1.2
+        r[3] = r[0] + r[2]
+        return r
+
+    monkeypatch.setattr(simulator._MassRates, "__call__", faulty)
+    for model in (uniform_model, logistic_model):
+        for seed in (21, 22, 23):
+            checks = run_validation_checks(model, RandomStream(seed), replicas=1000)
+            martingales = [c for c in checks if c["check"].startswith("martingale")]
+            assert len(martingales) == 4
+            assert not all(c["pass"] for c in martingales), (model, seed)
+
+
 def test_pointwise_checks_see_every_ordered_weight_tuple_once(uniform_model, monkeypatch):
     seen = []
 
@@ -411,132 +433,104 @@ def test_a_moment_bound_check_evaluates_the_death_rate_once_per_mass():
     assert len(model.masses) <= len(set(model.masses)) + 1
 
 
-# dyadic rates keep L f exact on both routes; the non-dyadic model sums it
-# entry by entry on one route and once per mass on the other
+# AWKWARD's rates are not dyadic, so its L f rounds; both routes take it once
+# per mass, so the draws still agree bit for bit
 GAUSSIAN = LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.5, kernel=TruncatedGaussianKernel(0.1))
 AWKWARD = LogisticModel(b=1.3, rho=0.3, d=1.7, c=0.13, kernel=TruncatedGaussianKernel(0.1))
 SPREAD = Configuration.from_pairs(((0.2, 2), (0.5, 2), (0.8, 1)))
 GRID = (0.5, 1.0, 3.0)
-A_AT = (0.3, 0.29, 0.27)
 
 
 def _lockstep_models(uniform_model, logistic_model):
-    return {"uniform": uniform_model, "logistic": logistic_model, "gaussian": GAUSSIAN}
+    return {"uniform": uniform_model, "logistic": logistic_model, "gaussian": GAUSSIAN,
+            "awkward": AWKWARD}
 
 
-def _generators(seed, replicas=300):
-    return list(RandomStream(seed).replica_generators(0, replicas))
-
-
-@pytest.mark.parametrize("name", ["uniform", "logistic", "gaussian"])
+@pytest.mark.parametrize("name", ["uniform", "logistic", "gaussian", "awkward"])
 @pytest.mark.parametrize("f", [Mass(), Indicator(1), ExpMass(0.3)])
 @pytest.mark.parametrize("t", [0.5, 3.0])
 def test_lockstep_martingale_draws_are_the_one_at_a_time_draws(uniform_model, logistic_model,
                                                                name, f, t):
+    # the reference builds each replica's draw one jump at a time
     model = _lockstep_models(uniform_model, logistic_model)[name]
-    ref = [martingale_replica(model, f, SPREAD, t, model.rate_table(), gen)
-           for gen in _generators(31)]
-    got = _martingale_chunk(model, f, SPREAD, t, _generators(31))
-    assert got.tolist() == ref
+    ref = martingale_chunk(model, f, SPREAD, t, RandomStream(31).generator(), 300)
+    got = _martingale_chunk(model, f, SPREAD, t, RandomStream(31).generator(), 300)
+    assert got.tolist() == ref.tolist()
 
 
-@pytest.mark.parametrize("name", ["uniform", "logistic", "gaussian"])
-def test_lockstep_moment_bound_rows_are_the_one_at_a_time_rows(uniform_model, logistic_model,
-                                                               name):
-    model = _lockstep_models(uniform_model, logistic_model)[name]
-    ref = np.stack([lyapunov_replica(model, SPREAD, GRID, A_AT, 2.0, model.rate_table(), gen)
-                    for gen in _generators(32)])
-    got = _lyapunov_chunk(model, SPREAD, GRID, A_AT, 2.0, _generators(32))
-    assert np.array_equal(got, ref)
+def _rows(model, a0, grid, at):
+    """Each replica's e^{a(t) mass - death_inf t} on survival at the grid times, one at a time."""
+    lam_star = model.death_inf
+    a_at = [comparison_exponent(lam_star, model.birth_sup, a0, t) for t in grid]
+    return np.array([[math.exp(a * n - lam_star * g) if n else 0.0
+                      for a, n, g in zip(a_at, masses, grid)] for masses in at.tolist()])
 
 
-def _replayed_jumps(model, start, t, gens):
-    """Per replica, the (start, end, holding time, mass after) of each jump the
-    lockstep replay takes from mass ``start``; its rate table; and the final
-    masses and last jump times the stepper writes."""
-    rates = simulator._MassRates(model, start)
-    replay = simulator._Replay(gens)
-    got = [[] for _ in gens]
-    mass, last = np.full(len(gens), start), np.zeros(len(gens))
-    rounds = simulator._lockstep(mass, last, t, rates, replay.hold, replay.up)
-    for lane, t0, hold, now, before, up in rounds:
-        after = np.where(up, before + 1, before - 1)
-        for i, *jump in zip(lane.tolist(), t0.tolist(), now.tolist(), hold.tolist(),
-                            after.tolist()):
-            got[i].append(tuple(jump))
-    return got, rates, mass, last
-
-
-def _full_jumps(model, initial, t, gen, rows):
-    # (start, end, holding time, mass after) of each jump of the full engine
-    out, prev = [], 0.0
-    for now, hold, *_, after in simulator._jumps(model, initial, t, Uniforms(gen), rows):
-        out.append((prev, now, hold, after.total_mass))
-        prev = now
-    return out
+def _points(rows):
+    return [(float(column.mean()), float(column.std(ddof=1) / math.sqrt(len(column))))
+            for column in rows.T]
 
 
 @pytest.mark.parametrize("name", ["uniform", "logistic", "gaussian", "awkward"])
-def test_lockstep_mass_jumps_are_the_jumps_of_the_full_engine(uniform_model, logistic_model,
-                                                              name):
-    model = {**_lockstep_models(uniform_model, logistic_model), "awkward": AWKWARD}[name]
-    ref = [_full_jumps(model, SPREAD, 3.0, gen, model.rate_table()) for gen in _generators(37)]
-    assert _replayed_jumps(model, 5, 3.0, _generators(37))[0] == ref
+def test_lockstep_moment_bound_rows_are_the_one_at_a_time_rows(uniform_model, logistic_model,
+                                                               name):
+    model = _lockstep_models(uniform_model, logistic_model)[name]
+    # below log(d(1)/b) on every model, AWKWARD's 0.268 the least
+    a0 = 0.25
+    chunk, = reference_chunks(model, SPREAD, GRID[-1], 300, RandomStream(32), checkpoints=GRID)
+    points = lyapunov_check(model, SPREAD, a0, GRID, 300, RandomStream(32))
+    assert [(p.lhs, p.stderr) for p in points] == _points(_rows(model, a0, GRID, chunk.at))
+
+
+def _reading(model, read):
+    """``model``, logging to ``read`` every mass its mass-chain rates are evaluated at."""
+    class Reading(type(model)):
+        def mass_birth_death_rates(self, k):
+            read.update(k.tolist())
+            return super().mass_birth_death_rates(k)
+
+    return Reading(**{field.name: getattr(model, field.name)
+                      for field in dataclasses.fields(model)})
 
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(["uniform", "logistic", "gaussian", "awkward"]),
        start=st.integers(0, 12), t=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
-def test_lockstep_mass_jumps_from_any_start_mass_are_the_jumps_of_the_full_engine(
+def test_lockstep_from_any_start_mass_ends_as_the_reference_chunk(
         uniform_model, logistic_model, name, start, t, seed):
-    model = {**_lockstep_models(uniform_model, logistic_model), "awkward": AWKWARD}[name]
+    model = _lockstep_models(uniform_model, logistic_model)[name]
     initial = Configuration.from_pairs(((0.5, start),)) if start else Configuration.void()
-    rows = model.rate_table()
-    ref = [_full_jumps(model, initial, t, gen, rows)
-           for gen in RandomStream(seed).replica_generators(0, 50)]
-    got, rates, mass, last = _replayed_jumps(model, start, t,
-                                             list(RandomStream(seed).replica_generators(0, 50)))
-    assert got == ref
+    read = set()
+    want = mass_chunk(_reading(model, read), t, (), False, RandomStream(seed).generator(),
+                      (50, (initial,) * 50))
+    mass, last = np.full(50, start), np.zeros(50)
+    rates = simulator._MassRates(model, start)
+    rounds = simulator._lockstep(mass, last, t, rates, RandomStream(seed).generator())
+    assert sum(lane.size for lane, *_ in rounds) == want.events
     # each lane leaves with the mass after its last jump, and that jump's time
-    assert mass.tolist() == [jumps[-1][3] if jumps else start for jumps in ref]
-    assert last.tolist() == [jumps[-1][1] if jumps else 0.0 for jumps in ref]
-    # the table's filled masses are the masses the full engine read
-    assert np.flatnonzero(rates.by_mass[3]).tolist() == sorted(rows)
+    assert mass.tolist() == want.final.tolist()
+    assert last.tolist() == want.last.tolist()
+    # the table's filled masses are the masses the reference read
+    assert np.flatnonzero(rates.by_mass[3]).tolist() == sorted(read)
 
 
-def test_lockstep_replicas_refill_their_blocks(uniform_model):
-    # some replica draws past its first block of uniforms by t = 3 from mass 5
-    jumps = _replayed_jumps(uniform_model, 5, 3.0, _generators(31))[0]
-    assert 2 * max(map(len, jumps)) + 1 > simulator._BLOCK
-
-
-def test_lockstep_checks_at_non_dyadic_rates_agree_to_rounding():
-    for f in (Mass(), ExpMass(0.3)):
-        ref = [martingale_replica(AWKWARD, f, SPREAD, 3.0, AWKWARD.rate_table(), gen)
-               for gen in _generators(33)]
-        got = _martingale_chunk(AWKWARD, f, SPREAD, 3.0, _generators(33))
-        assert got.tolist() == pytest.approx(ref, rel=1e-12, abs=1e-12)
-    ref = np.stack([lyapunov_replica(AWKWARD, SPREAD, GRID, A_AT, 1.7, AWKWARD.rate_table(), gen)
-                    for gen in _generators(34)])
-    got = _lyapunov_chunk(AWKWARD, SPREAD, GRID, A_AT, 1.7, _generators(34))
-    assert np.array_equal(got, ref)
-
-
-def test_lockstep_checks_over_two_chunks_give_the_one_at_a_time_results(logistic_model):
-    # more replicas than one chunk of map_replicas, so each check runs two
-    replicas, model = 5000, logistic_model
-    rates = model.rate_table()
-    draws = np.array([martingale_replica(model, Indicator(1), SPREAD, 0.5, rates, gen)
-                      for gen in RandomStream(35).replica_generators(0, replicas)])
+def test_lockstep_checks_over_several_chunks_give_the_reference_chunks(logistic_model,
+                                                                       monkeypatch):
+    # chunks of 2,000, so each check runs three
+    monkeypatch.setattr(simulator, "CHUNK", 2000)
+    monkeypatch.setattr(validation, "CHUNK", 2000)
+    replicas, model, stream = 5000, logistic_model, RandomStream(35)
+    draws = np.concatenate([
+        martingale_chunk(model, Indicator(1), SPREAD, 0.5, stream.substream(c).generator(), size)
+        for c, size in enumerate((2000, 2000, 1000))])
     assert martingale_residual(model, Indicator(1), SPREAD, 0.5, replicas,
-                               RandomStream(35)) == (float(draws.mean()),
-                                                     float(draws.std(ddof=1) / math.sqrt(replicas)))
+                               stream) == (float(draws.mean()),
+                                           float(draws.std(ddof=1) / math.sqrt(replicas)))
 
-    grid, lam_star = (0.5, 1.0), model.death_inf
-    a_at = tuple(comparison_exponent(lam_star, model.birth_sup, 0.3, t) for t in grid)
-    rows = np.stack([lyapunov_replica(model, SPREAD, grid, a_at, lam_star, rates, gen)
-                     for gen in RandomStream(36).replica_generators(0, replicas)])
+    grid = (0.5, 1.0)
+    chunks = reference_chunks(model, SPREAD, grid[-1], replicas, RandomStream(36),
+                              checkpoints=grid)
+    assert len(chunks) == 3
+    rows = _rows(model, 0.3, grid, np.concatenate([chunk.at for chunk in chunks]))
     points = lyapunov_check(model, SPREAD, 0.3, grid, replicas, RandomStream(36))
-    assert [(p.lhs, p.stderr) for p in points] == [
-        (float(rows[:, j].mean()), float(rows[:, j].std(ddof=1) / math.sqrt(replicas)))
-        for j in range(len(grid))]
+    assert [(p.lhs, p.stderr) for p in points] == _points(rows)
