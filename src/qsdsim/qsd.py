@@ -2,9 +2,11 @@
 
 A quasi-stationary estimate is a weighted collection of configurations.
 Two routes produce one: conditioning an ensemble on survival at a fixed
-time (Yaglom, with the survivors split once on the way), or running
-interacting particles that resurrect on absorption (Fleming-Viot), each
-particle on its own exponential clock, the clocks kept in a binary heap.
+time (Yaglom, with the survivors split once on the way and kept as
+run-length arrays until one configuration is built per distinct final
+survivor), or running interacting particles that resurrect on absorption
+(Fleming-Viot), each particle on its own exponential clock, the clocks
+kept in a binary heap.
 Decay-rate estimators come in two flavors too, a survival-curve slope
 and the singleton-mass death-rate integral, so independent routes can be
 cross-checked against the finite-state oracle.
@@ -24,7 +26,7 @@ from .configuration import Configuration, _successor
 from .errors import (AllExtinct, Degenerate, InvalidRegime, NoSingletonMass,
                      NotNormalized, WindowTooSmall)
 from .rates import RateModel, holding_time
-from .simulator import mass_paths
+from .simulator import Runs, mass_paths
 # map_replicas is unused here but stays importable: perfbench/tracer.py patches it.
 from .streams import RandomStream, Uniforms, map_replicas  # noqa: F401
 from .trait_space import sample_base
@@ -105,6 +107,36 @@ def _estimate_from_counts(counts: dict[Configuration, int], burn_in: float,
                        resurrections=resurrections)
 
 
+def _estimate_from_runs(runs: Runs, particles: int, events: int) -> QsdEstimate:
+    """:func:`_estimate_from_counts` of the configurations ``runs`` holds, bit for bit.
+
+    The rows, none of them void, merge by one ``np.lexsort`` over the
+    columns (t1, w1, t2, w2, ...) of their entries, missing entries read
+    as (-inf, -inf): that is the tuple order of ``entries``, a row that is
+    a prefix of another coming first. One configuration is built per
+    distinct row, the first of its equals, in that order.
+    """
+    count = len(runs.support)
+    first = np.cumsum(runs.support) - runs.support
+    row = np.repeat(np.arange(count), runs.support)
+    col = np.arange(len(row)) - first[row]
+    keys = np.full((count, int(runs.support.max()), 2), -np.inf)
+    keys[row, col, 0] = runs.traits
+    keys[row, col, 1] = runs.weights
+    keys = keys.reshape(count, -1)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    heads = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    distinct = runs.take(order[heads])
+    pairs = list(zip(distinct.traits.tolist(), distinct.weights.tolist()))
+    end = np.cumsum(distinct.support).tolist()
+    configs = [_successor(tuple(pairs[a:b]), n)
+               for a, b, n in zip([0, *end], end, distinct.masses().tolist())]
+    return QsdEstimate(configurations=tuple(configs),
+                       weights=np.diff(heads, append=count) / float(count),
+                       burn_in=0.0, particles=particles, events=events)
+
+
 # The Yaglom horizon is cut into this many equal stages, and the survivors
 # of each stage but the last are copied to refill the ensemble; a constant.
 YAGLOM_STAGES = 2
@@ -125,7 +157,10 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
     survivors keep equal weights and estimate the law conditioned on
     survival to t, as plain conditioning does, but with up to
     ``replicas // S`` times as many of them where many replicas die. No
-    stage runs more than ``replicas`` replicas.
+    stage runs more than ``replicas`` replicas. Survivors stay
+    run-length arrays (:class:`~qsdsim.simulator.Runs`) from stage to
+    stage, and the final ones merge into one configuration per distinct
+    survivor (:func:`_estimate_from_runs`).
 
     Copies of one survivor share its past, so ``particles`` counts
     independent survivors: the first-stage replicas with a descendant
@@ -141,18 +176,17 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
         paths = mass_paths(model, starts, t / YAGLOM_STAGES, size, rng.substream(stage),
                            survivors=True)
         events += paths.events
-        if not paths.survivors:
+        alive = len(paths.survivors.support)
+        if not alive:
             raise AllExtinct(f"no replica of {size} survived stage {stage + 1} of"
                              f" {YAGLOM_STAGES} to t={t!r}")
         lineage = lineage[np.flatnonzero(paths.final) // copies]
-        copies = replicas // len(paths.survivors)
+        copies = replicas // alive
         # survivor s fills slots s copies to (s + 1) copies - 1
-        copied = [None] * (copies * len(paths.survivors))
-        for k in range(copies):
-            copied[k::copies] = paths.survivors
-        starts, size = tuple(copied), len(copied)
-    return _estimate_from_counts(Counter(paths.survivors), burn_in=0.0,
-                                 particles=len(np.unique(lineage)), events=events)
+        starts = paths.survivors.take(np.repeat(np.arange(alive), copies))
+        size = copies * alive
+    return _estimate_from_runs(paths.survivors, particles=len(np.unique(lineage)),
+                               events=events)
 
 
 def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
@@ -327,7 +361,12 @@ def estimate_report(est: QsdEstimate) -> dict:
 
 
 def write_sample_csv(est: QsdEstimate, out: IO[str]) -> None:
-    """Weighted configuration sample as CSV."""
-    rows = zip(est.configurations, est.weights.tolist())
+    """Weighted configuration sample as CSV.
+
+    Each distinct weight, told apart by its bits, is formatted once.
+    """
+    bits, which = np.unique(est.weights.view(np.int64), return_inverse=True)
+    text = [f"{weight:.17g}" for weight in bits.view(np.float64).tolist()]
     out.write("weight,configuration\n" + "".join(
-        f"{weight:.17g},{config.serialize()}\n" for config, weight in rows))
+        f"{text[k]},{config.serialize()}\n"
+        for k, config in zip(which.tolist(), est.configurations)))

@@ -19,7 +19,10 @@ stepper, ``_lockstep``, advances a chunk of replicas on it in numpy
 lockstep on a per-mass rate table, drawing from the chunk's one
 generator. ``mass_paths`` runs it, with traits drawn afterwards by an
 urn along each survivor's mass path, in lockstep too, and so does the
-validation's martingale check.
+validation's martingale check. Survivors come out of the urn as
+:class:`Runs`, run-length arrays with one row per configuration, and
+``mass_paths`` takes such rows as starts too, so that an ensemble
+started from survivors builds no configuration per replica.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .configuration import Configuration, _successor
+from .configuration import Configuration
 from .rates import RateModel, holding_time, individual_at, sample_mutation_parent
 from .streams import RandomStream, map_replicas
 from .trait_space import sample_base, validate_trait
@@ -340,6 +343,53 @@ ENGINES = {
 CHUNK = 65536
 
 
+class Runs(NamedTuple):
+    """Configurations as run-length arrays, one row per configuration.
+
+    Row i holds the ``support[i]`` entries that follow those of rows
+    0..i-1: their traits, strictly increasing within the row, in
+    ``traits`` and their positive weights in ``weights``. A row with no
+    entries is the void configuration.
+    """
+
+    traits: np.ndarray
+    weights: np.ndarray
+    support: np.ndarray
+
+    @staticmethod
+    def of(configs: Iterable[Configuration]) -> "Runs":
+        """The rows of the given configurations, in order."""
+        configs = list(configs)
+        entries = [entry for c in configs for entry in c.entries]
+        return Runs(np.array([trait for trait, _ in entries], dtype=float),
+                    np.array([weight for _, weight in entries], dtype=np.int64),
+                    np.array([len(c.entries) for c in configs], dtype=np.int64))
+
+    def rows(self, a: int, b: int) -> "Runs":
+        """Rows a to b - 1, as views of these arrays."""
+        i = int(self.support[:a].sum())
+        j = i + int(self.support[a:b].sum())
+        return Runs(self.traits[i:j], self.weights[i:j], self.support[a:b])
+
+    def take(self, rows: np.ndarray) -> "Runs":
+        """The given rows in the given order, repeats allowed."""
+        support = self.support[rows]
+        first = np.cumsum(self.support) - self.support
+        at = np.arange(int(support.sum())) + np.repeat(
+            first[rows] - (np.cumsum(support) - support), support)
+        return Runs(self.traits[at], self.weights[at], support)
+
+    def masses(self) -> np.ndarray:
+        """The total mass of each row."""
+        end = np.cumsum(self.support)
+        total = np.concatenate(([0], np.cumsum(self.weights)))
+        return total[end] - total[end - self.support]
+
+
+def _joined(parts: Sequence[Runs]) -> Runs:
+    return Runs(*(np.concatenate(column) for column in zip(Runs.of(()), *parts)))
+
+
 class MassPaths(NamedTuple):
     """Mass-path observables of an ensemble, one entry per replica.
 
@@ -348,7 +398,8 @@ class MassPaths(NamedTuple):
     checkpoint; a checkpoint at a jump time sees the mass after the jump.
     ``events`` is the number of jumps of all replicas together.
     ``survivors`` holds, only when asked for, the configurations of the
-    replicas alive at the horizon, in replica order.
+    replicas alive at the horizon, one row each in replica order; it has
+    no rows otherwise.
     """
 
     start: np.ndarray
@@ -356,7 +407,7 @@ class MassPaths(NamedTuple):
     extinction: np.ndarray
     at: np.ndarray
     events: int
-    survivors: tuple[Configuration, ...]
+    survivors: Runs
 
 
 # Steps the urn takes in one batch of survivors: a bound on what one
@@ -364,19 +415,19 @@ class MassPaths(NamedTuple):
 _BATCH = 32768
 
 
-def _urns(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
-          steps: np.ndarray, lengths: np.ndarray, finals: np.ndarray,
-          rng: np.random.Generator) -> tuple[Configuration, ...]:
+def _urns(model: RateModel, starts: Runs, masses: np.ndarray, steps: np.ndarray,
+          lengths: np.ndarray, finals: np.ndarray, rng: np.random.Generator) -> Runs:
     """Traits along the mass paths of a chunk's survivors, on its one generator, in lockstep urns.
 
-    Survivor s starts from ``starts[s]`` at mass ``masses[s]``, takes the
-    ``lengths[s]`` ±1 ``steps`` that follow those of survivors 0..s-1 and
-    ends at mass ``finals[s]``. Its individuals form a list in entry
-    order. At +1 a uniform individual is the parent, and the child, put
-    at the end, is a kernel draw with probability rho, else a clone. At
-    -1 a uniform individual dies and the last one takes its place. Given
-    the mass path these are the exact conditional laws, since every
-    individual carries the same rates.
+    Survivor s starts from row s of ``starts`` at mass ``masses[s]``,
+    takes the ``lengths[s]`` ±1 ``steps`` that follow those of survivors
+    0..s-1 and ends at mass ``finals[s]``, which is row s of the result.
+    Its individuals form a list in entry order. At +1 a uniform
+    individual is the parent, and the child, put at the end, is a kernel
+    draw with probability rho, else a clone. At -1 a uniform individual
+    dies and the last one takes its place. Given the mass path these are
+    the exact conditional laws, since every individual carries the same
+    rates.
 
     The urn draws three uniforms a step from ``rng``, in step order
     (:func:`_urn_uniforms`), as running the survivors one after another
@@ -385,21 +436,16 @@ def _urns(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
     what it holds at once stays bounded however long the paths are; the
     batches do not change what is drawn.
     """
-    if not len(lengths):
-        return ()
     edge = np.concatenate(([0], np.cumsum(lengths)))
     cuts = np.searchsorted(edge[1:], np.arange(_BATCH, edge[-1], _BATCH), "right")
     bounds = [0, *np.unique(cuts).tolist(), len(lengths)]
-    kept: list[Configuration] = []
-    for a, b in zip(bounds, bounds[1:]):
-        kept += _urn_batch(model, starts[a:b], masses[a:b], steps[edge[a]:edge[b]],
-                           lengths[a:b], finals[a:b], rng)
-    return tuple(kept)
+    return _joined([_urn_batch(model, starts.rows(a, b), masses[a:b],
+                               steps[edge[a]:edge[b]], lengths[a:b], finals[a:b], rng)
+                    for a, b in zip(bounds, bounds[1:]) if b > a])
 
 
-def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.ndarray,
-               steps: np.ndarray, lengths: np.ndarray, finals: np.ndarray,
-               rng: np.random.Generator) -> list[Configuration]:
+def _urn_batch(model: RateModel, starts: Runs, masses: np.ndarray, steps: np.ndarray,
+               lengths: np.ndarray, finals: np.ndarray, rng: np.random.Generator) -> Runs:
     """:func:`_urns` on a batch of survivors at once.
 
     Every mass along the paths is known beforehand, so every step's
@@ -411,8 +457,6 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
     trait lists are then sorted and run-length encoded together.
     """
     count = len(lengths)
-    if not count:
-        return []
     # step positions and positions in the rows of node ids fit this type
     bound = count * int(masses.max() + lengths.max())
     index = np.int32 if bound < 2**31 else np.int64
@@ -458,9 +502,8 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
     mutates = _scatter(mutates, slot)
     del slot
 
-    entries = [entry for c in starts for entry in c.entries]
-    nodes = len(entries)
-    firsts = np.repeat(np.arange(nodes, dtype=index), [w for _, w in entries])
+    nodes = len(starts.traits)
+    firsts = np.repeat(np.arange(nodes, dtype=index), starts.weights)
     lists = np.empty((count, width), dtype=index)
     cols = np.arange(len(firsts)) - np.repeat(np.cumsum(masses) - masses, masses)
     lists[np.repeat(rank, masses), cols] = firsts
@@ -482,7 +525,7 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
     # children of the nodes valued so far; one more node, at inf, pads
     # the rows past each survivor's final mass
     value = np.empty(nodes + len(parent_of) + 1)
-    value[:nodes] = [trait for trait, _ in entries]
+    value[:nodes] = starts.traits
     value[-1] = np.inf
     known = np.zeros(len(value), dtype=bool)
     known[:nodes] = True
@@ -493,30 +536,24 @@ def _urn_batch(model: RateModel, starts: Sequence[Configuration], masses: np.nda
         value[nodes + now] = model.kernel.inverse_cdf(value[parent_of[now]], kernel_u[now])
         known[nodes + now] = True
         pending = pending[~ready]
-    size = finals[order]
-    lists[np.arange(width) >= size[:, None]] = len(value) - 1
-    traits = value[lists]
+    lists[np.arange(width) >= finals[order][:, None]] = len(value) - 1
+    # row s of the traits is survivor s's list
+    traits = value[lists[rank]]
     del lists, value, known, parent_of, kernel_u
 
     # sort each row, then one run per distinct trait; validate_trait on the
     # extremes stands for the per-entry check of Configuration
     traits.sort(axis=1)
-    traits = traits[np.arange(width) < size[:, None]]
-    row_first = np.cumsum(size) - size
+    traits = traits[np.arange(width) < finals[:, None]]
+    row_first = np.cumsum(finals) - finals
     new = np.ones(len(traits), dtype=bool)
     np.not_equal(traits[1:], traits[:-1], out=new[1:])
     new[row_first] = True
     runs = np.flatnonzero(new)
-    traits = traits[runs]
     validate_trait(float(traits.min()))
     validate_trait(float(traits.max()))
-    # a start trait keeps its float object, as the clones of one do
-    values, own = traits.tolist(), {trait: trait for trait, _ in entries}
-    pairs = list(zip(map(own.get, values, values), np.diff(runs, append=len(new)).tolist()))
-    per_row = np.add.reduceat(new, row_first, dtype=np.int64)
-    run_end = np.cumsum(per_row)
-    spans = zip((run_end - per_row)[rank].tolist(), run_end[rank].tolist(), finals.tolist())
-    return [_successor(tuple(pairs[i:j]), n) for i, j, n in spans]
+    return Runs(traits[runs], np.diff(runs, append=len(new)),
+                np.add.reduceat(new, row_first, dtype=np.int64))
 
 
 def _urn_uniforms(rho: float, up: np.ndarray, mass: np.ndarray, rng: np.random.Generator,
@@ -548,8 +585,9 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     """One chunk of replicas advanced together on the mass chain alone, in one lockstep.
 
     ``rng`` is the chunk's one generator and ``part`` its ``(size,
-    initial)``: the replica count and either a tuple of one start per
-    replica or a law whose ``draw(rng)`` gives each start. The chunk is
+    initial)``: the replica count and either one configuration that
+    every replica starts from, or :class:`Runs` with one start per
+    replica, or a law whose ``draw(rng)`` gives each start. The chunk is
     the unit of both the stream and the lockstep: each round of its one
     :func:`_lockstep` run draws the live replicas' holding times, then a
     uniform each for the up steps, from ``rng``. With ``survivors`` the
@@ -559,9 +597,14 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     replica order.
     """
     size, initial = part
-    starts = (list(initial) if isinstance(initial, tuple)
-              else [initial.draw(rng) for _ in range(size)])
-    start = np.array([c.total_mass for c in starts], dtype=np.int64)
+    # replica i starts from row rows[i] of starts
+    if isinstance(initial, Configuration):
+        starts, rows = Runs.of((initial,)), np.zeros(size, dtype=np.intp)
+    else:
+        starts = (initial if isinstance(initial, Runs)
+                  else Runs.of([initial.draw(rng) for _ in range(size)]))
+        rows = np.arange(size)
+    start = starts.masses()[rows]
     mass, last = start.copy(), np.zeros(size)
     at = np.full((size, len(checkpoints)), -1, dtype=np.int64)
     events = 0
@@ -578,7 +621,7 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     extinction = np.where(mass == 0, last, math.inf)
     # a checkpoint that no jump passed sees the mass the path ended with
     at = np.where(at < 0, mass[:, None], at)
-    kept: tuple[Configuration, ...] = ()
+    kept = Runs.of(())
     if survivors:
         ids = np.concatenate([x for x, _ in log])
         ups = np.concatenate([u for _, u in log])
@@ -592,8 +635,8 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         lanes = np.flatnonzero(mass)
         lengths = np.bincount(ids, minlength=size)[lanes]
         del ids
-        kept = _urns(model, [starts[i] for i in lanes.tolist()], start[lanes], steps,
-                     lengths, mass[lanes], rng)
+        kept = _urns(model, starts.take(rows[lanes]), start[lanes], steps, lengths,
+                     mass[lanes], rng)
     return MassPaths(start, mass, extinction, at, events, kept)
 
 
@@ -603,39 +646,37 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
 
     Every :class:`~qsdsim.rates.RateModel` is trait-blind, so the mass is
     a birth-death chain on its own with rates
-    ``model.mass_birth_death_rates``. ``initial`` is a configuration, a
-    tuple of ``replicas`` configurations (replica r starts from the
-    r-th), or anything with a ``draw(rng) -> Configuration`` method,
-    drawn once per replica.
+    ``model.mass_birth_death_rates``. ``initial`` is a configuration,
+    :class:`Runs` with one row per replica (replica r starts from row r),
+    or anything with a ``draw(rng) -> Configuration`` method, drawn once
+    per replica.
     Replicas run in chunks of :data:`CHUNK`, one :func:`_mass_chunk`
     lockstep each, all through :func:`~qsdsim.streams.map_replicas`, and
     chunk c draws from ``rng.substream(c)``: a chunk is the unit of both
     the random stream and the lockstep. Checkpoints may come in any order but must lie
     within [0, t_end]. With ``survivors`` the result also carries the
-    configurations of the replicas alive at t_end, their traits drawn by
-    the urn.
+    configurations of the replicas alive at t_end as :class:`Runs`, their
+    traits drawn by the urn.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
     if not t_end >= 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end!r}")
-    if isinstance(initial, tuple) and len(initial) != replicas:
-        raise ValueError(f"need one start per replica, got {len(initial)} for {replicas}")
+    if isinstance(initial, Runs) and len(initial.support) != replicas:
+        raise ValueError(f"need one start per replica, got {len(initial.support)} for {replicas}")
     checkpoints = tuple(float(c) for c in checkpoints)
     if not all(0.0 <= c <= t_end for c in checkpoints):
         raise ValueError(f"checkpoints must lie within [0, {t_end!r}], got {checkpoints!r}")
     model.check_regime()
-    if isinstance(initial, Configuration):
-        initial = (initial,) * replicas
     chunk = partial(_mass_chunk, model, float(t_end), checkpoints, survivors)
     work = [(min(CHUNK, replicas - a),
-             initial[a:a + CHUNK] if isinstance(initial, tuple) else initial)
+             initial.rows(a, a + CHUNK) if isinstance(initial, Runs) else initial)
             for a in range(0, replicas, CHUNK)]
     parts = map_replicas(chunk, rng, work)
     columns = zip(*(part[:4] for part in parts))
     return MassPaths(*(np.concatenate(column) for column in columns),
                      sum(part.events for part in parts),
-                     tuple(c for part in parts for c in part.survivors))
+                     _joined([part.survivors for part in parts]))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ process. Ensembles run in chunks of replicas through :func:`map_replicas`,
 and chunk c draws from one generator of the child stream
 ``root.substream(c)``: in ``simulator.mass_paths`` its mass paths first,
 then three uniforms per urn step of its survivors, in step order; in
-the validation's martingale check its mass paths alone.
+the validation's martingale check its mass paths alone. Yaglom's stage
+k runs ``mass_paths`` on ``root.substream(k)``; how its survivors are
+stored between stages and merged draws nothing.
 
 Per-event loops take their uniforms one at a time from :class:`Uniforms`.
 """

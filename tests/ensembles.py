@@ -1,5 +1,6 @@
-"""Ensemble helpers the tests share: hitting tails, the lockstep routes' references
-and a rate model that logs its death-rate evaluations.
+"""Ensemble helpers the tests share: hitting tails, the lockstep routes' references,
+configurations from run-length arrays and a rate model that logs its death-rate
+evaluations.
 
 ``urn`` runs one survivor at a time; ``mass_chunk`` and
 ``martingale_chunk`` draw as a chunk of the package does but evaluate
@@ -18,7 +19,7 @@ import numpy as np
 from qsdsim import simulator
 from qsdsim.configuration import Configuration
 from qsdsim.rates import LogisticModel, RateModel
-from qsdsim.simulator import _urns
+from qsdsim.simulator import Runs, _urns
 from qsdsim.streams import RandomStream, map_replicas
 from qsdsim.validation import TestFunction, generator_apply
 
@@ -36,6 +37,13 @@ class CountingDeaths(LogisticModel):
     def per_capita_death(self, n):
         self.masses.extend(np.ravel(n).tolist())
         return super().per_capita_death(n)
+
+
+def configurations(runs: Runs) -> tuple[Configuration, ...]:
+    """One checked configuration per row of ``runs``, in row order."""
+    pairs = list(zip(runs.traits.tolist(), runs.weights.tolist()))
+    end = np.cumsum(runs.support).tolist()
+    return tuple(Configuration(tuple(pairs[a:b])) for a, b in zip([0, *end], end))
 
 
 def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
@@ -66,11 +74,11 @@ def reference_chunks(model: RateModel, initial, t_end: float, replicas: int,
         raise ValueError("replicas must be positive")
     model.check_regime()
     if isinstance(initial, Configuration):
-        initial = (initial,) * replicas
+        initial = Runs.of((initial,) * replicas)
     chunk = partial(mass_chunk, model, float(t_end), tuple(checkpoints), survivors)
     size = simulator.CHUNK
     work = [(min(size, replicas - a),
-             initial[a:a + size] if isinstance(initial, tuple) else initial)
+             initial.rows(a, a + size) if isinstance(initial, Runs) else initial)
             for a in range(0, replicas, size)]
     return map_replicas(chunk, rng, work)
 
@@ -117,7 +125,7 @@ class ReferenceChunk(NamedTuple):
     extinction: np.ndarray
     at: np.ndarray
     events: int
-    survivors: tuple[Configuration, ...]
+    survivors: Runs
     maximum: np.ndarray
     last: np.ndarray
 
@@ -134,9 +142,9 @@ def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     and its last jump time.
     """
     size, initial = part
-    starts = (list(initial) if isinstance(initial, tuple)
-              else [initial.draw(rng) for _ in range(size)])
-    start = np.array([c.total_mass for c in starts], dtype=np.int64)
+    starts = (initial if isinstance(initial, Runs)
+              else Runs.of([initial.draw(rng) for _ in range(size)]))
+    start = starts.masses()
     mass = start.copy()
     maximum = start.copy()
     extinction = np.where(start == 0, 0.0, math.inf)
@@ -168,7 +176,7 @@ def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         extinction[lane[~alive]] = after[~alive]
         lane, t = lane[alive], after[alive]
     at = np.where(at < 0, mass[:, None], at)
-    kept: tuple[Configuration, ...] = ()
+    kept = Runs.of(())
     if survivors:
         ids = np.concatenate([x for x, _ in log])
         steps = np.concatenate([s for _, s in log])
@@ -177,8 +185,7 @@ def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         steps = steps[np.argsort(ids, kind="stable")]
         lanes = np.flatnonzero(mass)
         lengths = np.bincount(ids, minlength=size)[lanes]
-        kept = _urns(model, [starts[i] for i in lanes.tolist()], start[lanes], steps,
-                     lengths, mass[lanes], rng)
+        kept = _urns(model, starts.take(lanes), start[lanes], steps, lengths, mass[lanes], rng)
     return ReferenceChunk(start, mass, extinction, at, events, kept, maximum, last)
 
 

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -13,15 +15,16 @@ from qsdsim.errors import (AllExtinct, InvalidRegime,
                            NoSingletonMass, NotNormalized, WindowTooSmall)
 from qsdsim.oracle import build_mass_chain, principal_left_eigenpair
 from qsdsim.qsd import (YAGLOM_STAGES, QsdEstimate, _estimate_from_counts,
-                        decay_rate_from_singletons, decay_rate_from_survival,
+                        _estimate_from_runs, decay_rate_from_singletons, decay_rate_from_survival,
                         estimate_report, fleming_viot_estimate, tv_distance,
                         write_sample_csv, yaglom_estimate)
 from qsdsim.rates import LogisticModel, UniformModel
-from qsdsim.simulator import _gillespie_branch, mass_paths
+from qsdsim.simulator import Runs, _gillespie_branch, mass_paths
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, make_kernel, sample_base
 
 from closed_forms import bd_qsd
+from ensembles import configurations, reference_chunks
 
 ONE = Configuration.singleton(0.2)
 TWO = Configuration.from_pairs(((0.4, 2),))
@@ -129,14 +132,66 @@ def test_yaglom_stages_copy_every_survivor_alike(uniform_model, monkeypatch):
     # ancestor[i]: the first-stage replica behind survivor i of the stage
     ancestor = np.flatnonzero(calls[0][4].final)
     for (*_, before), (starts, _, size, _, after) in zip(calls, calls[1:]):
-        copies = 1000 // len(before.survivors)
-        assert size == len(starts) == copies * len(before.survivors) <= 1000
-        assert starts == tuple(c for c in before.survivors for _ in range(copies))
+        kept = configurations(before.survivors)
+        copies = 1000 // len(kept)
+        starts = configurations(starts)
+        assert size == len(starts) == copies * len(kept) <= 1000
+        assert starts == tuple(c for c in kept for _ in range(copies))
         ancestor = ancestor[np.flatnonzero(after.final) // copies]
-    final = calls[-1][4].survivors
+    final = configurations(calls[-1][4].survivors)
     counts = est.weights * len(final)
     assert np.allclose(counts, np.round(counts))
     assert est.particles == len(set(ancestor.tolist())) < len(final)
+
+
+def _same_estimate(got, want):
+    assert [c.serialize() for c in got.configurations] == [
+        c.serialize() for c in want.configurations]
+    assert [c.total_mass for c in got.configurations] == [
+        c.total_mass for c in want.configurations]
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.mass_marginal.tobytes() == want.mass_marginal.tobytes()
+    assert (got.burn_in, got.particles, got.events, got.resurrections) == (
+        want.burn_in, want.particles, want.events, want.resurrections)
+
+
+def test_yaglom_from_a_law_gives_the_stagewise_reference_bit_for_bit(uniform_model):
+    # criterion 05 starts Yaglom from an estimate, whose draw gives each start;
+    # the reference copies the survivors as configurations and counts them
+    law, replicas, rng = _hand_estimate(), 3000, RandomStream(5)
+    est = yaglom_estimate(uniform_model, law, 2.0, replicas, rng)
+    first, = reference_chunks(uniform_model, law, 1.0, replicas, rng.substream(0),
+                              survivors=True)
+    kept = configurations(first.survivors)
+    copies = replicas // len(kept)
+    second, = reference_chunks(uniform_model, Runs.of(c for c in kept for _ in range(copies)),
+                               1.0, copies * len(kept), rng.substream(1), survivors=True)
+    final = configurations(second.survivors)
+    assert len(final) > len(set(final)) > 100
+    _same_estimate(est, _estimate_from_counts(Counter(final), burn_in=0.0,
+                                              particles=est.particles,
+                                              events=first.events + second.events))
+
+
+_MERGE_TRAITS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+_MERGE_CONFIGS = st.lists(st.tuples(_MERGE_TRAITS, st.integers(1, 3)), min_size=1,
+                          max_size=4).map(Configuration.from_pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.lists(_MERGE_CONFIGS, min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 100), min_size=1, max_size=40))
+def test_the_yaglom_merge_gives_the_counted_estimate_bit_for_bit(drawn, picks):
+    # duplicates, prefixes of one configuration, and (t, 2) against
+    # (t, 1), (v, 1): tuple order puts the first after the second
+    pool = [*drawn, *(Configuration(c.entries[:k]) for c in drawn
+                      for k in range(1, len(c.entries))),
+            Configuration(((0.25, 2),)), Configuration(((0.25, 1), (0.5, 1))),
+            Configuration(((0.25, 1), (0.75, 1))), Configuration(((0.25, 1),))]
+    configs = [pool[k % len(pool)] for k in picks]
+    got = _estimate_from_runs(Runs.of(configs), particles=7, events=11)
+    want = _estimate_from_counts(Counter(configs), burn_in=0.0, particles=7, events=11)
+    _same_estimate(got, want)
 
 
 def test_fleming_viot_rejects_bad_arguments(uniform_model):
@@ -455,6 +510,19 @@ def test_sample_csv_layout(tmp_path):
     assert lines[0] == "weight,configuration"
     assert lines[1] == "0.5,1@0.20000000000000001"
     assert len(lines) == 1 + 3
+
+
+def test_sample_csv_formats_each_weight_as_its_own_row_would():
+    # repeated weights, and -0.0 beside 0.0: equal, but not the same bits
+    weights = (0.25, 0.5, 0.25, -0.0, 0.0)
+    configs = tuple(Configuration.singleton(0.1 * k) for k in range(1, 6))
+    est = QsdEstimate(configurations=configs, weights=np.array(weights), burn_in=0.0,
+                      particles=5)
+    out = io.StringIO()
+    write_sample_csv(est, out)
+    assert out.getvalue().splitlines()[1:] == [
+        f"{w:.17g},{c.serialize()}" for w, c in zip(weights, configs)]
+    assert out.getvalue().splitlines()[4].startswith("-0,")
 
 
 # sha256 of the serialized survivors of a small Yaglom estimate, pinned

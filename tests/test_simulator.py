@@ -15,7 +15,7 @@ from qsdsim.errors import InvalidRegime
 from qsdsim.oracle import build_mass_chain
 from qsdsim.qsd import QsdEstimate, fleming_viot_estimate
 from qsdsim.rates import LogisticModel, RateModel, UniformModel, individual_at
-from qsdsim.simulator import (ENGINES, Event, EventKind, Trajectory,
+from qsdsim.simulator import (ENGINES, Event, EventKind, Runs, Trajectory,
                               _gillespie_branch, _urns, mass_moments, mass_paths,
                               path_times, simulate_gillespie, simulate_thinning,
                               survival_curve, write_trajectory_csv)
@@ -24,7 +24,7 @@ from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, sample_ba
 from qsdsim.validation import Mass, chi2_threshold, lyapunov_check, martingale_residual
 
 import strategies
-from ensembles import CountingDeaths, hitting_tail, reference_chunks, urn
+from ensembles import CountingDeaths, configurations, hitting_tail, reference_chunks, urn
 from homogeneity import mass_histogram, two_sample_chi2
 
 START = Configuration.from_pairs(((0.2, 2), (0.6, 1)))
@@ -478,10 +478,11 @@ def test_mass_paths_invariants(model, seed, replicas, horizon, start, survivors)
     # each jump moves one replica by one, so the count bounds and matches the net move
     moved = paths.final - paths.start
     assert np.abs(moved).sum() <= paths.events and (paths.events - moved.sum()) % 2 == 0
+    kept = configurations(paths.survivors)
     if survivors:
-        assert [c.total_mass for c in paths.survivors] == paths.final[paths.final > 0].tolist()
+        assert [c.total_mass for c in kept] == paths.final[paths.final > 0].tolist()
     else:
-        assert paths.survivors == ()
+        assert kept == ()
 
 
 @settings(max_examples=4, deadline=None)
@@ -493,24 +494,58 @@ def test_mass_paths_keep_their_first_chunk_whatever_follows_it(seed, replicas, u
     for many, first in zip(runs[0][:4], runs[1][:4]):
         assert np.array_equal(many[:_CHUNK], first)
     alive = int(np.count_nonzero(runs[1].final))
-    assert runs[0].survivors[:alive] == runs[1].survivors
+    assert configurations(runs[0].survivors)[:alive] == configurations(runs[1].survivors)
 
 
 @mock.patch.object(simulator, "CHUNK", _CHUNK)
 def test_mass_paths_start_each_replica_from_its_own_configuration(uniform_model):
     replicas = 2 * _CHUNK + 5
-    starts = tuple(Configuration.from_pairs(((0.5, 1 + r % 3),)) for r in range(replicas))
+    configs = tuple(Configuration.from_pairs(((0.5, 1 + r % 3),)) for r in range(replicas))
+    starts = Runs.of(configs)
     still = mass_paths(uniform_model, starts, 0.0, replicas, RandomStream(3), survivors=True)
     assert still.start.tolist() == [1 + r % 3 for r in range(replicas)]
-    assert still.survivors == starts
+    assert configurations(still.survivors) == configs
     run = mass_paths(uniform_model, starts, 1.0, replicas, RandomStream(3), survivors=True)
     want = reference_chunks(uniform_model, starts, 1.0, replicas, RandomStream(3),
                             survivors=True)
     assert np.array_equal(run.start, np.concatenate([chunk.start for chunk in want]))
     assert np.array_equal(run.final, np.concatenate([chunk.final for chunk in want]))
-    assert run.survivors == tuple(c for chunk in want for c in chunk.survivors)
+    assert configurations(run.survivors) == tuple(c for chunk in want
+                                                  for c in configurations(chunk.survivors))
     with pytest.raises(ValueError, match="one start per replica"):
-        mass_paths(uniform_model, starts[:-1], 1.0, replicas, RandomStream(3))
+        mass_paths(uniform_model, Runs.of(configs[:-1]), 1.0, replicas, RandomStream(3))
+
+
+def test_mass_paths_take_void_rows_among_array_starts(uniform_model):
+    # a void row has no entries: its replica starts at mass 0 and is extinct at 0.0
+    pool = (Configuration.void(), START, Configuration.void(), Configuration.singleton(0.9))
+    configs = tuple(pool[r % 4] for r in range(41))
+    paths = mass_paths(uniform_model, Runs.of(configs), 1.0, 41, RandomStream(8),
+                       survivors=True)
+    void = paths.start == 0
+    assert void.tolist() == [c.is_void for c in configs]
+    assert (paths.extinction[void] == 0.0).all() and (paths.final[void] == 0).all()
+    want, = reference_chunks(uniform_model, Runs.of(configs), 1.0, 41, RandomStream(8),
+                             survivors=True)
+    assert np.array_equal(paths.final, want.final) and paths.final[~void].any()
+    assert configurations(paths.survivors) == configurations(want.survivors)
+
+
+def test_array_starts_of_more_replicas_than_a_chunk_run_as_their_configuration(uniform_model):
+    # one row per replica, split over two chunks, draws what the one
+    # configuration they all repeat draws
+    replicas = simulator.CHUNK + 3
+    one = mass_paths(uniform_model, START, 0.2, replicas, RandomStream(9), survivors=True)
+    with mock.patch.object(simulator, "_lockstep", wraps=simulator._lockstep) as lockstep:
+        rows = mass_paths(uniform_model, Runs.of((START,) * replicas), 0.2, replicas,
+                          RandomStream(9), survivors=True)
+    assert [call.args[0].size for call in lockstep.call_args_list] == [simulator.CHUNK, 3]
+    for got, want in zip(rows[:4], one[:4]):
+        assert np.array_equal(got, want)
+    assert rows.events == one.events
+    for got, want in zip(rows.survivors, one.survivors):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.count_nonzero(one.final[simulator.CHUNK:]) > 0
 
 
 def test_no_lockstep_of_mass_paths_holds_more_than_a_chunk(uniform_model):
@@ -567,7 +602,7 @@ def test_mass_paths_give_the_per_lane_rate_rounds_bit_for_bit(model, seed, repli
     # a mixed start puts masses 0, 1, 3 and 9 side by side, so the masses a
     # chunk reaches need not form one range
     initial = {"one": START, "law": ESTIMATE,
-               "mixed": tuple(_POOL[picks[r % len(picks)]] for r in range(replicas))}[form]
+               "mixed": Runs.of(_POOL[picks[r % len(picks)]] for r in range(replicas))}[form]
     checkpoints = tuple(sorted(c * horizon for c in cuts))
     # small chunks split the replicas among several lockstep runs; the
     # reference runs each chunk with the rates of every live lane
@@ -581,8 +616,8 @@ def test_mass_paths_give_the_per_lane_rate_rounds_bit_for_bit(model, seed, repli
         two = np.concatenate([part[k] for part in want])
         assert one.dtype == two.dtype and np.array_equal(one, two)
     assert got.events == sum(part.events for part in want)
-    assert [c.entries for c in got.survivors] == [c.entries for part in want
-                                                  for c in part.survivors]
+    assert [c.entries for c in configurations(got.survivors)] == [
+        c.entries for part in want for c in configurations(part.survivors)]
 
 
 def _joint_law(configs, kmax=15):
@@ -601,8 +636,9 @@ def test_mass_first_matches_the_full_engine_jointly(model):
     rng = Uniforms(RandomStream(67, (0,)).generator())
     full = [simulate_gillespie(model, start, 1.0, rng).final for _ in range(replicas)]
     paths = mass_paths(model, start, 1.0, replicas, RandomStream(67, (1,)), survivors=True)
-    void = [Configuration.void()] * (replicas - len(paths.survivors))
-    stat, df = two_sample_chi2(_joint_law(full), _joint_law([*paths.survivors, *void]))
+    kept = configurations(paths.survivors)
+    void = [Configuration.void()] * (replicas - len(kept))
+    stat, df = two_sample_chi2(_joint_law(full), _joint_law([*kept, *void]))
     assert stat <= chi2_threshold(df, 0.999)
 
 
@@ -764,7 +800,8 @@ def test_lockstep_urns_give_the_one_at_a_time_urn_bit_for_bit(kernel, rho, share
     steps = np.concatenate([np.zeros(0, dtype=np.int8), *paths])
     lockstep = np.random.default_rng(seed)
     with mock.patch.object(simulator, "_BATCH", batch):
-        got = _urns(model, starts, masses, steps, lengths, finals, lockstep)
+        got = configurations(_urns(model, Runs.of(starts), masses, steps, lengths, finals,
+                                   lockstep))
     rng = np.random.default_rng(seed)
     want = [urn(model, start, path, rng) for start, path in zip(starts, paths)]
     assert [c.serialize() for c in got] == [c.serialize() for c in want]
@@ -785,7 +822,7 @@ def test_an_urn_survivor_draws_the_same_whatever_the_paths_before_it(seed):
     for before in ([1, 1, 1, 1], [-1, 1, -1, 1]):
         steps = np.array(before + last, dtype=np.int8)
         finals = masses + np.array([sum(before), sum(last)], dtype=np.int64)
-        *_, final = _urns(model, starts, masses, steps, np.array([4, 6]), finals,
-                          np.random.default_rng(seed))
+        *_, final = configurations(_urns(model, Runs.of(starts), masses, steps,
+                                         np.array([4, 6]), finals, np.random.default_rng(seed)))
         lasts.append(final.serialize())
     assert lasts[0] == lasts[1]

@@ -11,6 +11,7 @@ from qsdsim import simulator, validation
 from qsdsim.configuration import Configuration
 from qsdsim.errors import InvalidRegime
 from qsdsim.rates import LogisticModel, UniformModel
+from qsdsim.simulator import Runs
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
 from qsdsim.validation import (BoundedCustom, ExpMass, Indicator, LyapunovPoint,
@@ -502,7 +503,7 @@ def test_lockstep_from_any_start_mass_ends_as_the_reference_chunk(
     initial = Configuration.from_pairs(((0.5, start),)) if start else Configuration.void()
     read = set()
     want = mass_chunk(_reading(model, read), t, (), False, RandomStream(seed).generator(),
-                      (50, (initial,) * 50))
+                      (50, Runs.of((initial,) * 50)))
     mass, last = np.full(50, start), np.zeros(50)
     rates = simulator._MassRates(model, start)
     rounds = simulator._lockstep(mass, last, t, rates, RandomStream(seed).generator())
