@@ -180,8 +180,7 @@ def _run_survival(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _write_estimate(cfg: ExperimentConfig, est, label: str) -> None:
-    model = cfg.build_model()
+def _write_estimate(cfg: ExperimentConfig, model, est, label: str) -> None:
     try:
         theta_singleton = decay_rate_from_singletons(model, est)
     except NoSingletonMass:
@@ -214,7 +213,7 @@ def _run_qsd_yaglom(cfg: ExperimentConfig) -> int:
     model = _qsd_model(cfg)
     est = yaglom_estimate(model, cfg.build_initial(), cfg.horizon, cfg.replicas,
                           RandomStream(cfg.seed))
-    _write_estimate(cfg, est, "yaglom")
+    _write_estimate(cfg, model, est, "yaglom")
     return 0
 
 
@@ -226,7 +225,7 @@ def _run_qsd_fv(cfg: ExperimentConfig) -> int:
     est = fleming_viot_estimate(model, cfg.particles, cfg.burn_in, cfg.horizon,
                                 RandomStream(cfg.seed),
                                 snapshot_interval=cfg.snapshot_interval)
-    _write_estimate(cfg, est, "fleming-viot")
+    _write_estimate(cfg, model, est, "fleming-viot")
     return 0
 
 

@@ -62,11 +62,12 @@ class QsdEstimate:
             raise NotNormalized("negative weight in estimate")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise NotNormalized(f"weights sum to {float(weights.sum())!r}, not 1")
-        if any(c.is_void for c in self.configurations):
+        masses = np.array([c.total_mass for c in self.configurations])
+        # only the void configuration has mass 0
+        if not masses.all():
             raise ValueError("estimate puts weight on the void configuration")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_masses",
-                           np.array([c.total_mass for c in self.configurations]))
+        object.__setattr__(self, "_masses", masses)
         object.__setattr__(self, "_cumw", np.cumsum(weights))
 
     @property
@@ -205,11 +206,11 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
 
     Particles start as independent singletons at base-measure draws,
     then draw their first clocks in index order. Each event draws the
-    branch of :func:`~qsdsim.simulator._gillespie_branch`, a donor
-    uniform if the copy was absorbed, and the copy's next holding time,
-    in that order, reading the rates from ``model.rate_table()``. The
-    branch is taken inline, bit for bit as that function takes it, with
-    one ``Configuration.add`` or ``remove`` call per event. The
+    branch of one step of :func:`~qsdsim.simulator.simulate_gillespie`,
+    a donor uniform if the copy was absorbed, and the copy's next holding
+    time, in that order, reading the rates from ``model.rate_table()``.
+    The branch is taken bit for bit as that engine takes it, with one
+    ``Configuration.add`` or ``remove`` call per event. The
     estimate is the empirical measure time-averaged over snapshots every
     ``snapshot_interval`` in [burn_in, horizon], each counting the copies
     just before the first ring past the snapshot time; its
@@ -242,8 +243,8 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
         if t > horizon:
             break
         events += 1
-        # _gillespie_branch inline: the band, then a mutation's parent and
-        # child; a rank is individual_at's, clipped to the mass n
+        # simulate_gillespie's branch: the band, then a mutation's parent
+        # and child; a rank is individual_at's, clipped to the mass n
         config = configs[i]
         n = config.total_mass
         clonal, death, _, total = rows[n]

@@ -114,60 +114,6 @@ def path_times(initial: Configuration,
     return extinction, chi, kappa
 
 
-def _gillespie_branch(model: RateModel, config: Configuration, rng: np.random.Generator,
-                      row: tuple[float, float, float, float]
-                      ) -> tuple[EventKind, float, float | None, Configuration]:
-    """Pick one jump out of the configuration with the exact probabilities.
-
-    Returns (kind, parent, child, after), ``after`` being the
-    configuration after the jump. ``row`` is ``model.state_rates(config)``,
-    as the callers read it from ``model.rate_table()``. One uniform times
-    the total rate falls into the clonal, the death or the mutation band,
-    in that order, so the mutation band absorbs float slack. Every
-    individual carries the same rates, so the uniform rescaled within the
-    clonal or death band ranks the individual that jumps; a mutation
-    draws its parent with a fresh uniform.
-    """
-    clonal, death, _, total = row
-    x = rng.random() * total
-    if x < clonal:
-        trait = individual_at(config, x / clonal)
-        return EventKind.CLONAL, trait, trait, config.add(trait)
-    x -= clonal
-    if x < death:
-        trait = individual_at(config, x / death)
-        return EventKind.DEATH, trait, None, config.remove(trait)
-    parent = sample_mutation_parent(config, rng)
-    child = model.kernel.sample(parent, rng)
-    return EventKind.MUTATION, parent, child, config.add(child)
-
-
-def _jumps(model: RateModel, config: Configuration, t_end: float, rng: np.random.Generator,
-           rows: dict
-           ) -> Iterator[tuple[float, float, EventKind, float, float | None, Configuration]]:
-    """The exact jumps from ``config`` up to t_end or extinction.
-
-    Yields (t, hold, kind, parent, child, after): the jump time, the
-    holding time that ended there, the branch of
-    :func:`_gillespie_branch` and the configuration after the jump.
-    Holding times are drawn at the total jump rate, and each step reads
-    one row of ``rows``, a ``model.rate_table()`` that callers running
-    many short paths share, for both the holding time and the branch.
-    The run stops before branching once ``t + hold > t_end``, so its last
-    draw is one holding time past the horizon; every consumer relies on
-    that order.
-    """
-    t = 0.0
-    while not config.is_void:
-        row = rows[config.total_mass]
-        hold = holding_time(rng, row[3])
-        if t + hold > t_end:
-            return
-        t += hold
-        kind, parent, child, config = _gillespie_branch(model, config, rng, row)
-        yield t, hold, kind, parent, child, config
-
-
 class _MassRates:
     """The mass chain's rates by total mass, for :func:`_lockstep`.
 
@@ -212,15 +158,16 @@ def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: _MassRate
     Lane i starts at mass ``mass[i]``, read before the first round. Each
     round, every live lane reads its rates ``r`` (one row per rate) and
     draws its holding time, one ``rng.standard_exponential`` over its
-    total rate, and stops once ``t + hold > t_end``, as :func:`_jumps`
-    does; the others step +1 where one ``rng.random()`` each, times the
-    total rate, falls below the birth rate, else -1. Each round yields
-    (lane, t, hold, now, before, up) for the lanes that jump, ``up`` the
-    mask of their +1 steps. Lanes that stop or die out leave; only in rounds
-    where some lane does are the live lanes' masses and last jump times
-    written to ``mass`` and ``last`` and the lanes filtered, so lane i
-    ends with its final mass in ``mass[i]`` and in ``last[i]`` the time
-    of its last jump, its extinction time if it died out.
+    total rate, and stops once ``t + hold > t_end``, as
+    :func:`simulate_gillespie` does; the others step +1 where one
+    ``rng.random()`` each, times the total rate, falls below the birth
+    rate, else -1. Each round yields (lane, t, hold, now, before, up) for
+    the lanes that jump, ``up`` the mask of their +1 steps. Lanes that
+    stop or die out leave; only in rounds where some lane does are the
+    live lanes' masses and last jump times written to ``mass`` and
+    ``last`` and the lanes filtered, so lane i ends with its final mass
+    in ``mass[i]`` and in ``last[i]`` the time of its last jump, its
+    extinction time if it died out.
     """
     lane = np.flatnonzero(mass)
     n = mass[lane]
@@ -257,15 +204,41 @@ def _checkpoints(at: np.ndarray, times: Sequence[float], lane, t, now, before) -
 
 def simulate_gillespie(model: RateModel, initial: Configuration, horizon: float,
                        rng: np.random.Generator) -> Trajectory:
-    """Reference engine: exponential holding times at the total jump rate."""
+    """Reference engine: exponential holding times at the total jump rate.
+
+    Each step reads one row of ``model.rate_table()`` for both the
+    holding time and the branch, and the run stops once ``t + hold >
+    horizon``, so its last draw is one holding time past the horizon.
+    One uniform times the total rate then falls into the clonal, the
+    death or the mutation band, in that order, so the mutation band
+    absorbs float slack. Every individual carries the same rates, so the
+    uniform rescaled within the clonal or death band ranks the individual
+    that jumps; a mutation draws its parent with a fresh uniform, then
+    its child from the kernel.
+    """
     if not horizon >= 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
-    final = initial
-    events = []
     rows = model.rate_table()
-    for t, _, kind, parent, child, final in _jumps(model, initial, horizon, rng, rows):
+    config = initial
+    t = 0.0
+    events = []
+    while not config.is_void:
+        clonal, death, _, total = rows[config.total_mass]
+        t += holding_time(rng, total)
+        if t > horizon:
+            break
+        x = rng.random() * total
+        if x < clonal:
+            kind, parent = EventKind.CLONAL, individual_at(config, x / clonal)
+            child = parent
+        elif (x := x - clonal) < death:
+            kind, parent, child = EventKind.DEATH, individual_at(config, x / death), None
+        else:
+            kind, parent = EventKind.MUTATION, sample_mutation_parent(config, rng)
+            child = model.kernel.sample(parent, rng)
         events.append(Event(t, kind, parent, child))
-    return Trajectory(initial, tuple(events), horizon, final, *path_times(initial, events))
+        config = config.remove(parent) if child is None else config.add(child)
+    return Trajectory(initial, tuple(events), horizon, config, *path_times(initial, events))
 
 
 def simulate_thinning(model: RateModel, initial: Configuration, horizon: float,
@@ -402,7 +375,6 @@ class MassPaths(NamedTuple):
     no rows otherwise.
     """
 
-    start: np.ndarray
     final: np.ndarray
     extinction: np.ndarray
     at: np.ndarray
@@ -637,7 +609,7 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         del ids
         kept = _urns(model, starts.take(rows[lanes]), start[lanes], steps, lengths,
                      mass[lanes], rng)
-    return MassPaths(start, mass, extinction, at, events, kept)
+    return MassPaths(mass, extinction, at, events, kept)
 
 
 def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: RandomStream,
@@ -673,7 +645,7 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
              initial.rows(a, a + CHUNK) if isinstance(initial, Runs) else initial)
             for a in range(0, replicas, CHUNK)]
     parts = map_replicas(chunk, rng, work)
-    columns = zip(*(part[:4] for part in parts))
+    columns = zip(*(part[:3] for part in parts))
     return MassPaths(*(np.concatenate(column) for column in columns),
                      sum(part.events for part in parts),
                      _joined([part.survivors for part in parts]))

@@ -1,6 +1,6 @@
-"""Ensemble helpers the tests share: hitting tails, the lockstep routes' references,
-configurations from run-length arrays and a rate model that logs its death-rate
-evaluations.
+"""Helpers the tests share: hitting tails, the per-entry Gillespie branch, the
+lockstep routes' references, configurations from run-length arrays and a rate
+model that logs its death-rate evaluations.
 
 ``urn`` runs one survivor at a time; ``mass_chunk`` and
 ``martingale_chunk`` draw as a chunk of the package does but evaluate
@@ -19,7 +19,7 @@ import numpy as np
 from qsdsim import simulator
 from qsdsim.configuration import Configuration
 from qsdsim.rates import LogisticModel, RateModel
-from qsdsim.simulator import Runs, _urns
+from qsdsim.simulator import EventKind, Runs, _urns
 from qsdsim.streams import RandomStream, map_replicas
 from qsdsim.validation import TestFunction, generator_apply
 
@@ -44,6 +44,37 @@ def configurations(runs: Runs) -> tuple[Configuration, ...]:
     pairs = list(zip(runs.traits.tolist(), runs.weights.tolist()))
     end = np.cumsum(runs.support).tolist()
     return tuple(Configuration(tuple(pairs[a:b])) for a, b in zip([0, *end], end))
+
+
+def per_entry_branch(model: RateModel, config: Configuration, rng):
+    """One Gillespie branch by a scan over every entry's clonal, then death rate.
+
+    Returns (kind, parent, child, after), ``after`` being the
+    configuration after the jump. A mutation parent comes from a second
+    per-entry scan over the mutation rates. The reference for the branch
+    of both scalar Gillespie loops, ``simulate_gillespie`` and
+    ``fleming_viot_estimate``.
+    """
+    x = rng.random() * model.total_jump_rate(config)
+    acc = 0.0
+    for trait, weight in config.entries:
+        acc += weight * model.clonal_rate(trait, config)
+        if x <= acc:
+            return EventKind.CLONAL, trait, trait, config.add(trait)
+    for trait, weight in config.entries:
+        acc += weight * model.death_rate(trait, config)
+        if x <= acc:
+            return EventKind.DEATH, trait, None, config.remove(trait)
+    rates = [weight * model.mutation_rate(trait, config) for trait, weight in config.entries]
+    y = rng.random() * sum(rates)
+    parent, acc = config.entries[-1][0], 0.0
+    for (trait, _), rate in zip(config.entries, rates):
+        acc += rate
+        if y <= acc:
+            parent = trait
+            break
+    child = model.kernel.sample(parent, rng)
+    return EventKind.MUTATION, parent, child, config.add(child)
 
 
 def hitting_tail(model: RateModel, initial, t: float, k_values: Sequence[int],
@@ -115,17 +146,17 @@ class ReferenceChunk(NamedTuple):
     """A chunk of :class:`~qsdsim.simulator.MassPaths` with each replica's running maximum
     and last jump time.
 
-    The first four fields and ``events`` and ``survivors`` are those of
-    ``MassPaths``, so that ``mass_paths`` can merge these chunks. ``last``
-    is 0.0 for a replica that never jumps.
+    The first five fields are those of ``MassPaths``, so that
+    ``mass_paths`` can merge these chunks. ``start`` is each replica's
+    start mass, and ``last`` is 0.0 for a replica that never jumps.
     """
 
-    start: np.ndarray
     final: np.ndarray
     extinction: np.ndarray
     at: np.ndarray
     events: int
     survivors: Runs
+    start: np.ndarray
     maximum: np.ndarray
     last: np.ndarray
 
@@ -186,7 +217,7 @@ def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
         lanes = np.flatnonzero(mass)
         lengths = np.bincount(ids, minlength=size)[lanes]
         kept = _urns(model, starts.take(lanes), start[lanes], steps, lengths, mass[lanes], rng)
-    return ReferenceChunk(start, mass, extinction, at, events, kept, maximum, last)
+    return ReferenceChunk(mass, extinction, at, events, kept, start, maximum, last)
 
 
 def martingale_chunk(model: RateModel, f: TestFunction, initial: Configuration, t: float,

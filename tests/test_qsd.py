@@ -19,12 +19,12 @@ from qsdsim.qsd import (YAGLOM_STAGES, QsdEstimate, _estimate_from_counts,
                         estimate_report, fleming_viot_estimate, tv_distance,
                         write_sample_csv, yaglom_estimate)
 from qsdsim.rates import LogisticModel, UniformModel
-from qsdsim.simulator import Runs, _gillespie_branch, mass_paths
+from qsdsim.simulator import Runs, mass_paths
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, make_kernel, sample_base
 
 from closed_forms import bd_qsd
-from ensembles import configurations, reference_chunks
+from ensembles import configurations, per_entry_branch, reference_chunks
 
 ONE = Configuration.singleton(0.2)
 TWO = Configuration.from_pairs(((0.4, 2),))
@@ -253,7 +253,7 @@ def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
         events += 1
         i = min(int(np.searchsorted(cum, gen.random() * total, side="right")),
                 particles - 1)
-        *_, nxt = _gillespie_branch(model, configs[i], gen, model.state_rates(configs[i]))
+        *_, nxt = per_entry_branch(model, configs[i], gen)
         if nxt.is_void:
             j = int(gen.random() * (particles - 1))
             if j >= i:
@@ -288,7 +288,7 @@ def _scan_fleming_viot(model, particles, burn_in, horizon, rng,
         if t > horizon:
             break
         events += 1
-        *_, nxt = _gillespie_branch(model, configs[i], gen, model.state_rates(configs[i]))
+        *_, nxt = per_entry_branch(model, configs[i], gen)
         if nxt.is_void:
             resurrections += 1
             j = int(gen.random() * (particles - 1))

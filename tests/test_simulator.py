@@ -15,16 +15,16 @@ from qsdsim.errors import InvalidRegime
 from qsdsim.oracle import build_mass_chain
 from qsdsim.qsd import QsdEstimate, fleming_viot_estimate
 from qsdsim.rates import LogisticModel, RateModel, UniformModel, individual_at
-from qsdsim.simulator import (ENGINES, Event, EventKind, Runs, Trajectory,
-                              _gillespie_branch, _urns, mass_moments, mass_paths,
-                              path_times, simulate_gillespie, simulate_thinning,
-                              survival_curve, write_trajectory_csv)
+from qsdsim.simulator import (ENGINES, Event, EventKind, Runs, Trajectory, _urns,
+                              mass_moments, mass_paths, path_times, simulate_gillespie,
+                              simulate_thinning, survival_curve, write_trajectory_csv)
 from qsdsim.streams import RandomStream, Uniforms
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, sample_base
 from qsdsim.validation import Mass, chi2_threshold, lyapunov_check, martingale_residual
 
 import strategies
-from ensembles import CountingDeaths, configurations, hitting_tail, reference_chunks, urn
+from ensembles import (CountingDeaths, configurations, hitting_tail, per_entry_branch,
+                       reference_chunks, urn)
 from homogeneity import mass_histogram, two_sample_chi2
 
 START = Configuration.from_pairs(((0.2, 2), (0.6, 1)))
@@ -79,46 +79,37 @@ def test_apply_event_by_kind():
     assert c.entries == ((0.2, 2),)
 
 
-def _per_entry_branch(model, config, rng):
-    """One Gillespie branch by a scan over every entry's clonal, then death rate.
+def _per_entry_gillespie(model, initial, horizon, rng):
+    """Gillespie steps on ``per_entry_branch``: the reference for simulate_gillespie.
 
-    The reference for _gillespie_branch: a mutation parent comes from a
-    second per-entry scan over the mutation rates.
+    Holding times are drawn at ``model.total_jump_rate``, and the run
+    stops once the next jump would fall past the horizon.
     """
-    x = rng.random() * model.total_jump_rate(config)
-    acc = 0.0
-    for trait, weight in config.entries:
-        acc += weight * model.clonal_rate(trait, config)
-        if x <= acc:
-            return EventKind.CLONAL, trait, trait
-    for trait, weight in config.entries:
-        acc += weight * model.death_rate(trait, config)
-        if x <= acc:
-            return EventKind.DEATH, trait, None
-    rates = [weight * model.mutation_rate(trait, config) for trait, weight in config.entries]
-    y = rng.random() * sum(rates)
-    parent, acc = config.entries[-1][0], 0.0
-    for (trait, _), rate in zip(config.entries, rates):
-        acc += rate
-        if y <= acc:
-            parent = trait
+    config = initial
+    t = 0.0
+    events = []
+    while not config.is_void:
+        t_next = t + -math.log(1.0 - rng.random()) / model.total_jump_rate(config)
+        if t_next > horizon:
             break
-    return EventKind.MUTATION, parent, model.kernel.sample(parent, rng)
+        t = t_next
+        kind, parent, child, config = per_entry_branch(model, config, rng)
+        events.append(Event(t, kind, parent, child))
+    return Trajectory(initial, tuple(events), horizon, config, *path_times(initial, events))
 
 
 @settings(max_examples=200, deadline=None)
-@given(strategies.MODELS, strategies.configurations(), st.integers(0, 2**32 - 1))
-def test_branch_picks_what_a_per_entry_scan_picks(model, config, seed):
+@given(strategies.MODELS, strategies.configurations(), st.floats(0.5, 4.0),
+       st.integers(0, 2**32 - 1))
+def test_gillespie_draws_what_a_per_entry_engine_draws(model, initial, horizon, seed):
+    # the mean mass grows at rate b - d(1) at most; keep it below 64
+    growth = model.b - model.death_inf
+    if growth > 0.0:
+        horizon = min(horizon, math.log(64 / initial.total_mass) / growth)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(20):
-        kind, parent, child, after = _gillespie_branch(model, config, ours,
-                                                       model.state_rates(config))
-        assert (kind, parent, child) == _per_entry_branch(model, config, theirs)
-        assert ours.random() == theirs.random()
-        config = apply_event(config, Event(0.0, kind, parent, child))
-        assert after == config
-        if config.is_void:
-            break
+    assert simulate_gillespie(model, initial, horizon, ours) \
+        == _per_entry_gillespie(model, initial, horizon, theirs)
+    assert ours.random() == theirs.random()
 
 
 def _per_candidate_thinning(model, initial, horizon, rng):
@@ -462,21 +453,22 @@ def test_mass_paths_invariants(model, seed, replicas, horizon, start, survivors)
         # the running maximum comes from the reference chunks of the same replicas
         chunks = reference_chunks(model, start, horizon, replicas, RandomStream(seed))
     assert np.array_equal(np.concatenate([c.final for c in chunks]), paths.final)
+    start_mass = np.concatenate([c.start for c in chunks])
     maximum = np.concatenate([c.maximum for c in chunks])
-    for column in (paths.start, paths.final, paths.extinction, paths.at, maximum):
+    for column in (start_mass, paths.final, paths.extinction, paths.at, maximum):
         assert len(column) == replicas
     assert (paths.at >= 0).all() and (paths.final >= 0).all()
-    assert (paths.at[:, 0] == paths.start).all()
+    assert (paths.at[:, 0] == start_mass).all()
     assert (paths.at[:, -1] == paths.final).all()
-    assert (maximum >= paths.start).all() and (maximum >= paths.at.max(axis=1)).all()
+    assert (maximum >= start_mass).all() and (maximum >= paths.at.max(axis=1)).all()
     extinct = np.isfinite(paths.extinction)
     assert (paths.extinction[extinct] <= horizon).all()
     assert (paths.final[extinct] == 0).all() and (paths.final[~extinct] > 0).all()
-    assert (paths.extinction[paths.start == 0] == 0.0).all()
+    assert (paths.extinction[start_mass == 0] == 0.0).all()
     for k, c in enumerate(checkpoints):
         assert (paths.at[extinct & (paths.extinction <= c), k] == 0).all()
     # each jump moves one replica by one, so the count bounds and matches the net move
-    moved = paths.final - paths.start
+    moved = paths.final - start_mass
     assert np.abs(moved).sum() <= paths.events and (paths.events - moved.sum()) % 2 == 0
     kept = configurations(paths.survivors)
     if survivors:
@@ -491,7 +483,7 @@ def test_mass_paths_keep_their_first_chunk_whatever_follows_it(seed, replicas, u
     with mock.patch.object(simulator, "CHUNK", _CHUNK):
         runs = [mass_paths(uniform_model, START, 1.0, n, RandomStream(seed),
                            checkpoints=(0.5,), survivors=True) for n in (replicas, _CHUNK)]
-    for many, first in zip(runs[0][:4], runs[1][:4]):
+    for many, first in zip(runs[0][:3], runs[1][:3]):
         assert np.array_equal(many[:_CHUNK], first)
     alive = int(np.count_nonzero(runs[1].final))
     assert configurations(runs[0].survivors)[:alive] == configurations(runs[1].survivors)
@@ -503,12 +495,12 @@ def test_mass_paths_start_each_replica_from_its_own_configuration(uniform_model)
     configs = tuple(Configuration.from_pairs(((0.5, 1 + r % 3),)) for r in range(replicas))
     starts = Runs.of(configs)
     still = mass_paths(uniform_model, starts, 0.0, replicas, RandomStream(3), survivors=True)
-    assert still.start.tolist() == [1 + r % 3 for r in range(replicas)]
+    assert still.final.tolist() == [1 + r % 3 for r in range(replicas)]
     assert configurations(still.survivors) == configs
     run = mass_paths(uniform_model, starts, 1.0, replicas, RandomStream(3), survivors=True)
     want = reference_chunks(uniform_model, starts, 1.0, replicas, RandomStream(3),
                             survivors=True)
-    assert np.array_equal(run.start, np.concatenate([chunk.start for chunk in want]))
+    assert np.array_equal(starts.masses(), np.concatenate([chunk.start for chunk in want]))
     assert np.array_equal(run.final, np.concatenate([chunk.final for chunk in want]))
     assert configurations(run.survivors) == tuple(c for chunk in want
                                                   for c in configurations(chunk.survivors))
@@ -522,7 +514,7 @@ def test_mass_paths_take_void_rows_among_array_starts(uniform_model):
     configs = tuple(pool[r % 4] for r in range(41))
     paths = mass_paths(uniform_model, Runs.of(configs), 1.0, 41, RandomStream(8),
                        survivors=True)
-    void = paths.start == 0
+    void = Runs.of(configs).masses() == 0
     assert void.tolist() == [c.is_void for c in configs]
     assert (paths.extinction[void] == 0.0).all() and (paths.final[void] == 0).all()
     want, = reference_chunks(uniform_model, Runs.of(configs), 1.0, 41, RandomStream(8),
@@ -540,7 +532,7 @@ def test_array_starts_of_more_replicas_than_a_chunk_run_as_their_configuration(u
         rows = mass_paths(uniform_model, Runs.of((START,) * replicas), 0.2, replicas,
                           RandomStream(9), survivors=True)
     assert [call.args[0].size for call in lockstep.call_args_list] == [simulator.CHUNK, 3]
-    for got, want in zip(rows[:4], one[:4]):
+    for got, want in zip(rows[:3], one[:3]):
         assert np.array_equal(got, want)
     assert rows.events == one.events
     for got, want in zip(rows.survivors, one.survivors):
@@ -612,7 +604,7 @@ def test_mass_paths_give_the_per_lane_rate_rounds_bit_for_bit(model, seed, repli
                          checkpoints=checkpoints, survivors=survivors)
         want = reference_chunks(model, initial, horizon, replicas, RandomStream(seed),
                                 checkpoints=checkpoints, survivors=survivors)
-    for k, one in enumerate(got[:4]):
+    for k, one in enumerate(got[:3]):
         two = np.concatenate([part[k] for part in want])
         assert one.dtype == two.dtype and np.array_equal(one, two)
     assert got.events == sum(part.events for part in want)
