@@ -2,7 +2,8 @@
 
 A configuration is the state of the population: finitely many distinct
 trait values, each carrying the number of individuals at that trait.
-Configurations are immutable values; add and remove return new objects.
+Configurations are immutable values; add and remove return new objects,
+or, for the last individual removed, one shared void configuration.
 """
 
 from __future__ import annotations
@@ -94,47 +95,50 @@ class Configuration:
     def add(self, trait: TraitPoint) -> "Configuration":
         """New configuration with one more individual at the trait.
 
-        Only the new trait is checked; an entry keeps its stored trait object.
+        Only a new trait is checked; an entry keeps its stored trait object.
         """
-        validate_trait(trait)
         entries = self.entries
         i = bisect_left(entries, trait, key=_trait_of)
         if i < len(entries) and entries[i][0] == trait:
             here, weight = entries[i]
             out = entries[:i] + ((here, weight + 1),) + entries[i + 1:]
-        else:
+        elif 0.0 <= trait <= 1.0:
             out = entries[:i] + ((trait, 1),) + entries[i:]
-        return _successor(out, self.total_mass + 1)
+        else:
+            raise ValueError(f"trait coordinate {trait!r} outside [0, 1]")
+        config = object.__new__(Configuration)
+        _set_entries(config, out)
+        _set_total_mass(config, self.total_mass + 1)
+        return config
 
     def remove(self, trait: TraitPoint) -> "Configuration":
         """New configuration with one individual at the trait removed.
 
-        Raises TraitAbsent if the trait carries no weight.
+        Removing the last individual gives the one shared void
+        configuration. Raises TraitAbsent if the trait carries no weight.
         """
         entries = self.entries
         i = bisect_left(entries, trait, key=_trait_of)
         if i == len(entries) or entries[i][0] != trait:
             raise TraitAbsent(f"trait {trait!r} not present in configuration")
         here, weight = entries[i]
-        kept = ((here, weight - 1),) if weight > 1 else ()
-        return _successor(entries[:i] + kept + entries[i + 1:], self.total_mass - 1)
-
-    # -- serialization ------------------------------------------------------
-
-    def serialize(self) -> str:
-        """Text form "w1@t1;w2@t2;..." with 17-significant-digit traits.
-
-        The void configuration serializes to "0". Parsing the result
-        recovers the configuration bit-exactly.
-        """
-        if not self.entries:
-            return "0"
-        return ";".join(f"{w}@{t:.17g}" for t, w in self.entries)
+        if weight > 1:
+            out = entries[:i] + ((here, weight - 1),) + entries[i + 1:]
+        elif len(entries) > 1:
+            out = entries[:i] + entries[i + 1:]
+        else:
+            return _VOID
+        config = object.__new__(Configuration)
+        _set_entries(config, out)
+        _set_total_mass(config, self.total_mass - 1)
+        return config
 
 
 # the slot descriptors, which set a field past the frozen __setattr__
 _set_entries = Configuration.entries.__set__
 _set_total_mass = Configuration.total_mass.__set__
+# what removing the last individual gives
+_VOID = Configuration.void()
 
 
 def _successor(entries: tuple[tuple[TraitPoint, int], ...], total_mass: int) -> Configuration:
@@ -146,7 +150,11 @@ def _successor(entries: tuple[tuple[TraitPoint, int], ...], total_mass: int) -> 
 
 
 def parse_configuration(text: str) -> Configuration:
-    """Inverse of Configuration.serialize."""
+    """Configuration of the text "w1@t1;w2@t2;...", "0" being the void one.
+
+    A line of :func:`~qsdsim.qsd.write_sample_csv` carries that text after
+    its weight, with 17-significant-digit traits, so it parses back bit-exactly.
+    """
     text = text.strip()
     if text == "0":
         return Configuration.void()

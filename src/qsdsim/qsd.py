@@ -18,6 +18,8 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -25,11 +27,14 @@ import numpy as np
 from .configuration import Configuration, _successor
 from .errors import (AllExtinct, Degenerate, InvalidRegime, NoSingletonMass,
                      NotNormalized, WindowTooSmall)
-from .rates import RateModel, holding_time
+from .rates import RateModel
 from .simulator import Runs, mass_paths
 # map_replicas is unused here but stays importable: perfbench/tracer.py patches it.
 from .streams import RandomStream, Uniforms, map_replicas  # noqa: F401
 from .trait_space import sample_base
+
+_entries_of = attrgetter("entries")
+_weight_of = itemgetter(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,19 +102,21 @@ class QsdEstimate:
         return self.configurations[min(idx, len(self.configurations) - 1)]
 
 
-def _estimate_from_counts(counts: dict[Configuration, int], burn_in: float,
+def _estimate_from_counts(counts: dict[tuple, int], burn_in: float,
                           particles: int, events: int,
                           resurrections: int | None = None) -> QsdEstimate:
-    configs = sorted(counts, key=lambda c: c.entries)
+    """The estimate of configurations counted by their ``entries``, in their order."""
+    keys = sorted(counts)
     total = float(sum(counts.values()))
-    weights = np.array([counts[c] / total for c in configs])
+    weights = np.array([counts[k] / total for k in keys])
+    configs = [_successor(k, sum(map(_weight_of, k))) for k in keys]
     return QsdEstimate(configurations=tuple(configs), weights=weights,
                        burn_in=burn_in, particles=particles, events=events,
                        resurrections=resurrections)
 
 
 def _estimate_from_runs(runs: Runs, particles: int, events: int) -> QsdEstimate:
-    """:func:`_estimate_from_counts` of the configurations ``runs`` holds, bit for bit.
+    """:func:`_estimate_from_counts` of the ``entries`` that ``runs`` holds, bit for bit.
 
     The rows, none of them void, merge by one ``np.lexsort`` over the
     columns (t1, w1, t2, w2, ...) of their entries, missing entries read
@@ -205,16 +212,18 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
     (the next-reaction method of Gibson & Bruck 2000).
 
     Particles start as independent singletons at base-measure draws,
-    then draw their first clocks in index order. Each event draws the
-    branch of one step of :func:`~qsdsim.simulator.simulate_gillespie`,
-    a donor uniform if the copy was absorbed, and the copy's next holding
-    time, in that order, reading the rates from ``model.rate_table()``.
-    The branch is taken bit for bit as that engine takes it, with one
-    ``Configuration.add`` or ``remove`` call per event. The
-    estimate is the empirical measure time-averaged over snapshots every
-    ``snapshot_interval`` in [burn_in, horizon], each counting the copies
-    just before the first ring past the snapshot time; its
-    ``resurrections`` counts the absorptions.
+    then draw their first clocks in index order, all at the rate of mass
+    1. Each event draws the branch of one step of
+    :func:`~qsdsim.simulator.simulate_gillespie`, a donor uniform if the
+    copy was absorbed, and the copy's next holding time, in that order,
+    reading the rates from ``model.rate_table()``. The branch is taken
+    bit for bit as that engine takes it, with one ``Configuration.add``
+    or ``remove`` call per event; on a one-entry configuration the
+    individual it would rank carries the one trait, which is read
+    directly. The estimate is the empirical measure time-averaged over
+    snapshots every ``snapshot_interval`` in [burn_in, horizon], each
+    counting the copies by their ``entries`` just before the first ring
+    past the snapshot time; its ``resurrections`` counts the absorptions.
     """
     if particles < 2:
         raise InvalidRegime(f"need at least 2 particles, got {particles!r}")
@@ -226,35 +235,48 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
     # a base-measure draw lies in [0, 1), so the singletons need no check
     configs = [_successor(((sample_base(gen), 1),), 1) for _ in range(particles)]
     rows = model.rate_table()
-    clocks = [(holding_time(gen, rows[c.total_mass][3]), i) for i, c in enumerate(configs)]
-    heapq.heapify(clocks)
     random, log, replace, sample = gen.random, math.log, heapq.heapreplace, model.kernel.sample
-    counts: Counter[Configuration] = Counter()
+    # holding_time(gen, rate) bit for bit, at the rate of mass 1
+    rate = rows[1][3]
+    clocks = [(-log(1.0 - random()) / rate, i) for i in range(particles)]
+    heapq.heapify(clocks)
+    counts: Counter[tuple] = Counter()
     events = 0
     resurrections = 0
     snaps = 0
+    # the next snapshot time, inf once it would pass the horizon
     next_snap = burn_in
     while True:
         t, i = clocks[0]
-        while next_snap <= horizon and next_snap < t:
-            counts.update(configs)
+        while next_snap < t:
+            counts.update(map(_entries_of, configs))
             snaps += 1
             next_snap = burn_in + snaps * snapshot_interval
+            if next_snap > horizon:
+                next_snap = math.inf
         if t > horizon:
             break
         events += 1
         # simulate_gillespie's branch: the band, then a mutation's parent
-        # and child; a rank is individual_at's, clipped to the mass n
+        # and child; a rank is individual_at's, clipped to the mass n. Every
+        # individual of a one-entry configuration carries its one trait.
         config = configs[i]
+        entries = config.entries
+        trait = entries[0][0]
+        ranked = len(entries) > 1
         n = config.total_mass
         clonal, death, _, total = rows[n]
         x = random() * total
         if x < clonal:
-            k = int(x / clonal * n)
-            nxt = config.add(config.individual_trait(k + 1 if k < n else n))
+            if ranked:
+                k = int(x / clonal * n)
+                trait = config.individual_trait(k + 1 if k < n else n)
+            nxt = config.add(trait)
         elif (x := x - clonal) < death:
-            k = int(x / death * n)
-            nxt = config.remove(config.individual_trait(k + 1 if k < n else n))
+            if ranked:
+                k = int(x / death * n)
+                trait = config.individual_trait(k + 1 if k < n else n)
+            nxt = config.remove(trait)
             if not nxt.entries:
                 resurrections += 1
                 j = int(random() * (particles - 1))
@@ -265,7 +287,9 @@ def fleming_viot_estimate(model: RateModel, particles: int, burn_in: float,
                     raise Degenerate("resampling donor is extinct")
         else:
             k = int(random() * n)
-            nxt = config.add(sample(config.individual_trait(k + 1 if k < n else n), gen))
+            if ranked:
+                trait = config.individual_trait(k + 1 if k < n else n)
+            nxt = config.add(sample(trait, gen))
         configs[i] = nxt
         # t + holding_time(gen, ...) bit for bit
         replace(clocks, (t - log(1.0 - random()) / rows[nxt.total_mass][3], i))
@@ -362,12 +386,21 @@ def estimate_report(est: QsdEstimate) -> dict:
 
 
 def write_sample_csv(est: QsdEstimate, out: IO[str]) -> None:
-    """Weighted configuration sample as CSV.
+    """Weighted configuration sample as CSV, one configuration a line.
 
-    Each distinct weight, told apart by its bits, is formatted once.
+    A line reads "weight,w1@t1;w2@t2;..." with the weight and the traits
+    to 17 significant digits, so that it parses back bit-exactly. The
+    lines come from one ``%`` over one format string: each line's weight
+    text, formatted once per distinct weight (told apart by its bits) and
+    free of ``%``, then the entry fields of its support size, built once
+    per size, which take every entry's weight and trait in line order.
     """
     bits, which = np.unique(est.weights.view(np.int64), return_inverse=True)
-    text = [f"{weight:.17g}" for weight in bits.view(np.float64).tolist()]
-    out.write("weight,configuration\n" + "".join(
-        f"{text[k]},{config.serialize()}\n"
-        for k, config in zip(which.tolist(), est.configurations)))
+    text = ["%.17g" % weight for weight in bits.view(np.float64).tolist()]
+    entries = list(map(_entries_of, est.configurations))
+    fields = ["," + ";".join(["%d@%.17g"] * size) + "\n"
+              for size in range(max(map(len, entries)) + 1)]
+    lines = "".join(map(str.__add__, map(text.__getitem__, which.tolist()),
+                        map(fields.__getitem__, map(len, entries))))
+    out.write("weight,configuration\n"
+              + lines % tuple(chain.from_iterable(map(reversed, chain.from_iterable(entries)))))

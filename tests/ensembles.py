@@ -1,6 +1,6 @@
 """Helpers the tests share: hitting tails, the per-entry Gillespie branch, the
-lockstep routes' references, configurations from run-length arrays and a rate
-model that logs its death-rate evaluations.
+lockstep routes' references, configurations from run-length arrays, their text
+form and a rate model that logs its death-rate evaluations.
 
 ``urn`` runs one survivor at a time; ``mass_chunk`` and
 ``martingale_chunk`` draw as a chunk of the package does but evaluate
@@ -44,6 +44,18 @@ def configurations(runs: Runs) -> tuple[Configuration, ...]:
     pairs = list(zip(runs.traits.tolist(), runs.weights.tolist()))
     end = np.cumsum(runs.support).tolist()
     return tuple(Configuration(tuple(pairs[a:b])) for a, b in zip([0, *end], end))
+
+
+def serialize(config: Configuration) -> str:
+    """Text form "w1@t1;w2@t2;..." with 17-significant-digit traits, "0" if void.
+
+    Built one configuration at a time, it is the reference for the lines
+    of ``write_sample_csv``; ``parse_configuration`` recovers the
+    configuration from it bit-exactly.
+    """
+    if not config.entries:
+        return "0"
+    return ";".join(f"{w}@{t:.17g}" for t, w in config.entries)
 
 
 def per_entry_branch(model: RateModel, config: Configuration, rng):

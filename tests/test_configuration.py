@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qsdsim.configuration import Configuration, _successor, parse_configuration
 from qsdsim.errors import TraitAbsent
 
+from ensembles import serialize
 from strategies import configurations
 
 
@@ -140,6 +141,40 @@ def test_successors_equal_a_fully_validated_configuration(entries, data):
         c.add(outside)
 
 
+# Traits the successors might mishandle: both zeros, 1, the least subnormal and 1/3.
+_EDGE_TRAIT = st.one_of(_TRAIT, st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1 / 3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTRIES, st.data())
+def test_successors_are_the_configuration_of_the_merged_pairs(entries, data):
+    c = Configuration(entries)
+    stored = [trait for trait, _ in entries]
+    trait = data.draw(st.one_of(_EDGE_TRAIT, *([st.sampled_from(stored)] if stored else [])))
+    results = [(1, c.add(trait))]
+    if trait in stored:
+        results.append((-1, c.remove(trait)))
+    for step, got in results:
+        want = Configuration.from_pairs([*entries, (trait, step)])
+        assert type(got) is Configuration
+        assert repr(got.entries) == repr(want.entries) and _signs(got) == _signs(want)
+        assert got.total_mass == want.total_mass == c.total_mass + step
+    # removing the last individual gives the one shared void
+    void = Configuration(((trait, 1),)).remove(trait)
+    assert void is Configuration.singleton(0.5).remove(0.5)
+    assert void == Configuration.void() and hash(void) == hash(Configuration.void())
+    assert void.entries == () and void.total_mass == 0
+    absent = data.draw(st.one_of(st.just(math.nan), _EDGE_TRAIT).filter(
+        lambda x: x not in stored))
+    with pytest.raises(TraitAbsent):
+        c.remove(absent)
+    outside = data.draw(st.one_of(
+        st.sampled_from([math.nan, -5e-324, math.nextafter(1.0, 2.0), -math.inf, math.inf]),
+        st.floats().filter(lambda x: not 0.0 <= x <= 1.0)))
+    with pytest.raises(ValueError):
+        c.add(outside)
+
+
 def test_successors_keep_a_stored_negative_zero():
     c = Configuration(((-0.0, 2), (0.5, 1)))
     for successor in (c.add(0.0), c.remove(0.0)):
@@ -191,7 +226,7 @@ def test_a_successor_is_the_configuration_of_its_entries(entries):
 @settings(max_examples=200, deadline=None)
 @given(configurations(0))
 def test_serialize_round_trip_bit_exact(c):
-    assert parse_configuration(c.serialize()) == c
+    assert parse_configuration(serialize(c)) == c
 
 
 # Weights of every kind a caller might pass: ints of any sign, bools and floats.
@@ -209,12 +244,12 @@ def test_every_accepted_configuration_parses_back_from_its_text(entries):
             c = build(entries)
         except ValueError:
             continue
-        assert parse_configuration(c.serialize()) == c
+        assert parse_configuration(serialize(c)) == c
 
 
 def test_serialize_format():
-    assert Configuration.void().serialize() == "0"
-    assert Configuration.from_pairs([(0.5, 2), (0.25, 1)]).serialize() == "1@0.25;2@0.5"
+    assert serialize(Configuration.void()) == "0"
+    assert serialize(Configuration.from_pairs([(0.5, 2), (0.25, 1)])) == "1@0.25;2@0.5"
     assert parse_configuration("0").is_void
 
 

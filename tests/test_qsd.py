@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qsdsim import qsd, simulator
-from qsdsim.configuration import Configuration
+from qsdsim.configuration import Configuration, parse_configuration
 from qsdsim.errors import (AllExtinct, InvalidRegime,
                            NoSingletonMass, NotNormalized, WindowTooSmall)
 from qsdsim.oracle import build_mass_chain, principal_left_eigenpair
@@ -24,7 +24,7 @@ from qsdsim.streams import RandomStream
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, make_kernel, sample_base
 
 from closed_forms import bd_qsd
-from ensembles import configurations, per_entry_branch, reference_chunks
+from ensembles import configurations, per_entry_branch, reference_chunks, serialize
 
 ONE = Configuration.singleton(0.2)
 TWO = Configuration.from_pairs(((0.4, 2),))
@@ -145,8 +145,8 @@ def test_yaglom_stages_copy_every_survivor_alike(uniform_model, monkeypatch):
 
 
 def _same_estimate(got, want):
-    assert [c.serialize() for c in got.configurations] == [
-        c.serialize() for c in want.configurations]
+    assert [serialize(c) for c in got.configurations] == [
+        serialize(c) for c in want.configurations]
     assert [c.total_mass for c in got.configurations] == [
         c.total_mass for c in want.configurations]
     assert got.weights.tobytes() == want.weights.tobytes()
@@ -168,7 +168,7 @@ def test_yaglom_from_a_law_gives_the_stagewise_reference_bit_for_bit(uniform_mod
                                1.0, copies * len(kept), rng.substream(1), survivors=True)
     final = configurations(second.survivors)
     assert len(final) > len(set(final)) > 100
-    _same_estimate(est, _estimate_from_counts(Counter(final), burn_in=0.0,
+    _same_estimate(est, _estimate_from_counts(Counter(c.entries for c in final), burn_in=0.0,
                                               particles=est.particles,
                                               events=first.events + second.events))
 
@@ -190,7 +190,8 @@ def test_the_yaglom_merge_gives_the_counted_estimate_bit_for_bit(drawn, picks):
             Configuration(((0.25, 1), (0.75, 1))), Configuration(((0.25, 1),))]
     configs = [pool[k % len(pool)] for k in picks]
     got = _estimate_from_runs(Runs.of(configs), particles=7, events=11)
-    want = _estimate_from_counts(Counter(configs), burn_in=0.0, particles=7, events=11)
+    want = _estimate_from_counts(Counter(c.entries for c in configs), burn_in=0.0,
+                                 particles=7, events=11)
     _same_estimate(got, want)
 
 
@@ -244,7 +245,7 @@ def _cumsum_fleming_viot(model, particles, burn_in, horizon, rng,
         t_next = t + -math.log(1.0 - gen.random()) / total
         while next_snap <= horizon and next_snap < t_next:
             for c in configs:
-                counts[c] = counts.get(c, 0) + 1
+                counts[c.entries] = counts.get(c.entries, 0) + 1
             snaps += 1
             next_snap = burn_in + snaps * snapshot_interval
         if t_next > horizon:
@@ -282,7 +283,7 @@ def _scan_fleming_viot(model, particles, burn_in, horizon, rng,
         t = rings[i]
         while next_snap <= horizon and next_snap < t:
             for c in configs:
-                counts[c] = counts.get(c, 0) + 1
+                counts[c.entries] = counts.get(c.entries, 0) + 1
             snaps += 1
             next_snap = burn_in + snaps * snapshot_interval
         if t > horizon:
@@ -305,7 +306,9 @@ def _fv_model(family, kind="logistic"):
     kernel = make_kernel(family, 0.05)
     if kind == "constant":
         return UniformModel(lam=2.0, b=1.0, rho=0.3, kernel=kernel)
-    return LogisticModel(b=1.0, rho=0.3, d=2.0, c=0.5, kernel=kernel)
+    # with rare mutations most particles are one-entry configurations, many of mass > 1
+    rho = 0.05 if kind == "low_rho" else 0.3
+    return LogisticModel(b=1.0, rho=rho, d=2.0, c=0.5, kernel=kernel)
 
 
 def _assert_same_fleming_viot(est, ref):
@@ -314,11 +317,13 @@ def _assert_same_fleming_viot(est, ref):
     assert (est.events, est.resurrections) == (ref.events, ref.resurrections)
 
 
-# Logistic cases keep their bare ids; the constant-rate UniformModel ones add "-constant".
+# Logistic cases keep their bare ids; the constant-rate UniformModel ones add
+# "-constant", and the logistic ones with rho = 0.05 "-low_rho". All run the
+# same seeds and size, fixed before their first run.
 @pytest.mark.parametrize("family, seed, kind", [
     pytest.param(family, seed, kind,
                  id=f"{family}-{seed}" + ("" if kind == "logistic" else f"-{kind}"))
-    for kind in ("logistic", "constant") for family in ("uniform", "truncated_gaussian")
+    for kind in ("logistic", "constant", "low_rho") for family in ("uniform", "truncated_gaussian")
     for seed in (1, 2, 3)])
 def test_fleming_viot_heap_matches_a_linear_scan_of_the_clocks(family, seed, kind):
     model = _fv_model(family, kind)
@@ -326,6 +331,8 @@ def test_fleming_viot_heap_matches_a_linear_scan_of_the_clocks(family, seed, kin
     ref = _scan_fleming_viot(model, 300, 1.0, 3.0, RandomStream(seed))
     _assert_same_fleming_viot(est, ref)
     assert est.events > 0 and est.resurrections > 0
+    # the one-entry reads see configurations of mass > 1
+    assert any(c.support_size == 1 and c.total_mass > 1 for c in est.configurations)
 
 
 def test_fleming_viot_makes_one_add_or_remove_call_per_event(monkeypatch):
@@ -398,7 +405,7 @@ FV_DIGESTS = {
 
 
 def _sample_lines(est):
-    return [f"{w!r} {c.serialize()}" for c, w in zip(est.configurations, est.weights.tolist())]
+    return [f"{w!r} {serialize(c)}" for c, w in zip(est.configurations, est.weights.tolist())]
 
 
 def _fv_text(est):
@@ -521,8 +528,32 @@ def test_sample_csv_formats_each_weight_as_its_own_row_would():
     out = io.StringIO()
     write_sample_csv(est, out)
     assert out.getvalue().splitlines()[1:] == [
-        f"{w:.17g},{c.serialize()}" for w, c in zip(weights, configs)]
+        f"{w:.17g},{serialize(c)}" for w, c in zip(weights, configs)]
     assert out.getvalue().splitlines()[4].startswith("-0,")
+
+
+# Traits 0, 1, the least subnormal and 1/3 among arbitrary ones, in up to
+# 6 entries; a weight of 1-3 per configuration makes tied weights common.
+_CSV_TRAITS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1 / 3]), st.floats(0.0, 1.0))
+_CSV_CONFIGS = st.lists(st.tuples(_CSV_TRAITS, st.integers(1, 1000)), min_size=1, max_size=6,
+                        unique_by=lambda entry: entry[0]).map(Configuration.from_pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_CSV_CONFIGS, st.integers(1, 3)), min_size=1, max_size=12))
+def test_sample_csv_is_the_per_configuration_join_byte_for_byte(rows):
+    configs = tuple(config for config, _ in rows)
+    counts = np.array([count for _, count in rows], dtype=float)
+    est = QsdEstimate(configurations=configs, weights=counts / counts.sum(), burn_in=0.0,
+                      particles=len(rows))
+    out = io.StringIO()
+    write_sample_csv(est, out)
+    assert out.getvalue() == "weight,configuration\n" + "".join(
+        f"{w:.17g},{serialize(c)}\n" for w, c in zip(est.weights.tolist(), configs))
+    for line, w, c in zip(out.getvalue().splitlines()[1:], est.weights.tolist(), configs):
+        weight, text = line.split(",")
+        assert float(weight) == w
+        assert repr(parse_configuration(text).entries) == repr(c.entries)
 
 
 # sha256 of the serialized survivors of a small Yaglom estimate, pinned

@@ -24,7 +24,7 @@ from qsdsim.validation import Mass, chi2_threshold, lyapunov_check, martingale_r
 
 import strategies
 from ensembles import (CountingDeaths, configurations, hitting_tail, per_entry_branch,
-                       reference_chunks, urn)
+                       reference_chunks, serialize, urn)
 from homogeneity import mass_histogram, two_sample_chi2
 
 START = Configuration.from_pairs(((0.2, 2), (0.6, 1)))
@@ -796,7 +796,7 @@ def test_lockstep_urns_give_the_one_at_a_time_urn_bit_for_bit(kernel, rho, share
                                    lockstep))
     rng = np.random.default_rng(seed)
     want = [urn(model, start, path, rng) for start, path in zip(starts, paths)]
-    assert [c.serialize() for c in got] == [c.serialize() for c in want]
+    assert [serialize(c) for c in got] == [serialize(c) for c in want]
     assert [c.total_mass for c in got] == finals.tolist()
     # the lockstep urn leaves the generator where the one-at-a-time urn does
     assert lockstep.random() == rng.random()
@@ -816,5 +816,5 @@ def test_an_urn_survivor_draws_the_same_whatever_the_paths_before_it(seed):
         finals = masses + np.array([sum(before), sum(last)], dtype=np.int64)
         *_, final = configurations(_urns(model, Runs.of(starts), masses, steps,
                                          np.array([4, 6]), finals, np.random.default_rng(seed)))
-        lasts.append(final.serialize())
+        lasts.append(serialize(final))
     assert lasts[0] == lasts[1]
