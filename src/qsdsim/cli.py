@@ -42,9 +42,6 @@ gc.freeze()
 _FLAGGED = tuple(key for key in SCHEMA if key.flag is not None)
 _FLAGS = frozenset(key.flag for key in _FLAGGED)
 
-SUBCOMMANDS = ("simulate", "survival", "qsd-yaglom", "qsd-fv", "oracle",
-               "validate", "compare")
-
 
 class _Parser(argparse.ArgumentParser):
     # usage problems must exit 1, not argparse's default 2
@@ -94,38 +91,38 @@ def _definite(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_definite(payload), sort_keys=True, indent=2) + "\n")
+def _artifact(cfg: ExperimentConfig, name: str) -> tuple[Path, dict]:
+    """The path of artifact ``name`` in the output directory, and its provenance keys."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name, {"config_hash": cfg.config_hash(), "seed": cfg.seed,
+                        "tool_version": __version__}
 
 
-def _meta(cfg: ExperimentConfig) -> dict:
-    return {"config_hash": cfg.config_hash(), "seed": cfg.seed,
-            "tool_version": __version__}
+def _write_json(cfg: ExperimentConfig, name: str, payload: dict) -> None:
+    """Write JSON artifact ``name``, ``payload`` plus the provenance keys."""
+    path, meta = _artifact(cfg, name)
+    path.write_text(json.dumps(_definite({**payload, **meta}), sort_keys=True, indent=2)
+                    + "\n")
 
 
 @contextmanager
-def _csv_artifact(cfg: ExperimentConfig, path: Path) -> Iterator[IO[str]]:
-    """Open a CSV artifact for writing, its ``# key=value`` provenance lines first."""
+def _csv_artifact(cfg: ExperimentConfig, name: str) -> Iterator[IO[str]]:
+    """Open CSV artifact ``name`` for writing, its ``# key=value`` provenance lines first."""
+    path, meta = _artifact(cfg, name)
     with path.open("w") as out:
-        for key, value in _meta(cfg).items():
+        for key, value in meta.items():
             out.write(f"# {key}={value}\n")
         yield out
-
-
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    path = Path(cfg.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _run_simulate(cfg: ExperimentConfig) -> int:
     model = cfg.build_model()
     trajectory = ENGINES[cfg.engine](model, cfg.build_initial(), cfg.horizon,
                                      Uniforms(RandomStream(cfg.seed).generator()))
-    out = _out_dir(cfg)
-    with _csv_artifact(cfg, out / "trajectory.csv") as fh:
+    with _csv_artifact(cfg, "trajectory.csv") as fh:
         write_trajectory_csv(trajectory, fh)
-    _write_json(out / "trajectory.json", {
+    _write_json(cfg, "trajectory.json", {
         "engine": cfg.engine,
         "event_count": len(trajectory.events),
         "final_mass": trajectory.final.total_mass,
@@ -135,7 +132,6 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
         "thinning_candidates": trajectory.candidate_count,
         "thinning_accepted": trajectory.accepted_count,
         "model": cfg.model_block(),
-        **_meta(cfg),
     })
     print(f"simulated {len(trajectory.events)} events to t={cfg.horizon}"
           f" (final mass {trajectory.final.total_mass})")
@@ -154,10 +150,8 @@ def _run_survival(cfg: ExperimentConfig) -> int:
         theta_hat, theta_se = decay_rate_from_survival(curve)
     except WindowTooSmall:
         pass
-    out = _out_dir(cfg)
-    _write_json(out / "ensemble.json", {
+    _write_json(cfg, "ensemble.json", {
         "model": cfg.model_block(),
-        "seed": cfg.seed,
         "replicas": cfg.replicas,
         "grid": list(curve.grid),
         "survival": list(curve.survival),
@@ -165,9 +159,8 @@ def _run_survival(cfg: ExperimentConfig) -> int:
         "theta_hat": theta_hat,
         "theta_stderr": theta_se,
         "events": curve.events,
-        **_meta(cfg),
     })
-    with _csv_artifact(cfg, out / "survival.csv") as fh:
+    with _csv_artifact(cfg, "survival.csv") as fh:
         fh.write("t,survival,stderr\n")
         for t, p, se in curve:
             fh.write(f"{t:.17g},{p:.17g},{se:.17g}\n")
@@ -185,15 +178,13 @@ def _write_estimate(cfg: ExperimentConfig, model, est, label: str) -> None:
         theta_singleton = decay_rate_from_singletons(model, est)
     except NoSingletonMass:
         theta_singleton = None
-    out = _out_dir(cfg)
-    _write_json(out / "qsd.json", {
+    _write_json(cfg, "qsd.json", {
         **estimate_report(est),
         "estimator": label,
         "theta_singleton": theta_singleton,
         "model": cfg.model_block(),
-        **_meta(cfg),
     })
-    with _csv_artifact(cfg, out / "qsd_sample.csv") as fh:
+    with _csv_artifact(cfg, "qsd_sample.csv") as fh:
         write_sample_csv(est, fh)
     theta_text = "none" if theta_singleton is None else f"{theta_singleton:.6g}"
     print(f"{label} estimate over {len(est.configurations)} configurations"
@@ -236,12 +227,11 @@ def _run_oracle(cfg: ExperimentConfig) -> int:
     check = check_truncation(model, chain, result, cfg.eigen_tol)
     for warning in check.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    out = _out_dir(cfg)
-    _write_json(out / "oracle.json", {**eigenpair_report(chain, result),
-                                      "tail_mass": check.tail_mass,
-                                      "theta_2N": check.theta_2N,
-                                      "model": cfg.model_block(), **_meta(cfg)})
-    with _csv_artifact(cfg, out / "oracle.csv") as fh:
+    _write_json(cfg, "oracle.json", {**eigenpair_report(chain, result),
+                                     "tail_mass": check.tail_mass,
+                                     "theta_2N": check.theta_2N,
+                                     "model": cfg.model_block()})
+    with _csv_artifact(cfg, "oracle.csv") as fh:
         fh.write("mass,nu\n")
         for k in range(1, chain.N + 1):
             fh.write(f"{k},{result.nu[k]:.17g}\n")
@@ -253,7 +243,7 @@ def _run_oracle(cfg: ExperimentConfig) -> int:
 def _run_validate(cfg: ExperimentConfig) -> int:
     model = cfg.build_model()
     checks = run_validation_checks(model, RandomStream(cfg.seed), replicas=cfg.replicas)
-    _write_json(_out_dir(cfg) / "validate.json", {"checks": checks, **_meta(cfg)})
+    _write_json(cfg, "validate.json", {"checks": checks})
     for check in checks:
         verdict = "pass" if check["pass"] else "FAIL"
         print(f"{verdict:4s} {check['check']}: statistic {check['statistic']:.4g}"
@@ -261,32 +251,51 @@ def _run_validate(cfg: ExperimentConfig) -> int:
     return 0 if all(check["pass"] for check in checks) else 2
 
 
-def _vector_and_theta(path: Path) -> tuple[list[float], float | None]:
-    payload = json.loads(path.read_text())
+def _read_artifact(path: Path) -> tuple[list[float], float | None, object]:
+    """The probability vector, decay rate and model block of a JSON artifact.
+
+    The file may come from anywhere, so its shape is checked here: a
+    JSON object whose vector is a list of numbers and whose theta, if
+    any, is a positive finite number. :func:`tv_distance` checks the
+    vector's values.
+    """
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     vector = payload.get("nu", payload.get("mass_marginal"))
     if vector is None:
         raise ConfigError(f"{path}: no nu or mass_marginal vector to compare")
+    if not isinstance(vector, list) or not all(type(x) in (int, float) for x in vector):
+        raise ConfigError(f"{path}: the vector to compare must be a list of numbers")
     theta = payload.get("theta", payload.get("theta_singleton"))
-    return vector, theta
+    if theta is not None and not (type(theta) in (int, float) and 0.0 < theta < math.inf):
+        raise ConfigError(f"{path}: theta must be a positive finite number, got {theta!r}")
+    return vector, theta, payload.get("model")
 
 
 def _run_compare(cfg: ExperimentConfig) -> int:
     if cfg.compare_a is None or cfg.compare_b is None:
         raise ConfigError("compare needs compare.a and compare.b")
-    vec_a, theta_a = _vector_and_theta(Path(cfg.compare_a))
-    vec_b, theta_b = _vector_and_theta(Path(cfg.compare_b))
+    vec_a, theta_a, model_a = _read_artifact(Path(cfg.compare_a))
+    vec_b, theta_b, model_b = _read_artifact(Path(cfg.compare_b))
+    if model_a is not None and model_b is not None and model_a != model_b:
+        raise ConfigError(f"{cfg.compare_a} and {cfg.compare_b} are of different models:"
+                          f" {model_a} and {model_b}")
     tv = tv_distance(vec_a, vec_b)
     ok = tv <= cfg.tv_tol
     delta = None
     if theta_a is not None and theta_b is not None:
-        delta = abs(theta_a - theta_b) / max(abs(theta_a), abs(theta_b))
+        delta = abs(theta_a - theta_b) / max(theta_a, theta_b)
         ok = ok and delta <= cfg.theta_tol
-    _write_json(_out_dir(cfg) / "compare.json", {
+    _write_json(cfg, "compare.json", {
         "a": cfg.compare_a, "b": cfg.compare_b,
         "tv": tv, "tv_tol": cfg.tv_tol,
         "theta_a": theta_a, "theta_b": theta_b,
         "theta_rel_delta": delta, "theta_tol": cfg.theta_tol,
-        "pass": ok, **_meta(cfg),
+        "pass": ok,
     })
     delta_text = "n/a" if delta is None else f"{delta:.4g}"
     print(f"tv = {tv:.4g} (tol {cfg.tv_tol}), theta delta = {delta_text}"
@@ -303,6 +312,8 @@ _RUNNERS = {
     "validate": _run_validate,
     "compare": _run_compare,
 }
+
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def run_subcommand(name: str, config: ExperimentConfig) -> int:

@@ -2,8 +2,9 @@
 
 Config files are flat ``key.path = value`` lines with ``#`` comments.
 One table, :data:`SCHEMA`, lists every key with its parser, default,
-CLI flag and whether it is hashed; the defaults, the argparse flags,
-the config hash and the artifacts' model block all follow from it.
+CLI flag and whether it is hashed; the fields of
+:class:`ExperimentConfig`, the defaults, the argparse flags, the config
+hash and the artifacts' model block all follow from it.
 Every key is validated before anything runs; unknown or malformed keys
 fail naming the offending key. CLI flags override file values, defaults
 fill the rest, and the fully resolved mapping is what gets hashed into
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from .configuration import Configuration, parse_configuration
 from .errors import ConfigError
 from .rates import LogisticModel, RateModel, UniformModel
+from .simulator import ENGINES
 from .trait_space import MutationKernel, make_kernel
 
 
@@ -117,7 +119,7 @@ def _text(key: str, value: str) -> str:
 class Key(NamedTuple):
     """One config key.
 
-    ``field`` is the :class:`ExperimentConfig` attribute it fills and
+    ``field`` is the :class:`ExperimentConfig` field it declares and
     ``parse(name, text)`` turns its text into that value or raises a
     :class:`ConfigError` naming the key. Keys without a default stay
     None when unset. ``flag`` is the CLI option that overrides it, and
@@ -132,8 +134,14 @@ class Key(NamedTuple):
     hashed: bool = True
 
 
+# cross-key rule: the model keys each kind requires; the rest it forbids
+MODEL_KEYS = {
+    "uniform": ("model.lambda", "model.b", "model.rho"),
+    "logistic": ("model.b", "model.rho", "model.d", "model.c"),
+}
+
 SCHEMA = (
-    Key("model.kind", "kind", _one_of("uniform", "logistic"), flag="--kind"),
+    Key("model.kind", "kind", _one_of(*MODEL_KEYS), flag="--kind"),
     Key("model.lambda", "lam", _positive, flag="--lambda"),
     Key("model.b", "b", _positive, flag="--b"),
     Key("model.rho", "rho", _float(), flag="--rho"),
@@ -154,7 +162,7 @@ SCHEMA = (
     Key("run.theta_tol", "theta_tol", _positive, "0.1"),
     Key("run.snapshot_interval", "snapshot_interval", _positive, "0.5"),
     Key("run.threads", "threads", _one_process, "1"),
-    Key("run.engine", "engine", _one_of("gillespie", "thinning"), "gillespie", "--engine"),
+    Key("run.engine", "engine", _one_of(*ENGINES), "gillespie", "--engine"),
     Key("run.initial", "initial_text", _initial),
     Key("run.initial_mass", "initial_mass", _int(1), "1"),
     Key("output.directory", "out_dir", _text, "out", "--out", hashed=False),
@@ -164,12 +172,6 @@ SCHEMA = (
 
 _NAMES = frozenset(key.name for key in SCHEMA)
 
-# cross-key rule: the model keys each kind requires; the rest it forbids
-MODEL_KEYS = {
-    "uniform": ("model.lambda", "model.b", "model.rho"),
-    "logistic": ("model.b", "model.rho", "model.d", "model.c"),
-}
-
 
 def _render(value: object) -> str:
     """A parsed value as canonical config text: floats by repr, grids joined."""
@@ -178,42 +180,15 @@ def _render(value: object) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(make_dataclass("ExperimentFields",
+                                      [key.field for key in SCHEMA], frozen=True)):
     """A fully resolved, validated experiment description.
 
-    One field per :data:`SCHEMA` key. The model block is optional at
-    resolution time because comparing existing artifacts needs no model;
-    anything that simulates calls :meth:`build_model`, which insists on
-    it.
+    One frozen field per :data:`SCHEMA` key, in its order, named by the
+    key's ``field``. The model block is optional at resolution time
+    because comparing existing artifacts needs no model; anything that
+    simulates calls :meth:`build_model`, which insists on it.
     """
-
-    kind: str | None
-    lam: float | None
-    b: float | None
-    rho: float | None
-    d: float | None
-    c: float | None
-    kernel_family: str
-    kernel_scale: float | None
-    seed: int
-    replicas: int
-    horizon: float
-    grid: tuple[float, ...]
-    particles: int
-    burn_in: float
-    truncation: int
-    eigen_tol: float
-    tv_tol: float
-    theta_tol: float
-    snapshot_interval: float
-    threads: int
-    engine: str
-    initial_text: str | None
-    initial_mass: int
-    out_dir: str
-    compare_a: str | None
-    compare_b: str | None
 
     def canonical_items(self) -> list[tuple[str, str]]:
         """The hashed keys that are set, as sorted config-file lines.

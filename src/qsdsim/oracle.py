@@ -111,7 +111,10 @@ def principal_left_eigenpair(oracle: MassChainOracle,
     result = _band_eigenpair(oracle.births, oracle.deaths)
     if not result.residual <= tol:
         raise NoConvergence(
-            f"eigenpair residual {result.residual!r} above {tol!r}; loosen the tolerance")
+            f"eigenpair residual {result.residual!r} above {tol!r} at truncation"
+            f" N = {oracle.N}: the solve loses its accuracy where birth and death rates"
+            " lie many orders of magnitude apart; try another run.truncation, or check"
+            " the model's regime")
     return result
 
 

@@ -181,6 +181,11 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
     # lineage[r]: the first-stage replica that replica r of this stage descends from
     lineage, copies = np.arange(replicas), 1
     for stage in range(YAGLOM_STAGES):
+        if stage:
+            copies = replicas // alive
+            # survivor s fills slots s copies to (s + 1) copies - 1
+            starts = paths.survivors.take(np.repeat(np.arange(alive), copies))
+            size = copies * alive
         paths = mass_paths(model, starts, t / YAGLOM_STAGES, size, rng.substream(stage),
                            survivors=True)
         events += paths.events
@@ -189,10 +194,6 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
             raise AllExtinct(f"no replica of {size} survived stage {stage + 1} of"
                              f" {YAGLOM_STAGES} to t={t!r}")
         lineage = lineage[np.flatnonzero(paths.final) // copies]
-        copies = replicas // alive
-        # survivor s fills slots s copies to (s + 1) copies - 1
-        starts = paths.survivors.take(np.repeat(np.arange(alive), copies))
-        size = copies * alive
     return _estimate_from_runs(paths.survivors, particles=len(np.unique(lineage)),
                                events=events)
 
@@ -354,9 +355,14 @@ def tv_distance(p: Sequence[float], q: Sequence[float]) -> float:
     """Half the l1 distance between probability vectors.
 
     Vectors may have different lengths; the shorter is zero-padded.
+    Both must have nonnegative entries that sum to 1, or NotNormalized
+    is raised; a NaN or infinite entry fails too.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    # NaN fails the comparison, where it would pass the sum check below
+    if not (np.all(p >= 0.0) and np.all(q >= 0.0)):
+        raise NotNormalized("vectors must have nonnegative entries, NaN excluded")
     if abs(float(p.sum()) - 1.0) > 1e-9 or abs(float(q.sum()) - 1.0) > 1e-9:
         raise NotNormalized(
             f"vectors sum to {float(p.sum())!r} and {float(q.sum())!r}, expected 1"

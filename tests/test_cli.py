@@ -367,6 +367,58 @@ def test_compare_needs_a_vector(tmp_path, capsys):
     assert "no nu or mass_marginal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, error", [
+    ("not json\n", "not a JSON file"),
+    ("[1, 2]\n", "expected a JSON object, got list"),
+    ('{"nu": "abc"}\n', "the vector to compare must be a list of numbers"),
+    ('{"mass_marginal": [0.5, "0.5"]}\n', "the vector to compare must be a list of numbers"),
+    ('{"nu": [1.0], "theta": 0}\n', "theta must be a positive finite number, got 0"),
+    ('{"nu": [1.0], "theta": -1.5}\n', "theta must be a positive finite number, got -1.5"),
+    ('{"nu": [1.0], "theta": NaN}\n', "theta must be a positive finite number, got nan"),
+    ('{"nu": [1.0], "theta": Infinity}\n', "theta must be a positive finite number, got inf"),
+    ('{"nu": [1.0], "theta_singleton": "1"}\n',
+     "theta must be a positive finite number, got '1'"),
+], ids=["not-json", "list", "nu-text", "text-entry", "theta-zero", "theta-negative",
+        "theta-nan", "theta-inf", "theta-text"])
+def test_compare_refuses_a_file_that_is_no_artifact(text, error, tmp_path, capsys):
+    # compare reads files from outside the program; each of these once ended
+    # in a traceback, a division by zero or a pass
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main(["compare", str(bad), str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {error}")
+    assert not out.exists()
+
+
+def test_compare_refuses_a_nan_entry(tmp_path, capsys):
+    # abs(nan - 1) > 1e-9 is False, so the sum check alone once let it through
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"nu": [NaN, 1.0]}\n')
+    assert main(["compare", str(bad), str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: vectors must have nonnegative entries")
+
+
+def test_compare_refuses_artifacts_of_different_models(tmp_path, capsys):
+    # lambda / b is 2 in both, so the two oracles share nu, and their thetas
+    # of 1 and 1.1 lie within the default tolerance: only the model blocks differ
+    a, b = tmp_path / "a" / "oracle.json", tmp_path / "b" / "oracle.json"
+    assert main(["oracle", *UNIFORM_FLAGS, "--out", str(a.parent)]) == 0
+    assert main(["oracle", "--kind", "uniform", "--lambda", "2.2", "--b", "1.1",
+                 "--rho", "0.3", "--out", str(b.parent)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "cmp"
+    assert main(["compare", str(a), str(b), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {a} and {b} are of different models")
+    assert not out.exists()
+    # a file without a model block is compared as before
+    bare = tmp_path / "bare.json"
+    payload = _read_json(b)
+    del payload["model"]
+    bare.write_text(json.dumps(payload))
+    assert main(["compare", str(a), str(bare), "--out", str(out)]) == 0
+
+
 # the documented flag of each key that has one
 FLAGS = {
     "model.kind": "--kind", "model.lambda": "--lambda", "model.b": "--b",
@@ -456,6 +508,31 @@ def test_every_csv_artifact_opens_with_its_provenance(tmp_path):
         assert lines[:3] == [f"# config_hash={_read_json(out / report)['config_hash']}",
                              "# seed=5", f"# tool_version={__version__}"], csv
         assert not lines[3].startswith("#"), csv
+
+
+def test_every_json_artifact_carries_its_provenance(tmp_path):
+    fv = tmp_path / "fv.cfg"
+    fv.write_text("run.burn_in = 0.5\n")
+    oracle = tmp_path / "oracle" / "oracle.json"
+    runs = {"simulate": ["--t-max", "1.0"],
+            "survival": ["--replicas", "50", "--t-max", "1.0"],
+            "qsd-yaglom": ["--replicas", "200", "--t-max", "1.0"],
+            "qsd-fv": ["--config", str(fv), "--particles", "20", "--t-max", "1.0"],
+            "oracle": ["--truncation", "20"],
+            "validate": ["--replicas", "20"],
+            "compare": [str(oracle), str(oracle)]}
+    assert tuple(runs) == cli.SUBCOMMANDS
+    for command, flags in runs.items():
+        out = tmp_path / command
+        assert main([command, *UNIFORM_FLAGS, *flags, "--seed", "5", "--out", str(out)]) == 0
+        reports = sorted(out.glob("*.json"))
+        assert reports, command
+        hashes = set()
+        for report in reports:
+            payload = _read_json(report)
+            assert (payload["seed"], payload["tool_version"]) == (5, __version__), report
+            hashes.add(payload["config_hash"])
+        assert len(hashes) == 1 and len(hashes.pop()) == 64, command
 
 
 def test_importing_the_cli_loads_every_module_the_benchmark_times():

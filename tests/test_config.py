@@ -1,12 +1,14 @@
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
-from qsdsim.config import SCHEMA, parse_config_text, resolve_config
+from qsdsim.config import MODEL_KEYS, SCHEMA, ExperimentConfig, parse_config_text, resolve_config
 from qsdsim.configuration import Configuration
 from qsdsim.errors import ConfigError
 from qsdsim.rates import LogisticModel, UniformModel
+from qsdsim.simulator import ENGINES
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
 
 UNIFORM_LINES = {
@@ -62,6 +64,17 @@ def test_missing_model_parameters_are_named():
         resolve_config({"model.kind": "exotic"})
     with pytest.raises(ConfigError, match="model.b given without model.kind"):
         resolve_config({"model.b": "1.0"})
+
+
+def test_fields_and_choices_follow_from_their_tables():
+    # one row per key, one table per choice list: nothing to keep in step by hand
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        key.field for key in SCHEMA]
+    for kind, required in MODEL_KEYS.items():
+        cfg = resolve_config({"model.kind": kind, **{name: "0.5" for name in required}})
+        assert cfg.kind == kind
+    for engine in ENGINES:
+        assert resolve_config({"run.engine": engine}).engine == engine
 
 
 def test_model_block_is_optional_until_built():

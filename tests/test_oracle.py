@@ -138,6 +138,17 @@ def test_eigenpair_error_paths(uniform_model):
         principal_left_eigenpair(chain, tol=1e-300)
 
 
+def test_a_residual_out_of_reach_names_the_truncation_and_the_regime():
+    # deaths of 1e-300 against births of 3n leave a residual of 6.0 at any
+    # truncation; no tolerance worth the name would accept it
+    model = LogisticModel(b=3.0, rho=0.3, d=1e-300, c=1e-300, kernel=UniformKernel())
+    with pytest.raises(NoConvergence) as info:
+        principal_left_eigenpair(build_mass_chain(model, 50))
+    message = str(info.value)
+    assert "N = 50" in message and "run.truncation" in message
+    assert "regime" in message and "loosen" not in message
+
+
 def test_zero_interior_rate_is_rejected(uniform_model):
     chain = build_mass_chain(uniform_model, 5)
     no_birth, no_death = chain.births.copy(), chain.deaths.copy()

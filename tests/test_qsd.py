@@ -144,6 +144,31 @@ def test_yaglom_stages_copy_every_survivor_alike(uniform_model, monkeypatch):
     assert est.particles == len(set(ancestor.tolist())) < len(final)
 
 
+def test_yaglom_copies_no_survivor_after_its_last_stage(uniform_model, monkeypatch):
+    # the last stage's survivors are only merged; a refill there would build
+    # copies * alive start rows for a stage that never runs
+    survivors, takes = [], []
+    take = Runs.take
+
+    def recording_paths(*args, **kwargs):
+        paths = mass_paths(*args, **kwargs)
+        survivors.append(paths.survivors)
+        return paths
+
+    def recording_take(self, rows):
+        takes.append((self, len(rows)))
+        return take(self, rows)
+
+    monkeypatch.setattr(qsd, "mass_paths", recording_paths)
+    monkeypatch.setattr(Runs, "take", recording_take)
+    est = yaglom_estimate(uniform_model, ONE, 3.0, 1000, RandomStream(4))
+    assert len(survivors) == YAGLOM_STAGES
+    assert [sum(runs is kept for runs, _ in takes) for kept in survivors[:-1]] == \
+        [1] * (YAGLOM_STAGES - 1)
+    assert [size for runs, size in takes if runs is survivors[-1]] == [
+        len(est.configurations)]
+
+
 def _same_estimate(got, want):
     assert [serialize(c) for c in got.configurations] == [
         serialize(c) for c in want.configurations]
@@ -498,6 +523,17 @@ def test_tv_distance_values():
         tv_distance((0.5, 0.4), (0.5, 0.5))
     with pytest.raises(NotNormalized):
         tv_distance((0.5, 0.5), (1.5, -0.4))
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.nan), (1.5, -0.5),
+                                 (math.inf, 1.0), (-math.inf, 1.0)],
+                         ids=["nan-first", "nan-last", "negative", "inf", "minus-inf"])
+def test_tv_distance_refuses_a_negative_or_non_finite_entry(bad):
+    # a NaN gets past a sum check, since abs(nan - 1) > 1e-9 is False,
+    # and (1.5, -0.5) sums to 1
+    for p, q in ((bad, (0.5, 0.5)), ((0.5, 0.5), bad)):
+        with pytest.raises(NotNormalized):
+            tv_distance(p, q)
 
 
 def test_estimate_report_starts_vectors_at_one():
