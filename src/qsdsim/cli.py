@@ -255,9 +255,9 @@ def _read_artifact(path: Path) -> tuple[list[float], float | None, object]:
     """The probability vector, decay rate and model block of a JSON artifact.
 
     The file may come from anywhere, so its shape is checked here: a
-    JSON object whose vector is a list of numbers and whose theta, if
-    any, is a positive finite number. :func:`tv_distance` checks the
-    vector's values.
+    JSON object whose vector is a list of nonnegative finite numbers and
+    whose theta, if any, is a positive finite number. :func:`tv_distance`
+    checks the vector's sum.
     """
     try:
         payload = json.loads(path.read_text())
@@ -270,6 +270,10 @@ def _read_artifact(path: Path) -> tuple[list[float], float | None, object]:
         raise ConfigError(f"{path}: no nu or mass_marginal vector to compare")
     if not isinstance(vector, list) or not all(type(x) in (int, float) for x in vector):
         raise ConfigError(f"{path}: the vector to compare must be a list of numbers")
+    for x in vector:
+        if not 0.0 <= x < math.inf:
+            raise ConfigError(f"{path}: the vector to compare must have nonnegative finite "
+                              f"entries, got {x!r}")
     theta = payload.get("theta", payload.get("theta_singleton"))
     if theta is not None and not (type(theta) in (int, float) and 0.0 < theta < math.inf):
         raise ConfigError(f"{path}: theta must be a positive finite number, got {theta!r}")

@@ -94,13 +94,12 @@ class RateModel(ABC):
         """Raise InvalidRegime unless b > 0 and 0 < rho < 1; engines call it as a run starts."""
         _check(self.rho, b=self.b)
 
-    def _death(self, n: int) -> float:
-        return self.death_at(n) if n else 0.0
-
-    def _row(self, n: int, death: float) -> tuple[float, float, float, float]:
-        # the one formula of the per-kind totals at total mass n, where d(n) = death
-        return (n * (self.b * (1.0 - self.rho)), n * death, n * (self.b * self.rho),
-                n * self.b + n * death)
+    def _row(self, n, death):
+        # the one formula of the mass rates at total mass n, where d(n) = death,
+        # on ints or on arrays: the per-kind totals of state_rates, then n b
+        birth, dying = n * self.b, n * death
+        return (n * (self.b * (1.0 - self.rho)), dying, n * (self.b * self.rho),
+                birth + dying, birth)
 
     def state_rates(self, config: Configuration) -> tuple[float, float, float, float]:
         """Clonal, death and mutation totals and the total rate, all 0 at the void state.
@@ -108,25 +107,21 @@ class RateModel(ABC):
         The total is :meth:`total_jump_rate` bit for bit.
         """
         n = config.total_mass
-        return self._row(n, self._death(n))
+        return self._row(n, self.death_at(n) if n else 0.0)[:4]
 
     # No code of the package calls total_jump_rate (the steppers read
     # rate_table); it stays because perfbench/tracer.py patches it by name.
     def total_jump_rate(self, config: Configuration) -> float:
         """Total rate Q of leaving the configuration; 0 at the void state."""
-        n = config.total_mass
-        return self._row(n, self._death(n))[3]
+        return self.state_rates(config)[3]
 
-    def rate_table(self) -> dict[int, tuple[float, float, float, float]]:
-        """:meth:`state_rates` by total mass, each row computed on its first read.
+    def rate_table(self) -> RateTable:
+        """The mass rates by total mass, each mass filled on its first read.
 
-        A run that reads its rates here evaluates d(n), and its
-        :meth:`death_at` guard, once per mass it reaches; the table's
-        ``death(n)`` gives back the d(n) its row at n was built from.
         Raises InvalidRegime as :meth:`check_regime` does.
         """
         self.check_regime()
-        return _RateTable(self)
+        return RateTable(self)
 
     def death_bound(self, config: Configuration) -> float:
         """Upper bound for the per-individual death rate at this state: the rate itself."""
@@ -138,26 +133,64 @@ class RateModel(ABC):
         return k * self.b, k * self.death_at(k)
 
 
-class _RateTable(dict):
-    """Rows of a rate model by total mass, filled in on first read."""
+class RateTable(dict):
+    """A rate model's rates by total mass, for every engine, filled on first read.
 
-    __slots__ = ("_model", "_deaths")
+    ``table[n]`` is :meth:`RateModel.state_rates`' row in Python floats,
+    ``table.death(n)`` is d(n), and ``table(masses)`` takes the columns of
+    ``by_mass`` (n b, n d(n), total, d(n)) at masses >= 1. A read fills
+    each mass it reaches first, through one :meth:`RateModel.death_at`
+    call on it or on the array of them and ``RateModel._row``, so d(n)
+    and its guard run once per mass. A total of 0 marks a mass not
+    filled; the last column never is, so a first read past the width,
+    clipped to it, sees a mass to fill.
+    """
+
+    __slots__ = ("_model", "by_mass")
 
     def __init__(self, model: RateModel) -> None:
-        super().__init__()
+        # the void row: a fill would evaluate d(0), which the contract leaves out
+        super().__init__({0: (0.0, 0.0, 0.0, 0.0)})
         self._model = model
-        self._deaths: dict[int, float] = {}
+        self.by_mass = np.zeros((4, 64))  # the masses most runs reach; it grows
+
+    def __call__(self, n: np.ndarray) -> np.ndarray:
+        rates = self.by_mass.take(n, axis=1, mode="clip")
+        if not _every(rates[2]):
+            new = np.unique(n[rates[2] == 0])
+            self._fill(new, int(new[-1]))
+            rates = self.by_mass.take(n, axis=1, mode="clip")
+        return rates
 
     def __missing__(self, n: int) -> tuple[float, float, float, float]:
-        death = self._deaths[n] = self._model._death(n)
-        row = self[n] = self._model._row(n, death)
+        # a scalar fill: numpy's per-call cost would dominate an engine's short paths
+        if not (n + 1 < self.by_mass.shape[1] and self.by_mass.item(2, n)):
+            self._fill(n, n)
+        row = self[n] = self._model._row(n, self.by_mass.item(3, n))[:4]
         return row
 
+    def _fill(self, new, top: int) -> None:
+        # new is one mass or an array of masses, top the largest
+        size = self.by_mass.shape[1]
+        if top + 2 > size:
+            unfilled = np.zeros((4, 2 * top + 2 - size))
+            self.by_mass = np.concatenate((self.by_mass, unfilled), axis=1)
+        death = self._model.death_at(new)
+        _, dying, _, total, birth = self._model._row(new, death)
+        for i, column in enumerate((birth, dying, total, death)):
+            self.by_mass[i, new] = column
+
     def death(self, n: int) -> float:
-        """d(n), read once with the row at n."""
-        if n not in self._deaths:
+        """d(n), the d(n) the row at n is built from."""
+        if n not in self:
             self[n]
-        return self._deaths[n]
+        return self.by_mass.item(3, n)
+
+
+def _every(x: np.ndarray) -> bool:
+    # x.all() without the Python wrapper numpy puts around it; the lockstep
+    # loops ask this every round
+    return np.count_nonzero(x) == x.size
 
 
 def _check(rho: float, **positive: float) -> None:

@@ -16,13 +16,14 @@ strongest correctness checks. Both draw one uniform at a time through
 Ensembles take a third route, mass first. Every rate model is
 trait-blind, so the total mass is a birth-death chain on its own. One
 stepper, ``_lockstep``, advances a chunk of replicas on it in numpy
-lockstep on a per-mass rate table, drawing from the chunk's one
-generator. ``mass_paths`` runs it, with traits drawn afterwards by an
-urn along each survivor's mass path, in lockstep too, and so does the
-validation's martingale check. Survivors come out of the urn as
-:class:`Runs`, run-length arrays with one row per configuration, and
-``mass_paths`` takes such rows as starts too, so that an ensemble
-started from survivors builds no configuration per replica.
+lockstep on the columns of the model's ``rate_table()``, drawing from
+the chunk's one generator. ``mass_paths`` runs it, with traits drawn
+afterwards by an urn along each survivor's mass path, in lockstep too,
+and so does the validation's martingale check. Survivors come out of
+the urn as :class:`Runs`, run-length arrays with one row per
+configuration, and ``mass_paths`` takes such rows as starts too, so
+that an ensemble started from survivors builds no configuration per
+replica.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .configuration import Configuration
-from .rates import RateModel, holding_time, individual_at, sample_mutation_parent
+from .rates import (RateModel, RateTable, _every, holding_time, individual_at,
+                    sample_mutation_parent)
 from .streams import RandomStream, map_replicas
 from .trait_space import sample_base, validate_trait
 
@@ -114,44 +116,7 @@ def path_times(initial: Configuration,
     return extinction, chi, kappa
 
 
-class _MassRates:
-    """The mass chain's rates by total mass, for :func:`_lockstep`.
-
-    ``by_mass`` has the rows n b, n b (1 - rho), n d(n) and n b + n d(n)
-    (birth, clonal, death, total; the last three are ``rate_table()``'s
-    bit for bit) and one column per mass n. Called with the lanes'
-    masses, it gives their columns, filling the masses read for the first
-    time by one array call of ``model.mass_birth_death_rates``: a chunk
-    evaluates d(n), and its guard, once per mass it reaches. A total of 0
-    marks a mass not filled yet. Lanes move by one between reads, so the
-    table keeps room for one mass past the largest filled.
-    """
-
-    def __init__(self, model: RateModel, top: int) -> None:
-        self._model = model
-        self._clonal = model.b * (1.0 - model.rho)
-        self.by_mass = np.zeros((4, 2 * top + 2))
-
-    def __call__(self, n: np.ndarray) -> np.ndarray:
-        rates = self.by_mass.take(n, axis=1)
-        if not _every(rates[3]):
-            new = np.unique(n[rates[3] == 0])
-            top, size = int(new[-1]), self.by_mass.shape[1]
-            if top + 2 > size:
-                self.by_mass = np.pad(self.by_mass, ((0, 0), (0, 2 * top + 2 - size)))
-            birth, death = self._model.mass_birth_death_rates(new)
-            self.by_mass[:, new] = birth, new * self._clonal, death, birth + death
-            rates = self.by_mass.take(n, axis=1)
-        return rates
-
-
-def _every(x: np.ndarray) -> bool:
-    # x.all() without the Python wrapper numpy puts around it; the lockstep
-    # loops ask this every round
-    return np.count_nonzero(x) == x.size
-
-
-def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: _MassRates,
+def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: RateTable,
               rng: np.random.Generator) -> Iterator[tuple[np.ndarray, ...]]:
     """The mass chain of many replicas in numpy lockstep, up to t_end or extinction.
 
@@ -174,7 +139,7 @@ def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: _MassRate
     t = np.zeros(lane.size)
     while lane.size:
         r = rates(n)
-        dt = rng.standard_exponential(lane.size) / r[3]
+        dt = rng.standard_exponential(lane.size) / r[2]
         now = t + dt
         go = now <= t_end
         if not _every(go):
@@ -183,7 +148,7 @@ def _lockstep(mass: np.ndarray, last: np.ndarray, t_end: float, rates: _MassRate
             if not lane.size:
                 return
             r = r.compress(go, axis=1)
-        step = rng.random(lane.size) * r[3] < r[0]
+        step = rng.random(lane.size) * r[2] < r[0]
         yield lane, t, dt, now, n, step
         after = np.where(step, n + 1, n - 1)
         if _every(after):
@@ -583,7 +548,7 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     # narrow dtypes keep the step log of survivors small: 5 bytes a jump,
     # the lane and whether the step is up
     log = [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool))]
-    rounds = _lockstep(mass, last, t_end, _MassRates(model, int(start.max(initial=0))), rng)
+    rounds = _lockstep(mass, last, t_end, model.rate_table(), rng)
     for lane, t, _, now, before, up in rounds:
         _checkpoints(at, checkpoints, lane, t, now, before)
         events += lane.size
@@ -617,11 +582,10 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     """Mass paths of an ensemble to t_end, simulated in lockstep chunks.
 
     Every :class:`~qsdsim.rates.RateModel` is trait-blind, so the mass is
-    a birth-death chain on its own with rates
-    ``model.mass_birth_death_rates``. ``initial`` is a configuration,
-    :class:`Runs` with one row per replica (replica r starts from row r),
-    or anything with a ``draw(rng) -> Configuration`` method, drawn once
-    per replica.
+    a birth-death chain on its own, stepped on ``model.rate_table()``.
+    ``initial`` is a configuration, :class:`Runs` with one row per
+    replica (replica r starts from row r), or anything with a
+    ``draw(rng) -> Configuration`` method, drawn once per replica.
     Replicas run in chunks of :data:`CHUNK`, one :func:`_mass_chunk`
     lockstep each, all through :func:`~qsdsim.streams.map_replicas`, and
     chunk c draws from ``rng.substream(c)``: a chunk is the unit of both
@@ -639,7 +603,6 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
     checkpoints = tuple(float(c) for c in checkpoints)
     if not all(0.0 <= c <= t_end for c in checkpoints):
         raise ValueError(f"checkpoints must lie within [0, {t_end!r}], got {checkpoints!r}")
-    model.check_regime()
     chunk = partial(_mass_chunk, model, float(t_end), checkpoints, survivors)
     work = [(min(CHUNK, replicas - a),
              initial.rows(a, a + CHUNK) if isinstance(initial, Runs) else initial)

@@ -32,8 +32,8 @@ from scipy.stats import chi2
 
 from .configuration import Configuration
 from .errors import InvalidRegime
-from .rates import LogisticModel, RateModel, UniformModel
-from .simulator import CHUNK, _lockstep, _MassRates, mass_moments, mass_paths
+from .rates import LogisticModel, RateModel, RateTable, UniformModel
+from .simulator import CHUNK, _lockstep, mass_moments, mass_paths
 from .streams import RandomStream, map_replicas
 
 
@@ -97,20 +97,20 @@ class BoundedCustom(TestFunction):
 def generator_apply(model: RateModel, f: TestFunction, config: Configuration) -> float:
     """Exact generator action on a mass-only observable.
 
-    Every individual reproduces at ``b`` and dies at d(n). Reproduction
-    is taken whole rather than split into clonal and mutation parts: a
-    birth of either kind moves the mass up by one, and keeping the sum
-    unsplit preserves the closed-form identities bit for bit. The sums
-    run entry by entry; a product with n would round differently in the
-    last digits. The void value of f being 0 makes the absorption term
-    at mass 1 come out automatically.
+    Every individual reproduces at ``b`` and dies at d(n), read through
+    ``death_at`` as the engines read it. Reproduction is taken whole, not
+    split into clonal and mutation parts: a birth of either kind moves the
+    mass up by one, and the unsplit sum keeps the closed-form identities
+    bit for bit. The sums run entry by entry; a product with n would
+    round differently in the last digits. The void value of f being 0
+    makes the absorption term at mass 1 come out automatically.
     """
     if config.is_void:
         return 0.0
     n = config.total_mass
     up = f.value_at_mass(n + 1) - f.value_at_mass(n)
     down = f.value_at_mass(n - 1) - f.value_at_mass(n)
-    b, d = model.b, model.per_capita_death(n)
+    b, d = model.b, model.death_at(n)
     birth = 0.0
     death = 0.0
     for _, weight in config.entries:
@@ -124,7 +124,7 @@ def exp_mass_drift_bound(model: RateModel, a: float) -> float:
     return model.birth_sup * (math.exp(a) - 1.0) + model.death_inf * (math.exp(-a) - 1.0)
 
 
-def _by_mass(f: TestFunction, rates: _MassRates) -> tuple[np.ndarray, np.ndarray]:
+def _by_mass(f: TestFunction, rates: RateTable) -> tuple[np.ndarray, np.ndarray]:
     """f and L f by mass, up to the largest mass ``rates`` has filled.
 
     L f at mass n is birth (f(n+1) - f(n)) + death (f(n-1) - f(n)) from
@@ -132,7 +132,7 @@ def _by_mass(f: TestFunction, rates: _MassRates) -> tuple[np.ndarray, np.ndarray
     configuration bit for bit. It reads 0 at mass 0 and at every mass not
     filled, where both rates are 0.
     """
-    birth, _, death, total = rates.by_mass
+    birth, death, total, _ = rates.by_mass
     top = int(np.flatnonzero(total).max(initial=0))
     values = np.array([f.value_at_mass(k) for k in range(top + 2)])
     drift = np.zeros(top + 1)
@@ -146,7 +146,7 @@ def _martingale_chunk(model: RateModel, f: TestFunction, initial: Configuration,
     # L f is constant between jumps, so the integral is exact; it is summed
     # per replica in jump order once the masses reached are known
     mass, last = np.full(size, initial.total_mass), np.zeros(size)
-    rates = _MassRates(model, initial.total_mass)
+    rates = model.rate_table()
     steps = [(lane, hold, before) for lane, _, hold, _, before, _
              in _lockstep(mass, last, t, rates, rng)]
     values, drift = _by_mass(f, rates)
@@ -172,7 +172,6 @@ def martingale_residual(model: RateModel, f: TestFunction, initial: Configuratio
         raise ValueError(f"t must be nonnegative, got {t!r}")
     if replicas < 2:
         raise ValueError(f"a standard error needs at least 2 replicas, got {replicas!r}")
-    model.check_regime()
     fn = partial(_martingale_chunk, model, f, initial, t)
     sizes = [min(CHUNK, replicas - a) for a in range(0, replicas, CHUNK)]
     draws = np.concatenate(map_replicas(fn, rng, sizes))

@@ -17,9 +17,9 @@ def configurations(min_entries: int = 1, max_entries: int = 6):
 
 
 # Rate models of both kinds over random admissible parameters.
-_RATE = st.floats(0.01, 10.0)
-_RHO = st.floats(0.01, 0.99)
+RATE = st.floats(0.01, 10.0)
+RHO = st.floats(0.01, 0.99)
 MODELS = st.one_of(
-    st.builds(UniformModel, lam=_RATE, b=_RATE, rho=_RHO, kernel=st.just(UniformKernel())),
-    st.builds(LogisticModel, b=_RATE, rho=_RHO, d=_RATE, c=_RATE,
+    st.builds(UniformModel, lam=RATE, b=RATE, rho=RHO, kernel=st.just(UniformKernel())),
+    st.builds(LogisticModel, b=RATE, rho=RHO, d=RATE, c=RATE,
               kernel=st.just(UniformKernel())))

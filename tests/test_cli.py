@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qsdsim import __version__, cli
 from qsdsim.cli import main
@@ -391,12 +396,23 @@ def test_compare_refuses_a_file_that_is_no_artifact(text, error, tmp_path, capsy
     assert not out.exists()
 
 
-def test_compare_refuses_a_nan_entry(tmp_path, capsys):
-    # abs(nan - 1) > 1e-9 is False, so the sum check alone once let it through
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"nu": [NaN, 1.0]}\n')
-    assert main(["compare", str(bad), str(bad), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: vectors must have nonnegative entries")
+@pytest.mark.parametrize("bad_is", ["a", "b"])
+@pytest.mark.parametrize("entries, shown", [("[NaN, 1.0]", "nan"), ("[-0.5, 1.5]", "-0.5"),
+                                            ("[Infinity, 0.0]", "inf")],
+                         ids=["nan", "negative", "inf"])
+def test_compare_names_the_file_behind_a_bad_vector_entry(entries, shown, bad_is, tmp_path,
+                                                          capsys):
+    # tv_distance refuses these too, but its error named neither file; and
+    # abs(nan - 1) > 1e-9 is False, so its sum check alone once let NaN through
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"nu": [0.5, 0.5]}\n')
+    bad.write_text(f'{{"nu": {entries}}}\n')
+    pair = (bad, good) if bad_is == "a" else (good, bad)
+    out = tmp_path / "out"
+    assert main(["compare", *map(str, pair), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: the vector to compare must have nonnegative finite entries, got {shown}")
+    assert not out.exists()
 
 
 def test_compare_refuses_artifacts_of_different_models(tmp_path, capsys):
@@ -558,3 +574,70 @@ def test_only_the_cli_freezes_the_heap_its_imports_built(module, frozen):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert (int(proc.stdout) > 0) is frozen
+
+
+def _finite_json(path):
+    def refuse(constant):
+        raise AssertionError(f"{path} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+_SMALL = st.floats(0.05, 2.0)
+_MODEL_KEYS = st.one_of(
+    st.fixed_dictionaries({"model.kind": st.just("uniform"), "model.lambda": _SMALL,
+                           "model.b": _SMALL}),
+    st.fixed_dictionaries({"model.kind": st.just("logistic"), "model.b": _SMALL,
+                           "model.d": _SMALL, "model.c": _SMALL}))
+_KERNEL_KEYS = st.one_of(
+    st.just({"kernel.family": "uniform"}),
+    st.fixed_dictionaries({"kernel.family": st.just("truncated_gaussian"),
+                           "kernel.scale": st.floats(1e-3, 10.0)}))
+# a small config of either model and kernel; rho and burn_in may fall
+# outside their regimes, and every run key is bounded so that a run stays short
+_RUN_KEYS = st.fixed_dictionaries({
+    "model.rho": st.floats(0.0, 1.0),
+    "run.seed": st.integers(0, 2**32 - 1),
+    "run.replicas": st.integers(1, 60),
+    "run.horizon": st.floats(0.01, 1.5),
+    "run.particles": st.integers(2, 30),
+    "run.burn_in": st.floats(0.0, 1.5),
+    "run.snapshot_interval": st.floats(0.05, 1.0),
+    "run.truncation": st.integers(2, 80),
+    "run.tv_tol": st.floats(1e-6, 1.0),
+    "run.theta_tol": st.floats(1e-6, 1.0),
+    "run.engine": st.sampled_from(["gillespie", "thinning"]),
+    "run.initial_mass": st.integers(1, 5),
+}, optional={"run.grid": st.lists(st.floats(0.01, 1.5), min_size=1, max_size=3,
+                                  unique=True).map(lambda ts: ", ".join(map(repr, sorted(ts))))})
+_SWEEP_CONFIGS = st.tuples(_MODEL_KEYS, _KERNEL_KEYS, _RUN_KEYS).map(
+    lambda parts: {k: v for part in parts for k, v in part.items()})
+
+
+@seed(33)
+@settings(max_examples=150, deadline=None)
+@given(subcommand=st.sampled_from(cli.SUBCOMMANDS), keys=_SWEEP_CONFIGS)
+def test_every_subcommand_ends_in_a_result_or_a_named_error(subcommand, keys):
+    # exit 0, a FAIL verdict of validate or compare (2), or one error: line
+    # (1); never a traceback, and never a NaN or an infinity in an artifact
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = root / "run.cfg"
+        config.write_text("".join(f"{name} = {value}\n" for name, value in keys.items()))
+        argv = [subcommand, "--config", str(config), "--out", str(root / "out")]
+        if subcommand == "compare":
+            # an oracle against one of a different truncation
+            for name, truncation in (("a", "2"), ("b", str(keys["run.truncation"]))):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    main(["oracle", "--config", str(config), "--truncation", truncation,
+                          "--out", str(root / name)])
+            argv += [str(root / "a" / "oracle.json"), str(root / "b" / "oracle.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(argv)
+        if status == 1:
+            assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+        else:
+            assert status == 0 or (status == 2 and subcommand in ("validate", "compare"))
+        for path in root.rglob("*.json"):
+            _finite_json(path)

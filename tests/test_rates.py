@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qsdsim.configuration import Configuration
@@ -14,7 +14,8 @@ from qsdsim.rates import (LogisticModel, RateModel, UniformModel, individual_at,
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import UniformKernel
 
-from strategies import MODELS, configurations
+from ensembles import CountingDeaths
+from strategies import MODELS, RATE, RHO, configurations
 
 ETA = Configuration.from_pairs(((0.25, 2), (0.75, 1)))
 
@@ -160,6 +161,50 @@ def test_rate_table_rows_are_state_rates_bit_for_bit(m, config, other):
     for c in (config, other, void, config):
         assert _bits(table[c.total_mass]) == _bits(m.state_rates(c))
         assert table[c.total_mass][3] == m.total_jump_rate(c)
+
+
+# Reads of one table in a drawn order: a scalar row, d(n), or the columns
+# at an array of masses, which may reach far past the table's width
+_READS = st.lists(st.one_of(
+    st.tuples(st.just("row"), st.integers(0, 60)),
+    st.tuples(st.just("death"), st.integers(1, 60)),
+    st.tuples(st.just("columns"), st.lists(st.integers(1, 500), min_size=1, max_size=6))),
+    min_size=1, max_size=12)
+_COUNTING = st.builds(CountingDeaths, b=RATE, rho=RHO, d=RATE, c=RATE,
+                      kernel=st.just(UniformKernel()))
+
+
+@seed(32)
+@settings(max_examples=300, deadline=None)
+@given(m=st.one_of(MODELS, _COUNTING), reads=_READS)
+def test_every_read_of_the_rate_table_gives_the_model_rates_filled_once(m, reads):
+    table = m.rate_table()
+    got = []
+    for kind, n in reads:
+        if kind == "row":
+            got.append(table[n])
+        elif kind == "death":
+            got.append(table.death(n))
+        else:
+            got.append(table(np.array(n)).copy())
+    if isinstance(m, CountingDeaths):
+        # every mass read at n >= 1, each evaluated once, however it was first read
+        reached = {k for kind, n in reads for k in (n if kind == "columns" else [n]) if k}
+        assert sorted(m.masses) == sorted(reached)
+    def state_rates(n):
+        return m.state_rates(Configuration.from_pairs(((0.5, n),)))
+
+    for (kind, n), value in zip(reads, got):
+        if kind == "row":
+            assert all(type(x) is float for x in value)
+            assert _bits(value) == _bits(state_rates(n))
+        elif kind == "death":
+            assert type(value) is float
+            assert struct.pack("d", value) == struct.pack("d", m.per_capita_death(n))
+        else:
+            # n b, n d(n), the total and d(n)
+            assert value.T.tolist() == [[k * m.b, state_rates(k)[1], state_rates(k)[3],
+                                         m.per_capita_death(k)] for k in n]
 
 
 @dataclasses.dataclass(frozen=True)

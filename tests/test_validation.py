@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qsdsim import simulator, validation
 from qsdsim.configuration import Configuration
 from qsdsim.errors import InvalidRegime
-from qsdsim.rates import LogisticModel, UniformModel
+from qsdsim.rates import LogisticModel, RateTable, UniformModel
 from qsdsim.simulator import Runs
 from qsdsim.streams import RandomStream
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel
@@ -161,13 +161,28 @@ def test_indicator_generator_lives_next_to_its_mass(model, config, k):
                    st.builds(BoundedCustom, st.lists(st.floats(-5.0, 5.0), min_size=1,
                                                      max_size=8).map(lambda v: (0.0, *v)))))
 def test_table_generator_is_the_one_entry_generator_bit_for_bit(model, top, trait, f):
-    rates = simulator._MassRates(model, top)
+    rates = model.rate_table()
     rates(np.arange(1, top + 1))
     values, drift = _by_mass(f, rates)
     assert drift[0] == 0.0
     assert drift[1:].tolist() == [generator_apply(model, f, Configuration(((trait, k),)))
                                   for k in range(1, top + 1)]
     assert values.tolist() == [f.value_at_mass(k) for k in range(top + 2)]
+
+
+class _DeadAtThree(UniformModel):
+    """Uniform rates but for d(3) = 0, against the contract."""
+
+    def per_capita_death(self, n):
+        return self.lam * (n != 3)
+
+
+def test_generator_apply_refuses_a_death_rate_that_is_not_positive():
+    # it reads d(n) through the guard every engine and the oracle read it through
+    model = _DeadAtThree(lam=2.0, b=1.0, rho=0.3, kernel=UniformKernel())
+    assert generator_apply(model, Mass(), Configuration.from_pairs(((0.5, 2),))) == -2.0
+    with pytest.raises(InvalidRegime, match=r"per_capita_death\(3\) = 0\.0 must be positive"):
+        generator_apply(model, Mass(), Configuration.from_pairs(((0.5, 3),)))
 
 
 def test_martingale_residual_at_time_zero(uniform_model):
@@ -355,15 +370,15 @@ def test_the_battery_fails_a_stepper_whose_death_rates_are_too_high(uniform_mode
                                                                      logistic_model, monkeypatch):
     # the stepper reads d(n) x 1.2 while L f reads the true table, so the
     # paths are not those of the generator the martingale checks apply
-    true_rates = simulator._MassRates.__call__
+    true_rates = RateTable.__call__
 
     def faulty(self, n):
         r = true_rates(self, n).copy()
-        r[2] *= 1.2
-        r[3] = r[0] + r[2]
+        r[1] *= 1.2
+        r[2] = r[0] + r[1]
         return r
 
-    monkeypatch.setattr(simulator._MassRates, "__call__", faulty)
+    monkeypatch.setattr(RateTable, "__call__", faulty)
     for model in (uniform_model, logistic_model):
         for seed in (21, 22, 23):
             checks = run_validation_checks(model, RandomStream(seed), replicas=1000)
@@ -505,14 +520,14 @@ def test_lockstep_from_any_start_mass_ends_as_the_reference_chunk(
     want = mass_chunk(_reading(model, read), t, (), False, RandomStream(seed).generator(),
                       (50, Runs.of((initial,) * 50)))
     mass, last = np.full(50, start), np.zeros(50)
-    rates = simulator._MassRates(model, start)
+    rates = model.rate_table()
     rounds = simulator._lockstep(mass, last, t, rates, RandomStream(seed).generator())
     assert sum(lane.size for lane, *_ in rounds) == want.events
     # each lane leaves with the mass after its last jump, and that jump's time
     assert mass.tolist() == want.final.tolist()
     assert last.tolist() == want.last.tolist()
     # the table's filled masses are the masses the reference read
-    assert np.flatnonzero(rates.by_mass[3]).tolist() == sorted(read)
+    assert np.flatnonzero(rates.by_mass[2]).tolist() == sorted(read)
 
 
 def test_lockstep_checks_over_several_chunks_give_the_reference_chunks(logistic_model,
