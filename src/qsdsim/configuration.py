@@ -150,7 +150,7 @@ def _successor(entries: tuple[tuple[TraitPoint, int], ...], total_mass: int) -> 
 
 
 def parse_configuration(text: str) -> Configuration:
-    """Configuration of the text "w1@t1;w2@t2;...", "0" being the void one.
+    """Configuration of the text "w1@t1;w2@t2;...", each w at least 1, "0" being the void one.
 
     A line of :func:`~qsdsim.qsd.write_sample_csv` carries that text after
     its weight, with 17-significant-digit traits, so it parses back bit-exactly.
@@ -163,5 +163,7 @@ def parse_configuration(text: str) -> Configuration:
         weight_part, sep, trait_part = item.partition("@")
         if not sep:
             raise ValueError(f"malformed configuration entry {item!r}")
-        pairs.append((float(trait_part), int(weight_part)))
+        if (weight := int(weight_part)) < 1:
+            raise ValueError(f"weight {weight} in entry {item!r} must be at least 1")
+        pairs.append((float(trait_part), weight))
     return Configuration.from_pairs(pairs)

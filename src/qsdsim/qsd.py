@@ -57,7 +57,6 @@ class QsdEstimate:
     events: int = 0
     resurrections: int | None = None
     _masses: np.ndarray = field(init=False, repr=False)
-    _cumw: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=float)
@@ -73,7 +72,6 @@ class QsdEstimate:
             raise ValueError("estimate puts weight on the void configuration")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_masses", masses)
-        object.__setattr__(self, "_cumw", np.cumsum(weights))
 
     @property
     def mass_marginal(self) -> np.ndarray:
@@ -95,11 +93,6 @@ class QsdEstimate:
         """1/sum of squared weights over the merged configurations: an inverse
         Simpson index of the estimated law, not an effective sample size."""
         return float(1.0 / np.square(self.weights).sum())
-
-    def draw(self, rng: np.random.Generator) -> Configuration:
-        """One configuration sampled proportionally to weight."""
-        idx = int(np.searchsorted(self._cumw, rng.random(), side="right"))
-        return self.configurations[min(idx, len(self.configurations) - 1)]
 
 
 def _estimate_from_counts(counts: dict[tuple, int], burn_in: float,
@@ -158,8 +151,8 @@ def yaglom_estimate(model: RateModel, initial, t: float, replicas: int,
     k runs mass paths (:func:`~qsdsim.simulator.mass_paths`) on
     ``rng.substream(k)``; traits are drawn only for each stage's
     survivors. The first stage starts ``replicas`` replicas from
-    ``initial``, a configuration or anything with a
-    ``draw(rng) -> Configuration`` method. Each later stage starts from
+    ``initial``, a configuration or :class:`~qsdsim.simulator.Runs` with
+    one row per replica. Each later stage starts from
     the S survivors of the one before, each copied ``replicas // S``
     times. Every survivor gets the same number of copies, so the final
     survivors keep equal weights and estimate the law conditioned on
@@ -305,10 +298,12 @@ def decay_rate_from_survival(curve: Iterable[tuple[float, float, float]]) -> tup
 
     Points with survival outside [0.05, 0.95] are dropped: early points
     carry transient bias, late ones log-of-small-counts noise. Weighted
-    least squares with delta-method variances; unweighted when the
-    curve is noiseless. A curve without 3 points in the window raises
-    WindowTooSmall, one at survival 1 or 0 everywhere included: nothing
-    dying, or everything dead, says nothing about the rate.
+    least squares with delta-method variances, so every point in the
+    window needs a positive standard error, as a binomial one at a
+    survival in [0.05, 0.95] is; a point at SE 0 raises ValueError. A
+    curve without 3 points in the window raises WindowTooSmall, one at
+    survival 1 or 0 everywhere included: nothing dying, or everything
+    dead, says nothing about the rate.
     """
     points = [(float(t), float(p), float(se)) for t, p, se in curve]
     admissible = [(t, p, se) for t, p, se in points if 0.05 <= p <= 0.95]
@@ -319,19 +314,16 @@ def decay_rate_from_survival(curve: Iterable[tuple[float, float, float]]) -> tup
     ts = np.array([t for t, _, _ in admissible])
     ys = -np.log(np.array([p for _, p, _ in admissible]))
     ses = np.array([se / p for _, p, se in admissible])
-    if np.all(ses > 0.0):
-        w = 1.0 / np.square(ses)
-        tbar = float(np.sum(w * ts) / np.sum(w))
-        ybar = float(np.sum(w * ys) / np.sum(w))
-        sxx = float(np.sum(w * np.square(ts - tbar)))
-        slope = float(np.sum(w * (ts - tbar) * (ys - ybar)) / sxx)
-        return slope, math.sqrt(1.0 / sxx)
-    tbar = float(ts.mean())
-    sxx = float(np.square(ts - tbar).sum())
-    slope = float(np.sum((ts - tbar) * (ys - ys.mean())) / sxx)
-    resid = ys - ys.mean() - slope * (ts - tbar)
-    sigma2 = float(np.square(resid).sum()) / (len(ts) - 2)
-    return slope, math.sqrt(sigma2 / sxx)
+    noiseless = ~(ses > 0.0)
+    if noiseless.any():
+        raise ValueError(f"survival at t={float(ts[noiseless][0])!r} has no positive standard"
+                         " error, which the weighted fit needs")
+    w = 1.0 / np.square(ses)
+    tbar = float(np.sum(w * ts) / np.sum(w))
+    ybar = float(np.sum(w * ys) / np.sum(w))
+    sxx = float(np.sum(w * np.square(ts - tbar)))
+    slope = float(np.sum(w * (ts - tbar) * (ys - ybar)) / sxx)
+    return slope, math.sqrt(1.0 / sxx)
 
 
 def decay_rate_from_singletons(model: RateModel, est: QsdEstimate) -> float:

@@ -33,8 +33,8 @@ class RateModel(ABC):
     depends on a trait, so the exact steppers draw a jump's kind from the
     per-kind totals of :meth:`state_rates` and then a uniform individual
     (:func:`individual_at`). Every engine reads d(n) through
-    :meth:`death_at`, which raises InvalidRegime where it is not positive,
-    and checks ``b`` and ``rho`` once per run through :meth:`check_regime`.
+    :meth:`death_at`, which raises InvalidRegime where it is not positive.
+    A model must not change: its one :meth:`rate_table` keeps its rates.
     """
 
     b: float
@@ -91,7 +91,7 @@ class RateModel(ABC):
         return self.per_capita_death(1)
 
     def check_regime(self) -> None:
-        """Raise InvalidRegime unless b > 0 and 0 < rho < 1; engines call it as a run starts."""
+        """Raise InvalidRegime unless b > 0 and 0 < rho < 1; :meth:`rate_table` calls it."""
         _check(self.rho, b=self.b)
 
     def _row(self, n, death):
@@ -116,12 +116,15 @@ class RateModel(ABC):
         return self.state_rates(config)[3]
 
     def rate_table(self) -> RateTable:
-        """The mass rates by total mass, each mass filled on its first read.
+        """The model's one table of mass rates by total mass, built on first use.
 
-        Raises InvalidRegime as :meth:`check_regime` does.
+        Every run on the model fills and reads it, so d(n) is evaluated once
+        per mass. Building it raises InvalidRegime as :meth:`check_regime` does.
         """
-        self.check_regime()
-        return RateTable(self)
+        if "_rate_table" not in self.__dict__:
+            self.check_regime()
+            self.__dict__["_rate_table"] = RateTable(self)
+        return self.__dict__["_rate_table"]
 
     def death_bound(self, config: Configuration) -> float:
         """Upper bound for the per-individual death rate at this state: the rate itself."""
@@ -134,7 +137,7 @@ class RateModel(ABC):
 
 
 class RateTable(dict):
-    """A rate model's rates by total mass, for every engine, filled on first read.
+    """A rate model's one table of rates by total mass, which every run on it fills and reads.
 
     ``table[n]`` is :meth:`RateModel.state_rates`' row in Python floats,
     ``table.death(n)`` is d(n), and ``table(masses)`` takes the columns of

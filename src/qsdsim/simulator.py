@@ -523,24 +523,21 @@ def _mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
 
     ``rng`` is the chunk's one generator and ``part`` its ``(size,
     initial)``: the replica count and either one configuration that
-    every replica starts from, or :class:`Runs` with one start per
-    replica, or a law whose ``draw(rng)`` gives each start. The chunk is
-    the unit of both the stream and the lockstep: each round of its one
-    :func:`_lockstep` run draws the live replicas' holding times, then a
-    uniform each for the up steps, from ``rng``. With ``survivors`` the
-    steps are kept, and the replicas alive at t_end get their traits
-    from one :func:`_urns` call, which draws from ``rng`` after the mass
-    chain, in the order of running the survivors one after another in
-    replica order.
+    every replica starts from or :class:`Runs` with one start per
+    replica. The chunk is the unit of both the stream and the lockstep:
+    each round of its one :func:`_lockstep` run draws the live replicas'
+    holding times, then a uniform each for the up steps, from ``rng``.
+    With ``survivors`` the steps are kept, and the replicas alive at
+    t_end get their traits from one :func:`_urns` call, which draws from
+    ``rng`` after the mass chain, in the order of running the survivors
+    one after another in replica order.
     """
     size, initial = part
     # replica i starts from row rows[i] of starts
-    if isinstance(initial, Configuration):
-        starts, rows = Runs.of((initial,)), np.zeros(size, dtype=np.intp)
+    if isinstance(initial, Runs):
+        starts, rows = initial, np.arange(size)
     else:
-        starts = (initial if isinstance(initial, Runs)
-                  else Runs.of([initial.draw(rng) for _ in range(size)]))
-        rows = np.arange(size)
+        starts, rows = Runs.of((initial,)), np.zeros(size, dtype=np.intp)
     start = starts.masses()[rows]
     mass, last = start.copy(), np.zeros(size)
     at = np.full((size, len(checkpoints)), -1, dtype=np.int64)
@@ -583,13 +580,13 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
 
     Every :class:`~qsdsim.rates.RateModel` is trait-blind, so the mass is
     a birth-death chain on its own, stepped on ``model.rate_table()``.
-    ``initial`` is a configuration, :class:`Runs` with one row per
-    replica (replica r starts from row r), or anything with a
-    ``draw(rng) -> Configuration`` method, drawn once per replica.
-    Replicas run in chunks of :data:`CHUNK`, one :func:`_mass_chunk`
-    lockstep each, all through :func:`~qsdsim.streams.map_replicas`, and
-    chunk c draws from ``rng.substream(c)``: a chunk is the unit of both
-    the random stream and the lockstep. Checkpoints may come in any order but must lie
+    ``initial`` is a configuration or :class:`Runs` with one row per
+    replica (replica r starts from row r); anything else raises
+    TypeError. Replicas run in chunks of :data:`CHUNK`, one
+    :func:`_mass_chunk` lockstep each, all through
+    :func:`~qsdsim.streams.map_replicas`, and chunk c draws from
+    ``rng.substream(c)``: a chunk is the unit of both the random stream
+    and the lockstep. Checkpoints may come in any order but must lie
     within [0, t_end]. With ``survivors`` the result also carries the
     configurations of the replicas alive at t_end as :class:`Runs`, their
     traits drawn by the urn.
@@ -598,6 +595,9 @@ def mass_paths(model: RateModel, initial, t_end: float, replicas: int, rng: Rand
         raise ValueError("replicas must be positive")
     if not t_end >= 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end!r}")
+    if not isinstance(initial, (Configuration, Runs)):
+        raise TypeError("initial must be a Configuration or Runs with one row per replica,"
+                        f" got {type(initial).__name__}")
     if isinstance(initial, Runs) and len(initial.support) != replicas:
         raise ValueError(f"need one start per replica, got {len(initial.support)} for {replicas}")
     checkpoints = tuple(float(c) for c in checkpoints)

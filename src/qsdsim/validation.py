@@ -124,16 +124,15 @@ def exp_mass_drift_bound(model: RateModel, a: float) -> float:
     return model.birth_sup * (math.exp(a) - 1.0) + model.death_inf * (math.exp(-a) - 1.0)
 
 
-def _by_mass(f: TestFunction, rates: RateTable) -> tuple[np.ndarray, np.ndarray]:
-    """f and L f by mass, up to the largest mass ``rates`` has filled.
+def _by_mass(f: TestFunction, rates: RateTable, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """f and L f by mass up to ``top``, the largest mass the caller reached, f one further.
 
     L f at mass n is birth (f(n+1) - f(n)) + death (f(n-1) - f(n)) from
     the table's columns, which is :func:`generator_apply` on a one-entry
     configuration bit for bit. It reads 0 at mass 0 and at every mass not
     filled, where both rates are 0.
     """
-    birth, death, total, _ = rates.by_mass
-    top = int(np.flatnonzero(total).max(initial=0))
+    birth, death = rates.by_mass[:2]
     values = np.array([f.value_at_mass(k) for k in range(top + 2)])
     drift = np.zeros(top + 1)
     drift[1:] = (birth[1:top + 1] * (values[2:] - values[1:-1])
@@ -149,7 +148,9 @@ def _martingale_chunk(model: RateModel, f: TestFunction, initial: Configuration,
     rates = model.rate_table()
     steps = [(lane, hold, before) for lane, _, hold, _, before, _
              in _lockstep(mass, last, t, rates, rng)]
-    values, drift = _by_mass(f, rates)
+    # the largest mass a replica held: before one of its jumps, or at the end
+    top = max([int(mass.max()), *(int(before.max()) for _, _, before in steps)])
+    values, drift = _by_mass(f, rates, top)
     integral = np.zeros(size)
     for lane, hold, before in steps:
         integral[lane] += hold * drift[before]

@@ -1,6 +1,7 @@
 """Helpers the tests share: hitting tails, the per-entry Gillespie branch, the
-lockstep routes' references, configurations from run-length arrays, their text
-form and a rate model that logs its death-rate evaluations.
+lockstep routes' references, starts drawn from an estimated law, configurations
+from run-length arrays, their text form and a rate model that logs its
+death-rate evaluations.
 
 ``urn`` runs one survivor at a time; ``mass_chunk`` and
 ``martingale_chunk`` draw as a chunk of the package does but evaluate
@@ -18,6 +19,7 @@ import numpy as np
 
 from qsdsim import simulator
 from qsdsim.configuration import Configuration
+from qsdsim.qsd import QsdEstimate
 from qsdsim.rates import LogisticModel, RateModel
 from qsdsim.simulator import EventKind, Runs, _urns
 from qsdsim.streams import RandomStream, map_replicas
@@ -37,6 +39,19 @@ class CountingDeaths(LogisticModel):
     def per_capita_death(self, n):
         self.masses.extend(np.ravel(n).tolist())
         return super().per_capita_death(n)
+
+
+def law_starts(est: QsdEstimate, replicas: int, rng: np.random.Generator) -> Runs:
+    """``replicas`` starts drawn from the law of ``est``, one row each, in one draw.
+
+    Start r is the first configuration whose cumulative weight passes
+    uniform r of one ``rng.random(replicas)`` call; a uniform that float
+    rounding puts past the last cumulative weight takes the last
+    configuration.
+    """
+    cumulative = np.cumsum(est.weights)
+    rows = np.searchsorted(cumulative, rng.random(replicas), side="right")
+    return Runs.of(est.configurations).take(np.minimum(rows, len(cumulative) - 1))
 
 
 def configurations(runs: Runs) -> tuple[Configuration, ...]:
@@ -120,8 +135,7 @@ def reference_chunks(model: RateModel, initial, t_end: float, replicas: int,
         initial = Runs.of((initial,) * replicas)
     chunk = partial(mass_chunk, model, float(t_end), tuple(checkpoints), survivors)
     size = simulator.CHUNK
-    work = [(min(size, replicas - a),
-             initial.rows(a, a + size) if isinstance(initial, Runs) else initial)
+    work = [(min(size, replicas - a), initial.rows(a, a + size))
             for a in range(0, replicas, size)]
     return map_replicas(chunk, rng, work)
 
@@ -184,9 +198,7 @@ def mass_chunk(model: RateModel, t_end: float, checkpoints: tuple[float, ...],
     keeps the running maximum of each replica's mass up to the horizon,
     and its last jump time.
     """
-    size, initial = part
-    starts = (initial if isinstance(initial, Runs)
-              else Runs.of([initial.draw(rng) for _ in range(size)]))
+    size, starts = part
     start = starts.masses()
     mass = start.copy()
     maximum = start.copy()

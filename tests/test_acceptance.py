@@ -26,7 +26,7 @@ from qsdsim.validation import (Indicator, Mass, chi2_threshold, comparison_expon
                                lyapunov_check, martingale_residual)
 
 from closed_forms import bd_qsd
-from ensembles import hitting_tail
+from ensembles import hitting_tail, law_starts
 from homogeneity import mass_histogram, two_sample_chi2
 
 
@@ -61,8 +61,9 @@ def test_criterion_01_oracle_matches_geometric_closed_form(uniform_model, verdic
 def test_criterion_02_decay_rate_from_survival_slope(uniform_model, fv_estimate,
                                                       verdict):
     grid = tuple(np.arange(0.25, 3.0, 0.25))
-    curve = survival_curve(uniform_model, fv_estimate, grid, 200_000,
-                           RandomStream(201))
+    # the starts take the root stream's uniforms, the chunks its substreams
+    starts = law_starts(fv_estimate, 200_000, RandomStream(201).generator())
+    curve = survival_curve(uniform_model, starts, grid, 200_000, RandomStream(201))
     slope, stderr = decay_rate_from_survival(curve)
     ok = abs(slope - 1.0) <= 0.05
     verdict(2, "survival slope from stationary start", ok,
@@ -93,8 +94,9 @@ def test_criterion_04_estimators_agree_with_each_other_and_truth(
 
 def test_criterion_05_conditioned_evolution_is_a_fixed_point(uniform_model,
                                                              fv_estimate, verdict):
-    evolved = yaglom_estimate(uniform_model, fv_estimate, 1.0, 200_000,
-                              RandomStream(501))
+    # the starts take the root stream's uniforms, the stages its substreams
+    starts = law_starts(fv_estimate, 200_000, RandomStream(501).generator())
+    evolved = yaglom_estimate(uniform_model, starts, 1.0, 200_000, RandomStream(501))
     tv = tv_distance(evolved.mass_marginal, fv_estimate.mass_marginal)
     ok = tv <= 0.05
     verdict(5, "evolve-and-condition stability", ok,

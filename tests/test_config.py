@@ -185,6 +185,15 @@ def test_build_initial_default_and_explicit():
         resolve_config({**UNIFORM_LINES, "run.initial": "not-a-configuration"})
 
 
+@pytest.mark.parametrize("text", ["0@0.5", "-1@0.5;2@0.5", "2@0.5;-2@0.5"],
+                         ids=["zero", "negative-merged", "cancelling"])
+def test_run_initial_refuses_a_weight_below_one(text):
+    # each once ran with exit 0: from a void start, from mass 1 and from a void start
+    with pytest.raises(ConfigError, match="run.initial: weight .* must be at least 1"):
+        resolve_config({**UNIFORM_LINES, "run.initial": text})
+    assert resolve_config({**UNIFORM_LINES, "run.initial": "0"}).build_initial().is_void
+
+
 def test_hash_ignores_output_plumbing():
     base = resolve_config(UNIFORM_LINES)
     moved = resolve_config({**UNIFORM_LINES, "output.directory": "elsewhere",

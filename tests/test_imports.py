@@ -15,7 +15,10 @@ default that every caller takes is a constant, not an option.
 :data:`KNOBS` lists the ones kept on purpose, each with its reason.
 The fourth runs every subcommand under a profiler and reports a function
 under ``src/`` that no run enters; :data:`NEVER_ENTERED` lists the ones
-kept on purpose, each with its reason.
+kept on purpose, each with its reason. An entry of the three lists whose
+reason cites perfbench must still be pinned there: by a name that
+``perfbench/tracer.py`` patches, or by an import time that
+``BENCHMARK.json`` names.
 """
 
 import ast
@@ -33,7 +36,8 @@ MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
 PACKAGE = ROOT / "src" / "qsdsim"
 
 _TRACED = "perfbench/tracer.py patches it by name"
-_ITEM_1 = "moves to tests/ with the benchmark change of ROADMAP item 1"
+_ITEM_1 = ("perfbench times the scipy.stats import that it alone needs; it moves to tests/"
+           " with the benchmark change of ROADMAP item 1")
 # Functions under src/ that no module there reads, kept on purpose.
 KEPT = {
     "cli._Parser.error": "argparse calls it on a usage error",
@@ -258,7 +262,6 @@ NEVER_ENTERED = {
     "coupling.coupled_path": _PINNED,
     "coupling.coupled_rates": _PINNED,
     "coupling.step_coupled": _PINNED,
-    "qsd.QsdEstimate.draw": "criteria 02 and 05 start replicas from an estimated law",
     "rates.RateModel.clonal_rate": _TRACED,
     "rates.RateModel.death_bound": _TRACED,
     "rates.RateModel.death_rate": _TRACED,
@@ -368,3 +371,58 @@ def test_the_cli_enters_every_function_under_src_but_the_listed_ones(tmp_path):
                for qual, _ in _defined(ast.parse(path.read_text()).body, "")}
     assert sorted(defined - entered) == sorted(NEVER_ENTERED)
 
+
+# The import time that BENCHMARK.json names for a pinned function, by the
+# prefix of its name; every other pin is a name that the tracer patches.
+_TIMED_IMPORTS = {"coupling.": "qsdsim.coupling.import_s",
+                  "validation.chi2_threshold": "scipy.stats.import_s"}
+
+
+def patched_names(source: str) -> set[str]:
+    """Attribute names a tracer source patches through ``p``, ``patch`` or ``replace``.
+
+    A call's second argument is the name; where it is the variable of a
+    ``for`` loop over a tuple of strings, every string of the tuple is.
+    """
+    def patches(node: ast.AST) -> bool:
+        func = getattr(node, "func", None)
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return called in ("p", "patch", "replace") and len(node.args) >= 2
+
+    tree = ast.parse(source)
+    names = {node.args[1].value for node in ast.walk(tree) if patches(node)
+             and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)}
+    for loop in ast.walk(tree):
+        if not (isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)
+                and isinstance(loop.iter, ast.Tuple)):
+            continue
+        if any(patches(node) and isinstance(node.args[1], ast.Name)
+               and node.args[1].id == loop.target.id for node in ast.walk(loop)):
+            names |= {e.value for e in loop.iter.elts if isinstance(e, ast.Constant)}
+    return names
+
+
+def test_the_patch_scan_reads_calls_and_loops():
+    source = ("p(cli, 'a', 'x', 'cli')\n"
+              "for attr in ('b', 'c'):\n    p(K, attr, 'y', 'rates')\n"
+              "for other in ('d',):\n    print(other)\n"
+              "tracer.replace(m, 'e', make)\n")
+    assert patched_names(source) == {"a", "b", "c", "e"}
+
+
+def test_every_pin_that_cites_perfbench_is_still_pinned_there():
+    # reads perfbench and BENCHMARK.json, changes neither; once the benchmark
+    # frees a pin, this names the code to delete
+    timed = {metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())[
+        "per_layer"]}
+    patched = patched_names((ROOT / "perfbench" / "tracer.py").read_text())
+    pins = {(name, table) for table, entries in (("KEPT", KEPT), ("KNOBS", KNOBS),
+                                                 ("NEVER_ENTERED", NEVER_ENTERED))
+            for name, reason in entries.items() if "perfbench" in reason}
+    freed = []
+    for name, table in sorted(pins):
+        imports = [metric for prefix, metric in _TIMED_IMPORTS.items() if name.startswith(prefix)]
+        if not (set(imports) <= timed if imports
+                else name.split("(")[0].split(".")[-1] in patched):
+            freed.append(f"{table}: {name}")
+    assert len(pins) > 10 and freed == []

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from qsdsim.streams import RandomStream
 from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, make_kernel, sample_base
 
 from closed_forms import bd_qsd
-from ensembles import configurations, per_entry_branch, reference_chunks, serialize
+from ensembles import configurations, law_starts, per_entry_branch, reference_chunks, serialize
 
 ONE = Configuration.singleton(0.2)
 TWO = Configuration.from_pairs(((0.4, 2),))
@@ -62,13 +63,16 @@ def test_estimate_marginals_and_ess():
 
 
 def test_estimate_draw_follows_weights():
+    # starts drawn from an estimate's law, as criteria 02 and 05 draw them
     est = _hand_estimate()
-    rng = RandomStream(3).generator()
-    hits = {c: 0 for c in est.configurations}
-    for _ in range(30_000):
-        hits[est.draw(rng)] += 1
+    starts = law_starts(est, 30_000, RandomStream(3).generator())
+    hits = Counter(configurations(starts))
+    assert set(hits) == {ONE, TWO, THREE} and sum(hits.values()) == 30_000
     assert hits[ONE] / 30_000 == pytest.approx(0.5, abs=0.01)
     assert hits[THREE] / 30_000 == pytest.approx(0.2, abs=0.01)
+    # a uniform past the last cumulative weight, which rounding allows, takes the last one
+    edge = SimpleNamespace(random=lambda size: np.array([0.0, 0.5, 0.8, 1.0]))
+    assert configurations(law_starts(est, 4, edge)) == (ONE, TWO, THREE, THREE)
 
 
 def test_yaglom_at_time_zero_is_point_mass(uniform_model):
@@ -181,11 +185,12 @@ def _same_estimate(got, want):
 
 
 def test_yaglom_from_a_law_gives_the_stagewise_reference_bit_for_bit(uniform_model):
-    # criterion 05 starts Yaglom from an estimate, whose draw gives each start;
-    # the reference copies the survivors as configurations and counts them
-    law, replicas, rng = _hand_estimate(), 3000, RandomStream(5)
-    est = yaglom_estimate(uniform_model, law, 2.0, replicas, rng)
-    first, = reference_chunks(uniform_model, law, 1.0, replicas, rng.substream(0),
+    # criterion 05 starts Yaglom from starts drawn from an estimate; the
+    # reference copies the survivors as configurations and counts them
+    replicas, rng = 3000, RandomStream(5)
+    starts = law_starts(_hand_estimate(), replicas, rng.generator())
+    est = yaglom_estimate(uniform_model, starts, 2.0, replicas, rng)
+    first, = reference_chunks(uniform_model, starts, 1.0, replicas, rng.substream(0),
                               survivors=True)
     kept = configurations(first.survivors)
     copies = replicas // len(kept)
@@ -453,11 +458,18 @@ def test_fleming_viot_takes_every_snapshot_of_a_non_dyadic_interval(logistic_mod
 
 
 def test_decay_rate_on_noiseless_curve():
+    # a binomial SE in the window is positive, so a point at SE 0 is no survival estimate
     ts = np.arange(0.1, 3.0, 0.2)
     curve = [(t, math.exp(-t), 0.0) for t in ts]
-    slope, stderr = decay_rate_from_survival(curve)
+    with pytest.raises(ValueError, match="no positive standard error"):
+        decay_rate_from_survival(curve)
+    # one such point among noisy ones is refused too
+    noisy = [(t, p, 0.01) for t, p, _ in curve]
+    noisy[5] = curve[5]
+    with pytest.raises(ValueError, match=f"t={float(ts[5])!r}"):
+        decay_rate_from_survival(noisy)
+    slope, _ = decay_rate_from_survival(noisy[:5] + noisy[6:])
     assert slope == pytest.approx(1.0, abs=1e-12)
-    assert stderr == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decay_rate_weighted_fit_recovers_rate():

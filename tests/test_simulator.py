@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from qsdsim.configuration import Configuration
 from qsdsim.coupling import CoupledState, coupled_path
 from qsdsim.errors import InvalidRegime
 from qsdsim.oracle import build_mass_chain
-from qsdsim.qsd import QsdEstimate, fleming_viot_estimate
+from qsdsim.qsd import QsdEstimate, fleming_viot_estimate, yaglom_estimate
 from qsdsim.rates import LogisticModel, RateModel, UniformModel, individual_at
 from qsdsim.simulator import (ENGINES, Event, EventKind, Runs, Trajectory, _urns,
                               mass_moments, mass_paths, path_times, simulate_gillespie,
@@ -23,8 +24,8 @@ from qsdsim.trait_space import TruncatedGaussianKernel, UniformKernel, sample_ba
 from qsdsim.validation import Mass, chi2_threshold, lyapunov_check, martingale_residual
 
 import strategies
-from ensembles import (CountingDeaths, configurations, hitting_tail, per_entry_branch,
-                       reference_chunks, serialize, urn)
+from ensembles import (CountingDeaths, configurations, hitting_tail, law_starts,
+                       per_entry_branch, reference_chunks, serialize, urn)
 from homogeneity import mass_histogram, two_sample_chi2
 
 START = Configuration.from_pairs(((0.2, 2), (0.6, 1)))
@@ -446,6 +447,8 @@ _CHUNK = 64
        horizon=st.floats(0.0, 2.0), start=st.sampled_from([START, Configuration.void(), ESTIMATE]),
        survivors=st.booleans())
 def test_mass_paths_invariants(model, seed, replicas, horizon, start, survivors):
+    if start is ESTIMATE:
+        start = law_starts(ESTIMATE, replicas, RandomStream(seed).generator())
     checkpoints = (0.0, horizon / 2, horizon)
     with mock.patch.object(simulator, "CHUNK", _CHUNK):
         paths = mass_paths(model, start, horizon, replicas, RandomStream(seed),
@@ -506,6 +509,17 @@ def test_mass_paths_start_each_replica_from_its_own_configuration(uniform_model)
                                                   for c in configurations(chunk.survivors))
     with pytest.raises(ValueError, match="one start per replica"):
         mass_paths(uniform_model, Runs.of(configs[:-1]), 1.0, replicas, RandomStream(3))
+
+
+@pytest.mark.parametrize("start", [ESTIMATE, [START, START]], ids=["estimate", "list"])
+def test_mass_paths_and_the_ensembles_on_them_refuse_any_other_start(uniform_model, start):
+    # a list used to fail deep in a chunk, for want of a draw method
+    runs = (partial(mass_paths, uniform_model, start, 1.0, 2, RandomStream(3)),
+            partial(survival_curve, uniform_model, start, (0.5, 1.0), 2, RandomStream(3)),
+            partial(yaglom_estimate, uniform_model, start, 1.0, 2, RandomStream(3)))
+    for run in runs:
+        with pytest.raises(TypeError, match="a Configuration or Runs with one row per replica"):
+            run()
 
 
 def test_mass_paths_take_void_rows_among_array_starts(uniform_model):
@@ -593,7 +607,8 @@ def test_mass_paths_give_the_per_lane_rate_rounds_bit_for_bit(model, seed, repli
                                                               chunk):
     # a mixed start puts masses 0, 1, 3 and 9 side by side, so the masses a
     # chunk reaches need not form one range
-    initial = {"one": START, "law": ESTIMATE,
+    initial = {"one": START,
+               "law": law_starts(ESTIMATE, replicas, RandomStream(seed).generator()),
                "mixed": Runs.of(_POOL[picks[r % len(picks)]] for r in range(replicas))}[form]
     checkpoints = tuple(sorted(c * horizon for c in cuts))
     # small chunks split the replicas among several lockstep runs; the
@@ -735,6 +750,25 @@ def test_a_mass_chain_evaluates_the_death_rate_once_per_mass_it_reaches():
     assert np.array_equal(chunk.final, paths.final)
     assert np.isfinite(paths.extinction).any() and paths.events > 5000
     assert sorted(model.masses) == list(range(1, int(chunk.maximum.max()) + 1))
+
+
+def test_runs_on_one_model_evaluate_each_mass_once_in_all():
+    # the model's one rate table serves two engine runs and a lockstep chunk
+    start = Configuration.from_pairs(((0.3, 4), (0.7, 3)))
+    runs = (lambda model: simulate_gillespie(model, start, 5.0, RandomStream(3).generator()),
+            lambda model: simulate_thinning(model, start, 5.0, RandomStream(4).generator()),
+            lambda model: mass_paths(model, start, 5.0, 500, RandomStream(5)))
+    shared = _counting_model()
+    got = [run(shared) for run in runs]
+    fresh = [_counting_model() for _ in runs]
+    want = [run(model) for run, model in zip(runs, fresh)]
+    assert got[:2] == want[:2]
+    for one, two in zip(got[2][:3], want[2][:3]):
+        assert np.array_equal(one, two)
+    assert got[2].events == want[2].events
+    assert sorted(shared.masses) == sorted(set().union(*(m.masses for m in fresh)))
+    # the runs reach common masses, each evaluated once on the shared model
+    assert sum(len(m.masses) for m in fresh) > len(shared.masses)
 
 
 def test_fleming_viot_evaluates_the_death_rate_once_per_mass_it_reaches():

@@ -163,7 +163,7 @@ def test_indicator_generator_lives_next_to_its_mass(model, config, k):
 def test_table_generator_is_the_one_entry_generator_bit_for_bit(model, top, trait, f):
     rates = model.rate_table()
     rates(np.arange(1, top + 1))
-    values, drift = _by_mass(f, rates)
+    values, drift = _by_mass(f, rates, top)
     assert drift[0] == 0.0
     assert drift[1:].tolist() == [generator_apply(model, f, Configuration(((trait, k),)))
                                   for k in range(1, top + 1)]
@@ -514,7 +514,8 @@ def _reading(model, read):
        start=st.integers(0, 12), t=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_lockstep_from_any_start_mass_ends_as_the_reference_chunk(
         uniform_model, logistic_model, name, start, t, seed):
-    model = _lockstep_models(uniform_model, logistic_model)[name]
+    # a fresh model, whose one table no earlier run has filled
+    model = dataclasses.replace(_lockstep_models(uniform_model, logistic_model)[name])
     initial = Configuration.from_pairs(((0.5, start),)) if start else Configuration.void()
     read = set()
     want = mass_chunk(_reading(model, read), t, (), False, RandomStream(seed).generator(),
@@ -528,6 +529,18 @@ def test_lockstep_from_any_start_mass_ends_as_the_reference_chunk(
     assert last.tolist() == want.last.tolist()
     # the table's filled masses are the masses the reference read
     assert np.flatnonzero(rates.by_mass[2]).tolist() == sorted(read)
+
+
+def test_the_martingale_check_reads_f_only_at_the_masses_its_chunk_reached(logistic_model):
+    # the model's one table may hold masses far past the chunk's, where
+    # e^{k} overflows a float (past mass 709)
+    model = dataclasses.replace(logistic_model)
+    model.rate_table()(np.array([800]))
+    start = Configuration.from_pairs(((0.5, 2),))
+    got = martingale_residual(model, ExpMass(1.0), start, 0.5, 300, RandomStream(37))
+    assert got == martingale_residual(dataclasses.replace(logistic_model), ExpMass(1.0), start,
+                                      0.5, 300, RandomStream(37))
+    assert all(map(math.isfinite, got)) and got[1] > 0.0
 
 
 def test_lockstep_checks_over_several_chunks_give_the_reference_chunks(logistic_model,
